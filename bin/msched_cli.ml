@@ -808,9 +808,9 @@ let compile_jobs_arg =
     value & opt int 1
     & info [ "compile-jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains inside one compile (parallel TIERS reverse pass \
-           and placement annealer); the schedule is byte-identical for any \
-           N, and the product with --jobs/--workers must fit the machine")
+          "Worker domains inside one compile (parallel TIERS reverse \
+           pass); the schedule is byte-identical for any N, and the \
+           product with --jobs/--workers must fit the machine")
 
 let diag_json_arg =
   Arg.(

@@ -24,9 +24,9 @@ type options = {
   verify : bool;
   obs : Sink.t;
   compile_jobs : int;
-      (* Intra-compile parallel width for the TIERS reverse pass and the
-         placement annealer; results are bit-identical for every value.
-         1 (the default) never spawns a domain. *)
+      (* Intra-compile parallel width for the TIERS reverse pass; results
+         are bit-identical for every value.  1 (the default) never spawns
+         a domain. *)
 }
 
 let default_options =
@@ -120,7 +120,7 @@ let prepare ?(options = default_options) original =
   let placement =
     Sink.span obs "placement" @@ fun () ->
     Placement.place partition system ~seed:options.place_seed
-      ~effort:options.place_effort ~obs ~jobs:options.compile_jobs ()
+      ~effort:options.place_effort ~obs ()
   in
   let latch_analysis =
     Sink.span obs "latch-analysis" @@ fun () ->

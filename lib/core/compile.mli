@@ -27,10 +27,10 @@ type options = {
           phase plus the counters catalogued in [docs/OBSERVABILITY.md]. *)
   compile_jobs : int;
       (** Intra-compile parallel width (default 1): worker domains for the
-          TIERS reverse pass and the placement annealer.  The compiled
-          schedule, placement and pipeline metrics are bit-identical for
-          every value — parallelism is a pure wall-clock knob — and
-          [compile_jobs <= 1] never spawns a domain. *)
+          TIERS reverse pass.  The compiled schedule, placement and
+          pipeline metrics are bit-identical for every value — parallelism
+          is a pure wall-clock knob — and [compile_jobs <= 1] never spawns
+          a domain. *)
 }
 
 val default_options : options

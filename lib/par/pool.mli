@@ -1,9 +1,9 @@
 (** Persistent intra-compile worker pool.
 
-    One pool serves many small task batches (the TIERS reverse pass and
-    the placement annealer both fan out hundreds of batches per compile),
-    so the domains are spawned once per pool and parked on a condition
-    variable between batches instead of paying a [Domain.spawn] per batch.
+    One pool serves many small task batches (the TIERS reverse pass fans
+    out hundreds of batches per compile), so the domains are spawned once
+    per pool and parked on a condition variable between batches instead
+    of paying a [Domain.spawn] per batch.
 
     Determinism contract: [run] only distributes indices — tasks must not
     rely on execution order, and anything order-sensitive belongs in the

@@ -43,16 +43,65 @@ let connections part =
   Hashtbl.fold (fun (a, b) w acc -> (a, b, w) :: acc) tbl []
   |> List.sort compare
 
-let cost_of sys conns fpga_of_block =
+(* The placer's flat state: the connection graph in CSR form (block [b]'s
+   neighbours are [adj_nbr.(i)], with weight [adj_w.(i)], for [i] from
+   [adj_off.(b)] to [adj_off.(b + 1) - 1]) and the hop distance between
+   FPGAs [f] and [g] at [dist.((f * nf) + g)], read from
+   [Topology.distance] once. *)
+type graph = {
+  nf : int;
+  adj_off : int array;
+  adj_nbr : int array;
+  adj_w : int array;
+  dist : int array;
+}
+
+let graph part sys =
+  let nb = Partition.num_blocks part in
+  let nf = System.num_fpgas sys in
+  let conns = connections part in
+  let adj_off = Array.make (nb + 1) 0 in
+  List.iter
+    (fun (a, b, _) ->
+      adj_off.(a + 1) <- adj_off.(a + 1) + 1;
+      adj_off.(b + 1) <- adj_off.(b + 1) + 1)
+    conns;
+  for b = 0 to nb - 1 do
+    adj_off.(b + 1) <- adj_off.(b + 1) + adj_off.(b)
+  done;
+  let next = Array.sub adj_off 0 nb in
+  let adj_nbr = Array.make adj_off.(nb) 0 in
+  let adj_w = Array.make adj_off.(nb) 0 in
+  let add a b w =
+    adj_nbr.(next.(a)) <- b;
+    adj_w.(next.(a)) <- w;
+    next.(a) <- next.(a) + 1
+  in
+  List.iter
+    (fun (a, b, w) ->
+      add a b w;
+      add b a w)
+    conns;
   let topo = System.topology sys in
-  List.fold_left
-    (fun acc (a, b, w) ->
-      acc
-      + w
-        * Topology.distance topo
-            (Ids.Fpga.of_int fpga_of_block.(a))
-            (Ids.Fpga.of_int fpga_of_block.(b)))
-    0 conns
+  let dist =
+    Array.init (nf * nf) (fun i ->
+        Topology.distance topo (Ids.Fpga.of_int (i / nf))
+          (Ids.Fpga.of_int (i mod nf)))
+  in
+  { nf; adj_off; adj_nbr; adj_w; dist }
+
+(* Total weighted hop distance, each connection counted at its lower
+   block. *)
+let cost g fpga_of_block =
+  let c = ref 0 in
+  for a = 0 to Array.length fpga_of_block - 1 do
+    let row = fpga_of_block.(a) * g.nf in
+    for i = g.adj_off.(a) to g.adj_off.(a + 1) - 1 do
+      let p = g.adj_nbr.(i) in
+      if p > a then c := !c + (g.adj_w.(i) * g.dist.(row + fpga_of_block.(p)))
+    done
+  done;
+  !c
 
 let build part sys fpga_of_block =
   let nf = System.num_fpgas sys in
@@ -73,20 +122,19 @@ let of_assignment part sys assignment =
 (* Greedy constructive placement: pinned blocks first, then the rest in
    decreasing connectivity order, each at the free FPGA minimizing cost
    against already-placed neighbors. *)
-let constructive part sys conns pinned =
-  let nb = Partition.num_blocks part in
-  let nf = System.num_fpgas sys in
-  let topo = System.topology sys in
-  let adj = Array.make nb [] in
-  List.iter
-    (fun (a, b, w) ->
-      adj.(a) <- (b, w) :: adj.(a);
-      adj.(b) <- (a, w) :: adj.(b))
-    conns;
-  let degree b = List.fold_left (fun acc (_, w) -> acc + w) 0 adj.(b) in
+let constructive g pinned =
+  let nb = Array.length pinned and nf = g.nf in
+  let degree =
+    Array.init nb (fun b ->
+        let d = ref 0 in
+        for i = g.adj_off.(b) to g.adj_off.(b + 1) - 1 do
+          d := !d + g.adj_w.(i)
+        done;
+        !d)
+  in
   let order =
     List.sort
-      (fun a b -> compare (degree b, a) (degree a, b))
+      (fun a b -> compare (degree.(b), a) (degree.(a), b))
       (List.init nb Fun.id)
     |> List.filter (fun b -> pinned.(b) = -1)
   in
@@ -105,19 +153,13 @@ let constructive part sys conns pinned =
       let best = ref (-1) and best_cost = ref max_int in
       for f = 0 to nf - 1 do
         if not taken.(f) then begin
-          let c =
-            List.fold_left
-              (fun acc (nb', w) ->
-                if fpga_of_block.(nb') >= 0 then
-                  acc
-                  + w
-                    * Topology.distance topo (Ids.Fpga.of_int f)
-                        (Ids.Fpga.of_int fpga_of_block.(nb'))
-                else acc)
-              0 adj.(b)
-          in
-          if c < !best_cost then begin
-            best_cost := c;
+          let c = ref 0 in
+          for i = g.adj_off.(b) to g.adj_off.(b + 1) - 1 do
+            let p = fpga_of_block.(g.adj_nbr.(i)) in
+            if p >= 0 then c := !c + (g.adj_w.(i) * g.dist.((f * nf) + p))
+          done;
+          if !c < !best_cost then begin
+            best_cost := !c;
             best := f
           end
         end
@@ -131,14 +173,13 @@ let constructive part sys conns pinned =
 
    Every random draw of the annealer is a pure function of (seed, nb, nf,
    draw index) — splitmix64 applied to a per-placement base plus the draw
-   counter — so the move stream does not depend on execution order or on
-   how many draws a rejected move consumed.  This is what lets the
-   parallel annealer evaluate moves speculatively out of order and still
-   commit the exact sequential trajectory. *)
+   counter — so the move stream does not depend on how many draws a
+   rejected move consumed.  The draws are inlined so that, without
+   flambda, their Int64 intermediates stay unboxed. *)
 
 let sm64_gamma = 0x9E3779B97F4A7C15L
 
-let splitmix64 z =
+let[@inline] splitmix64 z =
   let open Int64 in
   let z = add z sm64_gamma in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
@@ -150,27 +191,83 @@ let draw_base ~seed ~nb ~nf =
   let s = splitmix64 (Int64.add s (Int64.of_int nb)) in
   splitmix64 (Int64.add s (Int64.of_int nf))
 
-let draw base i =
+let[@inline] draw base i =
   splitmix64 (Int64.add base (Int64.mul (Int64.of_int i) sm64_gamma))
 
-let draw_int base i n =
+let[@inline] draw_int base i n =
   Int64.to_int (Int64.shift_right_logical (draw base i) 33) mod n
 
-let draw_unit base i =
+let[@inline] draw_unit base i =
   Int64.to_float (Int64.shift_right_logical (draw base i) 11) *. 0x1p-53
 
-(* Speculative evaluation of one annealing move (parallel path): the swap
-   candidate and its cost delta against the state the evaluation read. *)
-type move_spec =
-  | Ms_skip  (* guard rejected the move; no state read beyond block_at *)
-  | Ms_eval of { ms_b1 : int; ms_b2 : int; ms_delta : int }
-
-(* Parallel batch width: fixed (not scaled by [jobs]) so batch boundaries
-   are identical for every parallel width. *)
-let anneal_batch = 128
+(* Seeded simulated annealing of [fpga_of_block] in place: [moves] random
+   FPGA-pair swaps (a swap with an empty FPGA moves one block), Metropolis
+   acceptance on a linearly falling temperature.  Annealing may end on an
+   uphill excursion, so the result is the cheapest state the trajectory
+   visited — never worse than the start.  Returns the number of moves
+   tried and accepted.  Nothing in the move loop allocates. *)
+let anneal g ~seed ~moves pinned fpga_of_block =
+  let nb = Array.length fpga_of_block and nf = g.nf in
+  let { adj_off; adj_nbr; adj_w; dist; _ } = g in
+  let block_at = Array.make nf (-1) in
+  Array.iteri (fun b f -> block_at.(f) <- b) fpga_of_block;
+  let base = draw_base ~seed ~nb ~nf in
+  let movable b = b < 0 || pinned.(b) < 0 in
+  (* Change in the cost of [b]'s connections when it moves from [src] to
+     [dst], over its neighbours other than [other] (the swap partner, whose
+     distance to [b] a swap keeps): Σ w·(dist[dst][p] − dist[src][p]). *)
+  let shift b other ~src ~dst =
+    if b < 0 then 0
+    else begin
+      let d = ref 0 in
+      for i = adj_off.(b) to adj_off.(b + 1) - 1 do
+        let p = adj_nbr.(i) in
+        if p <> other then begin
+          let fp = fpga_of_block.(p) in
+          d :=
+            !d + (adj_w.(i) * (dist.((dst * nf) + fp) - dist.((src * nf) + fp)))
+        end
+      done;
+      !d
+    end
+  in
+  let cost = ref (cost g fpga_of_block) in
+  let temp0 = 1.0 +. (float_of_int !cost /. float_of_int (max 1 nb)) in
+  let best_cost = ref !cost in
+  let best = Array.copy fpga_of_block in
+  let tried = ref 0 and accepted = ref 0 in
+  for m = 0 to moves - 1 do
+    let f1 = draw_int base (3 * m) nf and f2 = draw_int base ((3 * m) + 1) nf in
+    let b1 = block_at.(f1) and b2 = block_at.(f2) in
+    if f1 <> f2 && (b1 >= 0 || b2 >= 0) && movable b1 && movable b2 then begin
+      let delta = shift b1 b2 ~src:f1 ~dst:f2 + shift b2 b1 ~src:f2 ~dst:f1 in
+      incr tried;
+      if
+        delta <= 0
+        || draw_unit base ((3 * m) + 2)
+           < exp
+               (-.float_of_int delta
+               /. ((temp0 *. (1.0 -. (float_of_int m /. float_of_int moves)))
+                  +. 1e-3))
+      then begin
+        incr accepted;
+        block_at.(f1) <- b2;
+        block_at.(f2) <- b1;
+        if b1 >= 0 then fpga_of_block.(b1) <- f2;
+        if b2 >= 0 then fpga_of_block.(b2) <- f1;
+        cost := !cost + delta;
+        if !cost < !best_cost then begin
+          best_cost := !cost;
+          Array.blit fpga_of_block 0 best 0 nb
+        end
+      end
+    end
+  done;
+  if !best_cost < !cost then Array.blit best 0 fpga_of_block 0 nb;
+  (!tried, !accepted)
 
 let place part sys ?(seed = 7) ?(effort = 4) ?(pinned = [])
-    ?(obs = Msched_obs.Sink.null) ?(jobs = 1) () =
+    ?(obs = Msched_obs.Sink.null) () =
   let module Sink = Msched_obs.Sink in
   let nb = Partition.num_blocks part in
   let nf = System.num_fpgas sys in
@@ -186,168 +283,24 @@ let place part sys ?(seed = 7) ?(effort = 4) ?(pinned = [])
         invalid_arg "Placement.place: block pinned twice";
       pinned_arr.(bi) <- Ids.Fpga.to_int f)
     pinned;
-  let conns = connections part in
-  let fpga_of_block = constructive part sys conns pinned_arr in
+  let g = graph part sys in
+  let fpga_of_block = constructive g pinned_arr in
   if effort > 0 && nb > 1 then begin
-    let topo = System.topology sys in
-    let adj = Array.make nb [] in
-    List.iter
-      (fun (a, b, w) ->
-        adj.(a) <- (b, w) :: adj.(a);
-        adj.(b) <- (a, w) :: adj.(b))
-      conns;
-    let block_at = Array.make nf (-1) in
-    Array.iteri (fun b f -> block_at.(f) <- b) fpga_of_block;
-    let base = draw_base ~seed ~nb ~nf in
-    (* Cost of all connections incident to [b] as if it sat at [at],
-       excluding those to [other] (counted once by the caller); reads only
-       the positions of [b]'s other neighbors, so a swap's delta can be
-       computed without mutating the placement. *)
-    let placed_cost b other ~at =
-      if b < 0 then 0
-      else
-        List.fold_left
-          (fun acc (nb', w) ->
-            if nb' = other then acc
-            else
-              acc
-              + w
-                * Topology.distance topo (Ids.Fpga.of_int at)
-                    (Ids.Fpga.of_int fpga_of_block.(nb')))
-          0 adj.(b)
+    let tried, accepted =
+      anneal g ~seed ~moves:(effort * 200 * nb) pinned_arr fpga_of_block
     in
-    let movable b = b < 0 || pinned_arr.(b) < 0 in
-    let cost = ref (cost_of sys conns fpga_of_block) in
-    let moves = effort * 200 * nb in
-    let tried = ref 0 in
-    let accepted = ref 0 in
-    let temp0 = 1.0 +. (float_of_int !cost /. float_of_int (max 1 nb)) in
-    let temp m =
-      temp0 *. (1.0 -. (float_of_int m /. float_of_int moves)) +. 1e-3
-    in
-    (* Best-so-far snapshot: annealing may end on an uphill excursion; the
-       returned placement is the cheapest state the trajectory visited
-       (never worse than the constructive start). *)
-    let best_cost = ref !cost in
-    let best = Array.copy fpga_of_block in
-    let note_best () =
-      if !cost < !best_cost then begin
-        best_cost := !cost;
-        Array.blit fpga_of_block 0 best 0 nb
-      end
-    in
-    let eval m =
-      let f1 = draw_int base (3 * m) nf and f2 = draw_int base ((3 * m) + 1) nf in
-      if
-        f1 <> f2
-        && (block_at.(f1) >= 0 || block_at.(f2) >= 0)
-        && movable block_at.(f1)
-        && movable block_at.(f2)
-      then begin
-        let b1 = block_at.(f1) and b2 = block_at.(f2) in
-        let before = placed_cost b1 b2 ~at:f1 + placed_cost b2 b1 ~at:f2 in
-        let after = placed_cost b1 b2 ~at:f2 + placed_cost b2 b1 ~at:f1 in
-        Ms_eval { ms_b1 = b1; ms_b2 = b2; ms_delta = after - before }
-      end
-      else Ms_skip
-    in
-    (* Commit one evaluated move; [touch] records the FPGAs and blocks an
-       accepted swap rewrites (conflict tracking for the parallel path). *)
-    let commit ?touch m spec =
-      match spec with
-      | Ms_skip -> ()
-      | Ms_eval { ms_b1 = b1; ms_b2 = b2; ms_delta = delta } ->
-          let f1 = draw_int base (3 * m) nf
-          and f2 = draw_int base ((3 * m) + 1) nf in
-          Stdlib.incr tried;
-          if
-            delta <= 0
-            || draw_unit base ((3 * m) + 2)
-               < exp (-.float_of_int delta /. temp m)
-          then begin
-            Stdlib.incr accepted;
-            block_at.(f1) <- b2;
-            block_at.(f2) <- b1;
-            if b1 >= 0 then fpga_of_block.(b1) <- f2;
-            if b2 >= 0 then fpga_of_block.(b2) <- f1;
-            cost := !cost + delta;
-            (match touch with
-            | Some (touched_f, touched_b) ->
-                touched_f.(f1) <- true;
-                touched_f.(f2) <- true;
-                if b1 >= 0 then touched_b.(b1) <- true;
-                if b2 >= 0 then touched_b.(b2) <- true
-            | None -> ());
-            note_best ()
-          end
-    in
-    if jobs <= 1 then
-      for m = 0 to moves - 1 do
-        commit m (eval m)
-      done
-    else begin
-      (* Speculative batches: workers evaluate a window of moves against
-         the state at batch start; the committer walks the window in move
-         order and keeps each speculation unless an earlier accepted swap
-         of the same batch touched an FPGA or block (or neighbor) the
-         evaluation read — those moves are re-evaluated live.  The
-         committed trajectory is exactly the sequential one. *)
-      Msched_par.Pool.with_pool ~jobs @@ fun pool ->
-      let touched_f = Array.make nf false in
-      let touched_b = Array.make nb false in
-      let specs = Array.make anneal_batch Ms_skip in
-      let m0 = ref 0 in
-      while !m0 < moves do
-        let bn = min anneal_batch (moves - !m0) in
-        Sink.incr obs "placement.par.batches";
-        Msched_par.Pool.run pool ~n:bn (fun ~worker:_ k ->
-            specs.(k) <- eval (!m0 + k));
-        Array.fill touched_f 0 nf false;
-        Array.fill touched_b 0 nb false;
-        for k = 0 to bn - 1 do
-          let m = !m0 + k in
-          let f1 = draw_int base (3 * m) nf
-          and f2 = draw_int base ((3 * m) + 1) nf in
-          let conflict =
-            touched_f.(f1) || touched_f.(f2)
-            ||
-            match specs.(k) with
-            | Ms_skip -> false
-            | Ms_eval { ms_b1; ms_b2; _ } ->
-                let reads b =
-                  b >= 0
-                  && (touched_b.(b)
-                     || List.exists (fun (n, _) -> touched_b.(n)) adj.(b))
-                in
-                reads ms_b1 || reads ms_b2
-          in
-          let spec =
-            if conflict then begin
-              Sink.incr obs "placement.par.moves_redone";
-              eval m
-            end
-            else specs.(k)
-          in
-          commit ~touch:(touched_f, touched_b) m spec
-        done;
-        m0 := !m0 + bn
-      done
-    end;
-    if !best_cost < !cost then Array.blit best 0 fpga_of_block 0 nb;
-    Sink.add obs "place.moves_tried" !tried;
-    Sink.add obs "place.moves_accepted" !accepted;
+    Sink.add obs "place.moves_tried" tried;
+    Sink.add obs "place.moves_accepted" accepted;
     Sink.annotate obs
       [
-        ("moves_accepted", string_of_int !accepted);
-        ("moves_rejected", string_of_int (!tried - !accepted));
+        ("moves_accepted", string_of_int accepted);
+        ("moves_rejected", string_of_int (tried - accepted));
       ]
   end;
-  Msched_obs.Sink.gauge obs "place.wirelength"
-    (float_of_int (cost_of sys conns fpga_of_block));
+  Sink.gauge obs "place.wirelength" (float_of_int (cost g fpga_of_block));
   build part sys fpga_of_block
 
-let wirelength t =
-  cost_of t.system (connections t.partition) t.fpga_of_block
+let wirelength t = cost (graph t.partition t.system) t.fpga_of_block
 
 let pp_summary ppf t =
   Format.fprintf ppf "%d blocks on %a, wirelength=%d"

@@ -16,7 +16,6 @@ val place :
   ?effort:int ->
   ?pinned:(Ids.Block.t * Ids.Fpga.t) list ->
   ?obs:Msched_obs.Sink.t ->
-  ?jobs:int ->
   unit ->
   t
 (** [effort] scales the annealing move budget (default 4; 0 disables
@@ -25,10 +24,7 @@ val place :
     cores, whose heterogeneous placement the paper lists as future work.
 
     Annealing draws are counter-based (a pure function of seed and move
-    index), so the trajectory is a function of [seed] alone: [jobs]
-    (default 1) only sets how many worker domains evaluate move batches
-    speculatively — the returned placement and the [place.*] metrics are
-    identical for every [jobs], and [jobs <= 1] never spawns a domain.
+    index), so the trajectory is a function of [seed] alone.
     @raise Invalid_argument if there are more blocks than FPGAs, or if
     pinned entries conflict. *)
 
