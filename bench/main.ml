@@ -280,7 +280,7 @@ let serve_doc () =
     let port =
       match Transport.bound_address srv with
       | Transport.Tcp (_, p) -> p
-      | Transport.Unix_path _ -> assert false
+      | Transport.Unix_path _ | Transport.Stdio _ -> assert false
     in
     let latencies = Array.make (Array.length texts) 0.0 in
     let client ci =

@@ -76,15 +76,10 @@ let report_of diags =
   Diag.Report.add_list rep diags;
   rep
 
-let read_text path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  text
-
 let read_netlist path =
-  match Serial.of_string_diag (read_text path) with
+  match
+    Serial.of_string_diag (In_channel.with_open_bin path In_channel.input_all)
+  with
   | Ok nl -> nl
   | Error diags ->
       print_diags path diags;
@@ -221,7 +216,10 @@ let pp_delta ppf (d : Msched.Compile.delta_result) =
     d.Msched.Compile.delta_expansions
 
 let read_delta_manifest path =
-  match Delta_manifest.of_json_string (read_text path) with
+  match
+    Delta_manifest.of_json_string
+      (In_channel.with_open_bin path In_channel.input_all)
+  with
   | Ok m -> m
   | Error msg ->
       Format.eprintf "%s: %a@." path Diag.pp
@@ -318,7 +316,7 @@ let compile_cmd path pins weight mode forward retries fallback_hard cold
 
 let lint_cmd path diag_json =
   protect @@ fun () ->
-  let text = read_text path in
+  let text = In_channel.with_open_bin path In_channel.input_all in
   let diags =
     match Serial.of_string_diag text with
     | Error diags -> diags
@@ -627,66 +625,64 @@ let serve_cmd use_stdin socket tcp workers queue_max overload deadline grace
     | Some _, Some _ ->
         Printf.eprintf "serve: --socket and --tcp are mutually exclusive\n";
         exit 2
-    | Some path, None -> Some (Transport.Unix_path path)
+    | Some path, None -> Transport.Unix_path path
     | None, Some hostport -> (
         match Transport.parse_address ("tcp:" ^ hostport) with
-        | Ok a -> Some a
+        | Ok a -> a
         | Error msg ->
             Printf.eprintf "serve: %s\n" msg;
             exit 2)
-    | None, None -> None
+    | None, None ->
+        if not use_stdin then begin
+          Printf.eprintf
+            "serve: pass --stdin, --socket PATH, or --tcp HOST:PORT\n";
+          exit 1
+        end;
+        (* One session over stdin/stdout; its EOF drains the server. *)
+        Transport.Stdio (Unix.stdin, Unix.stdout)
   in
-  match address with
-  | None ->
-      if not use_stdin then begin
-        Printf.eprintf
-          "serve: pass --stdin, --socket PATH, or --tcp HOST:PORT\n";
-        exit 1
-      end;
-      Server.serve settings stdin stdout
-  | Some address ->
-      let overload =
-        match overload with
-        | "shed" -> Dispatch.Shed
-        | "block" -> Dispatch.Block
-        | other ->
-            Printf.eprintf "serve: unknown --overload %S (shed|block)\n" other;
-            exit 2
-      in
-      let cfg =
+  let overload =
+    match overload with
+    | "shed" -> Dispatch.Shed
+    | "block" -> Dispatch.Block
+    | other ->
+        Printf.eprintf "serve: unknown --overload %S (shed|block)\n" other;
+        exit 2
+  in
+  let cfg =
+    {
+      Transport.default_config with
+      Transport.t_address = address;
+      t_dispatch =
         {
-          Transport.default_config with
-          Transport.t_address = address;
-          t_dispatch =
-            {
-              Dispatch.d_workers = workers;
-              d_queue_max = queue_max;
-              d_overload = overload;
-              d_deadline_s = deadline;
-              d_grace_s = grace;
-            };
-          t_settings = settings;
-          t_inject_faults = inject;
-          t_cache_max_bytes = cache_max_bytes;
-        }
-      in
-      let srv = Transport.start cfg in
-      (* First SIGTERM/SIGINT drains gracefully; a second one escalates to
-         abort (queued requests shed, hung workers abandoned). *)
-      let hits = ref 0 in
-      let on_signal _ =
-        incr hits;
-        Transport.request_shutdown srv (if !hits >= 2 then `Abort else `Drain)
-      in
-      Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-      Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-      Printf.eprintf "msched serve: listening on %s (%d workers, queue %d, %s)\n%!"
-        (Transport.address_name (Transport.bound_address srv))
-        (max 1 workers) queue_max
-        (Dispatch.overload_name overload);
-      let s = Transport.wait srv in
-      print_endline (Transport.summary_json s);
-      if not s.Transport.sm_clean then exit 1
+          Dispatch.d_workers = workers;
+          d_queue_max = queue_max;
+          d_overload = overload;
+          d_deadline_s = deadline;
+          d_grace_s = grace;
+        };
+      t_settings = settings;
+      t_inject_faults = inject;
+      t_cache_max_bytes = cache_max_bytes;
+    }
+  in
+  let srv = Transport.start cfg in
+  (* First SIGTERM/SIGINT drains gracefully; a second one escalates to
+     abort (queued requests shed, hung workers abandoned). *)
+  let hits = ref 0 in
+  let on_signal _ =
+    incr hits;
+    Transport.request_shutdown srv (if !hits >= 2 then `Abort else `Drain)
+  in
+  Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
+  Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
+  Printf.eprintf "msched serve: listening on %s (%d workers, queue %d, %s)\n%!"
+    (Transport.address_name (Transport.bound_address srv))
+    (max 1 workers) queue_max
+    (Dispatch.overload_name overload);
+  let s = Transport.wait srv in
+  print_endline (Transport.summary_json s);
+  if not s.Transport.sm_clean then exit 1
 
 (* ---- Cache hygiene front end (`msched cache stats|gc`). ---- *)
 
@@ -891,9 +887,9 @@ let stdin_flag_arg =
     value & flag
     & info [ "stdin" ]
         ~doc:
-          "Read NDJSON job requests ({\"path\": ..., \"id\"?: ...} or bare \
-           paths, one per line) from standard input; respond with one \
-           record per line and a summary at EOF")
+          "Serve one session over standard input and output: the socket \
+           request grammar (docs/SERVER.md), one response line per request; \
+           at EOF the connection and server summary lines, then exit")
 
 let socket_arg =
   Arg.(

@@ -170,6 +170,9 @@ let verify_or_fail ~obs prepared schedule =
          Msched_check.Verify.pp_report report)
   end
 
+(* [route] + [verify] on an already-prepared front end: every compile
+   entry point below ends here, so retries never re-partition or
+   re-place. *)
 let compile_prepared ?(options = default_options) ?reroute prepared =
   let obs = options.obs in
   let schedule =

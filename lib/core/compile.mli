@@ -94,20 +94,16 @@ val verify_schedule :
   Msched_check.Verify.report
 (** Run the static verifier against a schedule routed from [prepared]. *)
 
-val compile_prepared :
-  ?options:options -> ?reroute:Msched_route.Reroute.t -> prepared -> compiled
-(** [route] with [options.route] on an already-prepared front-end; when
-    [options.verify] is set the schedule is then checked by
-    {!Msched_check.Verify} and a violation raises {!Compile_error} with the
-    pretty-printed report.  Lets callers (the resilient driver, ablation
-    sweeps) retry routing without re-partitioning and re-placing. *)
-
 val compile :
   ?options:options ->
   ?reroute:Msched_route.Reroute.t ->
   Netlist.t ->
   compiled
-(** [prepare] followed by {!compile_prepared}. *)
+(** [prepare], then {!route} with [options.route]; when [options.verify]
+    is set the schedule is then checked by {!Msched_check.Verify} and a
+    violation raises {!Compile_error} with the pretty-printed report.  The
+    resilient driver and delta compiles retry routing on one prepared
+    front end without re-partitioning and re-placing. *)
 
 val check_jobs_budget :
   ?recommended:int ->

@@ -2,20 +2,9 @@ open Msched_netlist
 module Partition = Msched_partition.Partition
 module Domain_analysis = Msched_mts.Domain_analysis
 
-(* FNV-1a, 64-bit — the same dependency-free hash the reroute cache and
-   the server cache use, so every fingerprint in the system reads as the
-   same 16-hex-digit currency. *)
-let fnv1a64 s =
-  let prime = 0x100000001b3L in
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
-  !h
-
-let hash_hex s = Printf.sprintf "%016Lx" (fnv1a64 s)
+(* The same FNV-1a 64 the reroute and server caches use, so every
+   fingerprint in the system reads as the same 16-hex-digit currency. *)
+let hash_hex = Msched_diag.Diag.Json.hash_hex
 
 (* The design fingerprint hashes the canonical serial text: re-emitting a
    parsed design normalizes whitespace, comments and file-local net

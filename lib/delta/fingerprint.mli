@@ -14,13 +14,10 @@
 
 open Msched_netlist
 
-val hash_hex : string -> string
-(** FNV-1a 64-bit as 16 lowercase hex digits. *)
-
 val design : Netlist.t -> string
-(** Hash of {!Serial.to_string}: whitespace/comment/file-numbering
-    insensitive, id-order sensitive (id order is semantic identity for the
-    seeded partitioner and placer). *)
+(** {!Msched_diag.Diag.Json.hash_hex} of {!Serial.to_string}:
+    whitespace/comment/file-numbering insensitive, id-order sensitive (id
+    order is semantic identity for the seeded partitioner and placer). *)
 
 val boundary_signature :
   Netlist.t -> Msched_mts.Domain_analysis.t -> Ids.Net.t -> string

@@ -110,7 +110,7 @@ let build ~options_fp ~design_fp placement ~analysis ~ctx =
 (* Canonical, checksummed JSON.  Same conventions as the reroute cache:
    sorted structural order, re-serialize-and-compare integrity check. *)
 
-let fnv = Fingerprint.hash_hex
+let fnv = J.hash_hex
 
 let pair_array b pairs =
   Buffer.add_char b '[';

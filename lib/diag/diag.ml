@@ -353,6 +353,20 @@ module Json = struct
     match num v with
     | Some f when Float.is_integer f -> Some (int_of_float f)
     | _ -> None
+
+  (* FNV-1a, 64-bit: tiny, dependency-free and stable across platforms
+     and processes.  The system's one content hash — cache keys, block
+     fingerprints and the checksums of the reroute and manifest documents
+     this reader loads back. *)
+  let hash_hex s =
+    let h = ref 0xcbf29ce484222325L in
+    for i = 0 to String.length s - 1 do
+      h :=
+        Int64.mul
+          (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+          0x100000001b3L
+    done;
+    Printf.sprintf "%016Lx" !h
 end
 
 let to_json_buf b d =

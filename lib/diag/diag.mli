@@ -169,6 +169,10 @@ module Json : sig
   val arr : value -> value list option
   val int : value -> int option
   (** [num] restricted to integral values. *)
+
+  val hash_hex : string -> string
+  (** FNV-1a 64-bit, as 16 lowercase hex digits: document checksums,
+      cache keys and block fingerprints all use it. *)
 end
 
 (** Accumulate-don't-crash collection of diagnostics. *)

@@ -120,17 +120,6 @@ let record_metrics obs t =
 
 let schema_name = "msched-reroute-1"
 
-(* FNV-1a, 64-bit: tiny, dependency-free, stable across platforms. *)
-let fnv1a64 s =
-  let prime = 0x100000001b3L in
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
-  !h
-
 let dir_name = function Rev -> "rev" | Fwd -> "fwd"
 
 let dir_of_name = function
@@ -196,8 +185,8 @@ let payload_json t =
 
 let to_json_string t =
   let payload = payload_json t in
-  Printf.sprintf "{\"schema\":\"%s\",\"checksum\":\"%016Lx\",\"payload\":%s}"
-    schema_name (fnv1a64 payload) payload
+  Printf.sprintf "{\"schema\":\"%s\",\"checksum\":\"%s\",\"payload\":%s}"
+    schema_name (Diag.Json.hash_hex payload) payload
 
 exception Bad of string
 
@@ -280,7 +269,7 @@ let of_json_string text =
           (get "forced" (Option.bind (J.mem "forced" payload) J.arr));
         (* Integrity: the canonical re-serialization of what we rebuilt
            must hash to the stored checksum. *)
-        let actual = Printf.sprintf "%016Lx" (fnv1a64 (payload_json t)) in
+        let actual = Diag.Json.hash_hex (payload_json t) in
         if not (String.equal actual stored_sum) then
           fail "checksum mismatch: stored %s, payload hashes to %s" stored_sum
             actual;

@@ -20,18 +20,7 @@
 module Reroute = Msched_route.Reroute
 module Diag = Msched_diag.Diag
 
-(* FNV-1a 64-bit over the design text + options fingerprint: stable across
-   platforms and processes, cheap, and collision-resistant enough for a
-   content-addressed cache of compile jobs. *)
-let hash_hex s =
-  let prime = 0x100000001b3L in
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
-  Printf.sprintf "%016Lx" !h
+let hash_hex = Diag.Json.hash_hex
 
 let fingerprint = Msched.Compile.options_fingerprint
 
@@ -65,12 +54,6 @@ let ensure_dir dir =
 
 type load = Miss | Hit of Reroute.t | Corrupt of Diag.t
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* A hit bumps the entry's mtime so LRU eviction ([gc]) sees it as in
    active use.  Best-effort: a read-only cache still serves hits. *)
 let touch path = try Unix.utimes path 0.0 0.0 with Unix.Unix_error _ -> ()
@@ -79,7 +62,7 @@ let load ~dir ~key =
   let path = file ~dir ~key in
   if not (Sys.file_exists path) then Miss
   else
-    match read_file path with
+    match In_channel.with_open_bin path In_channel.input_all with
     | exception Sys_error msg ->
         Corrupt
           (Diag.warning Diag.E_CACHE
@@ -180,7 +163,7 @@ let load_manifest ~dir ~key =
   let path = manifest_file ~dir ~key in
   if not (Sys.file_exists path) then M_miss
   else
-    match read_file path with
+    match In_channel.with_open_bin path In_channel.input_all with
     | exception Sys_error msg ->
         M_corrupt
           (Diag.warning Diag.E_CACHE
@@ -197,7 +180,7 @@ let load_manifest ~dir ~key =
             let slices = ref [] in
             for b = 0 to header.Manifest.num_blocks - 1 do
               let bpath = block_file ~dir ~key ~block:b in
-              match read_file bpath with
+              match In_channel.with_open_bin bpath In_channel.input_all with
               | exception Sys_error _ -> incr missing
               | btext -> (
                   match Manifest.slice_of_json_string btext with

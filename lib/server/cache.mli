@@ -8,7 +8,8 @@
     is documented in [docs/SERVER.md]. *)
 
 val hash_hex : string -> string
-(** FNV-1a 64-bit, as 16 lowercase hex digits. *)
+(** {!Msched_diag.Diag.Json.hash_hex}: FNV-1a 64-bit, as 16 lowercase hex
+    digits. *)
 
 val fingerprint : Msched.Compile.options -> string
 (** {!Msched.Compile.options_fingerprint}: the option fields that change

@@ -1,10 +1,10 @@
 (* Batch compilation server: many designs through the resilient driver,
    concurrently, with nothing shared between in-flight jobs.
 
-   Every job gets an explicit per-job context ([job_ctx]): its own copy of
-   the compile options carrying a job-private observability sink, its own
-   diagnostic report, and its own reroute context (possibly deserialized
-   warm from the on-disk cache).  The pipeline passes reachable from
+   [run_job] gives every job its own copy of the compile options carrying
+   a job-private observability sink, its own diagnostic report, and its
+   own reroute context (possibly deserialized warm from the on-disk
+   cache).  The pipeline passes reachable from
    [Compile.compile] hold no module-level mutable state (audit in
    docs/SERVER.md), so two jobs never race — which is what makes the
    jobs=N output byte-identical to jobs=1.
@@ -57,18 +57,6 @@ let cache_status_name = function
   | Cache_warm -> "warm"
   | Cache_corrupt -> "corrupt"
 
-(* The per-job context record: everything mutable a job touches, owned by
-   that job alone. *)
-type job_ctx = {
-  ctx_job : job;
-  ctx_options : Compile.options;  (** With this job's private sink. *)
-  ctx_obs : Sink.t;
-  ctx_reroute : Reroute.t;  (** Warm-loaded from cache, or fresh. *)
-  ctx_cache : cache_status;
-  ctx_key : string;  (** Content-hash cache key ("" when cache off). *)
-  ctx_report : Diag.Report.t;  (** Front-end / cache diagnostics. *)
-}
-
 type job_result = {
   r_job : job;
   r_key : string;
@@ -82,7 +70,10 @@ type job_result = {
   r_counters : (string * int) list;  (** Job-sink counters (s_obs_jobs). *)
 }
 
-let make_ctx settings job =
+(* Everything mutable a job touches — its sink, options copy, report and
+   reroute context — is created here and owned by this call alone. *)
+let run_job settings ~epoch job =
+  let t0 = Unix.gettimeofday () in
   let obs = if settings.s_obs_jobs then Sink.create () else Sink.null in
   let options = { settings.s_options with Compile.obs } in
   let report = Diag.Report.create () in
@@ -98,50 +89,37 @@ let make_ctx settings job =
             Diag.Report.add report d;
             (key, Cache_corrupt, Reroute.create ()))
   in
-  {
-    ctx_job = job;
-    ctx_options = options;
-    ctx_obs = obs;
-    ctx_reroute = reroute;
-    ctx_cache = cache;
-    ctx_key = key;
-    ctx_report = report;
-  }
-
-let run_job settings ~epoch job =
-  let t0 = Unix.gettimeofday () in
-  let ctx = make_ctx settings job in
   let resilient, exit_code =
     match Serial.of_string_diag job.j_text with
     | Error diags ->
-        Diag.Report.add_list ctx.ctx_report diags;
-        (None, Diag.Report.exit_code ctx.ctx_report)
+        Diag.Report.add_list report diags;
+        (None, Diag.Report.exit_code report)
     | Ok nl ->
         let r =
-          Compile.compile_resilient ~options:ctx.ctx_options
+          Compile.compile_resilient ~options
             ~max_retries:settings.s_max_retries
             ~fallback_hard:settings.s_fallback_hard ~reuse:settings.s_reuse
-            ~reroute:ctx.ctx_reroute nl
+            ~reroute nl
         in
         (match (settings.s_cache_dir, Compile.succeeded r) with
         | Some dir, true -> (
-            match Cache.store ~dir ~key:ctx.ctx_key ctx.ctx_reroute with
+            match Cache.store ~dir ~key reroute with
             | Ok () -> ()
-            | Error d -> Diag.Report.add ctx.ctx_report d)
+            | Error d -> Diag.Report.add report d)
         | _ -> ());
         (Some r, Compile.resilient_exit_code r)
   in
   let t1 = Unix.gettimeofday () in
   {
     r_job = job;
-    r_key = ctx.ctx_key;
-    r_cache = ctx.ctx_cache;
+    r_key = key;
+    r_cache = cache;
     r_resilient = resilient;
-    r_diags = Diag.Report.to_list ctx.ctx_report;
+    r_diags = Diag.Report.to_list report;
     r_exit = exit_code;
     r_queue_s = t0 -. epoch;
     r_wall_s = t1 -. t0;
-    r_counters = Sink.counters ctx.ctx_obs;
+    r_counters = Sink.counters obs;
   }
 
 (* ---- Delta jobs ({"op":"delta"}): compile against a cached base
@@ -369,21 +347,36 @@ type batch_result = {
   b_wall_s : float;
 }
 
+(* Closed batches run on the shared domain pool: jobs 1 runs inline in
+   the caller, otherwise the caller works as one of [jobs] workers.  Each
+   result lands in its job's slot, so records merge in job order no
+   matter which domain ran them. *)
 let run_batch ?(jobs = 1) settings job_list =
   (match settings.s_cache_dir with
   | Some dir -> Cache.ensure_dir dir
   | None -> ());
   let tasks = Array.of_list job_list in
-  let jobs = max 1 (min jobs (max 1 (Array.length tasks))) in
+  let n = Array.length tasks in
+  let jobs = max 1 (min jobs n) in
+  let results = Array.make n None in
+  let inflight = Atomic.make 0 and peak = Atomic.make 0 in
+  let rec note_peak cur =
+    let m = Atomic.get peak in
+    if cur > m && not (Atomic.compare_and_set peak m cur) then note_peak cur
+  in
   let epoch = Unix.gettimeofday () in
-  let results, stats = Pool.map ~jobs (run_job settings ~epoch) tasks in
+  Msched_par.Pool.with_pool ~jobs (fun pool ->
+      Msched_par.Pool.run pool ~n (fun ~worker:_ i ->
+          note_peak (1 + Atomic.fetch_and_add inflight 1);
+          results.(i) <- Some (run_job settings ~epoch tasks.(i));
+          Atomic.decr inflight));
   let wall = Unix.gettimeofday () -. epoch in
   {
-    b_results = results;
+    b_results = Array.map Option.get results;
     b_jobs = jobs;
-    b_max_inflight = stats.Pool.max_inflight;
+    b_max_inflight = Atomic.get peak;
     (* Every task beyond the worker count starts its life queued. *)
-    b_queue_peak = max 0 (Array.length tasks - jobs);
+    b_queue_peak = max 0 (n - jobs);
     b_wall_s = wall;
   }
 
@@ -391,14 +384,8 @@ let run_batch ?(jobs = 1) settings job_list =
 
 let job_of_text ~index ~path text = { j_index = index; j_path = path; j_text = text }
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let job_of_file ~index path =
-  match read_file path with
+  match In_channel.with_open_bin path In_channel.input_all with
   | text -> Ok (job_of_text ~index ~path text)
   | exception Sys_error msg ->
       Error (Diag.error Diag.E_PARSE "%s: %s" path msg)
@@ -512,15 +499,6 @@ let merged_counters batch =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let merged_diagnostics batch =
-  Array.fold_left
-    (fun acc r ->
-      let own =
-        match r.r_resilient with None -> [] | Some res -> res.Compile.diagnostics
-      in
-      acc @ r.r_diags @ own)
-    [] batch.b_results
-
 let record_obs obs batch =
   if Sink.enabled obs then begin
     Sink.gauge obs "server.jobs_inflight_max"
@@ -540,27 +518,7 @@ let record_obs obs batch =
     List.iter (fun (name, v) -> Sink.add obs name v) (merged_counters batch)
   end
 
-(* ---- Long-lived serve loop: NDJSON requests on stdin, one record per
-   response line, summary at EOF.  Jobs run sequentially in request order
-   (the process-spanning cache still makes repeat designs warm). ---- *)
-
-let parse_request ~lineno line =
-  let module J = Diag.Json in
-  let line = String.trim line in
-  if line = "" || line.[0] = '#' then Ok None
-  else if line.[0] <> '{' then Ok (Some (line, None))
-  else
-    match J.parse line with
-    | Error msg ->
-        Error (Diag.error Diag.E_PARSE "request line %d: %s" lineno msg)
-    | Ok doc -> (
-        let id = Option.bind (J.mem "id" doc) J.str in
-        match Option.bind (J.mem "path" doc) J.str with
-        | Some path -> Ok (Some (path, id))
-        | None ->
-            Error
-              (Diag.error Diag.E_PARSE
-                 "request line %d: missing \"path\" member" lineno))
+(* ---- Transport helpers: id echo and pre-driver failure records. ---- *)
 
 let with_id id json =
   match id with
@@ -579,56 +537,12 @@ let error_record ?id ~path diags =
   J.field b ~first "schema" (J.string "msched-batch-1");
   J.field b ~first "design" (J.string path);
   J.field b ~first "cache" (J.string "off");
-  J.field b ~first "exit_code"
-    (string_of_int
-       (let rep = Diag.Report.create () in
-        Diag.Report.add_list rep diags;
-        Diag.Report.exit_code rep));
-  let diags_buf = Buffer.create 128 in
   let rep = Diag.Report.create () in
   Diag.Report.add_list rep diags;
+  J.field b ~first "exit_code" (string_of_int (Diag.Report.exit_code rep));
+  let diags_buf = Buffer.create 128 in
   Diag.Report.to_json_buf diags_buf rep;
   J.field b ~first "diagnostics" (Buffer.contents diags_buf);
   J.field b ~first "result" "null";
   Buffer.add_char b '}';
   with_id id (Buffer.contents b)
-
-let serve settings ic oc =
-  (match settings.s_cache_dir with
-  | Some dir -> Cache.ensure_dir dir
-  | None -> ());
-  let results = ref [] in
-  let t0 = Unix.gettimeofday () in
-  let emit line =
-    output_string oc line;
-    output_char oc '\n';
-    flush oc
-  in
-  let rec loop lineno =
-    match input_line ic with
-    | exception End_of_file -> ()
-    | line ->
-        (match parse_request ~lineno line with
-        | Ok None -> ()
-        | Error d -> emit (error_record ~path:"<request>" [ d ])
-        | Ok (Some (path, id)) -> (
-            let epoch = Unix.gettimeofday () in
-            match job_of_file ~index:(List.length !results) path with
-            | Error d -> emit (error_record ?id ~path [ d ])
-            | Ok job ->
-                let r = run_job settings ~epoch job in
-                results := r :: !results;
-                emit (with_id id (record_json r))));
-        loop (lineno + 1)
-  in
-  loop 1;
-  let batch =
-    {
-      b_results = Array.of_list (List.rev !results);
-      b_jobs = 1;
-      b_max_inflight = 1;
-      b_queue_peak = 0;
-      b_wall_s = Unix.gettimeofday () -. t0;
-    }
-  in
-  emit (summary_json batch)

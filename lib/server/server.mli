@@ -1,13 +1,15 @@
-(** Parallel batch-compile server.
+(** Compile requests, and the closed-batch executor.
 
-    Runs many designs through {!Msched.Compile.compile_resilient} on a
-    {!Pool} of worker domains, each job under an explicit per-job context
-    ({!job_ctx}: private options + observability sink + diagnostic report
-    + reroute context), with an optional process-spanning warm-route
-    {!Cache}.  Per-design output records are deterministic — byte-identical
-    across worker counts — because no mutable state is shared between
-    in-flight jobs (audit in [docs/SERVER.md]) and results merge in job
-    order.
+    {!run_job} and {!run_delta} each carry one design through
+    {!Msched.Compile}; everything mutable a job touches (options copy with
+    a private observability sink, diagnostic report, reroute context) is
+    created inside that call, with an optional process-spanning
+    warm-route {!Cache}.  {!run_batch} runs a closed list of jobs on a
+    {!Msched_par.Pool}; an open request stream runs them on {!Dispatch}
+    via {!Transport}.  Per-design records are deterministic —
+    byte-identical across worker counts — because no mutable state is
+    shared between in-flight jobs (audit in [docs/SERVER.md]) and results
+    merge in job order.
 
     Output is NDJSON: one [msched-batch-1] record per design (embedding
     the job's [msched-driver-1] document) plus one [msched-batch-summary-1]
@@ -37,17 +39,6 @@ type cache_status = Cache_off | Cache_cold | Cache_warm | Cache_corrupt
 
 val cache_status_name : cache_status -> string
 
-type job_ctx = {
-  ctx_job : job;
-  ctx_options : Msched.Compile.options;  (** With this job's private sink. *)
-  ctx_obs : Msched_obs.Sink.t;
-  ctx_reroute : Msched_route.Reroute.t;  (** Warm-loaded, or fresh. *)
-  ctx_cache : cache_status;
-  ctx_key : string;  (** Content-hash cache key ([""] when cache off). *)
-  ctx_report : Msched_diag.Diag.Report.t;
-}
-(** Everything mutable a job touches, owned by that job alone. *)
-
 type job_result = {
   r_job : job;
   r_key : string;
@@ -61,23 +52,25 @@ type job_result = {
   r_counters : (string * int) list;  (** Job-sink counters ([s_obs_jobs]). *)
 }
 
-val make_ctx : settings -> job -> job_ctx
 val run_job : settings -> epoch:float -> job -> job_result
+(** Never raises on bad input: parse, cache and pipeline failures land in
+    [r_diags] and [r_exit]. *)
 
 type batch_result = {
   b_results : job_result array;  (** In job order, always. *)
   b_jobs : int;  (** Worker count actually used. *)
-  b_max_inflight : int;
+  b_max_inflight : int;  (** Measured peak of concurrently running jobs. *)
   b_queue_peak : int;
       (** Peak depth of the pending-task queue: tasks that existed before a
-          worker slot freed up for them ([max 0 (tasks - jobs)]; 0 in
-          [serve], which admits one job at a time). *)
+          worker slot freed up for them ([max 0 (tasks - jobs)]). *)
   b_wall_s : float;
 }
 
 val run_batch : ?jobs:int -> settings -> job list -> batch_result
-(** [jobs] is clamped to [1 .. length job_list].  Creates the cache
-    directory when [s_cache_dir] is set. *)
+(** [jobs] is clamped to [1 .. length job_list].  At [jobs = 1] every job
+    runs inline in the caller; otherwise on a {!Msched_par.Pool} of
+    [jobs] workers, the caller among them.  Creates the cache directory
+    when [s_cache_dir] is set. *)
 
 val job_of_text : index:int -> path:string -> string -> job
 val job_of_file : index:int -> string -> (job, Msched_diag.Diag.t) result
@@ -97,9 +90,6 @@ val exit_code : batch_result -> int
 
 val merged_counters : batch_result -> (string * int) list
 (** Per-job sink counters summed in job order, sorted by name. *)
-
-val merged_diagnostics : batch_result -> Msched_diag.Diag.t list
-(** Every job's diagnostics (front-end, cache, driver), in job order. *)
 
 val record_obs : Msched_obs.Sink.t -> batch_result -> unit
 (** Record the [server.*] metrics (queue wait, job wall, cache hit/miss,
@@ -172,10 +162,3 @@ val run_delta : settings -> delta_request -> delta_result
 
 val delta_record_json : delta_result -> string
 (** One deterministic [msched-delta-1] object. *)
-
-val serve : settings -> in_channel -> out_channel -> unit
-(** Long-lived loop: one NDJSON request ([{"path": ..., "id"?: ...}] or a
-    bare path) per stdin line, one [msched-batch-1] response line each
-    (with the request [id] spliced in when given), summary line at EOF.
-    Requests run sequentially; the warm-route cache persists across
-    requests. *)

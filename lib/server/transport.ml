@@ -1,5 +1,6 @@
-(* Socket front end for `msched serve`: framed NDJSON over a Unix-domain
-   or TCP stream socket, dispatched onto the {!Dispatch} worker engine.
+(* Front end for `msched serve`: framed NDJSON over a Unix-domain or TCP
+   stream socket, or one session over a pair of fds (stdin/stdout),
+   dispatched onto the {!Dispatch} worker engine.
 
    Wire protocol (one request per line, one response line per request —
    docs/SERVER.md has the full grammar):
@@ -18,23 +19,28 @@
    Client EOF gets a [msched-serve-conn-1] summary line; the server's own
    [msched-serve-summary-1] is returned from {!wait} after shutdown.
 
-   Threading: an accept thread, one sys-thread per client session, the
-   Dispatch worker domains + monitor, and a janitor thread that enforces
-   the cache size cap.  Sessions block inside {!Dispatch.submit}; all
-   socket reads go through [select] with a short timeout so the stop flag
-   is always honoured, and SIGPIPE is ignored so a client vanishing
-   mid-response is a counted disconnect, not a process kill. *)
+   Threading: an accept thread (none for stdio), one sys-thread per client
+   session, the Dispatch worker domains + monitor, and a janitor thread
+   that enforces the cache size cap.  Sessions block inside
+   {!Dispatch.submit}; all socket reads go through [select] with a short
+   timeout so the stop flag is always honoured, and SIGPIPE is ignored so
+   a client vanishing mid-response is a counted disconnect, not a process
+   kill. *)
 
 module Diag = Msched_diag.Diag
 module Sink = Msched_obs.Sink
 
 (* ---- Addresses. ---- *)
 
-type address = Unix_path of string | Tcp of string * int
+type address =
+  | Unix_path of string
+  | Tcp of string * int
+  | Stdio of Unix.file_descr * Unix.file_descr
 
 let address_name = function
   | Unix_path p -> "unix:" ^ p
   | Tcp (h, p) -> Printf.sprintf "tcp:%s:%d" h p
+  | Stdio _ -> "stdio"
 
 let parse_address s =
   let bad fmt = Printf.ksprintf (fun m -> Error m) fmt in
@@ -81,7 +87,7 @@ type request =
       q_deadline_s : float option;
     }
   | Q_shutdown of [ `Drain | `Abort ]
-  | Q_bad of Diag.t
+  | Q_bad of { q_diag : Diag.t; q_id : string option }
 
 let parse_poison_spec spec =
   if spec = "hang" then Some Hang
@@ -99,11 +105,12 @@ let parse_poison_spec spec =
 let parse_request ~inject_faults line =
   let module J = Diag.Json in
   let line = String.trim line in
+  let bad ?id d = Q_bad { q_diag = d; q_id = id } in
   let gate_poison p id deadline =
     if inject_faults then
       Q_poison { q_poison = p; q_id = id; q_deadline_s = deadline }
     else
-      Q_bad
+      bad ?id
         (Diag.error Diag.E_UNSUPPORTED
            "fault injection is disabled (start the server with \
             --inject-faults)")
@@ -112,80 +119,64 @@ let parse_request ~inject_faults line =
   else if String.length line > 7 && String.sub line 0 7 = "poison:" then
     match parse_poison_spec (String.sub line 7 (String.length line - 7)) with
     | Some p -> gate_poison p None None
-    | None -> Q_bad (Diag.error Diag.E_PARSE "bad poison spec %S" line)
+    | None -> bad (Diag.error Diag.E_PARSE "bad poison spec %S" line)
   else if line.[0] <> '{' then
     Q_compile { q_source = `Path line; q_id = None; q_deadline_s = None }
   else
     match J.parse line with
-    | Error msg -> Q_bad (Diag.error Diag.E_PARSE "bad request frame: %s" msg)
+    | Error msg -> bad (Diag.error Diag.E_PARSE "bad request frame: %s" msg)
     | Ok doc -> (
         let id = Option.bind (J.mem "id" doc) J.str in
         let deadline = Option.bind (J.mem "deadline_s" doc) J.num in
+        let bad = bad ?id in
+        let source what =
+          match
+            ( Option.bind (J.mem "path" doc) J.str,
+              Option.bind (J.mem "text" doc) J.str )
+          with
+          | Some path, None -> Ok (`Path path)
+          | None, Some text -> Ok (`Text text)
+          | Some _, Some _ ->
+              Error
+                (Diag.error Diag.E_PARSE "%s has both \"path\" and \"text\""
+                   what)
+          | None, None ->
+              Error
+                (Diag.error Diag.E_PARSE
+                   "%s needs a \"path\" or \"text\" member" what)
+        in
         match Option.bind (J.mem "op" doc) J.str with
         | Some "shutdown" -> (
             match Option.bind (J.mem "mode" doc) J.str with
             | Some "abort" -> Q_shutdown `Abort
             | Some "drain" | None -> Q_shutdown `Drain
             | Some m ->
-                Q_bad
-                  (Diag.error Diag.E_PARSE "unknown shutdown mode %S" m))
+                bad (Diag.error Diag.E_PARSE "unknown shutdown mode %S" m))
         | Some "delta" -> (
-            let base = Option.bind (J.mem "base" doc) J.str in
-            match
-              ( Option.bind (J.mem "path" doc) J.str,
-                Option.bind (J.mem "text" doc) J.str )
-            with
-            | Some path, None ->
+            match source "delta request" with
+            | Ok src ->
                 Q_delta
                   {
-                    q_source = `Path path;
-                    q_base = base;
+                    q_source = src;
+                    q_base = Option.bind (J.mem "base" doc) J.str;
                     q_id = id;
                     q_deadline_s = deadline;
                   }
-            | None, Some text ->
-                Q_delta
-                  {
-                    q_source = `Text text;
-                    q_base = base;
-                    q_id = id;
-                    q_deadline_s = deadline;
-                  }
-            | Some _, Some _ ->
-                Q_bad
-                  (Diag.error Diag.E_PARSE
-                     "delta request has both \"path\" and \"text\"")
-            | None, None ->
-                Q_bad
-                  (Diag.error Diag.E_PARSE
-                     "delta request needs a \"path\" or \"text\" member"))
-        | Some op -> Q_bad (Diag.error Diag.E_PARSE "unknown op %S" op)
+            | Error d -> bad d)
+        | Some op -> bad (Diag.error Diag.E_PARSE "unknown op %S" op)
         | None -> (
             match Option.bind (J.mem "poison" doc) J.str with
             | Some spec -> (
                 match parse_poison_spec spec with
                 | Some p -> gate_poison p id deadline
                 | None ->
-                    Q_bad (Diag.error Diag.E_PARSE "bad poison spec %S" spec))
+                    bad (Diag.error Diag.E_PARSE "bad poison spec %S" spec))
             | None -> (
-                match
-                  ( Option.bind (J.mem "path" doc) J.str,
-                    Option.bind (J.mem "text" doc) J.str )
-                with
-                | Some path, None ->
+                match source "request" with
+                | Ok src ->
                     Q_compile
-                      { q_source = `Path path; q_id = id; q_deadline_s = deadline }
-                | None, Some text ->
-                    Q_compile
-                      { q_source = `Text text; q_id = id; q_deadline_s = deadline }
-                | Some _, Some _ ->
-                    Q_bad
-                      (Diag.error Diag.E_PARSE
-                         "request has both \"path\" and \"text\"")
-                | None, None ->
-                    Q_bad
-                      (Diag.error Diag.E_PARSE
-                         "request needs a \"path\" or \"text\" member"))))
+                      { q_source = src; q_id = id; q_deadline_s = deadline }
+                | Error d -> bad d)))
 
 (* ---- Dispatcher payload. ---- *)
 
@@ -258,7 +249,7 @@ let default_config =
 
 type t = {
   cfg : config;
-  listen_fd : Unix.file_descr;
+  listen_fd : Unix.file_descr option;  (** [None] for {!Stdio}. *)
   bound : address;  (** Actual address (TCP port 0 resolved). *)
   disp : (payload, reply) Dispatch.t;
   lock : Mutex.t;
@@ -363,10 +354,10 @@ let delta_request_of ~source ~base =
 let handle_request srv ~client ss emit line =
   match parse_request ~inject_faults:srv.cfg.t_inject_faults line with
   | Q_blank -> ()
-  | Q_bad d ->
+  | Q_bad { q_diag; q_id } ->
       ss.ss_requests <- ss.ss_requests + 1;
       ss.ss_errors <- ss.ss_errors + 1;
-      emit (Server.error_record ~path:"<request>" [ d ])
+      emit (Server.error_record ?id:q_id ~path:"<request>" [ q_diag ])
   | Q_shutdown mode ->
       request_shutdown srv mode;
       emit (ctl_ack_json (match mode with `Drain -> "drain" | `Abort -> "abort"))
@@ -413,10 +404,10 @@ let handle_request srv ~client ss emit line =
               p_work = `Job job;
             })
 
-let session_main srv ~client fd =
+let session_main srv ~client ~input ~output =
   let t0 = Unix.gettimeofday () in
   let ss = { ss_requests = 0; ss_ok = 0; ss_errors = 0 } in
-  let emit line = write_all fd (line ^ "\n") in
+  let emit line = write_all output (line ^ "\n") in
   let carry = ref "" in
   let chunk = Bytes.create 8192 in
   let lines = Queue.create () in
@@ -459,7 +450,7 @@ let session_main srv ~client fd =
        | None ->
            if !eof then begin
              (* A truncated final frame (no newline before EOF) is still a
-                request, same as the stdin loop's last line. *)
+                request. *)
              if !carry <> "" then begin
                let line = !carry in
                carry := "";
@@ -468,10 +459,10 @@ let session_main srv ~client fd =
            end
            else if srv.stop_sessions then ()
            else begin
-             (match Unix.select [ fd ] [] [] 0.05 with
+             (match Unix.select [ input ] [] [] 0.05 with
              | [], _, _ -> ()
              | _ -> (
-                 match Unix.read fd chunk 0 (Bytes.length chunk) with
+                 match Unix.read input chunk 0 (Bytes.length chunk) with
                  | 0 -> eof := true
                  | n -> absorb (Bytes.sub_string chunk 0 n)
                  | exception Unix.Unix_error ((ECONNRESET | EBADF), _, _) ->
@@ -483,17 +474,16 @@ let session_main srv ~client fd =
      emit (conn_summary_json ss (Unix.gettimeofday () -. t0))
    with
   | Disconnect -> locked srv (fun () -> incr srv.n_disconnects)
-  | Unix.Unix_error _ -> locked srv (fun () -> incr srv.n_disconnects));
-  try Unix.close fd with Unix.Unix_error _ -> ()
+  | Unix.Unix_error _ -> locked srv (fun () -> incr srv.n_disconnects))
 
 (* ---- Accept loop / janitor. ---- *)
 
-let accept_loop srv =
+let accept_loop srv listen_fd =
   while not srv.stop_accept do
-    match Unix.select [ srv.listen_fd ] [] [] 0.05 with
+    match Unix.select [ listen_fd ] [] [] 0.05 with
     | [], _, _ -> ()
     | _ -> (
-        match Unix.accept srv.listen_fd with
+        match Unix.accept listen_fd with
         | fd, _ ->
             (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO 5.0
              with Unix.Unix_error _ -> ());
@@ -505,7 +495,13 @@ let accept_loop srv =
                   incr srv.n_conns;
                   !(srv.n_conns))
             in
-            let th = Thread.create (fun fd -> session_main srv ~client fd) fd in
+            let th =
+              Thread.create
+                (fun fd ->
+                  session_main srv ~client ~input:fd ~output:fd;
+                  try Unix.close fd with Unix.Unix_error _ -> ())
+                fd
+            in
             locked srv (fun () -> srv.sessions <- th :: srv.sessions)
         | exception Unix.Unix_error _ -> ())
   done
@@ -545,7 +541,7 @@ let listen_socket address =
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Unix.bind fd (Unix.ADDR_UNIX path);
       Unix.listen fd 64;
-      (fd, address)
+      (Some fd, address)
   | Tcp (host, port) ->
       let addr =
         try (Unix.gethostbyname host).Unix.h_addr_list.(0)
@@ -560,7 +556,8 @@ let listen_socket address =
         | Unix.ADDR_INET (_, p) -> Tcp (host, p)
         | _ -> address
       in
-      (fd, bound)
+      (Some fd, bound)
+  | Stdio _ -> (None, address)
 
 let start ?sink cfg =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -612,7 +609,24 @@ let start ?sink cfg =
     }
   in
   run_gc srv;
-  srv.accept_thread <- Some (Thread.create accept_loop srv);
+  (match cfg.t_address with
+  | Stdio (input, output) ->
+      (* The caller's one session, over fds it keeps owning: however the
+         session ends (EOF, a vanished reader, an oversized frame), the
+         server has nobody left to serve and drains. *)
+      locked srv (fun () -> incr srv.n_conns);
+      srv.sessions <-
+        [
+          Thread.create
+            (fun () ->
+              Fun.protect
+                ~finally:(fun () -> request_shutdown srv `Drain)
+                (fun () -> session_main srv ~client:1 ~input ~output))
+            ();
+        ]
+  | Unix_path _ | Tcp _ ->
+      srv.accept_thread <-
+        Option.map (Thread.create (accept_loop srv)) listen_fd);
   srv.janitor <- Some (Thread.create janitor_loop srv);
   srv
 
@@ -702,10 +716,12 @@ let wait srv =
   (match srv.accept_thread with Some t -> Thread.join t | None -> ());
   (match srv.janitor with Some t -> Thread.join t | None -> ());
   List.iter Thread.join (locked srv (fun () -> srv.sessions));
-  (try Unix.close srv.listen_fd with Unix.Unix_error _ -> ());
+  (match srv.listen_fd with
+  | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
+  | None -> ());
   (match srv.bound with
   | Unix_path path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-  | Tcp _ -> ());
+  | Tcp _ | Stdio _ -> ());
   run_gc srv;
   let clean = clean && not !escalated in
   let counters = Dispatch.counters srv.disp in

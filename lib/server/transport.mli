@@ -1,21 +1,29 @@
-(** Socket transport for `msched serve`: framed NDJSON requests over a
-    Unix-domain or TCP stream socket, dispatched onto {!Dispatch} worker
-    domains — one response line per request, per-connection summary at
-    client EOF, [msched-serve-summary-1] from {!wait} after shutdown.
+(** Transport for `msched serve`: framed NDJSON requests over a
+    Unix-domain or TCP stream socket, or one session over a pair of fds
+    ([serve --stdin]), dispatched onto {!Dispatch} worker domains — one
+    response line per request, per-connection summary at client EOF,
+    [msched-serve-summary-1] from {!wait} after shutdown.
 
     Protocol grammar, timeout/backpressure semantics and the drain state
     machine are documented in [docs/SERVER.md]; the failure taxonomy
     (E_PARSE / E_OVERLOAD / E_TIMEOUT / E_INTERNAL / E_UNSUPPORTED) in
     [docs/ROBUSTNESS.md]. *)
 
-type address = Unix_path of string | Tcp of string * int
+type address =
+  | Unix_path of string
+  | Tcp of string * int
+  | Stdio of Unix.file_descr * Unix.file_descr
+      (** One session reading requests from the first fd and writing
+          responses to the second (the CLI passes stdin and stdout).  The
+          caller keeps owning both fds.  The session's end — input EOF, a
+          vanished reader, an oversized frame — requests a drain. *)
 
 val address_name : address -> string
-(** ["unix:/path"] / ["tcp:host:port"]. *)
+(** ["unix:/path"] / ["tcp:host:port"] / ["stdio"]. *)
 
 val parse_address : string -> (address, string) result
 (** ["unix:PATH"], ["tcp:HOST:PORT"] (empty host means 127.0.0.1), or a
-    bare path (Unix-domain). *)
+    bare path (Unix-domain); never {!Stdio}. *)
 
 (** Fault-injection requests, accepted only when the server was started
     with fault injection enabled (they exercise the dispatcher's timeout,
@@ -48,11 +56,14 @@ type request =
       q_deadline_s : float option;
     }
   | Q_shutdown of [ `Drain | `Abort ]
-  | Q_bad of Msched_diag.Diag.t
+  | Q_bad of { q_diag : Msched_diag.Diag.t; q_id : string option }
+      (** [q_id]: the frame's ["id"], when it parsed far enough to have
+          one, so even a refused request is answered under its id. *)
 
 val parse_request : inject_faults:bool -> string -> request
-(** One request line.  Poison lines parse to {!Q_bad} (E_UNSUPPORTED)
-    unless [inject_faults]. *)
+(** One request line — the one request grammar of every transport.
+    Poison lines parse to {!Q_bad} (E_UNSUPPORTED) unless
+    [inject_faults]. *)
 
 type config = {
   t_address : address;
@@ -76,7 +87,8 @@ type t
 
 val start : ?sink:Msched_obs.Sink.t -> config -> t
 (** Bind, listen, spawn the dispatcher (workers + monitor), the accept
-    thread and the cache janitor; returns immediately.  Ignores SIGPIPE.
+    thread (for {!Stdio}: the one session thread instead) and the cache
+    janitor; returns immediately.  Ignores SIGPIPE.
     @raise Msched_diag.Diag.Fail when the Unix listen path exists and is
     not a socket. *)
 

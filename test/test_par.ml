@@ -1,8 +1,9 @@
 (* Parallel-compile determinism: --compile-jobs is a pure wall-clock knob.
-   The speculative parallel TIERS reverse pass and placement annealer must
-   produce byte-identical schedules, identical attempt ladders, identical
-   emulation frequencies and identical placement metrics at every parallel
-   width, cold and warm. *)
+   The speculative parallel TIERS reverse pass must produce byte-identical
+   schedules, identical attempt ladders and identical emulation
+   frequencies at every parallel width, cold and warm.  The placement
+   annealer is sequential at any width, so its counters, span args and
+   result must not move with --compile-jobs either. *)
 
 module Tiers = Msched_route.Tiers
 module Schedule = Msched_route.Schedule
@@ -195,9 +196,8 @@ let test_placement_counters_jobs_independent () =
         (Printf.sprintf "seed %d: same wirelength" seed)
         (float_of_int (Placement.wirelength p1))
         (float_of_int (Placement.wirelength p4));
-      (* The moves_accepted/moves_rejected span args are counted in
-         canonical move order at commit time, so the annotated placement
-         span is identical too. *)
+      (* The annotated placement span's moves_accepted/moves_rejected
+         args are identical too. *)
       let span_args obs =
         List.concat_map
           (fun sp ->

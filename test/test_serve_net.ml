@@ -12,7 +12,8 @@
    - malformed and oversized frames, mid-request client disconnects
    - graceful drain with zero lost in-flight responses; abort escalation
    - cache LRU eviction under a live server
-   - server.* gauges sampled by the monitor, asserted against the faults *)
+   - server.* gauges sampled by the monitor, asserted against the faults
+   - the stdio session behind `serve --stdin`, over pipes *)
 
 module Diag = Msched_diag.Diag
 module Sink = Msched_obs.Sink
@@ -99,6 +100,7 @@ let connect srv =
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Unix.connect fd (Unix.ADDR_UNIX path);
       { c_fd = fd; c_carry = "" }
+  | Transport.Stdio _ -> invalid_arg "connect: a stdio server has no socket"
 
 let send_raw c s =
   let n = String.length s in
@@ -735,6 +737,116 @@ let test_delta_over_socket () =
   let s = drain_and_wait srv in
   Alcotest.(check bool) "clean drain" true s.Transport.sm_clean
 
+(* `serve --stdin` is one Transport session over a pair of fds (pipes
+   here; stdin/stdout in the CLI): the socket grammar, responses in
+   request order with ids echoed, the records a direct run_job produces,
+   and the same conn + server summaries, with input EOF draining the
+   server. *)
+let test_stdio_session () =
+  let dir = fresh_dir () in
+  let mnl = Filename.concat dir "good.mnl" in
+  let text = good_text () in
+  write_file mnl text;
+  let req_r, req_w = Unix.pipe ~cloexec:true () in
+  let resp_r, resp_w = Unix.pipe ~cloexec:true () in
+  let cfg = config ~address:(Transport.Stdio (req_r, resp_w)) () in
+  let srv = Transport.start cfg in
+  let requests =
+    [
+      mnl;
+      Printf.sprintf {|{"path":%s,"id":"p1"}|} (Diag.Json.string mnl);
+      Printf.sprintf {|{"text":%s}|} (Diag.Json.string text);
+      Printf.sprintf {|{"op":"delta","text":%s,"id":"d1"}|}
+        (Diag.Json.string text);
+      "{not json";
+      {|{"id":"x"}|};
+    ]
+  in
+  (* Write from a thread: the session may block on a full response pipe
+     until this test reads, whatever is left to write. *)
+  let writer =
+    Thread.create
+      (fun () ->
+        let w = { c_fd = req_w; c_carry = "" } in
+        List.iter (send w) requests;
+        close w)
+      ()
+  in
+  let c = { c_fd = resp_r; c_carry = "" } in
+  let responses = List.map (fun _ -> recv_exn c) requests in
+  let conn = recv_exn c in
+  Thread.join writer;
+  (* Input EOF alone must start the drain; if it does not, the watchdog
+     stops the server after 30 s so the test fails instead of hanging. *)
+  let settled = Atomic.make false and fired = Atomic.make false in
+  let watchdog =
+    Thread.create
+      (fun () ->
+        let t_end = Unix.gettimeofday () +. 30.0 in
+        while (not (Atomic.get settled)) && Unix.gettimeofday () < t_end do
+          Thread.delay 0.05
+        done;
+        if not (Atomic.get settled) then begin
+          Atomic.set fired true;
+          Transport.request_shutdown srv `Abort
+        end)
+      ()
+  in
+  let s = Transport.wait srv in
+  Atomic.set settled true;
+  Thread.join watchdog;
+  Alcotest.(check bool) "input EOF started the drain" false (Atomic.get fired);
+  (* The transport leaves the caller's fds open: closing the write end
+     shows nothing follows the conn summary. *)
+  Unix.close resp_w;
+  Alcotest.(check (option string)) "stream ends after the conn summary" None
+    (recv c);
+  close c;
+  Unix.close req_r;
+  let settings = cfg.Transport.t_settings in
+  let compiled path =
+    Server.record_json
+      (Server.run_job settings ~epoch:0.0
+         (Server.job_of_text ~index:0 ~path text))
+  in
+  match responses with
+  | [ bare; with_id; inline; delta; malformed; no_source ] ->
+      Alcotest.(check string) "bare path: the run_job record" (compiled mnl)
+        bare;
+      Alcotest.(check string) "path + id: the run_job record, id echoed"
+        (Server.with_id (Some "p1") (compiled mnl))
+        with_id;
+      Alcotest.(check string) "inline text: the run_job record"
+        (compiled "<inline>") inline;
+      Alcotest.(check string) "delta op: the run_delta record, id echoed"
+        (Server.with_id (Some "d1")
+           (Server.delta_record_json
+              (Server.run_delta settings
+                 {
+                   Server.dq_path = "<inline>";
+                   dq_text = text;
+                   dq_base = None;
+                 })))
+        delta;
+      check_failure ~what:"malformed line" ~code:"E_PARSE" ~exit:3 malformed;
+      check_failure ~what:"no path or text" ~code:"E_PARSE" ~exit:3 no_source;
+      Alcotest.(check (option string)) "refused request echoes its id"
+        (Some "x") (str_mem "id" no_source);
+      Alcotest.(check string) "conn summary schema" "msched-serve-conn-1"
+        (schema conn);
+      Alcotest.(check (option int)) "conn counted every request" (Some 6)
+        (int_mem "requests" conn);
+      Alcotest.(check (option int)) "conn counted the failures" (Some 2)
+        (int_mem "errors" conn);
+      Alcotest.(check bool) "input EOF drains clean" true s.Transport.sm_clean;
+      Alcotest.(check int) "one connection" 1 s.Transport.sm_connections;
+      Alcotest.(check int) "four jobs completed" 4
+        s.Transport.sm_counters.Dispatch.c_completed;
+      Alcotest.(check (option string)) "server summary drain verdict"
+        (Some "clean")
+        (str_mem "drain" (Transport.summary_json s))
+  | _ -> assert false
+
 let suite =
   [
     Alcotest.test_case "serve: round-trip over a unix socket" `Quick
@@ -765,4 +877,6 @@ let suite =
       test_fairness_round_robin;
     Alcotest.test_case "serve: delta op warm == cold over the wire" `Quick
       test_delta_over_socket;
+    Alcotest.test_case "serve: stdin session speaks the socket grammar"
+      `Quick test_stdio_session;
   ]

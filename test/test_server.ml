@@ -1,8 +1,10 @@
-(* Batch-compile server: the Domain worker pool must be a deterministic
-   map (jobs=4 output byte-identical to jobs=1 over a seeded corpus), and
-   the process-spanning warm-route cache must round-trip exactly, replay
-   equivalently to an in-process warm context, and degrade to cold (with
-   the documented E_CACHE warning) on corrupt files. *)
+(* Batch-compile server: the domain pool batches run on must keep its
+   contract (every index once, lowest failing task re-raised with its
+   backtrace), batch output must be deterministic (jobs=4 byte-identical
+   to jobs=1 over a seeded corpus), and the process-spanning warm-route
+   cache must round-trip exactly, replay equivalently to an in-process
+   warm context, and degrade to cold (with the documented E_CACHE
+   warning) on corrupt files. *)
 
 module Ids = Msched_netlist.Ids
 module Serial = Msched_netlist.Serial
@@ -12,7 +14,7 @@ module Design_gen = Msched_gen.Design_gen
 module Verify = Msched_check.Verify
 module Compile = Msched.Compile
 module Diag = Msched_diag.Diag
-module Pool = Msched_server.Pool
+module Pool = Msched_par.Pool
 module Cache = Msched_server.Cache
 module Manifest = Msched_server.Manifest
 module Server = Msched_server.Server
@@ -48,51 +50,75 @@ let tight_options =
     route = { Tiers.default_options with Tiers.max_extra_slots = 0 };
   }
 
-(* ---- Worker pool. ---- *)
+(* ---- Worker pool: the Msched_par.Pool contract run_batch relies on. ---- *)
+
+(* A map over [tasks] on [pool], results in task order; also counts how
+   often each index ran. *)
+let pool_map pool f tasks =
+  let n = Array.length tasks in
+  let out = Array.make n None in
+  let runs = Array.init n (fun _ -> Atomic.make 0) in
+  Pool.run pool ~n (fun ~worker i ->
+      if worker < 0 || worker >= Pool.jobs pool then
+        failwith (Printf.sprintf "worker id %d outside the pool" worker);
+      Atomic.incr runs.(i);
+      out.(i) <- Some (f tasks.(i)));
+  (Array.map Option.get out, Array.map Atomic.get runs)
 
 let test_pool_deterministic_map () =
   let tasks = Array.init 100 (fun i -> i) in
   let f x = (x * 37) mod 101 in
-  let seq, _ = Pool.map ~jobs:1 f tasks in
-  let par, stats = Pool.map ~jobs:4 f tasks in
+  let seq, seq_runs = Pool.with_pool ~jobs:1 (fun p -> pool_map p f tasks) in
+  let par, par_runs = Pool.with_pool ~jobs:4 (fun p -> pool_map p f tasks) in
   Alcotest.(check (array int)) "parallel map equals sequential" seq par;
-  Alcotest.(check bool) "pool actually ran work" true (stats.Pool.max_inflight >= 1)
+  Alcotest.(check (array int)) "jobs=1 ran every task once"
+    (Array.make 100 1) seq_runs;
+  Alcotest.(check (array int)) "jobs=4 ran every task once"
+    (Array.make 100 1) par_runs
 
 let test_pool_propagates_exceptions () =
   let tasks = Array.init 8 (fun i -> i) in
-  match Pool.map ~jobs:3 (fun i -> if i = 5 then failwith "boom" else i) tasks with
-  | _ -> Alcotest.fail "expected the worker exception to re-raise"
-  | exception Failure m -> Alcotest.(check string) "exception carried" "boom" m
+  Pool.with_pool ~jobs:3 (fun pool ->
+      match
+        pool_map pool (fun i -> if i = 5 then failwith "boom" else i) tasks
+      with
+      | _ -> Alcotest.fail "expected the worker exception to re-raise"
+      | exception Failure m ->
+          Alcotest.(check string) "exception carried" "boom" m)
 
 let test_pool_first_exception_wins () =
   (* Several tasks fail; the caller must always see the exception of the
-     LOWEST task index, independent of which domain ran it or which domain
-     joined first — and with the worker's backtrace, not the join site's.
-     Repeat to stress scheduling interleavings. *)
+     LOWEST task index, independent of which domain ran it or in what
+     order the domains finished — and with the worker's backtrace, not
+     the re-raise site's.  One pool serves all rounds, so a failed batch
+     must also leave it usable.  Repeat to stress interleavings. *)
   Printexc.record_backtrace true;
   let tasks = Array.init 32 (fun i -> i) in
-  for round = 0 to 19 do
-    match
-      Pool.map ~jobs:4
-        (fun i ->
-          (* Backtrace recording is per-domain in OCaml 5: enable it in the
-             worker so the pool captures a non-empty trace to re-install. *)
-          Printexc.record_backtrace true;
-          if i mod 7 = 3 then failwith (Printf.sprintf "task-%d" i) else i)
-        tasks
-    with
-    | _ -> Alcotest.fail "expected a worker exception"
-    | exception Failure m ->
-        (* Read the backtrace before any other call can clobber the
-           per-domain buffer. *)
-        let bt = String.trim (Printexc.get_backtrace ()) in
-        Alcotest.(check string)
-          (Printf.sprintf "round %d: first failing task (index 3) wins" round)
-          "task-3" m;
-        Alcotest.(check bool)
-          (Printf.sprintf "round %d: worker backtrace preserved" round)
-          true (bt <> "")
-  done
+  Pool.with_pool ~jobs:4 (fun pool ->
+      for round = 0 to 19 do
+        match
+          pool_map pool
+            (fun i ->
+              (* Backtrace recording is per-domain in OCaml 5: enable it in
+                 the worker so the pool captures a non-empty trace to
+                 re-install. *)
+              Printexc.record_backtrace true;
+              if i mod 7 = 3 then failwith (Printf.sprintf "task-%d" i) else i)
+            tasks
+        with
+        | _ -> Alcotest.fail "expected a worker exception"
+        | exception Failure m ->
+            (* Read the backtrace before any other call can clobber the
+               per-domain buffer. *)
+            let bt = String.trim (Printexc.get_backtrace ()) in
+            Alcotest.(check string)
+              (Printf.sprintf "round %d: first failing task (index 3) wins"
+                 round)
+              "task-3" m;
+            Alcotest.(check bool)
+              (Printf.sprintf "round %d: worker backtrace preserved" round)
+              true (bt <> "")
+      done)
 
 (* ---- Determinism: jobs=4 byte-identical to jobs=1 over >= 30 designs. ---- *)
 
