@@ -107,48 +107,31 @@ let netlist_of_design_arg ?(scale = 0.1) name =
 
 (* Every command runs under this wrapper: structured failures print their
    diagnostic and exit with the documented class; nothing escapes as an
-   uncaught exception with a backtrace. *)
+   uncaught exception with a backtrace.  Host I/O failures (a missing
+   file, a socket path in a missing directory) are malformed input; every
+   other exception goes through the pipeline's own classifier. *)
 let protect f =
-  let fail d =
-    Format.eprintf "%a@." Diag.pp d;
-    exit (Diag.exit_code d.Diag.code)
-  in
   try f () with
-  | Msched.Compile.Compile_error d
-  | Tiers.Unroutable d
-  | Msched_route.Forward.Unsupported d
-  | Diag.Fail d ->
-      fail d
-  | Msched_netlist.Levelize.Combinational_cycle cells ->
-      fail
-        (Diag.error Diag.E_COMB_CYCLE
-           ?cell:
-             (match cells with c :: _ -> Some (Ids.Cell.to_int c) | [] -> None)
-           "combinational cycle through %d cells" (List.length cells))
-  | Netlist.Invalid e -> fail (Lint.diag_of_validation_error e)
-  | Sys_error msg -> fail (Diag.error Diag.E_PARSE "%s" msg)
-  | Stack_overflow | Out_of_memory ->
-      fail (Diag.error Diag.E_INTERNAL "resource exhaustion")
-  | (Failure _ | Invalid_argument _ | Not_found) as e ->
-      fail (Diag.error Diag.E_INTERNAL "%s" (Printexc.to_string e))
+  | e ->
+      let d =
+        match e with
+        | Sys_error msg -> Diag.error Diag.E_PARSE "%s" msg
+        | Unix.Unix_error (err, call, arg) ->
+            Diag.error Diag.E_PARSE "%s%s: %s" call
+              (if arg = "" then "" else " " ^ arg)
+              (Unix.error_message err)
+        | e -> Msched.Compile.diag_of_exn e
+      in
+      Format.eprintf "%a@." Diag.pp d;
+      exit (Diag.exit_code d.Diag.code)
 
-let options_of ?(obs = Sink.null) ?(compile_jobs = 1) pins weight =
+let options_of ?(obs = Sink.null) pins weight =
   {
     Msched.Compile.default_options with
     Msched.Compile.pins_per_fpga = pins;
     max_block_weight = weight;
     obs;
-    compile_jobs;
   }
-
-(* Process-level worker knobs ([batch --jobs], [serve --workers]) multiply
-   with [--compile-jobs]; refuse products that oversubscribe the machine. *)
-let enforce_jobs_budget ~jobs ~compile_jobs =
-  match Msched.Compile.check_jobs_budget ~jobs ~compile_jobs () with
-  | Ok () -> ()
-  | Error d ->
-      Format.eprintf "%a@." Diag.pp d;
-      exit (Diag.exit_code d.Diag.code)
 
 let write_out path contents =
   if path = "-" then print_string contents
@@ -250,7 +233,7 @@ let compile_delta_cmd ~options ~ppf ~pins ~delta_base ~emit_manifest nl =
   | Some p -> write_out p (Delta_manifest.to_json_string manifest ^ "\n")
 
 let compile_cmd path pins weight mode forward retries fallback_hard cold
-    max_extra compile_jobs trace diag_json delta_base emit_manifest =
+    max_extra trace diag_json delta_base emit_manifest =
   protect @@ fun () ->
   let nl = netlist_of_design_arg path in
   let obs = sink_of_trace trace in
@@ -270,9 +253,7 @@ let compile_cmd path pins weight mode forward retries fallback_hard cold
     (* The forward scheduler has no retry ladder; it stays on the fail-fast
        path (under [protect], so failures still exit with their class). *)
     let prepared =
-      Msched.Compile.prepare
-        ~options:(options_of ~obs ~compile_jobs pins weight)
-        nl
+      Msched.Compile.prepare ~options:(options_of ~obs pins weight) nl
     in
     let sched = Msched.Compile.route_forward ~obs prepared ropts in
     pp_compiled ppf pins
@@ -282,7 +263,7 @@ let compile_cmd path pins weight mode forward retries fallback_hard cold
   else if delta_base <> None || emit_manifest <> None then begin
     let options =
       {
-        (options_of ~obs ~compile_jobs pins weight) with
+        (options_of ~obs pins weight) with
         Msched.Compile.route = ropts;
       }
     in
@@ -292,7 +273,7 @@ let compile_cmd path pins weight mode forward retries fallback_hard cold
   else begin
     let options =
       {
-        (options_of ~obs ~compile_jobs pins weight) with
+        (options_of ~obs pins weight) with
         Msched.Compile.route = ropts;
       }
     in
@@ -551,7 +532,7 @@ let vcd_cmd path horizon seed =
 (* ---- Batch server front end (see docs/SERVER.md). ---- *)
 
 let server_settings pins weight mode retries fallback_hard cold max_extra
-    compile_jobs cache_dir obs_jobs =
+    cache_dir obs_jobs =
   let ropts = route_options_of mode in
   let ropts =
     match max_extra with
@@ -561,7 +542,7 @@ let server_settings pins weight mode retries fallback_hard cold max_extra
   {
     Server.s_options =
       {
-        (options_of ~compile_jobs pins weight) with
+        (options_of pins weight) with
         Msched.Compile.route = ropts;
       };
     s_max_retries = retries;
@@ -572,12 +553,11 @@ let server_settings pins weight mode retries fallback_hard cold max_extra
   }
 
 let batch_cmd source jobs cache_dir out pins weight mode retries fallback_hard
-    cold max_extra compile_jobs trace json =
+    cold max_extra trace json =
   protect @@ fun () ->
-  enforce_jobs_budget ~jobs ~compile_jobs;
   let settings =
     server_settings pins weight mode retries fallback_hard cold max_extra
-      compile_jobs cache_dir
+      cache_dir
       (trace <> None || json <> None)
   in
   match Manifest.load source with
@@ -613,12 +593,11 @@ let batch_cmd source jobs cache_dir out pins weight mode retries fallback_hard
 
 let serve_cmd use_stdin socket tcp workers queue_max overload deadline grace
     cache_max_bytes inject cache_dir pins weight mode retries fallback_hard
-    cold max_extra compile_jobs =
+    cold max_extra =
   protect @@ fun () ->
-  enforce_jobs_budget ~jobs:workers ~compile_jobs;
   let settings =
     server_settings pins weight mode retries fallback_hard cold max_extra
-      compile_jobs cache_dir false
+      cache_dir false
   in
   let address =
     match (socket, tcp) with
@@ -798,15 +777,6 @@ let max_extra_arg =
     & opt (some int) None
     & info [ "max-extra" ] ~docv:"N"
         ~doc:"Congestion slack budget per transport (overrides the mode default)")
-
-let compile_jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "compile-jobs" ] ~docv:"N"
-        ~doc:
-          "Worker domains inside one compile (parallel TIERS reverse \
-           pass); the schedule is byte-identical for any N, and the \
-           product with --jobs/--workers must fit the machine")
 
 let diag_json_arg =
   Arg.(
@@ -1063,8 +1033,8 @@ let cmds =
       Term.(
         const compile_cmd $ design_arg $ pins_arg $ weight_arg $ mode_arg
         $ forward_arg $ retries_arg $ fallback_hard_arg $ cold_arg
-        $ max_extra_arg $ compile_jobs_arg $ trace_arg $ diag_json_arg
-        $ delta_base_arg $ emit_manifest_arg);
+        $ max_extra_arg $ trace_arg $ diag_json_arg $ delta_base_arg
+        $ emit_manifest_arg);
     Cmd.v
       (Cmd.info "lint"
          ~doc:
@@ -1116,7 +1086,7 @@ let cmds =
       Term.(
         const batch_cmd $ source_arg $ jobs_arg $ cache_dir_arg $ out_arg
         $ pins_arg $ weight_arg $ mode_arg $ retries_arg $ fallback_hard_arg
-        $ cold_arg $ max_extra_arg $ compile_jobs_arg $ trace_arg $ json_arg);
+        $ cold_arg $ max_extra_arg $ trace_arg $ json_arg);
     Cmd.v
       (Cmd.info "serve"
          ~doc:
@@ -1130,7 +1100,7 @@ let cmds =
         $ queue_max_arg $ overload_arg $ deadline_arg $ grace_arg
         $ cache_max_bytes_arg $ inject_faults_arg $ cache_dir_arg $ pins_arg
         $ weight_arg $ mode_arg $ retries_arg $ fallback_hard_arg $ cold_arg
-        $ max_extra_arg $ compile_jobs_arg);
+        $ max_extra_arg);
     delta_cmd;
     cache_cmd;
   ]

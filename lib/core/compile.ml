@@ -23,10 +23,7 @@ type options = {
   route : Tiers.options;
   verify : bool;
   obs : Sink.t;
-  compile_jobs : int;
-      (* Intra-compile parallel width for the TIERS reverse pass; results
-         are bit-identical for every value.  1 (the default) never spawns
-         a domain. *)
+  compile_jobs : int;  (* Ignored; see compile.mli. *)
 }
 
 let default_options =
@@ -142,14 +139,13 @@ let prepare ?(options = default_options) original =
     classification;
   }
 
-let route ?(obs = Sink.null) ?reroute ?jobs prepared route_options =
+let route ?(obs = Sink.null) ?reroute ?jobs:_ prepared route_options =
   Tiers.schedule prepared.placement prepared.analysis
-    ~analysis:prepared.latch_analysis ~options:route_options ~obs ?reroute
-    ?jobs ()
-
-let route_forward ?(obs = Sink.null) ?reroute prepared route_options =
-  Msched_route.Forward.schedule prepared.placement prepared.analysis
     ~analysis:prepared.latch_analysis ~options:route_options ~obs ?reroute ()
+
+let route_forward ?(obs = Sink.null) prepared route_options =
+  Msched_route.Forward.schedule prepared.placement prepared.analysis
+    ~analysis:prepared.latch_analysis ~options:route_options ~obs ()
 
 let verify_schedule ?(obs = Sink.null) prepared sched =
   Msched_check.Verify.verify ~obs prepared.placement prepared.analysis sched
@@ -175,28 +171,9 @@ let verify_or_fail ~obs prepared schedule =
    re-place. *)
 let compile_prepared ?(options = default_options) ?reroute prepared =
   let obs = options.obs in
-  let schedule =
-    route ~obs ?reroute ~jobs:options.compile_jobs prepared options.route
-  in
+  let schedule = route ~obs ?reroute prepared options.route in
   if options.verify then verify_or_fail ~obs prepared schedule;
   { prepared; schedule }
-
-(* Two multiplicative parallelism knobs (process-level workers × intra-
-   compile domains) oversubscribe quietly, so the product is validated up
-   front.  Only the combination is rejected: either knob alone may exceed
-   the core count (that is a latency/throughput tradeoff the user may
-   want), and the default for each knob is safe with any value of the
-   other. *)
-let check_jobs_budget ?(recommended = Domain.recommended_domain_count ())
-    ~jobs ~compile_jobs () =
-  if jobs > 1 && compile_jobs > 1 && jobs * compile_jobs > recommended then
-    Error
-      (Diag.error Diag.E_PARSE
-         "%d workers x %d compile jobs = %d domains oversubscribes this \
-          machine (%d cores); lower --jobs or --compile-jobs so their \
-          product fits"
-         jobs compile_jobs (jobs * compile_jobs) recommended)
-  else Ok ()
 
 let compile ?(options = default_options) ?reroute nl =
   let obs = options.obs in

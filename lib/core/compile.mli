@@ -26,11 +26,10 @@ type options = {
           every probe a no-op; an enabled sink records a span per pipeline
           phase plus the counters catalogued in [docs/OBSERVABILITY.md]. *)
   compile_jobs : int;
-      (** Intra-compile parallel width (default 1): worker domains for the
-          TIERS reverse pass.  The compiled schedule, placement and
-          pipeline metrics are bit-identical for every value — parallelism
-          is a pure wall-clock knob — and [compile_jobs <= 1] never spawns
-          a domain. *)
+      (** Ignored: every compile runs on the calling domain.  The field
+          stays because the end-to-end benchmark under [perfbench/] (and
+          [bench/main.ml]'s [par] section) still sets it; it goes with
+          that benchmark's [par.speedup_2v1]. *)
 }
 
 val default_options : options
@@ -75,13 +74,11 @@ val route :
   Msched_route.Schedule.t
 (** Reverse (TIERS) scheduling.  With a [reroute] context the attempt runs
     warm (ledger replay, congestion-history steering, deferred residue
-    collection) — see {!Msched_route.Tiers.schedule}.  [jobs] is the
-    parallel width of the reverse pass (default 1; bit-identical results
-    for every value). *)
+    collection) — see {!Msched_route.Tiers.schedule}.  [jobs] is ignored,
+    like {!options.compile_jobs}, and kept for [perfbench/]'s callers. *)
 
 val route_forward :
   ?obs:Msched_obs.Sink.t ->
-  ?reroute:Msched_route.Reroute.t ->
   prepared ->
   Msched_route.Tiers.options ->
   Msched_route.Schedule.t
@@ -104,19 +101,6 @@ val compile :
     violation raises {!Compile_error} with the pretty-printed report.  The
     resilient driver and delta compiles retry routing on one prepared
     front end without re-partitioning and re-placing. *)
-
-val check_jobs_budget :
-  ?recommended:int ->
-  jobs:int ->
-  compile_jobs:int ->
-  unit ->
-  (unit, Msched_diag.Diag.t) result
-(** Validate the product of the two parallelism knobs (process-level
-    [jobs]/[workers] × [compile_jobs]) against the machine's core count
-    ([recommended] defaults to [Domain.recommended_domain_count ()];
-    injectable for tests).  [Error] (an [E_PARSE] diagnostic naming both
-    knobs) only when {e both} knobs exceed 1 and their product exceeds the
-    budget — either knob alone is an explicit user tradeoff and passes. *)
 
 (** {2 Delta compilation}
 

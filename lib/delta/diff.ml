@@ -150,8 +150,7 @@ let seed ~(manifest : Manifest.t) ~diff placement =
              && not (in_cone e.Manifest.m_dst) ->
           Reroute.record ctx
             {
-              Reroute.k_dir = Reroute.Rev;
-              k_net = Ids.Net.to_int net;
+              Reroute.k_net = Ids.Net.to_int net;
               k_src_block = e.Manifest.m_src;
               k_dst_block = e.Manifest.m_dst;
               k_domain = dom;

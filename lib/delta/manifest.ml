@@ -53,9 +53,9 @@ let build ~options_fp ~design_fp placement ~analysis ~ctx =
   let entries =
     Reroute.keys ctx
     |> List.filter_map (fun (k : Reroute.key) ->
-           match (k.Reroute.k_dir, Reroute.lookup ctx k) with
-           | Reroute.Fwd, _ | _, None -> None
-           | Reroute.Rev, Some e -> (
+           match Reroute.lookup ctx k with
+           | None -> None
+           | Some e -> (
                match e.Reroute.e_probes with
                | None -> None
                | Some (pf, pb) ->

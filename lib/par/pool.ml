@@ -1,147 +1,42 @@
-(* See pool.mli.  The pool is a generation-stamped barrier: [run] installs
-   a batch record under the mutex, bumps the generation and wakes the
-   parked domains; everyone (caller included) then claims task indices
-   from the batch's atomic cursor until it runs past [n].  Completion is
-   tracked by a second atomic counting down to zero so the last finisher —
-   whichever domain that is — wakes the caller.
+(* See pool.mli.  Each [run] spawns its helpers, lets everyone (caller
+   included) claim task indices from one atomic cursor, and joins them
+   before returning: no domain outlives the call, so there is nothing to
+   park between batches or shut down afterwards. *)
 
-   Each batch is its own record with its own cursor, captured by workers
-   under the mutex: a domain that wakes late (or returns from a previous
-   batch after the caller has already moved on) can only ever drain the
-   batch it captured, never claim indices of a batch it was not shown. *)
+type t = { jobs : int }
 
-type batch = {
-  bn : int;
-  bf : worker:int -> int -> unit;
-  cursor : int Atomic.t;
-  remaining : int Atomic.t;
-  mutable failures : (int * exn * Printexc.raw_backtrace) list;
-}
-
-type t = {
-  pool_jobs : int;
-  mutable domains : unit Domain.t list;
-  m : Mutex.t;
-  work_ready : Condition.t;
-  batch_done : Condition.t;
-  mutable generation : int;
-  mutable stop : bool;
-  mutable batch : batch option;
-}
-
-let jobs t = t.pool_jobs
-
-let drain t ~worker b =
-  let rec claim () =
-    let i = Atomic.fetch_and_add b.cursor 1 in
-    if i < b.bn then begin
-      (try b.bf ~worker i
-       with e ->
-         let bt = Printexc.get_raw_backtrace () in
-         Mutex.lock t.m;
-         b.failures <- (i, e, bt) :: b.failures;
-         Mutex.unlock t.m);
-      if Atomic.fetch_and_add b.remaining (-1) = 1 then begin
-        Mutex.lock t.m;
-        Condition.broadcast t.batch_done;
-        Mutex.unlock t.m
-      end;
-      claim ()
-    end
-  in
-  claim ()
-
-let worker t ~worker:w =
-  let my_gen = ref 0 in
-  Mutex.lock t.m;
-  let rec loop () =
-    while (not t.stop) && t.generation = !my_gen do
-      Condition.wait t.work_ready t.m
-    done;
-    if not t.stop then begin
-      my_gen := t.generation;
-      let b = t.batch in
-      Mutex.unlock t.m;
-      (match b with Some b -> drain t ~worker:w b | None -> ());
-      Mutex.lock t.m;
-      loop ()
-    end
-  in
-  loop ();
-  Mutex.unlock t.m
-
-let create ~jobs =
-  let pool_jobs = max 1 jobs in
-  let t =
-    {
-      pool_jobs;
-      domains = [];
-      m = Mutex.create ();
-      work_ready = Condition.create ();
-      batch_done = Condition.create ();
-      generation = 0;
-      stop = false;
-      batch = None;
-    }
-  in
-  if pool_jobs > 1 then
-    t.domains <-
-      List.init (pool_jobs - 1) (fun k ->
-          Domain.spawn (fun () -> worker t ~worker:(k + 1)));
-  t
-
-let reraise_first b =
-  match b.failures with
-  | [] -> ()
-  | fails ->
-      let _, e, bt =
-        List.fold_left
-          (fun ((bi, _, _) as best) ((i, _, _) as cand) ->
-            if i < bi then cand else best)
-          (List.hd fails) (List.tl fails)
-      in
-      Printexc.raise_with_backtrace e bt
+let jobs t = t.jobs
+let with_pool ~jobs f = f { jobs = max 1 jobs }
 
 let run t ~n f =
-  if n <= 0 then ()
-  else if t.pool_jobs <= 1 || t.domains = [] then
+  if t.jobs <= 1 || n <= 1 then
     for i = 0 to n - 1 do
       f ~worker:0 i
     done
   else begin
-    let b =
-      {
-        bn = n;
-        bf = f;
-        cursor = Atomic.make 0;
-        remaining = Atomic.make n;
-        failures = [];
-      }
+    let cursor = Atomic.make 0 in
+    (* Claim indices until the cursor runs past [n]; a failing task does
+       not stop its worker, and the failures come back to the caller. *)
+    let drain worker =
+      let rec claim fails =
+        let i = Atomic.fetch_and_add cursor 1 in
+        if i >= n then fails
+        else
+          match f ~worker i with
+          | () -> claim fails
+          | exception e ->
+              let bt = Printexc.get_raw_backtrace () in
+              claim ((i, e, bt) :: fails)
+      in
+      claim []
     in
-    Mutex.lock t.m;
-    t.batch <- Some b;
-    t.generation <- t.generation + 1;
-    Condition.broadcast t.work_ready;
-    Mutex.unlock t.m;
-    drain t ~worker:0 b;
-    Mutex.lock t.m;
-    while Atomic.get b.remaining > 0 do
-      Condition.wait t.batch_done t.m
-    done;
-    Mutex.unlock t.m;
-    reraise_first b
+    let helpers =
+      List.init (min t.jobs n - 1) (fun k ->
+          Domain.spawn (fun () -> drain (k + 1)))
+    in
+    let mine = drain 0 in
+    let fails = List.concat (mine :: List.map Domain.join helpers) in
+    match List.sort (fun (i, _, _) (j, _, _) -> compare i j) fails with
+    | [] -> ()
+    | (_, e, bt) :: _ -> Printexc.raise_with_backtrace e bt
   end
-
-let shutdown t =
-  if t.domains <> [] then begin
-    Mutex.lock t.m;
-    t.stop <- true;
-    Condition.broadcast t.work_ready;
-    Mutex.unlock t.m;
-    List.iter Domain.join t.domains;
-    t.domains <- []
-  end
-
-let with_pool ~jobs f =
-  let t = create ~jobs in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

@@ -18,7 +18,7 @@ type avail_env = {
 }
 
 let schedule placement dom_analysis ?analysis ?(options = Tiers.default_options)
-    ?(obs = Sink.null) ?reroute () =
+    ?(obs = Sink.null) () =
   if options.Tiers.mode = Tiers.Mts_hard then
     raise
       (Unsupported
@@ -159,32 +159,13 @@ let schedule placement dom_analysis ?analysis ?(options = Tiers.default_options)
       g.Latch_analysis.latches
   in
   let routed = Array.make (Array.length links) [] in
-  let transport_key (l : Link.t) dom =
-    {
-      Reroute.k_dir = Reroute.Fwd;
-      k_net = Ids.Net.to_int l.Link.net;
-      k_src_block = Ids.Block.to_int l.Link.src_block;
-      k_dst_block = Ids.Block.to_int l.Link.dst_block;
-      k_domain = (match dom with Some d -> Ids.Dom.to_int d | None -> -1);
-    }
-  in
-  let search_transport ctx (l : Link.t) dom dep =
+  let route_transport (l : Link.t) dom dep =
     match
-      Pathfind.search_forward ~obs ?ctx sys res ~src:l.Link.src_fpga
+      Pathfind.search_forward ~obs sys res ~src:l.Link.src_fpga
         ~dst:l.Link.dst_fpga ~t_dep:dep ~max_extra:options.Tiers.max_extra_slots
     with
     | Some p ->
         Pathfind.reserve_path res p;
-        (match ctx with
-        | Some c ->
-            Reroute.record c (transport_key l dom)
-              {
-                Reroute.e_anchor = dep;
-                e_len = p.Pathfind.p_len;
-                e_hops = p.Pathfind.p_hops;
-                e_probes = None;
-              }
-        | None -> ());
         (dom, dep, dep + p.Pathfind.p_len, p.Pathfind.p_hops)
     | None ->
         raise
@@ -197,34 +178,6 @@ let schedule placement dom_analysis ?analysis ?(options = Tiers.default_options)
                 ~culprit:(Netlist.net nl l.Link.net).Netlist.net_name
                 "forward: no path for %a within slack budget %d" Link.pp l
                 options.Tiers.max_extra_slots))
-  in
-  let route_transport (l : Link.t) dom dep =
-    match reroute with
-    | None -> search_transport None l dom dep
-    | Some c -> (
-        let key = transport_key l dom in
-        match Reroute.lookup c key with
-        | Some e
-          when e.Reroute.e_anchor = dep
-               && List.for_all
-                    (fun (channel, rslot) ->
-                      Resource.free_at res ~channel ~rslot)
-                    e.Reroute.e_hops ->
-            List.iter
-              (fun (channel, rslot) -> Resource.reserve res ~channel ~rslot)
-              e.Reroute.e_hops;
-            Reroute.note_reused c;
-            Sink.incr obs "reroute.reused";
-            (dom, dep, dep + e.Reroute.e_len, e.Reroute.e_hops)
-        | Some _ ->
-            Reroute.rip c key;
-            Reroute.note_ripped c;
-            Sink.incr obs "reroute.ripped";
-            search_transport reroute l dom dep
-        | None ->
-            Reroute.note_fresh c;
-            Sink.incr obs "reroute.fresh";
-            search_transport reroute l dom dep)
   in
   let process_link xi =
     let l = links.(xi) in
@@ -362,8 +315,5 @@ let schedule placement dom_analysis ?analysis ?(options = Tiers.default_options)
       warnings;
     }
   in
-  (match reroute with
-  | Some c -> Reroute.record_metrics obs c
-  | None -> ());
   Schedule.record_metrics obs sched sys;
   sched

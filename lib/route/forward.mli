@@ -23,13 +23,11 @@ val schedule :
   ?analysis:Msched_mts.Latch_analysis.t array ->
   ?options:Tiers.options ->
   ?obs:Msched_obs.Sink.t ->
-  ?reroute:Reroute.t ->
   unit ->
   Schedule.t
-(** With a [reroute] context transports whose departure slot is unchanged
-    are replayed from the ledger (forward-direction keys) and searches are
-    congestion-history steered; unlike {!Tiers.schedule}, an unroutable
-    transport still aborts immediately.
+(** Every transport is searched cold: the forward scheduler takes no
+    reroute context (ledger keys are reverse slots), and an unroutable
+    transport aborts immediately.
     @raise Unsupported when [options.mode] is [Mts_hard] (dedicated-wire
     pre-routing is a property of the baseline flow, not of this scheduler).
     @raise Tiers.Unroutable when a transport cannot be placed within the

@@ -20,84 +20,11 @@ let order_channels ctx channels =
         channels
   | Some _ | None -> channels
 
-let blocked_hop ctx ~channel =
-  match ctx with Some c -> Reroute.bump_history c ~channel | None -> ()
-
-let account_expansions ctx obs n =
-  Sink.add obs "pathfind.states_expanded" n;
-  match ctx with
-  | Some c ->
-      Reroute.note_expansions c n;
-      Sink.add obs "reroute.expansions" n
-  | None -> ()
-
-(* Backward BFS from (dst, r_arr).  States are (fpga, r); both transitions
-   (wait, hop) increase r by one, so a FIFO queue explores r layer by
-   layer and the first time we reach [src] is with minimal latency.
-
-   The core is parameterized over the channel probe, channel ordering and
-   blocked-hop callback so the live search (probing the real reservation
-   table, bumping congestion history in place) and the frozen speculative
-   search (probing a snapshot plus a worker-private overlay, deferring
-   every side effect into a log) run the byte-identical exploration. *)
-let backward_core ~probe ~order sys ~src ~dst ~r_arr ~r_limit ~expanded =
-  let parent : (int * int, (int * int) * int option) Hashtbl.t =
-    (* state -> (parent state, channel used to reach it, if a hop) *)
-    Hashtbl.create 256
-  in
-  let queue = Queue.create () in
-  let start = (Ids.Fpga.to_int dst, r_arr) in
-  Hashtbl.replace parent start (start, None);
-  Queue.add start queue;
-  let found = ref None in
-  while !found = None && not (Queue.is_empty queue) do
-    let (f, r) as state = Queue.pop queue in
-    incr expanded;
-    if Ids.Fpga.to_int src = f then found := Some state
-    else if r < r_limit then begin
-      let push next via =
-        if not (Hashtbl.mem parent next) then begin
-          Hashtbl.replace parent next (state, via);
-          Queue.add next queue
-        end
-      in
-      (* Wait: the value was already at [f] one slot earlier (forward). *)
-      push (f, r + 1) None;
-      (* Hop: the value came from a neighbor [g] over channel (g -> f),
-         departing at r + 1. *)
-      List.iter
-        (fun (c : System.channel) ->
-          if probe ~channel:c.System.channel_index ~rslot:(r + 1) then
-            push
-              (Ids.Fpga.to_int c.System.src, r + 1)
-              (Some c.System.channel_index))
-        (order (System.in_channels sys (Ids.Fpga.of_int f)))
-    end
-  done;
-  match !found with
-  | None -> None
-  | Some final ->
-      let rec unwind state acc =
-        let prev, via = Hashtbl.find parent state in
-        let acc =
-          match via with
-          | Some channel -> (channel, snd state) :: acc
-          | None -> acc
-        in
-        if prev = state then acc else unwind prev acc
-      in
-      (* Unwinding from the source state toward the destination yields hops
-         in source-to-destination order already reversed; rebuild so the
-         source-side hop (largest rslot) comes first. *)
-      let hops = List.rev (unwind final []) in
-      Some { p_len = snd final - r_arr; p_hops = hops }
-
-(* Probe transcript of one live search: every (channel, reverse slot) the
-   BFS tested, split by outcome.  The exploration is a deterministic
-   function of these results (see [backward_core]), so a later run in
-   which every recorded probe resolves identically provably performs the
-   byte-identical search — the validity condition for exact ledger replay
-   in delta compilation. *)
+(* Probe transcript of one search: every (channel, reverse slot) the BFS
+   tested, split by outcome.  The exploration is a deterministic function
+   of these results, so a later run in which every recorded probe resolves
+   identically provably performs the byte-identical search — the validity
+   condition for exact ledger replay in delta compilation. *)
 type probe_log = {
   mutable pr_free : (int * int) list;
   mutable pr_blocked : (int * int) list;
@@ -105,12 +32,24 @@ type probe_log = {
 
 let probe_log () = { pr_free = []; pr_blocked = [] }
 
+(* Backward BFS from (dst, r_arr).  States are (fpga, r); both transitions
+   (wait, hop) increase r by one, so a FIFO queue explores r layer by
+   layer and the first time we reach [src] is with minimal latency. *)
 let search ?(obs = Sink.null) ?ctx ?probe:plog sys res ~src ~dst ~r_arr
     ~max_extra =
   Sink.incr obs "pathfind.searches";
   if Ids.Fpga.equal src dst then Some { p_len = 0; p_hops = [] }
   else begin
     let dist = Topology.distance (System.topology sys) src dst in
+    let r_limit = r_arr + dist + max_extra in
+    let parent : (int * int, (int * int) * int option) Hashtbl.t =
+      (* state -> (parent state, channel used to reach it, if a hop) *)
+      Hashtbl.create 256
+    in
+    let queue = Queue.create () in
+    let start = (Ids.Fpga.to_int dst, r_arr) in
+    Hashtbl.replace parent start (start, None);
+    Queue.add start queue;
     let expanded = ref 0 in
     let blocked = ref 0 in
     let probe ~channel ~rslot =
@@ -122,117 +61,64 @@ let search ?(obs = Sink.null) ?ctx ?probe:plog sys res ~src ~dst ~r_arr
       | None -> ());
       if not free then begin
         incr blocked;
-        blocked_hop ctx ~channel
+        Option.iter (fun c -> Reroute.bump_history c ~channel) ctx
       end;
       free
     in
-    let result =
-      backward_core ~probe ~order:(order_channels ctx) sys ~src ~dst ~r_arr
-        ~r_limit:(r_arr + dist + max_extra) ~expanded
-    in
-    account_expansions ctx obs !expanded;
+    let found = ref None in
+    while !found = None && not (Queue.is_empty queue) do
+      let (f, r) as state = Queue.pop queue in
+      incr expanded;
+      if Ids.Fpga.to_int src = f then found := Some state
+      else if r < r_limit then begin
+        let push next via =
+          if not (Hashtbl.mem parent next) then begin
+            Hashtbl.replace parent next (state, via);
+            Queue.add next queue
+          end
+        in
+        (* Wait: the value was already at [f] one slot earlier (forward). *)
+        push (f, r + 1) None;
+        (* Hop: the value came from a neighbor [g] over channel (g -> f),
+           departing at r + 1. *)
+        List.iter
+          (fun (c : System.channel) ->
+            if probe ~channel:c.System.channel_index ~rslot:(r + 1) then
+              push
+                (Ids.Fpga.to_int c.System.src, r + 1)
+                (Some c.System.channel_index))
+          (order_channels ctx (System.in_channels sys (Ids.Fpga.of_int f)))
+      end
+    done;
+    Sink.add obs "pathfind.states_expanded" !expanded;
+    (match ctx with
+    | Some c ->
+        Reroute.note_expansions c !expanded;
+        Sink.add obs "reroute.expansions" !expanded
+    | None -> ());
     Sink.add obs "pathfind.congestion_blocked" !blocked;
-    match result with
+    match !found with
     | None ->
         Sink.incr obs "pathfind.failures";
         None
-    | Some p ->
+    | Some final ->
+        let rec unwind state acc =
+          let prev, via = Hashtbl.find parent state in
+          let acc =
+            match via with
+            | Some channel -> (channel, snd state) :: acc
+            | None -> acc
+          in
+          if prev = state then acc else unwind prev acc
+        in
+        (* Unwinding from the source state toward the destination yields
+           hops in source-to-destination order already reversed; rebuild so
+           the source-side hop (largest rslot) comes first. *)
+        let hops = List.rev (unwind final []) in
+        let p = { p_len = snd final - r_arr; p_hops = hops } in
         Sink.observe obs "pathfind.path_len" p.p_len;
         Sink.observe obs "pathfind.extra_slots" (p.p_len - dist);
-        result
-  end
-
-(* ---- Frozen speculative search (see tiers.ml's parallel pass). ---- *)
-
-type frozen_log = {
-  mutable fl_free : (int * int) list;  (* free-probed (channel, rslot) *)
-  mutable fl_blocked : int list;  (* blocked-probe channels, newest first *)
-  mutable fl_blocked_slots : (int * int) list;
-      (* blocked probes with their slots, for exact-replay ledger entries *)
-  mutable fl_expanded : int;
-  mutable fl_entered : bool;  (* BFS body ran (src <> dst) *)
-}
-
-let frozen_log () =
-  {
-    fl_free = [];
-    fl_blocked = [];
-    fl_blocked_slots = [];
-    fl_expanded = 0;
-    fl_entered = false;
-  }
-
-let overlay_count overlay ~channel ~rslot =
-  Option.value ~default:0 (Hashtbl.find_opt overlay (channel, rslot))
-
-let overlay_free res overlay ~channel ~rslot =
-  Resource.usage_at res ~channel ~rslot + overlay_count overlay ~channel ~rslot
-  < Resource.effective_width res ~channel
-
-let search_frozen ?ctx sys res ~overlay ~local_history ~local_total ~log ~src
-    ~dst ~r_arr ~max_extra =
-  if Ids.Fpga.equal src dst then Some { p_len = 0; p_hops = [] }
-  else begin
-    log.fl_entered <- true;
-    let dist = Topology.distance (System.topology sys) src dst in
-    let expanded = ref 0 in
-    let probe ~channel ~rslot =
-      let free = overlay_free res overlay ~channel ~rslot in
-      if free then log.fl_free <- (channel, rslot) :: log.fl_free
-      else begin
-        log.fl_blocked <- channel :: log.fl_blocked;
-        log.fl_blocked_slots <- (channel, rslot) :: log.fl_blocked_slots;
-        (* Exact contexts freeze history (see Reroute.bump_history); the
-           link-local mirror must stay frozen too or the speculative
-           channel ordering would diverge from the sequential pass. *)
-        match ctx with
-        | Some c when not (Reroute.is_exact c) ->
-            Hashtbl.replace local_history channel
-              (1
-              + Option.value ~default:0 (Hashtbl.find_opt local_history channel));
-            incr local_total
-        | Some _ | None -> ()
-      end;
-      free
-    in
-    (* Ordering must mirror the sequential pass exactly: global history as
-       of the batch snapshot plus the bumps this link itself would have
-       made so far (the sequential pass applies those immediately). *)
-    let order channels =
-      match ctx with
-      | Some c when Reroute.history_total c + !local_total > 0 ->
-          let h (ch : System.channel) =
-            Reroute.history c ~channel:ch.System.channel_index
-            + Option.value ~default:0
-                (Hashtbl.find_opt local_history ch.System.channel_index)
-          in
-          List.stable_sort (fun a b -> compare (h a) (h b)) channels
-      | Some _ | None -> channels
-    in
-    let result =
-      backward_core ~probe ~order sys ~src ~dst ~r_arr
-        ~r_limit:(r_arr + dist + max_extra) ~expanded
-    in
-    log.fl_expanded <- !expanded;
-    result
-  end
-
-let frozen_still_valid res log =
-  List.for_all
-    (fun (channel, rslot) -> Resource.free_at res ~channel ~rslot)
-    log.fl_free
-
-let replay_frozen_accounting ?(obs = Sink.null) ?ctx log result ~dist =
-  Sink.incr obs "pathfind.searches";
-  if log.fl_entered then begin
-    List.iter (fun channel -> blocked_hop ctx ~channel) (List.rev log.fl_blocked);
-    account_expansions ctx obs log.fl_expanded;
-    Sink.add obs "pathfind.congestion_blocked" (List.length log.fl_blocked);
-    match result with
-    | None -> Sink.incr obs "pathfind.failures"
-    | Some p ->
-        Sink.observe obs "pathfind.path_len" p.p_len;
-        Sink.observe obs "pathfind.extra_slots" (p.p_len - dist)
+        Some p
   end
 
 let reserve_path res path =
@@ -241,7 +127,7 @@ let reserve_path res path =
     path.p_hops
 
 (* Mirror image of [search]: BFS forward in time from (src, t_dep). *)
-let search_forward ?(obs = Sink.null) ?ctx sys res ~src ~dst ~t_dep ~max_extra =
+let search_forward ?(obs = Sink.null) sys res ~src ~dst ~t_dep ~max_extra =
   Sink.incr obs "pathfind.searches";
   if Ids.Fpga.equal src dst then Some { p_len = 0; p_hops = [] }
   else begin
@@ -276,14 +162,11 @@ let search_forward ?(obs = Sink.null) ?ctx sys res ~src ~dst ~t_dep ~max_extra =
               push
                 (Ids.Fpga.to_int c.System.dst, t + 1)
                 (Some c.System.channel_index)
-            else begin
-              incr blocked;
-              blocked_hop ctx ~channel:c.System.channel_index
-            end)
-          (order_channels ctx (System.out_channels sys (Ids.Fpga.of_int f)))
+            else incr blocked)
+          (System.out_channels sys (Ids.Fpga.of_int f))
       end
     done;
-    account_expansions ctx obs !expanded;
+    Sink.add obs "pathfind.states_expanded" !expanded;
     Sink.add obs "pathfind.congestion_blocked" !blocked;
     match !found with
     | None ->

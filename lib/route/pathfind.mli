@@ -23,7 +23,7 @@ type probe_log = {
   mutable pr_blocked : (int * int) list;
       (** Probes that found the slot full. *)
 }
-(** Probe transcript of one live search.  The BFS exploration is a
+(** Probe transcript of one search.  The BFS exploration is a
     deterministic function of its probe results, so a later search in
     which every recorded probe resolves identically is provably the
     byte-identical search — the validity condition for exact ledger
@@ -55,82 +55,8 @@ val search :
 
 val reserve_path : Resource.t -> path -> unit
 
-(** {2 Frozen speculative search}
-
-    The parallel TIERS reverse pass routes several links concurrently
-    against a {e frozen} snapshot of the reservation table and congestion
-    history: workers must not mutate shared state, so the frozen search
-    defers every side effect (reservation probes, history bumps, expansion
-    accounting) into a per-search log.  The sequential committer then
-    either {e replays} the log — valid exactly when every free-probed slot
-    is still free, since reservations are monotone within a pass — or
-    discards it and re-routes the link on the live path.  When the replay
-    is valid the exploration the worker performed is provably the one the
-    sequential pass would have performed, which is what makes jobs=N
-    schedules byte-identical to jobs=1. *)
-
-type frozen_log = {
-  mutable fl_free : (int * int) list;
-      (** Free-probed (channel, reverse slot) pairs, newest first.  The
-          commit-time validity condition: all still free. *)
-  mutable fl_blocked : int list;
-      (** Channels of blocked probes in exploration order (newest first);
-          replayed as congestion-history bumps at commit. *)
-  mutable fl_blocked_slots : (int * int) list;
-      (** Blocked probes with their slots, newest first — the committer
-          turns these into exact-replay ledger entries under an exact
-          reroute context. *)
-  mutable fl_expanded : int;
-  mutable fl_entered : bool;  (** BFS body ran ([src <> dst]). *)
-}
-
-val frozen_log : unit -> frozen_log
-
-val overlay_free :
-  Resource.t -> (int * int, int) Hashtbl.t -> channel:int -> rslot:int -> bool
-(** Probe against the frozen table plus a private overlay of (channel,
-    rslot) -> count reservations (a worker's — or the committer's — own
-    not-yet-applied hops). *)
-
-val search_frozen :
-  ?ctx:Reroute.t ->
-  Msched_arch.System.t ->
-  Resource.t ->
-  overlay:(int * int, int) Hashtbl.t ->
-  local_history:(int, int) Hashtbl.t ->
-  local_total:int ref ->
-  log:frozen_log ->
-  src:Ids.Fpga.t ->
-  dst:Ids.Fpga.t ->
-  r_arr:int ->
-  max_extra:int ->
-  path option
-(** Side-effect-free twin of {!search}: reads [res], [ctx] history and the
-    caller's [overlay] (reservations made by earlier transports of the
-    same link) but mutates only [log] and the link-local history tables
-    ([local_history]/[local_total], which keep tie-breaking consistent
-    with the bumps the sequential pass would already have applied). *)
-
-val frozen_still_valid : Resource.t -> frozen_log -> bool
-(** All free-probed slots of the log are still free (overlay-less form;
-    the committer uses {!overlay_free} directly when validating several
-    transports of one link against each other). *)
-
-val replay_frozen_accounting :
-  ?obs:Msched_obs.Sink.t ->
-  ?ctx:Reroute.t ->
-  frozen_log ->
-  path option ->
-  dist:int ->
-  unit
-(** Apply the accounting a validated frozen search deferred: the
-    [pathfind.*] counters and observations, context expansion charges and
-    congestion-history bumps, exactly as the live {!search} would have
-    recorded them. *)
-
 val search_forward :
   ?obs:Msched_obs.Sink.t ->
-  ?ctx:Reroute.t ->
   Msched_arch.System.t ->
   Resource.t ->
   src:Ids.Fpga.t ->

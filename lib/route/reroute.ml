@@ -1,10 +1,7 @@
 module Sink = Msched_obs.Sink
 module Diag = Msched_diag.Diag
 
-type dir = Rev | Fwd
-
 type key = {
-  k_dir : dir;
   k_net : int;
   k_src_block : int;
   k_dst_block : int;
@@ -116,16 +113,11 @@ let record_metrics obs t =
    serialize → deserialize → serialize is byte-identical, and integrity
    can be checked by re-serializing the reconstructed payload and
    comparing its checksum against the stored one (catching both bit-rot
-   and truncation). *)
+   and truncation).  Every entry carries ["dir":"rev"]: ledger slots are
+   reverse (TIERS) coordinates, and a document naming any other direction
+   is refused rather than replayed on the wrong time axis. *)
 
 let schema_name = "msched-reroute-1"
-
-let dir_name = function Rev -> "rev" | Fwd -> "fwd"
-
-let dir_of_name = function
-  | "rev" -> Some Rev
-  | "fwd" -> Some Fwd
-  | _ -> None
 
 let payload_json t =
   let b = Buffer.create 4096 in
@@ -148,9 +140,8 @@ let payload_json t =
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b
         (Printf.sprintf
-           "{\"dir\":\"%s\",\"net\":%d,\"src\":%d,\"dst\":%d,\"dom\":%d,\"anchor\":%d,\"len\":%d,\"hops\":"
-           (dir_name k.k_dir) k.k_net k.k_src_block k.k_dst_block k.k_domain
-           e.e_anchor e.e_len);
+           "{\"dir\":\"rev\",\"net\":%d,\"src\":%d,\"dst\":%d,\"dom\":%d,\"anchor\":%d,\"len\":%d,\"hops\":"
+           k.k_net k.k_src_block k.k_dst_block k.k_domain e.e_anchor e.e_len);
       pair_array b e.e_hops;
       (match e.e_probes with
       | None -> ()
@@ -216,14 +207,12 @@ let of_json_string text =
         List.iter
           (fun entry ->
             let m what = get what (J.mem what entry) in
-            let dir =
-              get "dir"
-                (Option.bind (Option.bind (J.mem "dir" entry) J.str)
-                   dir_of_name)
-            in
+            (match Option.bind (J.mem "dir" entry) J.str with
+            | Some "rev" -> ()
+            | Some d -> fail "unsupported dir %S (want \"rev\")" d
+            | None -> fail "missing dir");
             let key =
               {
-                k_dir = dir;
                 k_net = geti "net" (m "net");
                 k_src_block = geti "src" (m "src");
                 k_dst_block = geti "dst" (m "dst");

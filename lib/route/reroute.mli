@@ -2,14 +2,14 @@
     per-transport reservation ledger that survive across scheduling
     attempts (PathFinder-style, after McMurchie & Ebeling).
 
-    The TIERS and forward schedulers are stateless: every attempt of the
-    resilient driver's retry ladder re-searches every transport from
-    scratch.  A reroute context makes retries {e warm}: transports whose
-    requirement (arrival/departure anchor slot) is unchanged and whose
-    reserved slots are still free are {e replayed} from the ledger without
-    a search; only the stale or previously-unroutable {e residue} is
-    ripped up and re-searched — biased away from historically congested
-    channels by the per-channel history table.
+    The TIERS scheduler is stateless: every attempt of
+    [Compile.compile_resilient]'s retry ladder searches every transport
+    anew.  A reroute context makes retries {e warm}: transports whose
+    requirement (arrival anchor slot) is unchanged and whose reserved
+    slots are still free are {e replayed} from the ledger without a
+    search; only the stale or previously-unroutable {e residue} is ripped
+    up and re-searched — biased away from historically congested channels
+    by the per-channel history table.
 
     A context also carries the failure residue of the last attempt (which
     transports found no path) and a forced-hard set: links the driver has
@@ -21,12 +21,7 @@
     reseeding invalidates both ledger and history ({!clear}).  All state
     is single-threaded mutable, like {!Msched_obs.Sink}. *)
 
-type dir = Rev | Fwd
-(** Coordinate system of a ledger entry: reverse (TIERS) or forward
-    (list-scheduler) slots.  Entries never cross directions. *)
-
 type key = {
-  k_dir : dir;
   k_net : int;
   k_src_block : int;
   k_dst_block : int;
@@ -35,11 +30,10 @@ type key = {
 
 type entry = {
   e_anchor : int;
-      (** The requirement slot the path was searched for: [r_arr] for
-          reverse entries, [t_dep] for forward ones.  A ledger hit is only
-          replayable when the new requirement matches exactly. *)
+      (** The arrival slot [r_arr] the path was searched for.  A ledger hit
+          is only replayable when the new requirement matches exactly. *)
   e_len : int;  (** Path latency in virtual clocks. *)
-  e_hops : (int * int) list;  (** (channel, slot) in [k_dir] coordinates. *)
+  e_hops : (int * int) list;  (** (channel, reverse slot) per hop. *)
   e_probes : ((int * int) list * (int * int) list) option;
       (** The recording search's probe transcript — (free, blocked)
           (channel, slot) pairs.  Required for replay under an {e exact}
@@ -144,14 +138,17 @@ val record_metrics : Msched_obs.Sink.t -> t -> unit
     set — as a versioned, checksummed, canonical JSON document, so warm
     retries can span processes (batch compile servers, CI re-runs).
     Statistics and the failure residue are per-run state: a deserialized
-    context starts with zero counters and no residue. *)
+    context starts with zero counters and no residue.  Every ledger entry
+    is written with ["dir":"rev"] (reverse TIERS slots); a document whose
+    entry names another direction does not load. *)
 
 val to_json_string : t -> string
 (** Canonical (sorted) emission: [to_json_string (of_json_string s)] is
     byte-identical to [s] for any document this function produced. *)
 
 val of_json_string : string -> (t, string) result
-(** [Error] on unparseable text, schema mismatch, malformed payload or
-    checksum mismatch (truncation and bit-rot both land here).  Callers
+(** [Error] on unparseable text, schema mismatch, malformed payload
+    (including a ["dir"] other than ["rev"]) or checksum mismatch
+    (truncation and bit-rot both land here).  Callers
     are expected to degrade to a cold context and surface the message as
     an [E_CACHE] warning.  Never raises. *)

@@ -119,8 +119,8 @@ let record_metrics obs t sys =
 (* Canonical JSON emission (schema "msched-schedule-1"): every field in a
    fixed order, every list in its structural order, no whitespace — two
    schedules are byte-identical iff they are semantically identical.  The
-   differential determinism suite (test_par) and the serve byte-equality
-   test diff this string across parallel widths. *)
+   routing pins hash it, and the warm≡cold and batch jobs 1≡4 suites diff
+   it. *)
 let to_json_string t =
   let module Json = Msched_diag.Diag.Json in
   let b = Buffer.create 8192 in

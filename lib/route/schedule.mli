@@ -89,8 +89,8 @@ val to_json_string : t -> string
 (** Canonical JSON emission (schema ["msched-schedule-1"]): fixed field
     order, structural list order, no whitespace — two schedules serialize
     byte-identically iff they are semantically identical.  This is the
-    equality witness of the parallel-compile differential suite: jobs=N
-    and jobs=1 compiles must produce the same string. *)
+    equality witness of the differential suites (delta and reroute
+    warm≡cold, batch jobs 1≡4) and what the routing pins hash. *)
 
 val record_metrics : Msched_obs.Sink.t -> t -> Msched_arch.System.t -> unit
 (** Record schedule-level observability metrics (frame length and estimated

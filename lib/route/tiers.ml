@@ -54,43 +54,6 @@ type routed_transport = {
 
 type routed_link = { rl_link : Link.t; rl_transports : routed_transport list }
 
-(* ---- Speculative parallel reverse pass (jobs > 1). ----
-
-   Links in one batch are routed concurrently by worker domains against a
-   frozen view of the reservation table, ledger and congestion history;
-   nothing shared is written during speculation.  A sequential committer
-   then walks the batch in canonical order and, per link, either replays
-   the speculative result (valid exactly when every slot a worker probed
-   free is still free and no committed link has bumped congestion history
-   this batch — reservations and history are monotone within a pass, so a
-   valid replay is provably the route the sequential pass would have
-   found) or discards it and re-routes the link on the live path.  Either
-   way the committed state, metrics and schedule are byte-identical to
-   the jobs=1 pass. *)
-
-type spec_branch =
-  | Br_nocontext  (* no reroute context: plain search *)
-  | Br_ripped  (* stale ledger entry: rip, then search *)
-  | Br_fresh  (* no ledger entry: search *)
-
-type spec_transport =
-  | St_warm of Reroute.entry  (* ledger replay: anchor matched, hops free *)
-  | St_search of {
-      st_branch : spec_branch;
-      st_path : Pathfind.path option;
-      st_log : Pathfind.frozen_log;
-      st_dist : int;
-    }
-
-type link_spec =
-  | Sp_hard  (* pre-routed on dedicated wires; nothing to validate *)
-  | Sp_routed of (Ids.Dom.t option * spec_transport) list
-
-(* Batches never grow past this; a fixed cap (rather than one scaled by
-   [jobs]) keeps the batch boundaries — and the tiers.par.* counters —
-   identical for every parallel width. *)
-let batch_cap = 32
-
 let mode_name = function
   | Mts_virtual -> "virtual"
   | Mts_hard -> "hard"
@@ -98,10 +61,9 @@ let mode_name = function
 
 (* Ledger key of one transport of [l] (domain [-1] when the link is not
    decomposed per domain). *)
-let transport_key dir (l : Link.t) dom =
+let transport_key (l : Link.t) dom =
   {
-    Reroute.k_dir = dir;
-    k_net = Ids.Net.to_int l.Link.net;
+    Reroute.k_net = Ids.Net.to_int l.Link.net;
     k_src_block = Ids.Block.to_int l.Link.src_block;
     k_dst_block = Ids.Block.to_int l.Link.dst_block;
     k_domain = (match dom with Some d -> Ids.Dom.to_int d | None -> -1);
@@ -112,24 +74,19 @@ let transport_key dir (l : Link.t) dom =
    demand the recording search's whole probe transcript to resolve
    identically (every free probe still free, every blocked probe still
    blocked), which proves the skipped BFS would have returned exactly
-   [e_hops] — the bit-identity obligation of delta compilation.  [free] is
-   the caller's reservation probe (live table, or overlay-aware). *)
-let replayable ctx e ~r_arr ~free =
+   [e_hops] — the bit-identity obligation of delta compilation. *)
+let replayable res ctx e ~r_arr =
+  let free (channel, rslot) = Resource.free_at res ~channel ~rslot in
   e.Reroute.e_anchor = r_arr
   &&
   if Reroute.is_exact ctx then
     match e.Reroute.e_probes with
     | None -> false
-    | Some (pf, pb) ->
-        List.for_all (fun (channel, rslot) -> free ~channel ~rslot) pf
-        && List.for_all
-             (fun (channel, rslot) -> not (free ~channel ~rslot))
-             pb
-  else
-    List.for_all (fun (channel, rslot) -> free ~channel ~rslot) e.Reroute.e_hops
+    | Some (pf, pb) -> List.for_all free pf && not (List.exists free pb)
+  else List.for_all free e.Reroute.e_hops
 
 let schedule placement dom_analysis ?analysis ?(options = default_options)
-    ?(obs = Sink.null) ?reroute ?(jobs = 1) () =
+    ?(obs = Sink.null) ?reroute () =
   Sink.span obs ~args:[ ("mode", mode_name options.mode) ] "tiers"
   @@ fun () ->
   let part = Placement.partition placement in
@@ -289,7 +246,7 @@ let schedule placement dom_analysis ?analysis ?(options = default_options)
         Pathfind.reserve_path res p;
         Option.iter
           (fun c ->
-            Reroute.record c (transport_key Reroute.Rev l dom)
+            Reroute.record c (transport_key l dom)
               {
                 Reroute.e_anchor = r_arr;
                 e_len = p.Pathfind.p_len;
@@ -309,7 +266,7 @@ let schedule placement dom_analysis ?analysis ?(options = default_options)
         match ctx with
         | None -> raise (Unroutable d)
         | Some c ->
-            Reroute.note_failure c (transport_key Reroute.Rev l dom) d;
+            Reroute.note_failure c (transport_key l dom) d;
             Sink.incr obs "reroute.residue";
             let dist =
               Topology.distance (System.topology sys) l.Link.src_fpga
@@ -327,11 +284,9 @@ let schedule placement dom_analysis ?analysis ?(options = default_options)
     match reroute with
     | None -> searched_transport None l dom r_arr
     | Some ctx -> (
-        let key = transport_key Reroute.Rev l dom in
+        let key = transport_key l dom in
         match Reroute.lookup ctx key with
-        | Some e
-          when replayable ctx e ~r_arr ~free:(fun ~channel ~rslot ->
-                   Resource.free_at res ~channel ~rslot) ->
+        | Some e when replayable res ctx e ~r_arr ->
             (* Warm replay: same requirement, slots still free (and under
                an exact context, the whole probe transcript unchanged) —
                reserve the remembered path without searching. *)
@@ -358,38 +313,39 @@ let schedule placement dom_analysis ?analysis ?(options = default_options)
             searched_transport reroute l dom r_arr)
   in
   let debug = Sys.getenv_opt "MSCHED_DEBUG_TIERS" <> None in
-  let link_domains (l : Link.t) =
-    match l.Link.domains with
-    | [] -> [ None ]
-    | ds -> List.map Option.some ds
-  in
-  let hard_transports xi r_arr =
-    match hard_paths.(xi) with
-    | Some channels ->
-        (* Hard wires are unregistered: a transit through an FPGA's
-           fabric and IO buffers is budgeted at two virtual clocks per
-           hop, versus one for a pipelined virtual-wire hop. *)
-        let hops = List.map (fun c -> (c, 0)) channels in
-        [
-          {
-            rt_domain = None;
-            rt_rdep = r_arr + (2 * List.length channels);
-            rt_rarr = r_arr;
-            rt_hops = hops;
-            rt_hard = true;
-          };
-        ]
-    | None -> assert false
-  in
-  let equalized ts =
-    if options.equalize_forks && List.length ts > 1 then begin
-      let rdep = List.fold_left (fun acc t -> max acc t.rt_rdep) 0 ts in
-      List.map (fun t -> { t with rt_rdep = rdep }) ts
-    end
-    else ts
-  in
-  let finish_link xi transports =
+  let process_link xi =
     let l = links.(xi) in
+    let r_arr = req_get l.Link.dst_block l.Link.net in
+    if debug then Format.eprintf "LINK %a r_arr=%d@." Link.pp l r_arr;
+    let transports =
+      match hard_paths.(xi) with
+      | Some channels ->
+          (* Hard wires are unregistered: a transit through an FPGA's
+             fabric and IO buffers is budgeted at two virtual clocks per
+             hop, versus one for a pipelined virtual-wire hop. *)
+          let hops = List.map (fun c -> (c, 0)) channels in
+          [
+            {
+              rt_domain = None;
+              rt_rdep = r_arr + (2 * List.length channels);
+              rt_rarr = r_arr;
+              rt_hops = hops;
+              rt_hard = true;
+            };
+          ]
+      | None ->
+          let doms =
+            match l.Link.domains with
+            | [] -> [ None ]
+            | ds -> List.map Option.some ds
+          in
+          let ts = List.map (fun d -> route_transport l d r_arr) doms in
+          if options.equalize_forks && List.length ts > 1 then begin
+            let rdep = List.fold_left (fun acc t -> max acc t.rt_rdep) 0 ts in
+            List.map (fun t -> { t with rt_rdep = rdep }) ts
+          end
+          else ts
+    in
     Sink.add obs "sched.transports" (List.length transports);
     Sink.observe obs "fork.fanout" (List.length transports);
     let rdep_max =
@@ -415,19 +371,6 @@ let schedule placement dom_analysis ?analysis ?(options = default_options)
       lmax_reason :=
         Format.asprintf "transport chain: settle + departure of %a" Link.pp l
     end
-  in
-  let process_link xi =
-    let l = links.(xi) in
-    let r_arr = req_get l.Link.dst_block l.Link.net in
-    if debug then Format.eprintf "LINK %a r_arr=%d@." Link.pp l r_arr;
-    let transports =
-      match hard_paths.(xi) with
-      | Some _ -> hard_transports xi r_arr
-      | None ->
-          equalized
-            (List.map (fun d -> route_transport l d r_arr) (link_domains l))
-    in
-    finish_link xi transports
   in
   let process_group b gi =
     let lab = la.(b) in
@@ -465,263 +408,13 @@ let schedule placement dom_analysis ?analysis ?(options = default_options)
       g.Latch_analysis.input_deps;
     List.iter (bump_for_dep ~gate_side:true) g.Latch_analysis.local_deps
   in
-  (* ---- Speculative routing of one link against frozen state. ----
-     Runs on a worker domain: reads [links], [hard_paths], [res], the
-     ledger and history, writes only its own overlay/log/sink. *)
-  let overlay_add overlay hops =
-    List.iter
-      (fun (c, r) ->
-        Hashtbl.replace overlay (c, r)
-          (1 + Option.value ~default:0 (Hashtbl.find_opt overlay (c, r))))
-      hops
-  in
-  let spec_link wobs xi r_arr =
-    let l = links.(xi) in
-    match hard_paths.(xi) with
-    | Some _ -> Sp_hard
-    | None ->
-        (* Overlay of this link's own earlier transports (a multi-domain
-           link's forks contend with each other exactly as they would
-           sequentially); link-local history bumps keep the tie-break
-           ordering of later forks consistent with the sequential pass. *)
-        let overlay = Hashtbl.create 16 in
-        let local_history = Hashtbl.create 8 in
-        let local_total = ref 0 in
-        let frozen_search branch =
-          Sink.incr wobs "tiers.par.spec_searches";
-          let log = Pathfind.frozen_log () in
-          let p =
-            Pathfind.search_frozen ?ctx:reroute sys res ~overlay
-              ~local_history ~local_total ~log ~src:l.Link.src_fpga
-              ~dst:l.Link.dst_fpga ~r_arr ~max_extra:options.max_extra_slots
-          in
-          (match p with
-          | Some p -> overlay_add overlay p.Pathfind.p_hops
-          | None -> ());
-          St_search
-            {
-              st_branch = branch;
-              st_path = p;
-              st_log = log;
-              st_dist =
-                Topology.distance (System.topology sys) l.Link.src_fpga
-                  l.Link.dst_fpga;
-            }
-        in
-        let spec_one dom =
-          let st =
-            match reroute with
-            | None -> frozen_search Br_nocontext
-            | Some ctx -> (
-                match Reroute.lookup ctx (transport_key Reroute.Rev l dom) with
-                | Some e
-                  when replayable ctx e ~r_arr ~free:(fun ~channel ~rslot ->
-                           Pathfind.overlay_free res overlay ~channel ~rslot)
-                  ->
-                    overlay_add overlay e.Reroute.e_hops;
-                    St_warm e
-                | Some _ -> frozen_search Br_ripped
-                | None -> frozen_search Br_fresh)
-          in
-          (dom, st)
-        in
-        Sp_routed (List.map spec_one (link_domains l))
-  in
-  (* ---- Commit: validate a speculative result against live state and,
-     if valid, replay its effects in exact sequential order. ---- *)
-  let try_commit_spec xi r_arr spec =
-    let l = links.(xi) in
-    match spec with
-    | Sp_hard ->
-        if debug then Format.eprintf "LINK %a r_arr=%d@." Link.pp l r_arr;
-        finish_link xi (hard_transports xi r_arr);
-        true
-    | Sp_routed specs ->
-        (* Every slot a worker probed free must still be free — probed
-           through a fresh overlay rebuilt from this link's own transports,
-           so intra-link contention is re-checked too. *)
-        let overlay = Hashtbl.create 16 in
-        let free ~channel ~rslot =
-          Pathfind.overlay_free res overlay ~channel ~rslot
-        in
-        let transport_ok (_, st) =
-          match st with
-          | St_warm e ->
-              replayable (Option.get reroute) e ~r_arr ~free
-              && begin
-                   overlay_add overlay e.Reroute.e_hops;
-                   true
-                 end
-          | St_search { st_path; st_log; _ } ->
-              List.for_all
-                (fun (channel, rslot) -> free ~channel ~rslot)
-                st_log.Pathfind.fl_free
-              && begin
-                   (match st_path with
-                   | Some p -> overlay_add overlay p.Pathfind.p_hops
-                   | None -> ());
-                   true
-                 end
-        in
-        List.for_all transport_ok specs
-        && begin
-             if debug then
-               Format.eprintf "LINK %a r_arr=%d@." Link.pp l r_arr;
-             let commit_one (dom, st) =
-               match st with
-               | St_warm e ->
-                   let ctx = Option.get reroute in
-                   List.iter
-                     (fun (channel, rslot) ->
-                       Resource.reserve res ~channel ~rslot)
-                     e.Reroute.e_hops;
-                   Reroute.note_reused ctx;
-                   Sink.incr obs "reroute.reused";
-                   {
-                     rt_domain = dom;
-                     rt_rdep = r_arr + e.Reroute.e_len;
-                     rt_rarr = r_arr;
-                     rt_hops = e.Reroute.e_hops;
-                     rt_hard = false;
-                   }
-               | St_search { st_branch; st_path; st_log; st_dist } ->
-                   (match (st_branch, reroute) with
-                   | Br_ripped, Some ctx ->
-                       Reroute.rip ctx (transport_key Reroute.Rev l dom);
-                       Reroute.note_ripped ctx;
-                       Sink.incr obs "reroute.ripped"
-                   | Br_fresh, Some ctx ->
-                       Reroute.note_fresh ctx;
-                       Sink.incr obs "reroute.fresh"
-                   | (Br_nocontext | Br_ripped | Br_fresh), _ -> ());
-                   Pathfind.replay_frozen_accounting ~obs ?ctx:reroute st_log
-                     st_path ~dist:st_dist;
-                   (match st_path with
-                   | Some p ->
-                       Pathfind.reserve_path res p;
-                       Option.iter
-                         (fun c ->
-                           Reroute.record c (transport_key Reroute.Rev l dom)
-                             {
-                               Reroute.e_anchor = r_arr;
-                               e_len = p.Pathfind.p_len;
-                               e_hops = p.Pathfind.p_hops;
-                               e_probes =
-                                 (if Reroute.is_exact c then
-                                    Some
-                                      ( st_log.Pathfind.fl_free,
-                                        st_log.Pathfind.fl_blocked_slots )
-                                  else None);
-                             })
-                         reroute;
-                       {
-                         rt_domain = dom;
-                         rt_rdep = r_arr + p.Pathfind.p_len;
-                         rt_rarr = r_arr;
-                         rt_hops = p.Pathfind.p_hops;
-                         rt_hard = false;
-                       }
-                   | None -> (
-                       let d = unroutable_diag l r_arr in
-                       match reroute with
-                       | None -> raise (Unroutable d)
-                       | Some c ->
-                           Reroute.note_failure c
-                             (transport_key Reroute.Rev l dom) d;
-                           Sink.incr obs "reroute.residue";
-                           {
-                             rt_domain = dom;
-                             rt_rdep = r_arr + st_dist;
-                             rt_rarr = r_arr;
-                             rt_hops = [];
-                             rt_hard = false;
-                           }))
-             in
-             finish_link xi (equalized (List.map commit_one specs));
-             true
-           end
-  in
-  let reverse_pass_sequential () =
-    List.iter
-      (fun node ->
-        match node with
-        | Sched_graph.Lnk i -> process_link i
-        | Sched_graph.Grp (b, gi) -> process_group b gi)
-      order
-  in
-  (* Parallel driver: build a batch of provably independent consecutive
-     links (no member's destination block is another member's source, so
-     the [req] values captured at batch build equal the sequential ones),
-     speculate the batch on the pool, then commit sequentially.  Congestion
-     history written by a commit steers later searches, so the first commit
-     that bumps history poisons the rest of its batch (dirty flag → those
-     links re-route live). *)
-  let reverse_pass_parallel pool =
-    Sink.annotate obs [ ("jobs", string_of_int jobs) ];
-    let wsinks = Array.init jobs (fun _ -> Sink.fork obs) in
-    let hist_total () =
-      match reroute with Some c -> Reroute.history_total c | None -> 0
-    in
-    let nodes = Array.of_list order in
-    let n = Array.length nodes in
-    let i = ref 0 in
-    while !i < n do
-      match nodes.(!i) with
-      | Sched_graph.Grp (b, gi) ->
-          process_group b gi;
-          Stdlib.incr i
-      | Sched_graph.Lnk _ ->
-          let members = ref [] in
-          let count = ref 0 in
-          let srcs = Hashtbl.create 16 in
-          let stop = ref false in
-          while (not !stop) && !i < n && !count < batch_cap do
-            match nodes.(!i) with
-            | Sched_graph.Grp _ -> stop := true
-            | Sched_graph.Lnk xi ->
-                let l = links.(xi) in
-                if Hashtbl.mem srcs (Ids.Block.to_int l.Link.dst_block) then
-                  stop := true
-                else begin
-                  Hashtbl.replace srcs (Ids.Block.to_int l.Link.src_block) ();
-                  members :=
-                    (xi, req_get l.Link.dst_block l.Link.net) :: !members;
-                  Stdlib.incr count;
-                  Stdlib.incr i
-                end
-          done;
-          let batch = Array.of_list (List.rev !members) in
-          let bn = Array.length batch in
-          Sink.incr obs "tiers.par.batches";
-          if bn = 1 then begin
-            Sink.incr obs "tiers.par.links_solo";
-            process_link (fst batch.(0))
-          end
-          else begin
-            let specs = Array.make bn None in
-            Msched_par.Pool.run pool ~n:bn (fun ~worker k ->
-                let xi, r_arr = batch.(k) in
-                specs.(k) <- Some (spec_link wsinks.(worker) xi r_arr));
-            let dirty = ref false in
-            Array.iteri
-              (fun k spec ->
-                let xi, r_arr = batch.(k) in
-                let h0 = hist_total () in
-                if (not !dirty) && try_commit_spec xi r_arr (Option.get spec)
-                then Sink.incr obs "tiers.par.links_committed"
-                else begin
-                  Sink.incr obs "tiers.par.links_redone";
-                  process_link xi
-                end;
-                if hist_total () <> h0 then dirty := true)
-              specs
-          end
-    done;
-    Array.iter (fun w -> Sink.merge obs w) wsinks
-  in
   (Sink.span obs "tiers.reverse-pass" @@ fun () ->
-   if jobs <= 1 then reverse_pass_sequential ()
-   else Msched_par.Pool.with_pool ~jobs (fun pool -> reverse_pass_parallel pool));
+   List.iter
+     (fun node ->
+       match node with
+       | Sched_graph.Lnk i -> process_link i
+       | Sched_graph.Grp (b, gi) -> process_group b gi)
+     order);
 
   (* Deferred unroutability: with a reroute context the whole residue was
      collected above; the attempt still fails, but the ledger now holds

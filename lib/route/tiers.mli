@@ -55,7 +55,6 @@ val schedule :
   ?options:options ->
   ?obs:Msched_obs.Sink.t ->
   ?reroute:Reroute.t ->
-  ?jobs:int ->
   unit ->
   Schedule.t
 (** Compile a placed design into a static schedule.  [analysis] (per-block
@@ -63,13 +62,9 @@ val schedule :
     stage spans ([tiers.*]) plus scheduler/pathfinder/channel metrics (see
     [docs/OBSERVABILITY.md]).
 
-    [jobs] (default 1) is the intra-pass parallel width.  With [jobs > 1]
-    the reverse pass routes batches of independent links speculatively on
-    [jobs] worker domains and commits them in canonical order, falling
-    back to live sequential routing for any link whose speculation is
-    invalidated; the resulting schedule, metrics and ledger state are
-    byte-identical to [jobs = 1] (see [tiers.par.*] in
-    [docs/OBSERVABILITY.md]).  [jobs <= 1] never spawns a domain.
+    The reverse pass is one sequential walk over the dependency order:
+    each link is routed against the live reservation table and its
+    ReadyTime requirements propagate before the next node is taken.
 
     With a [reroute] context the attempt runs {e warm}: transports whose
     requirement slot is unchanged since the last attempt are replayed from

@@ -30,7 +30,6 @@ let () =
       ("obs", Test_obs.suite);
       ("workloads", Test_workloads.suite);
       ("server", Test_server.suite);
-      ("par", Test_par.suite);
       ("serve-net", Test_serve_net.suite);
       ("explain", Test_explain.suite);
       ("delta", Test_delta.suite);

@@ -229,6 +229,36 @@ let test_metrics () =
       Alcotest.(check (float 1e-9)) "mean" 5.5 h.Sink.hs_mean
   | _ -> Alcotest.fail "histograms"
 
+(* perfbench folds one forked sink per replayed request into its global
+   sink; nothing in the compiler forks one.  Counters add, gauges take the
+   child's value, histograms append, and the child's spans graft under
+   the parent span open at merge time. *)
+let test_fork_merge () =
+  let obs, _ = fake_sink () in
+  Sink.add obs "c" 2;
+  Sink.gauge obs "g" 1.0;
+  Sink.observe obs "h" 1;
+  Sink.span obs "outer" (fun () ->
+      let child = Sink.fork obs in
+      Sink.span child "work" (fun () -> Sink.add child "c" 3);
+      Sink.gauge child "g" 4.0;
+      Sink.observe child "h" 7;
+      Sink.merge obs child);
+  Alcotest.(check int) "counters add" 5 (Sink.counter obs "c");
+  Alcotest.(check (list (pair string (float 1e-9))))
+    "gauge overwritten" [ ("g", 4.0) ] (Sink.gauges obs);
+  Alcotest.(check (list int)) "histogram appended" [ 1; 7 ]
+    (Sink.hist_values obs "h");
+  let find name =
+    List.find (fun sp -> sp.Sink.sp_name = name) (Sink.spans obs)
+  in
+  let outer = find "outer" and work = find "work" in
+  Alcotest.(check (option int)) "grafted under the open span"
+    (Some outer.Sink.sp_id) work.Sink.sp_parent;
+  Alcotest.(check int) "depth below it" 1 work.Sink.sp_depth;
+  Alcotest.(check bool) "fork of null is null" false
+    (Sink.enabled (Sink.fork Sink.null))
+
 let test_json_round_trip () =
   let obs, t = fake_sink () in
   Sink.span obs "a \"quoted\"\nname" (fun () ->
@@ -403,4 +433,5 @@ let suite =
       test_forward_records_span;
     Alcotest.test_case "counters monotone across 10 compiles" `Quick
       test_counters_monotone_across_compiles;
+    Alcotest.test_case "fork/merge folds a child sink" `Quick test_fork_merge;
   ]

@@ -53,8 +53,7 @@ let write_file path text =
 
 let config ?(address = Transport.Tcp ("127.0.0.1", 0)) ?(workers = 2)
     ?(queue_max = 64) ?(overload = Dispatch.Shed) ?(grace = 0.3) ?cache_dir
-    ?cache_max_bytes ?(inject = false) ?max_frame ?(gc_interval = 0.2)
-    ?(compile_jobs = 1) () =
+    ?cache_max_bytes ?(inject = false) ?max_frame ?(gc_interval = 0.2) () =
   {
     Transport.t_address = address;
     t_dispatch =
@@ -66,17 +65,10 @@ let config ?(address = Transport.Tcp ("127.0.0.1", 0)) ?(workers = 2)
         d_grace_s = grace;
       };
     t_settings =
-      (let s =
-         match cache_dir with
-         | None -> Server.default_settings
-         | Some dir ->
-             { Server.default_settings with Server.s_cache_dir = Some dir }
-       in
-       {
-         s with
-         Server.s_options =
-           { s.Server.s_options with Msched.Compile.compile_jobs };
-       });
+      (match cache_dir with
+      | None -> Server.default_settings
+      | Some dir ->
+          { Server.default_settings with Server.s_cache_dir = Some dir });
     t_inject_faults = inject;
     t_max_frame =
       (match max_frame with
@@ -280,54 +272,6 @@ let test_concurrent_clients () =
     s.Transport.sm_counters.Dispatch.c_completed;
   Alcotest.(check int) "connections counted" clients s.Transport.sm_connections;
   Alcotest.(check bool) "clean drain" true s.Transport.sm_clean
-
-(* --compile-jobs is invisible on the wire: a server whose workers run
-   parallel compiles (compile_jobs=2) under concurrent clients answers
-   byte-for-byte what a sequential-compile server answers, and loses
-   nothing. *)
-let test_compile_jobs_differential () =
-  let corpus =
-    List.init 4 (fun i -> (Printf.sprintf "d%d" i, good_text ~seed:(910 + i) ()))
-  in
-  let collect ~compile_jobs ~clients =
-    let srv = Transport.start (config ~workers:2 ~compile_jobs ()) in
-    let tbl = Hashtbl.create 16 in
-    let mu = Mutex.create () in
-    let run_client ci =
-      let c = connect srv in
-      List.iter
-        (fun (id, text) ->
-          let id = Printf.sprintf "c%d-%s" ci id in
-          send c
-            (Printf.sprintf {|{"text":%s,"id":%s}|} (Diag.Json.string text)
-               (Diag.Json.string id));
-          let resp = recv_exn c in
-          Mutex.lock mu;
-          Hashtbl.replace tbl id resp;
-          Mutex.unlock mu)
-        corpus;
-      close c
-    in
-    let threads = List.init clients (Thread.create run_client) in
-    List.iter Thread.join threads;
-    let s = drain_and_wait srv in
-    Alcotest.(check bool) "clean drain" true s.Transport.sm_clean;
-    Alcotest.(check int) "zero lost responses"
-      (clients * List.length corpus)
-      (Hashtbl.length tbl);
-    tbl
-  in
-  let par = collect ~compile_jobs:2 ~clients:3 in
-  let seq = collect ~compile_jobs:1 ~clients:3 in
-  Hashtbl.iter
-    (fun id body ->
-      match Hashtbl.find_opt par id with
-      | None -> Alcotest.failf "parallel server lost response %s" id
-      | Some pbody ->
-          Alcotest.(check string)
-            (Printf.sprintf "%s: byte-identical body" id)
-            body pbody)
-    seq
 
 let test_timeout_and_hung_replacement () =
   let sink = Sink.create () in
@@ -853,8 +797,6 @@ let suite =
       test_roundtrip_unix;
     Alcotest.test_case "serve: concurrent clients over tcp" `Slow
       test_concurrent_clients;
-    Alcotest.test_case "serve: --compile-jobs answers byte-identical bodies"
-      `Quick test_compile_jobs_differential;
     Alcotest.test_case "serve: deadlines + hung-worker replacement" `Quick
       test_timeout_and_hung_replacement;
     Alcotest.test_case "serve: worker crash is reaped and replaced" `Quick

@@ -251,6 +251,175 @@ let test_cross_block_latch_loop_warns () =
        sched.Schedule.warnings);
   Alcotest.(check bool) "schedule still valid" true (sched.Schedule.length >= 1)
 
+(* ---- Routing pins ----
+
+   Schedule hashes and pathfinder work of the TIERS reverse pass, the
+   forward scheduler and the resilient ladder, recorded from the
+   implementation that still carried a speculative parallel reverse pass
+   and a forward-direction reroute ledger.  Any change to link order,
+   channel exploration, ledger replay or the rungs a tight ladder takes
+   shows up here, not just in a self-comparison. *)
+
+module Reroute = Msched_route.Reroute
+module Sink = Msched_obs.Sink
+module Diag = Msched_diag.Diag
+module Compile = Msched.Compile
+
+let pin_design = function
+  | "design1" -> Design_gen.design1_like ~seed:1 ~scale:0.05 ()
+  | "design2" -> Design_gen.design2_like ~seed:2 ~scale:0.05 ()
+  | "gals" -> Design_gen.gals_islands ~seed:3 ~islands:4 ()
+  | "fabric" -> Design_gen.gated_memory_fabric ~seed:5 ~banks:4 ()
+  | "dense" -> Design_gen.dense_crossing ~seed:7 ~domains:8 ~density:0.5 ()
+  | "dense12" -> Design_gen.dense_crossing ~seed:7 ~domains:12 ~density:0.6 ()
+  | name -> invalid_arg name
+
+let pin_prepare name ~weight ~pins =
+  Compile.prepare
+    ~options:
+      {
+        Compile.default_options with
+        Compile.max_block_weight = weight;
+        pins_per_fpga = pins;
+      }
+    (pin_design name).Design_gen.netlist
+
+let schedule_hash s = Diag.Json.hash_hex (Schedule.to_json_string s)
+
+(* (design, max_weight, pins, mode, schedule hash, states expanded,
+   transports an exact context replays on a second pass) *)
+let route_pins =
+  [
+    ("design1", 24, 240, Tiers.Mts_virtual, "07bc6a6ed10c83ce", 64040, 973);
+    ("design1", 24, 240, Tiers.Mts_hard, "10f4c18c1b6e719c", 63108, 949);
+    ("design2", 24, 240, Tiers.Mts_virtual, "16a691dcc6da1dac", 32576, 806);
+    ("design2", 24, 240, Tiers.Mts_hard, "173afadb9bb5705a", 23340, 694);
+    ("gals", 16, 16, Tiers.Mts_virtual, "94d12792d196f668", 456, 54);
+    ("gals", 16, 16, Tiers.Mts_hard, "94d12792d196f668", 456, 54);
+    ("fabric", 16, 240, Tiers.Mts_virtual, "3b8904bc0cb9fa7b", 144, 35);
+    ("fabric", 16, 240, Tiers.Mts_hard, "98b91d33547a0225", 82, 19);
+    ("fabric", 16, 12, Tiers.Mts_virtual, "fe8eb14681ab28af", 178, 35);
+    ("fabric", 16, 12, Tiers.Mts_hard, "cf1df6b4b87c3e17", 96, 19);
+    ("dense", 16, 32, Tiers.Mts_virtual, "cbf7cd4d337d8100", 725, 83);
+    ("dense", 16, 32, Tiers.Mts_hard, "c5f4010755892f16", 297, 35);
+    ("dense12", 16, 240, Tiers.Mts_virtual, "8d531f3c866b1863", 8543, 321);
+    ("dense12", 16, 240, Tiers.Mts_hard, "19f6fd19b73e451b", 2507, 111);
+  ]
+
+(* Each case routes three times on one prepared front end: with no
+   context, then twice under one exact context.  The first exact pass
+   must search exactly like the context-free one; the second replays
+   every transport from the ledger without a single expansion. *)
+let test_route_pins () =
+  List.iter
+    (fun (name, weight, pins, mode, hash, states, replayed) ->
+      let prepared = pin_prepare name ~weight ~pins in
+      let options = { Tiers.default_options with Tiers.mode = mode } in
+      let label what =
+        Printf.sprintf "%s/w%d/p%d/%s: %s" name weight pins
+          (Tiers.mode_name mode) what
+      in
+      let route ?reroute () =
+        let obs = Sink.create () in
+        let s = Compile.route ~obs ?reroute prepared options in
+        (schedule_hash s, obs)
+      in
+      let check_pass what (h, obs) ~states =
+        Alcotest.(check string) (label (what ^ " hash")) hash h;
+        Alcotest.(check int)
+          (label (what ^ " states_expanded"))
+          states
+          (Sink.counter obs "pathfind.states_expanded")
+      in
+      check_pass "no context" (route ()) ~states;
+      let ctx = Reroute.create ~exact:true () in
+      check_pass "exact" (route ~reroute:ctx ()) ~states;
+      let ((_, obs) as warm) = route ~reroute:ctx () in
+      check_pass "exact replay" warm ~states:0;
+      Alcotest.(check int) (label "exact replay reused") replayed
+        (Sink.counter obs "reroute.reused"))
+    route_pins
+
+(* (design, max_weight, pins, schedule hash, states expanded) *)
+let forward_pins =
+  [
+    ("design1", 24, 240, "a4425e9ed2218a8f", 61633);
+    ("dense", 16, 16, "0c849f0207d055ab", 783);
+  ]
+
+let test_forward_pins () =
+  List.iter
+    (fun (name, weight, pins, hash, states) ->
+      let prepared = pin_prepare name ~weight ~pins in
+      let obs = Sink.create () in
+      let s = Compile.route_forward ~obs prepared Tiers.default_options in
+      let label what =
+        Printf.sprintf "forward %s/w%d/p%d: %s" name weight pins what
+      in
+      Alcotest.(check string) (label "hash") hash (schedule_hash s);
+      Alcotest.(check int) (label "states_expanded") states
+        (Sink.counter obs "pathfind.states_expanded"))
+    forward_pins
+
+(* Tight serve-style options: the baseline fails on zero slack and the
+   relaxed rung replays what the baseline routed. *)
+let test_ladder_pin () =
+  let obs = Sink.create () in
+  let options =
+    {
+      Compile.default_options with
+      Compile.max_block_weight = 32;
+      pins_per_fpga = 24;
+      route = { Tiers.default_options with Tiers.max_extra_slots = 0 };
+      obs;
+    }
+  in
+  let r =
+    Compile.compile_resilient ~options ~max_retries:2 ~fallback_hard:true
+      (pin_design "design2").Design_gen.netlist
+  in
+  Alcotest.(check (list string)) "attempt labels" [ "baseline"; "relax-slack" ]
+    (List.map (fun a -> a.Compile.attempt_label) r.Compile.attempts);
+  Alcotest.(check string) "schedule hash" "78b74704831f6ff2"
+    (match r.Compile.compiled with
+    | Some c -> schedule_hash c.Compile.schedule
+    | None -> "none");
+  List.iter
+    (fun (counter, v) ->
+      Alcotest.(check int) counter v (Sink.counter obs counter))
+    [
+      ("pathfind.states_expanded", 32014);
+      ("reroute.reused", 480);
+      ("reroute.ripped", 87);
+      ("reroute.fresh", 953);
+    ]
+
+(* msched-reroute-1 documents as the implementation with directed ledger
+   keys wrote them: one entry with a probe transcript, one without,
+   congestion history and a forced-hard link.  The second names a forward
+   entry (its checksum is valid), which no longer loads. *)
+let reroute_doc =
+  {|{"schema":"msched-reroute-1","checksum":"c1b492170fc13325","payload":{"ledger":[{"dir":"rev","net":3,"src":0,"dst":1,"dom":-1,"anchor":2,"len":3,"hops":[[4,5],[1,4]]},{"dir":"rev","net":7,"src":1,"dst":2,"dom":0,"anchor":0,"len":1,"hops":[[2,1]],"pf":[[2,1],[0,1]],"pb":[[3,1]]}],"history":[[2,2],[5,1]],"forced":[[9,2,0]]}}|}
+
+let reroute_doc_fwd =
+  {|{"schema":"msched-reroute-1","checksum":"b326f53e1a8b1509","payload":{"ledger":[{"dir":"rev","net":7,"src":1,"dst":2,"dom":0,"anchor":0,"len":1,"hops":[[2,1]],"pf":[[2,1],[0,1]],"pb":[[3,1]]},{"dir":"fwd","net":3,"src":0,"dst":1,"dom":-1,"anchor":2,"len":3,"hops":[[4,5],[1,4]]}],"history":[[2,2],[5,1]],"forced":[[9,2,0]]}}|}
+
+let test_reroute_doc_pin () =
+  (match Reroute.of_json_string reroute_doc with
+  | Error m -> Alcotest.failf "stored document refused: %s" m
+  | Ok ctx ->
+      Alcotest.(check string) "round-trips byte-identically" reroute_doc
+        (Reroute.to_json_string ctx);
+      Alcotest.(check int) "ledger entries" 2 (Reroute.ledger_size ctx);
+      Alcotest.(check int) "history" 3 (Reroute.history_total ctx);
+      Alcotest.(check bool) "forced-hard link" true
+        (Reroute.is_forced_hard ctx ~net:9 ~src_block:2 ~dst_block:0));
+  match Reroute.of_json_string reroute_doc_fwd with
+  | Ok _ -> Alcotest.fail "a forward-direction entry must not load"
+  | Error m ->
+      Alcotest.(check string) "error names the direction"
+        {|unsupported dir "fwd" (want "rev")|} m
+
 let prop_virtual_schedule_length_le_hard =
   QCheck.Test.make ~name:"virtual critical path <= hard critical path" ~count:8
     QCheck.(int_range 100 400)
@@ -292,5 +461,9 @@ let suite =
       test_observation1_filter_shrinks_holdoff;
     Alcotest.test_case "cross-block latch loop warns" `Quick
       test_cross_block_latch_loop_warns;
+    Alcotest.test_case "route pins" `Quick test_route_pins;
+    Alcotest.test_case "forward pins" `Quick test_forward_pins;
+    Alcotest.test_case "ladder pin" `Quick test_ladder_pin;
+    Alcotest.test_case "reroute document pin" `Quick test_reroute_doc_pin;
     QCheck_alcotest.to_alcotest prop_virtual_schedule_length_le_hard;
   ]
