@@ -12,10 +12,12 @@ type t = {
   pins_per_fpga : int;
   vclock_hz : float;
   channels : channel array;
-  out_by_fpga : channel list array;
-  in_by_fpga : channel list array;
+  out_csr : csr;
+  in_csr : csr;
   index : (int * int, int) Hashtbl.t;  (* (src, dst) -> channel_index *)
 }
+
+and csr = { offsets : int array; ids : int array; ends : int array }
 
 let xilinx_4062_pins = 240
 let default_vclock_hz = 34.0e6
@@ -47,19 +49,46 @@ let make ?(vclock_hz = default_vclock_hz) topology ~pins_per_fpga =
         (Topology.neighbors topology src))
     (Topology.fpgas topology);
   let channels = Array.of_list (List.rev !channels) in
-  let out_by_fpga = Array.make n [] in
-  let in_by_fpga = Array.make n [] in
   let index = Hashtbl.create (Array.length channels) in
   Array.iter
     (fun c ->
-      let s = Ids.Fpga.to_int c.src and d = Ids.Fpga.to_int c.dst in
-      out_by_fpga.(s) <- c :: out_by_fpga.(s);
-      in_by_fpga.(d) <- c :: in_by_fpga.(d);
-      Hashtbl.replace index (s, d) c.channel_index)
+      Hashtbl.replace index
+        (Ids.Fpga.to_int c.src, Ids.Fpga.to_int c.dst)
+        c.channel_index)
     channels;
-  Array.iteri (fun i l -> out_by_fpga.(i) <- List.rev l) out_by_fpga;
-  Array.iteri (fun i l -> in_by_fpga.(i) <- List.rev l) in_by_fpga;
-  { topology; pins_per_fpga; vclock_hz; channels; out_by_fpga; in_by_fpga; index }
+  (* Channels grouped by one endpoint, in channel-index order (a counting
+     sort on [near]). *)
+  let csr ~near ~far =
+    let offsets = Array.make (n + 1) 0 in
+    Array.iter
+      (fun c ->
+        let f = Ids.Fpga.to_int (near c) in
+        offsets.(f + 1) <- offsets.(f + 1) + 1)
+      channels;
+    for f = 0 to n - 1 do
+      offsets.(f + 1) <- offsets.(f + 1) + offsets.(f)
+    done;
+    let ids = Array.make (Array.length channels) 0 in
+    let ends = Array.make (Array.length channels) 0 in
+    let next = Array.sub offsets 0 n in
+    Array.iter
+      (fun c ->
+        let f = Ids.Fpga.to_int (near c) in
+        ids.(next.(f)) <- c.channel_index;
+        ends.(next.(f)) <- Ids.Fpga.to_int (far c);
+        next.(f) <- next.(f) + 1)
+      channels;
+    { offsets; ids; ends }
+  in
+  {
+    topology;
+    pins_per_fpga;
+    vclock_hz;
+    channels;
+    out_csr = csr ~near:(fun c -> c.src) ~far:(fun c -> c.dst);
+    in_csr = csr ~near:(fun c -> c.dst) ~far:(fun c -> c.src);
+    index;
+  }
 
 let topology t = t.topology
 let pins_per_fpga t = t.pins_per_fpga
@@ -73,8 +102,16 @@ let channel_between t ~src ~dst =
   | Some i -> Some t.channels.(i)
   | None -> None
 
-let out_channels t f = t.out_by_fpga.(Ids.Fpga.to_int f)
-let in_channels t f = t.in_by_fpga.(Ids.Fpga.to_int f)
+let adjacent t csr f =
+  let lo = csr.offsets.(Ids.Fpga.to_int f) in
+  List.init
+    (csr.offsets.(Ids.Fpga.to_int f + 1) - lo)
+    (fun k -> t.channels.(csr.ids.(lo + k)))
+
+let out_channels t f = adjacent t t.out_csr f
+let in_channels t f = adjacent t t.in_csr f
+let out_csr t = t.out_csr
+let in_csr t = t.in_csr
 
 let pins_used_per_fpga t f =
   let sum = List.fold_left (fun acc c -> acc + c.width) 0 in

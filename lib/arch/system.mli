@@ -34,6 +34,22 @@ val channel : t -> int -> channel
 val channel_between : t -> src:Ids.Fpga.t -> dst:Ids.Fpga.t -> channel option
 val out_channels : t -> Ids.Fpga.t -> channel list
 val in_channels : t -> Ids.Fpga.t -> channel list
+(** In channel-index order, like {!out_csr} / {!in_csr}. *)
+
+type csr = private {
+  offsets : int array;  (** Length [num_fpgas + 1]. *)
+  ids : int array;  (** Channel indices. *)
+  ends : int array;  (** The FPGA at each channel's far end. *)
+}
+(** Compressed adjacency: FPGA [f]'s channels are entries
+    [offsets.(f)] to [offsets.(f+1) - 1] of [ids] and [ends], in
+    channel-index order.  Built once by {!make}. *)
+
+val out_csr : t -> csr
+(** Out-channels; [ends] holds each channel's destination. *)
+
+val in_csr : t -> csr
+(** In-channels; [ends] holds each channel's source. *)
 
 val pins_used_per_fpga : t -> Ids.Fpga.t -> int
 (** Pins consumed by the derived channel widths at an FPGA (each wire costs

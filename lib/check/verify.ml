@@ -434,21 +434,30 @@ let verify ?(obs = Msched_obs.Sink.null) placement analysis
     pins;
 
   (* ---- Completeness: every crossing net reaches every foreign block,
-     with a transport per constituent domain for multi-transition nets. ---- *)
+     with a transport per constituent domain for multi-transition nets.
+     What one (net, destination block) receives is the union of the
+     transports of every entry naming that pair, indexed in one pass. ---- *)
+  let delivered : (int * int, Schedule.transport list) Hashtbl.t =
+    Hashtbl.create 256
+  in
+  List.iter
+    (fun (ls : Schedule.link_sched) ->
+      let link = ls.Schedule.ls_link in
+      let key =
+        (Ids.Net.to_int link.Link.net, Ids.Block.to_int link.Link.dst_block)
+      in
+      let prev = Option.value ~default:[] (Hashtbl.find_opt delivered key) in
+      Hashtbl.replace delivered key
+        (List.rev_append ls.Schedule.ls_transports prev))
+    sched.Schedule.link_scheds;
   List.iter
     (fun net ->
       List.iter
         (fun (dst_block, _terms) ->
           let transports =
-            List.concat_map
-              (fun (ls : Schedule.link_sched) ->
-                if
-                  Ids.Net.equal ls.Schedule.ls_link.Link.net net
-                  && Ids.Block.equal ls.Schedule.ls_link.Link.dst_block
-                       dst_block
-                then ls.Schedule.ls_transports
-                else [])
-              sched.Schedule.link_scheds
+            Option.value ~default:[]
+              (Hashtbl.find_opt delivered
+                 (Ids.Net.to_int net, Ids.Block.to_int dst_block))
           in
           if transports = [] then push (Missing_link { net; dst_block })
           else if

@@ -5,21 +5,6 @@ module Sink = Msched_obs.Sink
 
 type path = { p_len : int; p_hops : (int * int) list }
 
-(* Negotiated-congestion steering: with a reroute context carrying
-   history, explore channels with the least accumulated congestion first.
-   BFS still finds a minimal-latency path — the order only breaks ties
-   between equal-length paths, away from historically contested wires. *)
-let order_channels ctx channels =
-  match ctx with
-  | Some c when Reroute.history_total c > 0 ->
-      List.stable_sort
-        (fun (a : System.channel) (b : System.channel) ->
-          compare
-            (Reroute.history c ~channel:a.System.channel_index)
-            (Reroute.history c ~channel:b.System.channel_index))
-        channels
-  | Some _ | None -> channels
-
 (* Probe transcript of one search: every (channel, reverse slot) the BFS
    tested, split by outcome.  The exploration is a deterministic function
    of these results, so a later run in which every recorded probe resolves
@@ -32,64 +17,143 @@ type probe_log = {
 
 let probe_log () = { pr_free = []; pr_blocked = [] }
 
-(* Backward BFS from (dst, r_arr).  States are (fpga, r); both transitions
-   (wait, hop) increase r by one, so a FIFO queue explores r layer by
-   layer and the first time we reach [src] is with minimal latency. *)
-let search ?(obs = Sink.null) ?ctx ?probe:plog sys res ~src ~dst ~r_arr
-    ~max_extra =
+(* Make every per-state array of [sc] hold state [st]. *)
+let grow (sc : Resource.scratch) st =
+  let len = max (st + 1) (2 * Array.length sc.seen) in
+  let extend a fill =
+    let b = Array.make len fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  in
+  sc.seen <- extend sc.seen 0;
+  sc.parent <- extend sc.parent 0;
+  sc.via <- extend sc.via (-1);
+  sc.queue <- extend sc.queue 0
+
+let push (sc : Resource.scratch) ~tail st ~from ~via =
+  if st >= Array.length sc.seen then grow sc st;
+  if sc.seen.(st) <> sc.epoch then begin
+    sc.seen.(st) <- sc.epoch;
+    sc.parent.(st) <- from;
+    sc.via.(st) <- via;
+    sc.queue.(!tail) <- st;
+    incr tail
+  end
+
+(* Negotiated-congestion steering: with a reroute context carrying
+   history, probe channels with the least accumulated congestion first.
+   BFS still finds a minimal-latency path — the order only breaks ties
+   between equal-length paths, away from historically contested wires.
+   Fills [sc.order] with the CSR positions [lo, hi) in probe order: a
+   stable insertion sort on the history current at this expansion, so
+   blocks found earlier in the same search steer it. *)
+let order_channels (sc : Resource.scratch) ctx (csr : System.csr) lo hi =
+  let n = hi - lo in
+  if Array.length sc.order < n then begin
+    sc.order <- Array.make n 0;
+    sc.keys <- Array.make n 0
+  end;
+  let order = sc.order and keys = sc.keys in
+  for i = 0 to n - 1 do
+    let key = Reroute.history ctx ~channel:csr.System.ids.(lo + i) in
+    let j = ref i in
+    while !j > 0 && keys.(!j - 1) > key do
+      order.(!j) <- order.(!j - 1);
+      keys.(!j) <- keys.(!j - 1);
+      decr j
+    done;
+    order.(!j) <- lo + i;
+    keys.(!j) <- key
+  done
+
+(* Layered BFS over the time-expanded graph, shared by both directions.
+   State [(t - t0) * nf + f] stands for "the value is at FPGA [f] at slot
+   [t]"; [t] counts reverse slots backward and forward slots forward.
+   Both transitions — wait in [f], or hop over one of [f]'s channels in
+   [csr] to its far end — go from [t] to [t + 1], so a FIFO explores slot
+   by slot and the first pop of [goal] has minimal latency.  A hop probes
+   its channel at [t + 1].  Returns the goal state, or [-1] when no state
+   up to [t_limit] reaches it. *)
+let bfs ~ctx ~plog sys res (csr : System.csr) ~from ~goal ~t0 ~t_limit
+    ~expanded ~blocked =
+  let nf = System.num_fpgas sys in
+  let sc = Resource.scratch res in
+  sc.epoch <- sc.epoch + 1;
+  let tail = ref 0 in
+  push sc ~tail from ~from ~via:(-1);
+  let head = ref 0 in
+  let found = ref (-1) in
+  while !found < 0 && !head < !tail do
+    let st = sc.queue.(!head) in
+    incr head;
+    incr expanded;
+    let layer = st / nf in
+    let f = st - (layer * nf) in
+    if f = goal then found := st
+    else if t0 + layer < t_limit then begin
+      let next_layer = (layer + 1) * nf in
+      let rslot = t0 + layer + 1 in
+      push sc ~tail (next_layer + f) ~from:st ~via:(-1);
+      let lo = csr.System.offsets.(f) and hi = csr.System.offsets.(f + 1) in
+      let steer =
+        match ctx with
+        | Some c when Reroute.history_total c > 0 ->
+            order_channels sc c csr lo hi;
+            true
+        | Some _ | None -> false
+      in
+      for i = 0 to hi - lo - 1 do
+        let k = if steer then sc.order.(i) else lo + i in
+        let channel = csr.System.ids.(k) in
+        let free = Resource.free_at res ~channel ~rslot in
+        (match plog with
+        | Some l ->
+            if free then l.pr_free <- (channel, rslot) :: l.pr_free
+            else l.pr_blocked <- (channel, rslot) :: l.pr_blocked
+        | None -> ());
+        if free then
+          push sc ~tail (next_layer + csr.System.ends.(k)) ~from:st ~via:channel
+        else begin
+          incr blocked;
+          match ctx with
+          | Some c -> Reroute.bump_history c ~channel
+          | None -> ()
+        end
+      done
+    end
+  done;
+  !found
+
+(* Hops on the predecessor chain from [st] back to the start state, the
+   hop nearest the start first. *)
+let unwind (sc : Resource.scratch) ~nf ~t0 st =
+  let rec go st acc =
+    let prev = sc.parent.(st) in
+    if st = prev then acc
+    else
+      let via = sc.via.(st) in
+      go prev (if via >= 0 then (via, t0 + (st / nf)) :: acc else acc)
+  in
+  go st []
+
+(* A [src] → [dst] search with the accounting both directions share.
+   [backward] (TIERS) starts from (dst, t0) and expands in-channels;
+   otherwise the search starts from (src, t0) and expands out-channels. *)
+let run ~obs ~ctx ~plog sys res ~backward ~src ~dst ~t0 ~max_extra =
   Sink.incr obs "pathfind.searches";
   if Ids.Fpga.equal src dst then Some { p_len = 0; p_hops = [] }
   else begin
     let dist = Topology.distance (System.topology sys) src dst in
-    let r_limit = r_arr + dist + max_extra in
-    let parent : (int * int, (int * int) * int option) Hashtbl.t =
-      (* state -> (parent state, channel used to reach it, if a hop) *)
-      Hashtbl.create 256
+    let csr, from, goal =
+      if backward then (System.in_csr sys, dst, src)
+      else (System.out_csr sys, src, dst)
     in
-    let queue = Queue.create () in
-    let start = (Ids.Fpga.to_int dst, r_arr) in
-    Hashtbl.replace parent start (start, None);
-    Queue.add start queue;
-    let expanded = ref 0 in
-    let blocked = ref 0 in
-    let probe ~channel ~rslot =
-      let free = Resource.free_at res ~channel ~rslot in
-      (match plog with
-      | Some l ->
-          if free then l.pr_free <- (channel, rslot) :: l.pr_free
-          else l.pr_blocked <- (channel, rslot) :: l.pr_blocked
-      | None -> ());
-      if not free then begin
-        incr blocked;
-        Option.iter (fun c -> Reroute.bump_history c ~channel) ctx
-      end;
-      free
+    let expanded = ref 0 and blocked = ref 0 in
+    let final =
+      bfs ~ctx ~plog sys res csr ~from:(Ids.Fpga.to_int from)
+        ~goal:(Ids.Fpga.to_int goal) ~t0 ~t_limit:(t0 + dist + max_extra)
+        ~expanded ~blocked
     in
-    let found = ref None in
-    while !found = None && not (Queue.is_empty queue) do
-      let (f, r) as state = Queue.pop queue in
-      incr expanded;
-      if Ids.Fpga.to_int src = f then found := Some state
-      else if r < r_limit then begin
-        let push next via =
-          if not (Hashtbl.mem parent next) then begin
-            Hashtbl.replace parent next (state, via);
-            Queue.add next queue
-          end
-        in
-        (* Wait: the value was already at [f] one slot earlier (forward). *)
-        push (f, r + 1) None;
-        (* Hop: the value came from a neighbor [g] over channel (g -> f),
-           departing at r + 1. *)
-        List.iter
-          (fun (c : System.channel) ->
-            if probe ~channel:c.System.channel_index ~rslot:(r + 1) then
-              push
-                (Ids.Fpga.to_int c.System.src, r + 1)
-                (Some c.System.channel_index))
-          (order_channels ctx (System.in_channels sys (Ids.Fpga.of_int f)))
-      end
-    done;
     Sink.add obs "pathfind.states_expanded" !expanded;
     (match ctx with
     | Some c ->
@@ -97,98 +161,35 @@ let search ?(obs = Sink.null) ?ctx ?probe:plog sys res ~src ~dst ~r_arr
         Sink.add obs "reroute.expansions" !expanded
     | None -> ());
     Sink.add obs "pathfind.congestion_blocked" !blocked;
-    match !found with
-    | None ->
-        Sink.incr obs "pathfind.failures";
-        None
-    | Some final ->
-        let rec unwind state acc =
-          let prev, via = Hashtbl.find parent state in
-          let acc =
-            match via with
-            | Some channel -> (channel, snd state) :: acc
-            | None -> acc
-          in
-          if prev = state then acc else unwind prev acc
-        in
-        (* Unwinding from the source state toward the destination yields
-           hops in source-to-destination order already reversed; rebuild so
-           the source-side hop (largest rslot) comes first. *)
-        let hops = List.rev (unwind final []) in
-        let p = { p_len = snd final - r_arr; p_hops = hops } in
-        Sink.observe obs "pathfind.path_len" p.p_len;
-        Sink.observe obs "pathfind.extra_slots" (p.p_len - dist);
-        Some p
+    if final < 0 then begin
+      Sink.incr obs "pathfind.failures";
+      None
+    end
+    else begin
+      let nf = System.num_fpgas sys in
+      let p_len = final / nf in
+      Sink.observe obs "pathfind.path_len" p_len;
+      Sink.observe obs "pathfind.extra_slots" (p_len - dist);
+      (* The chain unwinds nearest-start first: destination side for a
+         backward search, source side for a forward one.  Paths list the
+         source-side hop first. *)
+      let hops = unwind (Resource.scratch res) ~nf ~t0 final in
+      Some { p_len; p_hops = (if backward then List.rev hops else hops) }
+    end
   end
+
+let search ?(obs = Sink.null) ?ctx ?probe:plog sys res ~src ~dst ~r_arr
+    ~max_extra =
+  run ~obs ~ctx ~plog sys res ~backward:true ~src ~dst ~t0:r_arr ~max_extra
+
+let search_forward ?(obs = Sink.null) sys res ~src ~dst ~t_dep ~max_extra =
+  run ~obs ~ctx:None ~plog:None sys res ~backward:false ~src ~dst ~t0:t_dep
+    ~max_extra
 
 let reserve_path res path =
   List.iter
     (fun (channel, rslot) -> Resource.reserve res ~channel ~rslot)
     path.p_hops
-
-(* Mirror image of [search]: BFS forward in time from (src, t_dep). *)
-let search_forward ?(obs = Sink.null) sys res ~src ~dst ~t_dep ~max_extra =
-  Sink.incr obs "pathfind.searches";
-  if Ids.Fpga.equal src dst then Some { p_len = 0; p_hops = [] }
-  else begin
-    let dist = Topology.distance (System.topology sys) src dst in
-    let t_limit = t_dep + dist + max_extra in
-    let parent : (int * int, (int * int) * int option) Hashtbl.t =
-      Hashtbl.create 256
-    in
-    let queue = Queue.create () in
-    let start = (Ids.Fpga.to_int src, t_dep) in
-    Hashtbl.replace parent start (start, None);
-    Queue.add start queue;
-    let expanded = ref 0 in
-    let blocked = ref 0 in
-    let found = ref None in
-    while !found = None && not (Queue.is_empty queue) do
-      let (f, t) as state = Queue.pop queue in
-      incr expanded;
-      if Ids.Fpga.to_int dst = f then found := Some state
-      else if t < t_limit then begin
-        let push next via =
-          if not (Hashtbl.mem parent next) then begin
-            Hashtbl.replace parent next (state, via);
-            Queue.add next queue
-          end
-        in
-        push (f, t + 1) None;
-        List.iter
-          (fun (c : System.channel) ->
-            if Resource.free_at res ~channel:c.System.channel_index ~rslot:(t + 1)
-            then
-              push
-                (Ids.Fpga.to_int c.System.dst, t + 1)
-                (Some c.System.channel_index)
-            else incr blocked)
-          (System.out_channels sys (Ids.Fpga.of_int f))
-      end
-    done;
-    Sink.add obs "pathfind.states_expanded" !expanded;
-    Sink.add obs "pathfind.congestion_blocked" !blocked;
-    match !found with
-    | None ->
-        Sink.incr obs "pathfind.failures";
-        None
-    | Some final ->
-        Sink.observe obs "pathfind.path_len" (snd final - t_dep);
-        Sink.observe obs "pathfind.extra_slots" (snd final - t_dep - dist);
-        let rec unwind state acc =
-          let prev, via = Hashtbl.find parent state in
-          let acc =
-            match via with
-            | Some channel -> (channel, snd state) :: acc
-            | None -> acc
-          in
-          if prev = state then acc else unwind prev acc
-        in
-        (* Unwinding from the destination prepends later hops first, so the
-           accumulated list is already source-side first. *)
-        let hops = unwind final [] in
-        Some { p_len = snd final - t_dep; p_hops = hops }
-  end
 
 let shortest_free_wire_path_keeping sys res ~src ~dst ~min_left =
   if Ids.Fpga.equal src dst then Some []

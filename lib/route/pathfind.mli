@@ -7,7 +7,16 @@
     arrive at the destination FPGA at reverse time [r_arr] is searched
     backwards: a hop from FPGA [g] to [f] over channel [(g, f)] departs [g]
     at [r + 1], arrives [f] at [r], and occupies the channel at slot
-    [r + 1]; waiting inside an FPGA (pipelining in flops) is free. *)
+    [r + 1]; waiting inside an FPGA (pipelining in flops) is free.
+
+    The search state "value at FPGA [f], slot [r]" is the integer
+    [(r - r_arr) * num_fpgas + f].  Visited marks, predecessors and hop
+    channels are int arrays in the table's {!Resource.scratch}, stamped
+    with a per-search epoch so the next search reuses them uncleared; the
+    FIFO is an int array too, and channels come from the system's CSR
+    adjacency ({!Msched_arch.System.in_csr}).  A search allocates per
+    search and per returned hop, not per state.  {!search_forward} runs
+    the same kernel forward in time. *)
 
 open Msched_netlist
 

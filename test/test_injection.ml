@@ -330,6 +330,44 @@ let prop_corrupted_netlists_never_escape =
               QCheck.Test.fail_reportf "escaped exception: %s"
                 (Printexc.to_string e)))
 
+let test_split_fork_transports () =
+  (* Completeness is judged on the union of every link entry that
+     delivers one (net, destination block): a fork whose constituent
+     transports sit in two entries, far apart in the list, is still
+     complete.  Dropping either entry loses constituent domains, and that
+     is the only thing wrong with the result. *)
+  let prepared, sched = prepared_and_sched 76 in
+  let fork =
+    match List.find_opt is_fork sched.Schedule.link_scheds with
+    | Some ls -> ls
+    | None -> Alcotest.fail "design has no fork"
+  in
+  let first, rest =
+    match fork.Schedule.ls_transports with
+    | t :: rest -> ([ t ], rest)
+    | [] -> assert false
+  in
+  let head = { fork with Schedule.ls_transports = first } in
+  let tail = { fork with Schedule.ls_transports = rest } in
+  let others = List.filter (fun ls -> ls != fork) sched.Schedule.link_scheds in
+  let with_entries entries = { sched with Schedule.link_scheds = entries } in
+  let split = with_entries ((head :: others) @ [ tail ]) in
+  let r = verify prepared split in
+  Alcotest.(check bool)
+    (Format.asprintf "split fork verifies clean: %a" Verify.pp_report r)
+    true (Verify.is_clean r);
+  List.iter
+    (fun (what, entries) ->
+      let r = verify prepared (with_entries entries) in
+      let kinds =
+        List.sort_uniq compare (List.map Verify.kind_name r.Verify.violations)
+      in
+      Alcotest.(check (list string))
+        (Format.asprintf "%s: %a" what Verify.pp_report r)
+        [ "missing-fork-transport" ] kinds)
+    [ ("without the first entry", others @ [ tail ]);
+      ("without the second entry", head :: others) ]
+
 let test_emulator_deterministic () =
   let prepared, sched = prepared_and_sched 75 in
   let r1 = fidelity prepared sched ~seed:75 in
@@ -353,4 +391,5 @@ let suite =
       test_matrix_double_booked_slot;
     Alcotest.test_case "emulator deterministic" `Quick test_emulator_deterministic;
     QCheck_alcotest.to_alcotest prop_corrupted_netlists_never_escape;
+    Alcotest.test_case "split fork transports" `Quick test_split_fork_transports;
   ]

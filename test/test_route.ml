@@ -127,6 +127,89 @@ let test_link_hard_flag () =
     (fun (l : Link.t) -> Alcotest.(check bool) "hard" true l.Link.hard)
     mts_links
 
+(* The reverse search reuses flat work arrays owned by the reservation
+   table, so a whole TIERS pass allocates little beyond its output: the
+   per-link lists, the schedule and per-search set-up, a few tens of words
+   per expanded state on design1.  A pathfinder that boxes its states,
+   hashes them into a fresh table per search or sorts a channel list per
+   expansion allocates over a hundred.  Minor-word counts repeat exactly,
+   so this pins the mechanism without timing noise. *)
+let test_allocation_per_state () =
+  let module Compile = Msched.Compile in
+  let module Reroute = Msched_route.Reroute in
+  let module Sink = Msched_obs.Sink in
+  let module Tiers = Msched_route.Tiers in
+  let d = Msched_gen.Design_gen.design1_like ~seed:1 ~scale:0.05 () in
+  let prepared =
+    Compile.prepare
+      ~options:
+        {
+          Compile.default_options with
+          Compile.max_block_weight = 64;
+          pins_per_fpga = 96;
+        }
+      d.Msched_gen.Design_gen.netlist
+  in
+  let obs = Sink.create () in
+  ignore
+    (Compile.route ~obs ~reroute:(Reroute.create ()) prepared
+       Tiers.default_options);
+  let states = Sink.counter obs "pathfind.states_expanded" in
+  let w0 = Gc.minor_words () in
+  ignore
+    (Compile.route ~reroute:(Reroute.create ()) prepared Tiers.default_options);
+  let per_state = (Gc.minor_words () -. w0) /. float_of_int states in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per expanded state (of %d) < 48"
+       per_state states)
+    true (per_state < 48.0)
+
+(* Slots outside the dense table's range (negative, or far beyond any
+   frame) reach the reservation table from ledger entries read back from
+   manifests and reroute documents.  They must count like any other slot
+   without sizing anything by the slot number. *)
+let test_out_of_range_slots () =
+  let sys = sys4 () in
+  let res = Resource.create sys in
+  let heap0 = (Gc.quick_stat ()).Gc.heap_words in
+  List.iter
+    (fun rslot ->
+      let what s = Printf.sprintf "rslot %d: %s" rslot s in
+      Alcotest.(check bool) (what "free") true
+        (Resource.free_at res ~channel:1 ~rslot);
+      Resource.reserve res ~channel:1 ~rslot;
+      Alcotest.(check int) (what "usage") 1
+        (Resource.usage_at res ~channel:1 ~rslot);
+      Alcotest.(check int) (what "other channel") 0
+        (Resource.usage_at res ~channel:0 ~rslot);
+      Resource.reserve res ~channel:1 ~rslot;
+      Alcotest.(check bool) (what "full") false
+        (Resource.free_at res ~channel:1 ~rslot);
+      Alcotest.check_raises (what "over-reserve")
+        (Invalid_argument "Resource.reserve: slot full") (fun () ->
+          Resource.reserve res ~channel:1 ~rslot);
+      Alcotest.(check int) (what "neighbour slot") 0
+        (Resource.usage_at res ~channel:1 ~rslot:(rslot + 1)))
+    [ -3; 1 lsl 40 ];
+  Alcotest.(check int) "max rslot" (1 lsl 40) (Resource.max_rslot res);
+  Alcotest.(check int) "peak" 2 (Resource.peak_usage res).(1);
+  let grown = (Gc.quick_stat ()).Gc.heap_words - heap0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "major heap grew %d words < 1 MiB" grown)
+    true
+    (grown * (Sys.word_size / 8) < 1 lsl 20);
+  let nch = Array.length (System.channels sys) in
+  List.iter
+    (fun channel ->
+      let raises what f =
+        match f () with
+        | _ -> Alcotest.failf "%s on channel %d did not raise" what channel
+        | exception Invalid_argument _ -> ()
+      in
+      raises "free_at" (fun () -> Resource.free_at res ~channel ~rslot:0);
+      raises "reserve" (fun () -> Resource.reserve res ~channel ~rslot:0))
+    [ -1; nch; nch + 5 ]
+
 let suite =
   [
     Alcotest.test_case "resource reserve" `Quick test_resource_reserve;
@@ -138,4 +221,6 @@ let suite =
     Alcotest.test_case "hard path spares last wire" `Quick test_hard_path_spares_last_wire;
     Alcotest.test_case "link build" `Quick test_link_build;
     Alcotest.test_case "link hard flag" `Quick test_link_hard_flag;
+    Alcotest.test_case "allocation per state" `Quick test_allocation_per_state;
+    Alcotest.test_case "out-of-range slots" `Quick test_out_of_range_slots;
   ]

@@ -420,6 +420,68 @@ let test_reroute_doc_pin () =
       Alcotest.(check string) "error names the direction"
         {|unsupported dir "fwd" (want "rev")|} m
 
+(* ---- History pins ----
+
+   Every served compile routes under a fresh negotiated-congestion
+   context: blocked probes raise per-channel history, and history orders
+   the channels of every later expansion.  The route pins above run with
+   no context or an exact one, where history stays at zero, so they never
+   see that order.  These cases route like the end-to-end benchmark's
+   cold compiles (weight 64, 96 pins, no retries) and pin what the
+   history-steered searches produce, recorded from the hashtable-backed
+   pathfinder. *)
+
+(* (design, seed, schedule hash, states expanded, congestion-blocked
+   probes, reroute.history_total) *)
+let history_pins =
+  [
+    ("design1", 1, "258515b1f46decc7", 15968, 183, 183);
+    ("design1", 2, "cab59d64ff71e0bb", 17949, 352, 352);
+    ("design1", 3, "6fe9aee44837142d", 18145, 447, 447);
+    ("design2", 1, "3378b49e4d2f2c14", 12242, 91, 91);
+    ("design2", 2, "29c2af4c87d8e71e", 9514, 98, 98);
+  ]
+
+let test_history_pins () =
+  List.iter
+    (fun (name, seed, hash, states, blocked, history) ->
+      let d =
+        match name with
+        | "design1" -> Design_gen.design1_like ~seed ~scale:0.05 ()
+        | _ -> Design_gen.design2_like ~seed ~scale:0.05 ()
+      in
+      let obs = Sink.create () in
+      let options =
+        {
+          Compile.default_options with
+          Compile.max_block_weight = 64;
+          pins_per_fpga = 96;
+          obs;
+        }
+      in
+      let r =
+        Compile.compile_resilient ~options ~max_retries:0 ~fallback_hard:false
+          ~reroute:(Reroute.create ()) d.Design_gen.netlist
+      in
+      let label what = Printf.sprintf "history %s/seed%d: %s" name seed what in
+      let h =
+        match r.Compile.compiled with
+        | Some c -> schedule_hash c.Compile.schedule
+        | None -> "none"
+      in
+      let gauge =
+        int_of_float
+          (Option.value ~default:(-1.0)
+             (List.assoc_opt "reroute.history_total" (Sink.gauges obs)))
+      in
+      Alcotest.(check string) (label "hash") hash h;
+      Alcotest.(check int) (label "states_expanded") states
+        (Sink.counter obs "pathfind.states_expanded");
+      Alcotest.(check int) (label "congestion_blocked") blocked
+        (Sink.counter obs "pathfind.congestion_blocked");
+      Alcotest.(check int) (label "history_total") history gauge)
+    history_pins
+
 let prop_virtual_schedule_length_le_hard =
   QCheck.Test.make ~name:"virtual critical path <= hard critical path" ~count:8
     QCheck.(int_range 100 400)
@@ -466,4 +528,5 @@ let suite =
     Alcotest.test_case "ladder pin" `Quick test_ladder_pin;
     Alcotest.test_case "reroute document pin" `Quick test_reroute_doc_pin;
     QCheck_alcotest.to_alcotest prop_virtual_schedule_length_le_hard;
+    Alcotest.test_case "history pins" `Quick test_history_pins;
   ]
