@@ -177,26 +177,18 @@ let pp_compiled ppf pins (c : Msched.Compile.compiled) =
     (100.0 *. Schedule.channel_utilization sched prepared.Msched.Compile.system)
     (Schedule.mean_transport_latency sched)
 
-(* The incremental loop (docs/DELTA.md): [--emit-manifest] makes the
-   compile an {e exact base} and persists its manifest; [--delta-base]
-   replays a previous manifest against the edited design.  Both bypass the
-   retry ladder — delta compilation is exact-context by construction and
-   raises (under [protect]) exactly when a cold compile would. *)
+(* The incremental loop (docs/DELTA.md): [--emit-manifest] persists the
+   compile's manifest; [--delta-base] diffs the edited design's blocks
+   against a previous one.  Both bypass the retry ladder: the compile is
+   the plain cold one and raises (under [protect]) exactly when it would
+   without them. *)
 let pp_delta ppf (d : Msched.Compile.delta_result) =
-  (match d.Msched.Compile.delta_diff with
+  match d.Msched.Compile.delta_diff with
   | Some diff -> Format.fprintf ppf "delta:    %a@." Delta_diff.pp diff
   | None ->
       Format.fprintf ppf
-        "delta:    cold fallback (foreign manifest: options or shape \
-         mismatch)@.");
-  Format.fprintf ppf
-    "delta:    %d reused / %d ripped / %d fresh (%.0f%% reuse), %d \
-     seeded, %d dropped, %d expansions@."
-    d.Msched.Compile.delta_reused d.Msched.Compile.delta_ripped
-    d.Msched.Compile.delta_fresh
-    (100.0 *. Msched.Compile.delta_reuse_fraction d)
-    d.Msched.Compile.delta_seeded d.Msched.Compile.delta_dropped
-    d.Msched.Compile.delta_expansions
+        "delta:    no diff (foreign manifest: options or block count \
+         differ)@."
 
 let read_delta_manifest path =
   match
@@ -221,11 +213,8 @@ let compile_delta_cmd ~options ~ppf ~pins ~delta_base ~emit_manifest nl =
     | None ->
         let b = Msched.Compile.compile_base ~options nl in
         pp_compiled ppf pins b.Msched.Compile.base_compiled;
-        Format.fprintf ppf "delta:    base manifest: %d blocks, %d ledger \
-                            entries, %d expansions@."
-          b.Msched.Compile.base_manifest.Delta_manifest.num_blocks
-          (List.length b.Msched.Compile.base_manifest.Delta_manifest.entries)
-          b.Msched.Compile.base_expansions;
+        Format.fprintf ppf "delta:    base manifest: %d blocks@."
+          b.Msched.Compile.base_manifest.Delta_manifest.num_blocks;
         b.Msched.Compile.base_manifest
   in
   match emit_manifest with
@@ -701,7 +690,7 @@ let delta_diff_cmd base edited pins weight json =
   | None ->
       Format.fprintf ppf
         "delta diff: block counts differ — topology changed, nothing is \
-         comparable (a delta compile would fall back cold)@.";
+         comparable@.";
       (match json with
       | None -> ()
       | Some p ->
@@ -958,10 +947,10 @@ let delta_base_arg =
     & opt (some file) None
     & info [ "delta-base" ] ~docv:"MANIFEST"
         ~doc:
-          "Incremental compile: replay the routed schedule recorded in a \
-           previous compile's --emit-manifest JSON for everything the edit \
-           did not touch (byte-identical schedule, a fraction of the \
-           search; see docs/DELTA.md)")
+          "Edit loop: compile cold, then diff the design's blocks against \
+           a previous compile's --emit-manifest JSON and print which blocks \
+           the edit dirtied (the schedule is the cold one; see \
+           docs/DELTA.md)")
 
 let emit_manifest_arg =
   Arg.(
@@ -969,10 +958,10 @@ let emit_manifest_arg =
     & opt (some string) None
     & info [ "emit-manifest" ] ~docv:"FILE"
         ~doc:
-          "Write this compile's delta manifest (block fingerprints plus \
-           the proven routing ledger; \"-\" = stdout) — the base for a \
-           later --delta-base run.  Without --delta-base this makes the \
-           compile an exact base compile")
+          "Write this compile's delta manifest (options and design \
+           fingerprints, placement, block fingerprints and boundary \
+           signatures; \"-\" = stdout) — the base for a later \
+           --delta-base run")
 
 let delta_base_design_arg =
   Arg.(
@@ -997,10 +986,10 @@ let delta_cmd =
       Cmd.v
         (Cmd.info "diff"
            ~doc:
-             "Compile BASE as an exact base, re-prepare EDITED, and report \
-              the block-level diff — clean/dirty fingerprints, moved \
-              blocks, changed boundary nets and the dirty cone a delta \
-              compile would re-route (--json = msched-delta-diff-1 line)")
+             "Compile BASE, prepare EDITED, and report the block-level \
+              diff — clean/dirty fingerprints, moved blocks, changed \
+              boundary nets and the dirty cone (--json = \
+              msched-delta-diff-1 line)")
         Term.(
           const delta_diff_cmd $ delta_base_design_arg
           $ delta_edited_design_arg $ pins_arg $ weight_arg $ json_arg);

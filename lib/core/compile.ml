@@ -525,21 +525,18 @@ let compile_resilient ?(options = default_options) ?(max_retries = 3)
   end
 
 (* ------------------------------------------------------------------ *)
-(* Delta compilation (docs/DELTA.md): compile against a base manifest,
-   replaying the base compile's routed schedule for everything the edit
-   provably did not touch.  Equivalence rests on the exact-context
-   machinery of [Reroute] — every replay is validated by its probe
-   transcript, so the result is byte-identical to a cold compile of the
-   same design no matter what the diff classification decided. *)
+(* Delta compilation (docs/DELTA.md): a cold compile plus the block diff
+   that explains what the edit changed.  The schedule is the cold one by
+   construction; the manifest is built once per compile and serves both
+   as this compile's diff input and as the next edit's base. *)
 
 module Manifest = Msched_delta.Manifest
 module Delta_diff = Msched_delta.Diff
 module Delta_fp = Msched_delta.Fingerprint
 
 (* The canonical rendering of every option that shapes a compile; the
-   server cache keys on it and manifests embed it (a mismatch makes the
-   manifest's ledger meaningless: different seeds, slack or topology
-   re-decide everything). *)
+   server cache keys on it and manifests embed it (blocks compiled under
+   different seeds, slack or topology are not comparable). *)
 let options_fingerprint (o : options) =
   Printf.sprintf
     "mode=%s;extra=%d;pins=%d;weight=%d;pseed=%d;plseed=%d;effort=%d;vhz=%.6g;topo=%s;verify=%b"
@@ -549,99 +546,62 @@ let options_fingerprint (o : options) =
     (Format.asprintf "%a" Msched_arch.Topology.pp_kind o.topology_kind)
     o.verify
 
-let manifest_of ~options ~ctx prepared =
+let manifest_of ~options prepared =
   Manifest.build
     ~options_fp:(options_fingerprint options)
     ~design_fp:(Delta_fp.design prepared.original)
-    prepared.placement ~analysis:prepared.analysis ~ctx
+    prepared.placement ~analysis:prepared.analysis
 
-type base = {
-  base_compiled : compiled;
-  base_manifest : Manifest.t;
-  base_expansions : int;
-}
+type base = { base_compiled : compiled; base_manifest : Manifest.t }
 
 let compile_base ?(options = default_options) nl =
-  let obs = options.obs in
-  Sink.span obs "compile" @@ fun () ->
-  let prepared = prepare ~options nl in
-  let ctx = Reroute.create ~exact:true () in
-  let compiled = compile_prepared ~options ~reroute:ctx prepared in
+  let compiled = compile ~options nl in
   {
     base_compiled = compiled;
-    base_manifest = manifest_of ~options ~ctx prepared;
-    base_expansions = Reroute.expansions ctx;
+    base_manifest = manifest_of ~options compiled.prepared;
   }
 
 type delta_result = {
   delta_compiled : compiled;
   delta_manifest : Manifest.t;
-  delta_diff : Delta_diff.t option;  (* [None] when the compile fell cold *)
-  delta_seeded : int;
-  delta_dropped : int;
+  delta_diff : Delta_diff.t option;
   delta_reused : int;
   delta_ripped : int;
   delta_fresh : int;
   delta_expansions : int;
 }
 
-let delta_reuse_fraction d =
-  let total = d.delta_reused + d.delta_ripped + d.delta_fresh in
-  if total = 0 then 0.0
-  else float_of_int d.delta_reused /. float_of_int total
+let delta_reuse_fraction _ = 0.0
 
 let compile_delta ?(options = default_options) ~manifest nl =
   let obs = options.obs in
   Sink.span obs "delta" @@ fun () ->
-  let finish ?diff ~seeded ~dropped ctx compiled prepared =
-    if diff = None then Sink.incr obs "delta.cold_fallback";
-    Sink.add obs "delta.reused" (Reroute.reused ctx);
-    Sink.add obs "delta.ripped" (Reroute.ripped ctx);
-    Sink.add obs "delta.fresh" (Reroute.fresh ctx);
-    {
-      delta_compiled = compiled;
-      delta_manifest = manifest_of ~options ~ctx prepared;
-      delta_diff = diff;
-      delta_seeded = seeded;
-      delta_dropped = dropped;
-      delta_reused = Reroute.reused ctx;
-      delta_ripped = Reroute.ripped ctx;
-      delta_fresh = Reroute.fresh ctx;
-      delta_expansions = Reroute.expansions ctx;
-    }
+  let b = compile_base ~options nl in
+  let p = b.base_compiled.prepared in
+  let diff =
+    if
+      String.equal manifest.Manifest.options_fp
+        b.base_manifest.Manifest.options_fp
+    then
+      Delta_diff.between ~base:manifest ~edited:b.base_manifest p.placement
+        ~analysis:p.analysis
+    else None
   in
-  let cold prepared =
-    let ctx = Reroute.create ~exact:true () in
-    let compiled = compile_prepared ~options ~reroute:ctx prepared in
-    finish ~seeded:0 ~dropped:0 ctx compiled prepared
-  in
-  let options_fp = options_fingerprint options in
-  if not (String.equal manifest.Manifest.options_fp options_fp) then
-    cold (prepare ~options nl)
-  else
-    let prepared = prepare ~options nl in
-    match
-      Delta_diff.compute ~manifest prepared.placement
-        ~analysis:prepared.analysis
-    with
-    | None -> cold prepared
-    | Some diff -> (
-        Sink.add obs "delta.blocks_clean" (Delta_diff.clean_count diff);
-        Sink.add obs "delta.blocks_dirty" (Delta_diff.dirty_count diff);
-        Sink.add obs "delta.cone" (Delta_diff.cone_size diff);
-        let s = Delta_diff.seed ~manifest ~diff prepared.placement in
-        Sink.add obs "delta.entries_seeded" s.Delta_diff.seeded;
-        Sink.add obs "delta.entries_dropped" s.Delta_diff.dropped;
-        let ctx = s.Delta_diff.ctx in
-        match compile_prepared ~options ~reroute:ctx prepared with
-        | compiled ->
-            finish ~diff ~seeded:s.Delta_diff.seeded
-              ~dropped:s.Delta_diff.dropped ctx compiled prepared
-        | exception (Tiers.Unroutable _ | Compile_error _) ->
-            (* Unreachable when the base compiled: validated replays make
-               the warm pass the cold pass.  Kept as defense in depth for
-               manifests from foreign or corrupted sources. *)
-            cold prepared)
+  (match diff with
+  | None -> Sink.incr obs "delta.cold_fallback"
+  | Some d ->
+      Sink.add obs "delta.blocks_clean" (Delta_diff.clean_count d);
+      Sink.add obs "delta.blocks_dirty" (Delta_diff.dirty_count d);
+      Sink.add obs "delta.cone" (Delta_diff.cone_size d));
+  {
+    delta_compiled = b.base_compiled;
+    delta_manifest = b.base_manifest;
+    delta_diff = diff;
+    delta_reused = 0;
+    delta_ripped = 0;
+    delta_fresh = 0;
+    delta_expansions = 0;
+  }
 
 (* ---- Reporting. ---- *)
 

@@ -99,70 +99,59 @@ val compile :
 (** [prepare], then {!route} with [options.route]; when [options.verify]
     is set the schedule is then checked by {!Msched_check.Verify} and a
     violation raises {!Compile_error} with the pretty-printed report.  The
-    resilient driver and delta compiles retry routing on one prepared
-    front end without re-partitioning and re-placing. *)
+    resilient driver retries routing on one prepared front end without
+    re-partitioning and re-placing. *)
 
 (** {2 Delta compilation}
 
-    An {e exact} base compile routes under a probe-transcribing reroute
-    context ({!Msched_route.Reroute.create}[ ~exact:true]) and harvests a
-    {!Msched_delta.Manifest.t}: block fingerprints, boundary signatures,
-    the placement assignment, and every routed transport with the probe
-    transcript that proves its replay.  A later {!compile_delta} of an
-    edited design diffs its blocks against the manifest, seeds an exact
-    context with the surviving ledger, and replays everything the edit
-    did not touch — producing a schedule {e byte-identical} to a cold
-    compile (same [Schedule.to_json_string]) at a fraction of the search
-    work.  See [docs/DELTA.md] for the equivalence argument. *)
+    A delta compile is a cold compile plus the block diff that explains
+    what the edit changed.  Every compile builds a
+    {!Msched_delta.Manifest.t} of its design (options and design
+    fingerprints, the placement assignment, block fingerprints and
+    boundary signatures); {!compile_delta} compares the edited design's
+    manifest with the base one.  The schedule never depends on the base:
+    it is {!compile}'s, byte for byte.  See [docs/DELTA.md]. *)
 
 val options_fingerprint : options -> string
 (** Canonical rendering of every option that shapes a compile (routing
     mode, slack, capacity, seeds, effort, vclock, topology, verify).  The
-    server cache keys on it; manifests embed it and refuse to warm-start a
-    compile run under different options. *)
+    server cache keys on it; manifests embed it, and a delta against a
+    manifest built under different options skips the diff. *)
 
 type base = {
   base_compiled : compiled;
   base_manifest : Msched_delta.Manifest.t;
-  base_expansions : int;  (** Pathfinder states popped — the cold cost. *)
 }
 
 val compile_base : ?options:options -> Netlist.t -> base
-(** A cold compile under a fresh exact context.  The schedule is
-    byte-identical to {!compile} with no context (exact contexts freeze
-    congestion history, so searches explore in declaration order either
-    way); the extra output is the manifest. *)
+(** {!compile}, plus the manifest of the compiled design. *)
 
 type delta_result = {
   delta_compiled : compiled;
   delta_manifest : Msched_delta.Manifest.t;
-      (** The updated manifest — the base for the {e next} edit. *)
+      (** The edited design's manifest: the base for the {e next} edit. *)
   delta_diff : Msched_delta.Diff.t option;
-      (** [None] when the compile fell back cold (options fingerprint or
-          block-count mismatch, or a foreign manifest that failed). *)
-  delta_seeded : int;  (** Manifest entries seeded into the context. *)
-  delta_dropped : int;  (** Entries dropped (cone, unresolvable names). *)
-  delta_reused : int;  (** Transports replayed without a search. *)
+      (** [None] when the base is not comparable: a foreign options
+          fingerprint, or a different block count. *)
+  delta_reused : int;
   delta_ripped : int;
   delta_fresh : int;
-  delta_expansions : int;  (** Pathfinder states popped — the warm cost. *)
+  delta_expansions : int;
+      (** These four always read 0: nothing is replayed.  They stay so the
+          frozen end-to-end benchmark under [perfbench/] keeps compiling. *)
 }
 
 val delta_reuse_fraction : delta_result -> float
-(** [reused / (reused + ripped + fresh)]; 0 when nothing was routed. *)
+(** Always 0, like the [delta_reused] family. *)
 
 val compile_delta :
   ?options:options -> manifest:Msched_delta.Manifest.t -> Netlist.t -> delta_result
-(** Compile [nl] warm against [manifest].  Front-end phases (domain
-    analysis, MTS transform, partition, placement, latch analysis) always
-    run — they are cheap and deterministic; only transport {e routing} is
-    replayed.  Byte-identical to a cold compile by construction.
-    Observability: span [delta], counters [delta.blocks_clean],
-    [delta.blocks_dirty], [delta.cone], [delta.entries_seeded],
-    [delta.entries_dropped], [delta.reused], [delta.ripped],
-    [delta.fresh], [delta.cold_fallback].
-    @raise Compile_error / {!Msched_route.Tiers.Unroutable} exactly when a
-    cold compile of [nl] would. *)
+(** {!compile_base} of [nl], then {!Msched_delta.Diff.between} the base
+    [manifest] and the new one.  Observability: span [delta] around the
+    [compile] span, counters [delta.blocks_clean], [delta.blocks_dirty],
+    [delta.cone], [delta.cold_fallback].
+    @raise Compile_error / {!Msched_route.Tiers.Unroutable} exactly when
+    {!compile} of [nl] would. *)
 
 val diag_of_exn : exn -> Msched_diag.Diag.t
 (** Map any pipeline exception onto its structured diagnostic

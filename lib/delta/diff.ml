@@ -2,7 +2,6 @@ open Msched_netlist
 module Partition = Msched_partition.Partition
 module Placement = Msched_place.Placement
 module Domain_analysis = Msched_mts.Domain_analysis
-module Reroute = Msched_route.Reroute
 module J = Msched_diag.Diag.Json
 
 type t = {
@@ -24,41 +23,44 @@ let endpoints part n =
   let drv = Partition.block_of_cell part (Netlist.driver nl n).Cell.id in
   drv :: List.map fst (Partition.foreign_consumers part n)
 
-let compute ~(manifest : Manifest.t) placement ~analysis =
+(* The edited manifest holds every block fingerprint and the signature
+   of every uniquely named crossing net; only nets whose name is
+   ambiguous are signed afresh. *)
+let between ~(base : Manifest.t) ~(edited : Manifest.t) placement ~analysis =
   let part = Placement.partition placement in
   let nl = Partition.netlist part in
   let nb = Partition.num_blocks part in
-  if nb <> manifest.Manifest.num_blocks then None
+  if nb <> base.Manifest.num_blocks then None
   else begin
     let clean = ref [] and dirty = ref [] and moved = ref [] in
     for b = nb - 1 downto 0 do
-      let bid = Ids.Block.of_int b in
-      if
-        String.equal
-          (Fingerprint.block part ~analysis bid)
-          manifest.Manifest.block_fps.(b)
+      if String.equal edited.Manifest.block_fps.(b) base.Manifest.block_fps.(b)
       then clean := b :: !clean
       else dirty := b :: !dirty;
-      if
-        Ids.Fpga.to_int (Placement.fpga_of_block placement bid)
-        <> manifest.Manifest.assignment.(b)
-      then moved := b :: !moved
+      if edited.Manifest.assignment.(b) <> base.Manifest.assignment.(b) then
+        moved := b :: !moved
     done;
-    let old_boundary = Hashtbl.create 64 in
-    List.iter
-      (fun (name, sg) -> Hashtbl.replace old_boundary name sg)
-      manifest.Manifest.boundary;
+    let table pairs =
+      let t = Hashtbl.create 64 in
+      List.iter (fun (name, sg) -> Hashtbl.replace t name sg) pairs;
+      t
+    in
+    let old_boundary = table base.Manifest.boundary in
+    let signed = table edited.Manifest.boundary in
     let crossing = Partition.crossing_nets part in
     let changed =
       List.filter
         (fun n ->
           let name = (Netlist.net nl n).Netlist.net_name in
           match Hashtbl.find_opt old_boundary name with
+          | None -> true
           | Some sg ->
-              not
-                (String.equal sg
-                   (Fingerprint.boundary_signature nl analysis n))
-          | None -> true)
+              let now =
+                match Hashtbl.find_opt signed name with
+                | Some s -> s
+                | None -> Fingerprint.boundary_signature nl analysis n
+              in
+              not (String.equal sg now))
         crossing
     in
     (* The dirty cone: fingerprint-dirty blocks, blocks whose placement
@@ -106,65 +108,10 @@ let compute ~(manifest : Manifest.t) placement ~analysis =
       }
   end
 
-(* ------------------------------------------------------------------ *)
-(* Seeding: turn the manifest's surviving ledger into an exact reroute
-   context against the edited design.  Entries are dropped when their key
-   cannot be resolved in the new netlist or when they touch the dirty
-   cone; what remains still individually proves its own replay via the
-   probe transcript, so over-seeding can never change the schedule. *)
-
-type seeded = { ctx : Reroute.t; seeded : int; dropped : int }
-
-let seed ~(manifest : Manifest.t) ~diff placement =
-  let part = Placement.partition placement in
-  let nl = Partition.netlist part in
-  let nb = Partition.num_blocks part in
-  let net_ids = Hashtbl.create 256 in
-  Netlist.iter_nets nl (fun n ni ->
-      let name = ni.Netlist.net_name in
-      match Hashtbl.find_opt net_ids name with
-      | None -> Hashtbl.replace net_ids name (Some n)
-      | Some _ -> Hashtbl.replace net_ids name None);
-  let dom_ids = Hashtbl.create 16 in
-  List.iter
-    (fun d -> Hashtbl.replace dom_ids (Netlist.domain_name nl d) d)
-    (Netlist.domains nl);
-  let ctx = Reroute.create ~exact:true () in
-  let seeded = ref 0 and dropped = ref 0 in
-  List.iter
-    (fun (e : Manifest.entry) ->
-      let in_cone b = Ids.Block.Set.mem (Ids.Block.of_int b) diff.d_cone in
-      let resolved_net =
-        Option.join (Hashtbl.find_opt net_ids e.Manifest.m_net)
-      in
-      let resolved_dom =
-        if e.Manifest.m_dom = "" then Some (-1)
-        else
-          Option.map Ids.Dom.to_int
-            (Hashtbl.find_opt dom_ids e.Manifest.m_dom)
-      in
-      match (resolved_net, resolved_dom) with
-      | Some net, Some dom
-        when e.Manifest.m_src < nb && e.Manifest.m_dst < nb
-             && (not (in_cone e.Manifest.m_src))
-             && not (in_cone e.Manifest.m_dst) ->
-          Reroute.record ctx
-            {
-              Reroute.k_net = Ids.Net.to_int net;
-              k_src_block = e.Manifest.m_src;
-              k_dst_block = e.Manifest.m_dst;
-              k_domain = dom;
-            }
-            {
-              Reroute.e_anchor = e.Manifest.m_anchor;
-              e_len = e.Manifest.m_len;
-              e_hops = e.Manifest.m_hops;
-              e_probes = Some (e.Manifest.m_pf, e.Manifest.m_pb);
-            };
-          incr seeded
-      | _ -> incr dropped)
-    manifest.Manifest.entries;
-  { ctx; seeded = !seeded; dropped = !dropped }
+let compute ~manifest placement ~analysis =
+  between ~base:manifest
+    ~edited:(Manifest.build ~options_fp:"" ~design_fp:"" placement ~analysis)
+    placement ~analysis
 
 (* ---- Reporting. ---- *)
 

@@ -1,15 +1,13 @@
-(** The delta diff engine: classify the blocks of an edited, re-prepared
-    design against a base manifest, compute the {e dirty cone}, and seed
-    an exact reroute context with the ledger entries that survive.
+(** The delta diff engine: classify the blocks of an edited, prepared
+    design against a base manifest and compute the {e dirty cone}.
 
-    The cone is a reuse heuristic, not a correctness boundary: every
-    seeded entry individually proves its replay through its probe
-    transcript (see {!Msched_route.Reroute.create}[ ~exact]), so the
-    compiled schedule is byte-identical to a cold compile no matter how
-    the classification turns out.  The cone exists to drop entries that
-    almost certainly cannot replay — dirty blocks, moved blocks, both
-    ends of changed boundary nets, and the MTS closure over them (one
-    crossing's per-domain transports are latency-equalized as a group). *)
+    The diff only explains an edit: which blocks it touched, which
+    blocks moved, which boundary nets changed.  It decides nothing about
+    the compile, which is always cold, so the schedule is byte-identical
+    to a cold compile however the classification turns out.  The cone
+    holds the dirty and moved blocks, both ends of every changed
+    boundary net, and the MTS closure over them (one crossing's
+    per-domain transports are latency-equalized as a group). *)
 
 open Msched_netlist
 
@@ -25,19 +23,24 @@ val clean_count : t -> int
 val dirty_count : t -> int
 val cone_size : t -> int
 
+val between :
+  base:Manifest.t ->
+  edited:Manifest.t ->
+  Msched_place.Placement.t ->
+  analysis:Msched_mts.Domain_analysis.t ->
+  t option
+(** Classify the blocks of [edited], the manifest {!Manifest.build} made
+    of this placement, against [base].  [None] when the two partition
+    into different numbers of blocks: the topology changed and no block
+    is comparable. *)
+
 val compute :
   manifest:Manifest.t ->
   Msched_place.Placement.t ->
   analysis:Msched_mts.Domain_analysis.t ->
   t option
-(** [None] when the edited design partitions into a different number of
-    blocks — the topology changed, nothing is comparable, compile cold. *)
-
-type seeded = { ctx : Msched_route.Reroute.t; seeded : int; dropped : int }
-
-val seed : manifest:Manifest.t -> diff:t -> Msched_place.Placement.t -> seeded
-(** An exact context holding every manifest entry that resolves in the
-    edited design and avoids the cone. *)
+(** {!between} [manifest] and a manifest built here from the placement,
+    for callers that hold no manifest of the edited design. *)
 
 val pp : Format.formatter -> t -> unit
 

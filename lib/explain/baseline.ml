@@ -194,10 +194,9 @@ let extract text =
             | None -> acc
           in
           let acc =
-            (* Delta-compilation section: gate the equality classes (warm
-               schedule byte-identical to cold, strictly fewer pathfinder
-               expansions) and the reuse economics; the wall times are
-               informational, never compared. *)
+            (* Delta-compilation section: gate the warm schedule being
+               byte-identical to cold, and its length and speed; the wall
+               times are informational, never compared. *)
             match J.mem "delta" doc with
             | Some delta ->
                 let bool_metric field acc =
@@ -219,10 +218,6 @@ let extract text =
                   | None -> acc
                 in
                 bool_metric "schedule_identical" acc
-                |> bool_metric "fewer_expansions"
-                |> num_metric "reuse_fraction" Speed
-                |> num_metric "warm_expansions" Count
-                |> num_metric "identity_expansions" Count
                 |> num_metric "schedule_length" Length
                 |> num_metric "est_speed_hz" Speed
             | None -> acc

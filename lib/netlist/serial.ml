@@ -25,55 +25,88 @@ let gate_of_name = function
 let clean_name s =
   String.map (fun c -> if c = ' ' || c = '\t' || c = '\n' then '_' else c) s
 
-let output ppf nl =
-  let line fmt = Format.fprintf ppf fmt in
-  line "design %s@\n" (clean_name (Netlist.design_name nl));
+(* Written straight into a buffer: the cache key and the design
+   fingerprint both hash this text on every served request. *)
+let to_string nl =
+  let b = Buffer.create (64 * (Netlist.num_cells nl + Netlist.num_nets nl)) in
+  let str = Buffer.add_string b and chr = Buffer.add_char b in
+  let int i = str (string_of_int i) in
+  let name s = str (clean_name s) in
+  let net n = int (Ids.Net.to_int n) in
+  let sp_net n =
+    chr ' ';
+    net n
+  in
+  str "design ";
+  name (Netlist.design_name nl);
+  chr '\n';
   List.iter
-    (fun d -> line "domain %s@\n" (clean_name (Netlist.domain_name nl d)))
+    (fun d ->
+      str "domain ";
+      name (Netlist.domain_name nl d);
+      chr '\n')
     (Netlist.domains nl);
   Netlist.iter_nets nl (fun n ni ->
-      line "net %d %s@\n" (Ids.Net.to_int n) (clean_name ni.Netlist.net_name));
-  let net n = Ids.Net.to_int n in
+      str "net ";
+      net n;
+      chr ' ';
+      name ni.Netlist.net_name;
+      chr '\n');
   let trigger (c : Cell.t) =
     match c.Cell.trigger with
-    | Some (Cell.Dom_clock d) -> Printf.sprintf "dom %d" (Ids.Dom.to_int d)
-    | Some (Cell.Net_trigger t) -> Printf.sprintf "net %d" (net t)
-    | None -> "dom 0" (* unreachable for sequential cells *)
+    | Some (Cell.Dom_clock d) ->
+        str " dom ";
+        int (Ids.Dom.to_int d)
+    | Some (Cell.Net_trigger t) ->
+        str " net ";
+        net t
+    | None -> str " dom 0" (* unreachable for sequential cells *)
+  in
+  let head kind (c : Cell.t) =
+    str kind;
+    chr ' ';
+    name c.Cell.name;
+    sp_net (Option.get c.Cell.output)
   in
   Netlist.iter_cells nl (fun c ->
-      let name = clean_name c.Cell.name in
-      match c.Cell.kind with
-      | Cell.Input { domain } ->
-          line "input %s %d%s@\n" name
-            (net (Option.get c.Cell.output))
-            (match domain with
-            | Some d -> Printf.sprintf " domain %d" (Ids.Dom.to_int d)
-            | None -> "")
+      (match c.Cell.kind with
+      | Cell.Input { domain } -> (
+          head "input" c;
+          match domain with
+          | Some d ->
+              str " domain ";
+              int (Ids.Dom.to_int d)
+          | None -> ())
       | Cell.Clock_source d ->
-          line "clocksource %d %d@\n" (Ids.Dom.to_int d)
-            (net (Option.get c.Cell.output))
+          str "clocksource ";
+          int (Ids.Dom.to_int d);
+          sp_net (Option.get c.Cell.output)
       | Cell.Gate g ->
-          line "gate %s %s %d" (gate_name g) name (net (Option.get c.Cell.output));
-          Array.iter (fun i -> line " %d" (net i)) c.Cell.data_inputs;
-          line "@\n"
+          head ("gate " ^ gate_name g) c;
+          Array.iter sp_net c.Cell.data_inputs
       | Cell.Latch { active_high } ->
-          line "latch %s %d %d %s %s@\n" name
-            (net (Option.get c.Cell.output))
-            (net c.Cell.data_inputs.(0))
-            (trigger c)
-            (if active_high then "high" else "low")
+          head "latch" c;
+          sp_net c.Cell.data_inputs.(0);
+          trigger c;
+          str (if active_high then " high" else " low")
       | Cell.Flip_flop ->
-          line "ff %s %d %d %s@\n" name
-            (net (Option.get c.Cell.output))
-            (net c.Cell.data_inputs.(0))
-            (trigger c)
+          head "ff" c;
+          sp_net c.Cell.data_inputs.(0);
+          trigger c
       | Cell.Ram { addr_bits } ->
-          line "ram %s %d %d" name (net (Option.get c.Cell.output)) addr_bits;
-          Array.iter (fun i -> line " %d" (net i)) c.Cell.data_inputs;
-          line " %s@\n" (trigger c)
-      | Cell.Output -> line "output %s %d@\n" name (net c.Cell.data_inputs.(0)))
+          head "ram" c;
+          chr ' ';
+          int addr_bits;
+          Array.iter sp_net c.Cell.data_inputs;
+          trigger c
+      | Cell.Output ->
+          str "output ";
+          name c.Cell.name;
+          sp_net c.Cell.data_inputs.(0));
+      chr '\n');
+  Buffer.contents b
 
-let to_string nl = Format.asprintf "%a" output nl
+let output ppf nl = Format.pp_print_string ppf (to_string nl)
 
 (* ------------------------------------------------------------------ *)
 
@@ -213,6 +246,9 @@ let of_string text =
           Error (Format.asprintf "validation: %a" Netlist.pp_validation_error e))
   | exception Parse (lineno, msg) ->
       Error (Printf.sprintf "line %d: %s" lineno msg)
+  | exception Netlist.Invalid e ->
+      (* Raised mid-parse by the builder, e.g. a net driven twice. *)
+      Error (Format.asprintf "validation: %a" Netlist.pp_validation_error e)
   | exception Invalid_argument msg -> Error msg
 
 let canonical text =

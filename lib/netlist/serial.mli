@@ -37,7 +37,9 @@ val canonical : string -> (string, string) result
 
 val of_string : string -> (Netlist.t, string) result
 (** Parse and validate, stopping at the first problem. The error carries a
-    line number and reason. *)
+    line number or validation reason.  Never raises: builder validation
+    failures raised mid-parse (a net driven twice) land in [Error] too.
+    [Ok] exactly when {!of_string_diag} is [Ok], with the same netlist. *)
 
 val of_string_diag :
   string -> (Netlist.t, Msched_diag.Diag.t list) result

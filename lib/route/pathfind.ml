@@ -5,18 +5,6 @@ module Sink = Msched_obs.Sink
 
 type path = { p_len : int; p_hops : (int * int) list }
 
-(* Probe transcript of one search: every (channel, reverse slot) the BFS
-   tested, split by outcome.  The exploration is a deterministic function
-   of these results, so a later run in which every recorded probe resolves
-   identically provably performs the byte-identical search — the validity
-   condition for exact ledger replay in delta compilation. *)
-type probe_log = {
-  mutable pr_free : (int * int) list;
-  mutable pr_blocked : (int * int) list;
-}
-
-let probe_log () = { pr_free = []; pr_blocked = [] }
-
 (* Make every per-state array of [sc] hold state [st]. *)
 let grow (sc : Resource.scratch) st =
   let len = max (st + 1) (2 * Array.length sc.seen) in
@@ -74,7 +62,7 @@ let order_channels (sc : Resource.scratch) ctx (csr : System.csr) lo hi =
    by slot and the first pop of [goal] has minimal latency.  A hop probes
    its channel at [t + 1].  Returns the goal state, or [-1] when no state
    up to [t_limit] reaches it. *)
-let bfs ~ctx ~plog sys res (csr : System.csr) ~from ~goal ~t0 ~t_limit
+let bfs ~ctx sys res (csr : System.csr) ~from ~goal ~t0 ~t_limit
     ~expanded ~blocked =
   let nf = System.num_fpgas sys in
   let sc = Resource.scratch res in
@@ -105,13 +93,7 @@ let bfs ~ctx ~plog sys res (csr : System.csr) ~from ~goal ~t0 ~t_limit
       for i = 0 to hi - lo - 1 do
         let k = if steer then sc.order.(i) else lo + i in
         let channel = csr.System.ids.(k) in
-        let free = Resource.free_at res ~channel ~rslot in
-        (match plog with
-        | Some l ->
-            if free then l.pr_free <- (channel, rslot) :: l.pr_free
-            else l.pr_blocked <- (channel, rslot) :: l.pr_blocked
-        | None -> ());
-        if free then
+        if Resource.free_at res ~channel ~rslot then
           push sc ~tail (next_layer + csr.System.ends.(k)) ~from:st ~via:channel
         else begin
           incr blocked;
@@ -139,7 +121,7 @@ let unwind (sc : Resource.scratch) ~nf ~t0 st =
 (* A [src] → [dst] search with the accounting both directions share.
    [backward] (TIERS) starts from (dst, t0) and expands in-channels;
    otherwise the search starts from (src, t0) and expands out-channels. *)
-let run ~obs ~ctx ~plog sys res ~backward ~src ~dst ~t0 ~max_extra =
+let run ~obs ~ctx sys res ~backward ~src ~dst ~t0 ~max_extra =
   Sink.incr obs "pathfind.searches";
   if Ids.Fpga.equal src dst then Some { p_len = 0; p_hops = [] }
   else begin
@@ -150,7 +132,7 @@ let run ~obs ~ctx ~plog sys res ~backward ~src ~dst ~t0 ~max_extra =
     in
     let expanded = ref 0 and blocked = ref 0 in
     let final =
-      bfs ~ctx ~plog sys res csr ~from:(Ids.Fpga.to_int from)
+      bfs ~ctx sys res csr ~from:(Ids.Fpga.to_int from)
         ~goal:(Ids.Fpga.to_int goal) ~t0 ~t_limit:(t0 + dist + max_extra)
         ~expanded ~blocked
     in
@@ -178,13 +160,11 @@ let run ~obs ~ctx ~plog sys res ~backward ~src ~dst ~t0 ~max_extra =
     end
   end
 
-let search ?(obs = Sink.null) ?ctx ?probe:plog sys res ~src ~dst ~r_arr
-    ~max_extra =
-  run ~obs ~ctx ~plog sys res ~backward:true ~src ~dst ~t0:r_arr ~max_extra
+let search ?(obs = Sink.null) ?ctx sys res ~src ~dst ~r_arr ~max_extra =
+  run ~obs ~ctx sys res ~backward:true ~src ~dst ~t0:r_arr ~max_extra
 
 let search_forward ?(obs = Sink.null) sys res ~src ~dst ~t_dep ~max_extra =
-  run ~obs ~ctx:None ~plog:None sys res ~backward:false ~src ~dst ~t0:t_dep
-    ~max_extra
+  run ~obs ~ctx:None sys res ~backward:false ~src ~dst ~t0:t_dep ~max_extra
 
 let reserve_path res path =
   List.iter

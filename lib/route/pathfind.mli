@@ -26,24 +26,9 @@ type path = {
       (** (channel index, reverse slot) per hop, source-side first. *)
 }
 
-type probe_log = {
-  mutable pr_free : (int * int) list;
-      (** (channel, reverse slot) probes that found the slot free. *)
-  mutable pr_blocked : (int * int) list;
-      (** Probes that found the slot full. *)
-}
-(** Probe transcript of one search.  The BFS exploration is a
-    deterministic function of its probe results, so a later search in
-    which every recorded probe resolves identically is provably the
-    byte-identical search — the validity condition for exact ledger
-    replay in delta compilation ({!Reroute.is_exact}). *)
-
-val probe_log : unit -> probe_log
-
 val search :
   ?obs:Msched_obs.Sink.t ->
   ?ctx:Reroute.t ->
-  ?probe:probe_log ->
   Msched_arch.System.t ->
   Resource.t ->
   src:Ids.Fpga.t ->
@@ -58,9 +43,7 @@ val search :
     With a reroute context [ctx], congestion-blocked hops accumulate
     per-channel history and equal-length path ties are broken toward the
     least-contested channels (negotiated congestion); expansion counts are
-    charged to the context and to the [reroute.expansions] counter.
-    With [probe], every reservation-table probe is transcribed into the
-    log (used to build exact-replay ledger entries). *)
+    charged to the context and to the [reroute.expansions] counter. *)
 
 val reserve_path : Resource.t -> path -> unit
 

@@ -12,12 +12,9 @@ type entry = {
   e_anchor : int;
   e_len : int;
   e_hops : (int * int) list;
-  e_probes : ((int * int) list * (int * int) list) option;
-      (* (free, blocked) probe transcript for exact replay *)
 }
 
 type t = {
-  exact : bool;
   ledger : (key, entry) Hashtbl.t;
   history : (int, int) Hashtbl.t;  (* channel -> congestion bumps *)
   mutable history_sum : int;
@@ -29,9 +26,8 @@ type t = {
   mutable fresh : int;
 }
 
-let create ?(exact = false) () =
+let create () =
   {
-    exact;
     ledger = Hashtbl.create 1024;
     history = Hashtbl.create 64;
     history_sum = 0;
@@ -42,8 +38,6 @@ let create ?(exact = false) () =
     ripped = 0;
     fresh = 0;
   }
-
-let is_exact t = t.exact
 
 let clear t =
   Hashtbl.reset t.ledger;
@@ -58,15 +52,10 @@ let rip t key = Hashtbl.remove t.ledger key
 let keys t = Hashtbl.fold (fun k _ acc -> k :: acc) t.ledger []
 let ledger_size t = Hashtbl.length t.ledger
 
-(* Exact contexts freeze congestion history at zero: channel exploration
-   order then matches a context-free cold search byte for byte, which is
-   what lets a validated ledger replay stand in for the search it skips. *)
 let bump_history t ~channel =
-  if not t.exact then begin
-    let cur = Option.value ~default:0 (Hashtbl.find_opt t.history channel) in
-    Hashtbl.replace t.history channel (cur + 1);
-    t.history_sum <- t.history_sum + 1
-  end
+  let cur = Option.value ~default:0 (Hashtbl.find_opt t.history channel) in
+  Hashtbl.replace t.history channel (cur + 1);
+  t.history_sum <- t.history_sum + 1
 
 let history t ~channel =
   Option.value ~default:0 (Hashtbl.find_opt t.history channel)
@@ -143,13 +132,6 @@ let payload_json t =
            "{\"dir\":\"rev\",\"net\":%d,\"src\":%d,\"dst\":%d,\"dom\":%d,\"anchor\":%d,\"len\":%d,\"hops\":"
            k.k_net k.k_src_block k.k_dst_block k.k_domain e.e_anchor e.e_len);
       pair_array b e.e_hops;
-      (match e.e_probes with
-      | None -> ()
-      | Some (pf, pb) ->
-          Buffer.add_string b ",\"pf\":";
-          pair_array b pf;
-          Buffer.add_string b ",\"pb\":";
-          pair_array b pb);
       Buffer.add_char b '}')
     entries;
   Buffer.add_string b "],\"history\":[";
@@ -222,22 +204,11 @@ let of_json_string text =
             let hops =
               List.map (pairs "hop") (get "hops" (J.arr (m "hops")))
             in
-            let probes =
-              match (J.mem "pf" entry, J.mem "pb" entry) with
-              | Some pf, Some pb ->
-                  Some
-                    ( List.map (pairs "pf") (get "pf" (J.arr pf)),
-                      List.map (pairs "pb") (get "pb" (J.arr pb)) )
-              | Some _, None | None, Some _ ->
-                  fail "probe log needs both pf and pb"
-              | None, None -> None
-            in
             record t key
               {
                 e_anchor = geti "anchor" (m "anchor");
                 e_len = geti "len" (m "len");
                 e_hops = hops;
-                e_probes = probes;
               })
           (get "ledger" (Option.bind (J.mem "ledger" payload) J.arr));
         List.iter

@@ -34,28 +34,12 @@ type entry = {
           is only replayable when the new requirement matches exactly. *)
   e_len : int;  (** Path latency in virtual clocks. *)
   e_hops : (int * int) list;  (** (channel, reverse slot) per hop. *)
-  e_probes : ((int * int) list * (int * int) list) option;
-      (** The recording search's probe transcript — (free, blocked)
-          (channel, slot) pairs.  Required for replay under an {e exact}
-          context: the entry replays only when every free probe is still
-          free {e and} every blocked probe is still blocked, which proves
-          the skipped search would have returned exactly [e_hops].
-          [None] on entries recorded under ordinary contexts. *)
 }
 
 type t
 
-val create : ?exact:bool -> unit -> t
-(** An [exact] context trades congestion steering for provable replay:
-    history is frozen at zero (channel exploration order then matches a
-    cold, context-free search), searches transcribe their probes into the
-    entries they record, and ledger replay demands the full probe
-    transcript to resolve identically ({!entry.e_probes}).  A schedule
-    routed under an exact context is byte-identical to the cold schedule
-    of the same prepared design — the foundation of delta compilation.
-    Default [false]: the PathFinder-style negotiated-congestion context. *)
-
-val is_exact : t -> bool
+val create : unit -> t
+(** An empty PathFinder-style negotiated-congestion context. *)
 
 val clear : t -> unit
 (** Drop ledger, history, failures and the forced-hard set (statistics
@@ -80,8 +64,7 @@ val ledger_size : t -> int
 
 val bump_history : t -> channel:int -> unit
 (** Called by the pathfinder whenever a hop over [channel] is rejected
-    because the slot is full: one unit of negotiated-congestion history.
-    A no-op on exact contexts (history stays frozen at zero). *)
+    because the slot is full: one unit of negotiated-congestion history. *)
 
 val history : t -> channel:int -> int
 val history_total : t -> int
@@ -149,6 +132,9 @@ val to_json_string : t -> string
 val of_json_string : string -> (t, string) result
 (** [Error] on unparseable text, schema mismatch, malformed payload
     (including a ["dir"] other than ["rev"]) or checksum mismatch
-    (truncation and bit-rot both land here).  Callers
+    (truncation and bit-rot both land here, as do entries carrying the
+    ["pf"]/["pb"] probe transcripts older exact contexts wrote: the
+    codec no longer reads them, so the re-rendered payload cannot hash
+    to the stored checksum).  Callers
     are expected to degrade to a cold context and surface the message as
     an [E_CACHE] warning.  Never raises. *)

@@ -69,21 +69,13 @@ let transport_key (l : Link.t) dom =
     k_domain = (match dom with Some d -> Ids.Dom.to_int d | None -> -1);
   }
 
-(* Can a ledger entry be replayed without a search?  Ordinary contexts
-   demand the anchor and the remembered slots; exact contexts additionally
-   demand the recording search's whole probe transcript to resolve
-   identically (every free probe still free, every blocked probe still
-   blocked), which proves the skipped BFS would have returned exactly
-   [e_hops] — the bit-identity obligation of delta compilation. *)
-let replayable res ctx e ~r_arr =
-  let free (channel, rslot) = Resource.free_at res ~channel ~rslot in
+(* A ledger entry replays without a search when its requirement slot is
+   unchanged and every slot it remembers is still free. *)
+let replayable res e ~r_arr =
   e.Reroute.e_anchor = r_arr
-  &&
-  if Reroute.is_exact ctx then
-    match e.Reroute.e_probes with
-    | None -> false
-    | Some (pf, pb) -> List.for_all free pf && not (List.exists free pb)
-  else List.for_all free e.Reroute.e_hops
+  && List.for_all
+       (fun (channel, rslot) -> Resource.free_at res ~channel ~rslot)
+       e.Reroute.e_hops
 
 let schedule placement dom_analysis ?analysis ?(options = default_options)
     ?(obs = Sink.null) ?reroute () =
@@ -227,19 +219,8 @@ let schedule placement dom_analysis ?analysis ?(options = default_options)
      unroutable set and everything routable lands in the ledger for the
      next (warm) attempt. *)
   let searched_transport ctx (l : Link.t) dom r_arr =
-    let plog =
-      match ctx with
-      | Some c when Reroute.is_exact c -> Some (Pathfind.probe_log ())
-      | Some _ | None -> None
-    in
-    let probes () =
-      Option.map
-        (fun (pl : Pathfind.probe_log) ->
-          (pl.Pathfind.pr_free, pl.Pathfind.pr_blocked))
-        plog
-    in
     match
-      Pathfind.search ~obs ?ctx ?probe:plog sys res ~src:l.Link.src_fpga
+      Pathfind.search ~obs ?ctx sys res ~src:l.Link.src_fpga
         ~dst:l.Link.dst_fpga ~r_arr ~max_extra:options.max_extra_slots
     with
     | Some p ->
@@ -251,7 +232,6 @@ let schedule placement dom_analysis ?analysis ?(options = default_options)
                 Reroute.e_anchor = r_arr;
                 e_len = p.Pathfind.p_len;
                 e_hops = p.Pathfind.p_hops;
-                e_probes = probes ();
               })
           ctx;
         {
@@ -286,10 +266,9 @@ let schedule placement dom_analysis ?analysis ?(options = default_options)
     | Some ctx -> (
         let key = transport_key l dom in
         match Reroute.lookup ctx key with
-        | Some e when replayable res ctx e ~r_arr ->
-            (* Warm replay: same requirement, slots still free (and under
-               an exact context, the whole probe transcript unchanged) —
-               reserve the remembered path without searching. *)
+        | Some e when replayable res e ~r_arr ->
+            (* Warm replay: same requirement, slots still free — reserve
+               the remembered path without searching. *)
             List.iter
               (fun (channel, rslot) -> Resource.reserve res ~channel ~rslot)
               e.Reroute.e_hops;

@@ -28,13 +28,16 @@ let fingerprint = Msched.Compile.options_fingerprint
    whitespace, comments and file-local net numbering no longer split one
    design across several cache entries.  Unparseable text (which the
    compile path will reject anyway) keys on its raw bytes. *)
-let key ~text ~options =
+let key_of_parse ~text ~options parsed =
   let text =
-    match Msched_netlist.Serial.canonical text with
-    | Ok canonical -> canonical
+    match parsed with
+    | Ok nl -> Msched_netlist.Serial.to_string nl
     | Error _ -> text
   in
   hash_hex (fingerprint options ^ "\n" ^ text)
+
+let key ~text ~options =
+  key_of_parse ~text ~options (Msched_netlist.Serial.of_string text)
 
 let file ~dir ~key = Filename.concat dir ("reroute-" ^ key ^ ".json")
 
@@ -121,47 +124,29 @@ let write_atomic ~path payload =
 let store ~dir ~key ctx =
   write_atomic ~path:(file ~dir ~key) (Reroute.to_json_string ctx ^ "\n")
 
-(* ---- Block-granular delta-manifest entries. ----
-
-   A manifest is stored as a header file plus one ledger slice per block,
-   so LRU eviction can shed cold slices without killing the manifest.  A
-   missing or corrupt slice degrades that block's entries to cold
-   (counted, E_CACHE-warned); a missing or corrupt header is the whole
-   manifest gone. *)
+(* ---- Delta manifests: one checksummed file per design. ---- *)
 
 module Manifest = Msched_delta.Manifest
 
 let manifest_file ~dir ~key = Filename.concat dir ("manifest-" ^ key ^ ".json")
 
-let block_file ~dir ~key ~block =
-  Filename.concat dir (Printf.sprintf "block-%s-%d.json" key block)
-
 let store_manifest ~dir ~key m =
-  let ( let* ) = Result.bind in
-  let* () =
-    write_atomic ~path:(manifest_file ~dir ~key) (Manifest.header_json m ^ "\n")
-  in
-  let rec blocks b =
-    if b >= m.Manifest.num_blocks then Ok ()
-    else
-      let* () =
-        write_atomic
-          ~path:(block_file ~dir ~key ~block:b)
-          (Manifest.slice_json m ~block:b ^ "\n")
-      in
-      blocks (b + 1)
-  in
-  blocks 0
+  write_atomic
+    ~path:(manifest_file ~dir ~key)
+    (Manifest.to_json_string m ^ "\n")
 
-type manifest_load =
-  | M_miss
-  | M_hit of Manifest.t * int
-      (* manifest (ledger = surviving slices), evicted/corrupt slice count *)
-  | M_corrupt of Diag.t
+type manifest_load = M_miss | M_hit of Manifest.t * int | M_corrupt of Diag.t
+
+(* Keys reach [load_manifest] from clients, so anything but the 16
+   lowercase hex digits [hash_hex] produces is a miss before it can name
+   a path: no "../", no "/", no NUL. *)
+let is_key key =
+  String.length key = 16
+  && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) key
 
 let load_manifest ~dir ~key =
   let path = manifest_file ~dir ~key in
-  if not (Sys.file_exists path) then M_miss
+  if not (is_key key && Sys.file_exists path) then M_miss
   else
     match In_channel.with_open_bin path In_channel.input_all with
     | exception Sys_error msg ->
@@ -169,27 +154,14 @@ let load_manifest ~dir ~key =
           (Diag.warning Diag.E_CACHE
              "delta manifest %s unreadable (%s); compiling cold" path msg)
     | text -> (
-        match Manifest.header_of_json_string text with
+        match Manifest.of_json_string text with
         | Error msg ->
             M_corrupt
               (Diag.warning Diag.E_CACHE
                  "delta manifest %s corrupt (%s); compiling cold" path msg)
-        | Ok header ->
+        | Ok m ->
             touch path;
-            let missing = ref 0 in
-            let slices = ref [] in
-            for b = 0 to header.Manifest.num_blocks - 1 do
-              let bpath = block_file ~dir ~key ~block:b in
-              match In_channel.with_open_bin bpath In_channel.input_all with
-              | exception Sys_error _ -> incr missing
-              | btext -> (
-                  match Manifest.slice_of_json_string btext with
-                  | Ok slice ->
-                      touch bpath;
-                      slices := slice :: !slices
-                  | Error _ -> incr missing)
-            done;
-            M_hit (Manifest.with_slices header !slices, !missing))
+            M_hit (m, 0))
 
 (* ---- Hygiene: stats, locking, LRU-by-mtime eviction. ---- *)
 
@@ -272,21 +244,25 @@ type gc_result = {
   gc_bytes_after : int;
 }
 
-(* The manifest key a block slice belongs to: block-<key>-<n>.json. *)
-let block_owner name =
-  if not (has_prefix "block-" name) then None
-  else
-    let stem = Filename.chop_suffix name ".json" in
-    match String.rindex_opt stem '-' with
-    | Some i when i > String.length "block-" ->
-        Some (String.sub stem 6 (i - 6))
-    | _ -> None
-
+(* Manifests are single files now, so every [block-*] ledger slice an
+   older version left behind is dead: sweep them all before the LRU pass,
+   which then only ever sees live entries. *)
 let gc ~dir ~max_bytes =
   with_lock ~dir (fun () ->
       let entries = scan dir in
       let total =
         List.fold_left (fun acc (_, size, _) -> acc + size) 0 entries
+      in
+      let orphans, live, bytes =
+        List.fold_left
+          (fun (orphans, live, bytes) ((path, size, _) as e) ->
+            if not (has_prefix "block-" (Filename.basename path)) then
+              (orphans, e :: live, bytes)
+            else
+              match Sys.remove path with
+              | () -> (orphans + 1, live, bytes - size)
+              | exception Sys_error _ -> (orphans, live, bytes))
+          (0, [], total) entries
       in
       (* Oldest mtime first = least recently used first (loads touch);
          path tie-break keeps eviction order deterministic. *)
@@ -294,7 +270,7 @@ let gc ~dir ~max_bytes =
         List.sort
           (fun (pa, _, ma) (pb, _, mb) ->
             match compare (ma : float) mb with 0 -> compare pa pb | c -> c)
-          entries
+          live
       in
       let evicted, bytes_after =
         List.fold_left
@@ -304,33 +280,7 @@ let gc ~dir ~max_bytes =
               match Sys.remove path with
               | () -> (evicted + 1, bytes - size)
               | exception Sys_error _ -> (evicted, bytes))
-          (0, total) by_age
-      in
-      (* Orphan sweep: evicting a manifest header makes its surviving
-         slices unreachable (loads go through the header), so they are
-         dead bytes — collect them now rather than waiting for LRU age.
-         The reverse is fine as-is: a manifest with evicted slices still
-         loads and degrades those blocks to cold. *)
-      let survivors = scan dir in
-      let live_manifest = Hashtbl.create 16 in
-      List.iter
-        (fun (path, _, _) ->
-          let name = Filename.basename path in
-          if has_prefix "manifest-" name then
-            Hashtbl.replace live_manifest
-              (String.sub name 9 (String.length name - 9 - 5))
-              ())
-        survivors;
-      let orphans, bytes_after =
-        List.fold_left
-          (fun (orphans, bytes) (path, size, _) ->
-            match block_owner (Filename.basename path) with
-            | Some owner when not (Hashtbl.mem live_manifest owner) -> (
-                match Sys.remove path with
-                | () -> (orphans + 1, bytes - size)
-                | exception Sys_error _ -> (orphans, bytes))
-            | _ -> (orphans, bytes))
-          (0, bytes_after) survivors
+          (0, bytes) by_age
       in
       {
         gc_scanned = List.length entries;

@@ -21,6 +21,17 @@ val key : text:string -> options:Msched.Compile.options -> string
     parses — whitespace, comments and file-local net numbering do not
     split cache entries) plus the options fingerprint. *)
 
+val key_of_parse :
+  text:string ->
+  options:Msched.Compile.options ->
+  (Msched_netlist.Netlist.t, 'e) result ->
+  string
+(** {!key} from a parse the caller already made of [text]
+    ({!Msched_netlist.Serial.of_string_diag} or [of_string]): keys on
+    {!Msched_netlist.Serial.to_string} of the netlist, or on the raw
+    bytes when the parse failed.  Byte-identical to {!key}, one parse
+    cheaper. *)
+
 val file : dir:string -> key:string -> string
 
 val ensure_dir : string -> unit
@@ -47,18 +58,14 @@ val store :
     temp file but never a partially-written entry.  [Error] carries an
     E_CACHE warning; persisting is best-effort and never fails a job. *)
 
-(** {2 Block-granular delta-manifest entries}
+(** {2 Delta manifests}
 
-    A {!Msched_delta.Manifest.t} is stored as [manifest-<key>.json] (the
-    header: shape, fingerprints, boundary signatures) plus one
-    [block-<key>-<n>.json] ledger slice per block, all atomic like
-    {!store}.  Slices evict independently under {!gc}: a manifest whose
-    slices were evicted still loads — the missing blocks' ledger entries
-    just compile cold — while a missing or corrupt header is a full miss
-    ([M_corrupt] carries the E_CACHE warning). *)
+    A {!Msched_delta.Manifest.t} is stored as one checksummed
+    [manifest-<key>.json] file, atomic like {!store}.  A missing file is
+    a miss; an unreadable or corrupt one is [M_corrupt] with an E_CACHE
+    warning. *)
 
 val manifest_file : dir:string -> key:string -> string
-val block_file : dir:string -> key:string -> block:int -> string
 
 val store_manifest :
   dir:string ->
@@ -69,12 +76,15 @@ val store_manifest :
 type manifest_load =
   | M_miss
   | M_hit of Msched_delta.Manifest.t * int
-      (** The reassembled manifest and the number of evicted or corrupt
-          block slices it is missing (0 = fully warm). *)
+      (** The manifest, and a count that is always 0: it once counted
+          evicted per-block ledger files, and stays for the frozen
+          benchmark under [perfbench/]. *)
   | M_corrupt of Msched_diag.Diag.t
 
 val load_manifest : dir:string -> key:string -> manifest_load
-(** Touches every file it reads (LRU). *)
+(** A hit touches the file (LRU).  A [key] that is not 16 lowercase hex
+    digits (the only keys {!key} makes) is [M_miss] without touching the
+    filesystem: clients send it, so it must never name another path. *)
 
 (** {2 Hygiene: stats, locking, LRU eviction}
 
@@ -87,8 +97,10 @@ val load_manifest : dir:string -> key:string -> manifest_load
 type stats = {
   st_entries : int;
       (** All cache entries ([reroute-*] / [manifest-*] / [block-*]). *)
-  st_manifests : int;  (** Manifest headers among them. *)
-  st_blocks : int;  (** Block ledger slices among them. *)
+  st_manifests : int;  (** Delta manifests among them. *)
+  st_blocks : int;
+      (** Leftover per-block ledger files from older versions; the next
+          {!gc} deletes them. *)
   st_bytes : int;  (** Total bytes across entries. *)
   st_oldest_s : float;
       (** Age in seconds of the least-recently-used entry; [0.] when
@@ -108,16 +120,14 @@ type gc_result = {
   gc_scanned : int;
   gc_evicted : int;
   gc_orphans : int;
-      (** Block slices deleted because their manifest header was evicted
-          (they are unreachable: loads go through the header). *)
+      (** Leftover [block-*] ledger files deleted: nothing reads them. *)
   gc_bytes_before : int;
   gc_bytes_after : int;
 }
 
 val gc : dir:string -> max_bytes:int -> gc_result
-(** Evict entries oldest-mtime-first (deterministic path tie-break) until
-    total entry bytes fit [max_bytes], then sweep orphaned block slices,
-    all under {!with_lock}.  Entries that vanish mid-scan are skipped; the
-    lock file itself is never evicted.  Eviction never strands a manifest:
-    a header that survives with missing slices still loads, degrading the
-    missing blocks to cold with an E_CACHE accounting. *)
+(** Delete every leftover [block-*] file, then evict entries
+    oldest-mtime-first (deterministic path tie-break) until total entry
+    bytes fit [max_bytes], all under {!with_lock}.  Entries that vanish
+    mid-scan are skipped; the lock file itself is never evicted.  Every
+    entry is one self-contained file, so whatever survives still loads. *)

@@ -77,11 +77,12 @@ let run_job settings ~epoch job =
   let obs = if settings.s_obs_jobs then Sink.create () else Sink.null in
   let options = { settings.s_options with Compile.obs } in
   let report = Diag.Report.create () in
+  let parsed = Serial.of_string_diag job.j_text in
   let key, cache, reroute =
     match settings.s_cache_dir with
     | None -> ("", Cache_off, Reroute.create ())
     | Some dir -> (
-        let key = Cache.key ~text:job.j_text ~options in
+        let key = Cache.key_of_parse ~text:job.j_text ~options parsed in
         match Cache.load ~dir ~key with
         | Cache.Hit ctx -> (key, Cache_warm, ctx)
         | Cache.Miss -> (key, Cache_cold, Reroute.create ())
@@ -90,7 +91,7 @@ let run_job settings ~epoch job =
             (key, Cache_corrupt, Reroute.create ()))
   in
   let resilient, exit_code =
-    match Serial.of_string_diag job.j_text with
+    match parsed with
     | Error diags ->
         Diag.Report.add_list report diags;
         (None, Diag.Report.exit_code report)
@@ -122,19 +123,20 @@ let run_job settings ~epoch job =
     r_counters = Sink.counters obs;
   }
 
-(* ---- Delta jobs ({"op":"delta"}): compile against a cached base
-   manifest (docs/DELTA.md), replaying every transport the edit provably
-   did not touch.  The updated manifest is stored back under the design's
-   own content key, which the response announces — a client threads that
-   key into its next edit's request to stay warm across the whole
-   edit-compile-check loop. *)
+(* ---- Delta jobs ({"op":"delta"}): a cold compile plus the block diff
+   against a cached base manifest (docs/DELTA.md).  The new manifest is
+   stored under the design's own content key, which the response
+   announces — a client threads that key into its next edit's request so
+   every response explains what that edit changed. *)
 
 module Schedule = Msched_route.Schedule
 
 type base_status =
   | Base_none  (** No base requested: cold base compile. *)
-  | Base_warm of int  (** Manifest loaded; [n] block slices missing. *)
-  | Base_miss  (** Key given, no manifest under it (evicted or never stored). *)
+  | Base_warm of int  (** Manifest loaded; [n] is always 0. *)
+  | Base_miss
+      (** Key given, no manifest under it (evicted, never stored, or not a
+          key at all). *)
   | Base_corrupt  (** Header failed its checksum; E_CACHE diag carried. *)
   | Base_off  (** Base requested but the server runs without --cache-dir. *)
 
@@ -158,11 +160,12 @@ type delta_outcome = {
   do_reused : int;
   do_ripped : int;
   do_fresh : int;
-  do_expansions : int;  (** Pathfinder states popped — the warm cost. *)
+  do_expansions : int;
   do_reuse_fraction : float;
+      (** The four replay fields above and this one always read 0. *)
   do_cold_fallback : bool;
-      (** A base was loaded but the compile fell cold (foreign options
-          fingerprint or block-count mismatch). *)
+      (** A base was loaded but is not comparable (foreign options
+          fingerprint or block-count mismatch): no diff. *)
   do_schedule_fp : string;
       (** Content hash of the schedule JSON: equal fp = byte-identical
           schedule, the warm≡cold witness a client can assert. *)
@@ -182,10 +185,11 @@ type delta_result = {
 let run_delta settings req =
   let report = Diag.Report.create () in
   let options = { settings.s_options with Compile.obs = Sink.null } in
+  let parsed = Serial.of_string_diag req.dq_text in
   let key =
     match settings.s_cache_dir with
     | None -> ""
-    | Some _ -> Cache.key ~text:req.dq_text ~options
+    | Some _ -> Cache.key_of_parse ~text:req.dq_text ~options parsed
   in
   let fail base =
     {
@@ -209,7 +213,7 @@ let run_delta settings req =
             (Base_corrupt, None)
         | Cache.M_hit (m, missing) -> (Base_warm missing, Some m))
   in
-  match Serial.of_string_diag req.dq_text with
+  match parsed with
   | Error diags ->
       Diag.Report.add_list report diags;
       fail base
@@ -220,7 +224,7 @@ let run_delta settings req =
             let d = Compile.compile_delta ~options ~manifest:m nl in
             ( d.Compile.delta_compiled,
               d.Compile.delta_manifest,
-              Some d )
+              d.Compile.delta_diff )
         | None ->
             let b = Compile.compile_base ~options nl in
             (b.Compile.base_compiled, b.Compile.base_manifest, None)
@@ -228,7 +232,7 @@ let run_delta settings req =
       | exception e ->
           Diag.Report.add report (Compile.diag_of_exn e);
           fail base
-      | compiled, manifest', delta ->
+      | compiled, manifest', diff ->
           (match settings.s_cache_dir with
           | Some dir -> (
               match Cache.store_manifest ~dir ~key manifest' with
@@ -236,53 +240,22 @@ let run_delta settings req =
               | Error d -> Diag.Report.add report d)
           | None -> ());
           let sched = compiled.Compile.schedule in
+          let count f = match diff with Some d -> f d | None -> 0 in
           let outcome =
-            match delta with
-            | Some d ->
-                {
-                  do_blocks_clean =
-                    (match d.Compile.delta_diff with
-                    | Some diff -> Msched_delta.Diff.clean_count diff
-                    | None -> 0);
-                  do_blocks_dirty =
-                    (match d.Compile.delta_diff with
-                    | Some diff -> Msched_delta.Diff.dirty_count diff
-                    | None -> 0);
-                  do_cone =
-                    (match d.Compile.delta_diff with
-                    | Some diff -> Msched_delta.Diff.cone_size diff
-                    | None -> 0);
-                  do_reused = d.Compile.delta_reused;
-                  do_ripped = d.Compile.delta_ripped;
-                  do_fresh = d.Compile.delta_fresh;
-                  do_expansions = d.Compile.delta_expansions;
-                  do_reuse_fraction = Compile.delta_reuse_fraction d;
-                  do_cold_fallback = d.Compile.delta_diff = None;
-                  do_schedule_fp =
-                    Cache.hash_hex (Schedule.to_json_string sched);
-                  do_length = sched.Schedule.length;
-                  do_est_speed_hz = Schedule.est_speed_hz sched;
-                }
-            | None ->
-                {
-                  do_blocks_clean = 0;
-                  do_blocks_dirty = 0;
-                  do_cone = 0;
-                  do_reused = 0;
-                  do_ripped = 0;
-                  (* A base compile routes everything fresh; the manifest's
-                     ledger is the count of transports it proved. *)
-                  do_fresh =
-                    List.length
-                      manifest'.Msched_delta.Manifest.entries;
-                  do_expansions = 0;
-                  do_reuse_fraction = 0.0;
-                  do_cold_fallback = false;
-                  do_schedule_fp =
-                    Cache.hash_hex (Schedule.to_json_string sched);
-                  do_length = sched.Schedule.length;
-                  do_est_speed_hz = Schedule.est_speed_hz sched;
-                }
+            {
+              do_blocks_clean = count Msched_delta.Diff.clean_count;
+              do_blocks_dirty = count Msched_delta.Diff.dirty_count;
+              do_cone = count Msched_delta.Diff.cone_size;
+              do_reused = 0;
+              do_ripped = 0;
+              do_fresh = 0;
+              do_expansions = 0;
+              do_reuse_fraction = 0.0;
+              do_cold_fallback = Option.is_some manifest && diff = None;
+              do_schedule_fp = Cache.hash_hex (Schedule.to_json_string sched);
+              do_length = sched.Schedule.length;
+              do_est_speed_hz = Schedule.est_speed_hz sched;
+            }
           in
           {
             dr_request = req;

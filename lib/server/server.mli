@@ -108,15 +108,17 @@ val error_record : ?id:string -> path:string -> Msched_diag.Diag.t list -> strin
 (** {2 Delta jobs}
 
     The [{"op": "delta"}] request (docs/DELTA.md): compile an edited
-    design against the cached manifest of its previous version, replaying
-    every transport the edit provably did not touch.  The updated
+    design cold and diff its blocks against the cached manifest of its
+    previous version, to explain what the edit changed.  The new
     manifest is stored under the design's own content key, announced in
     the response so the client can thread it into its next edit. *)
 
 type base_status =
   | Base_none  (** No base requested: cold base compile. *)
-  | Base_warm of int  (** Manifest loaded; [n] block slices missing. *)
-  | Base_miss  (** Key given, nothing stored under it. *)
+  | Base_warm of int  (** Manifest loaded; [n] is always 0. *)
+  | Base_miss
+      (** Key given, nothing stored under it — or not a key at all (not
+          16 lowercase hex digits), which never reaches the filesystem. *)
   | Base_corrupt  (** Header failed its checksum; E_CACHE diag carried. *)
   | Base_off  (** Base requested but the server runs without --cache-dir. *)
 
@@ -137,9 +139,11 @@ type delta_outcome = {
   do_fresh : int;
   do_expansions : int;
   do_reuse_fraction : float;
+      (** [do_reused] through [do_reuse_fraction] always read 0: nothing is
+          replayed.  They keep the [msched-delta-1] fields. *)
   do_cold_fallback : bool;
-      (** A base was loaded but the compile fell cold (foreign options
-          fingerprint or block-count mismatch). *)
+      (** A base was loaded but is not comparable (foreign options
+          fingerprint or block-count mismatch): no diff. *)
   do_schedule_fp : string;
       (** Content hash of the schedule JSON — the warm≡cold witness: a
           client can assert it equals the cold compile's. *)

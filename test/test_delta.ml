@@ -1,13 +1,13 @@
-(* The delta-compilation subsystem, tested the only way that matters:
-   differentially.  For every generator family, both MTS routing modes
-   and every applicable single-edit mutator, the warm compile against the
-   base manifest must produce a schedule byte-identical to a cold compile
-   of the edited design ([Schedule.to_json_string] equality) — the
-   warm≡cold guarantee docs/DELTA.md argues for.  On top of that:
-   identity deltas replay everything, connectivity-preserving edits beat
-   the cold compile on search work, doctored manifests fail closed,
-   block-granular cache entries degrade (never corrupt) under eviction,
-   and the canonical serial form the cache keys on is a byte fixpoint. *)
+(* The delta-compilation subsystem.  A delta compile is a cold compile
+   plus a block diff, so the first obligation is differential: for every
+   generator family, both MTS routing modes and every applicable
+   single-edit mutator, the delta compile against the base manifest must
+   produce a schedule byte-identical to a cold compile of the edited
+   design ([Schedule.to_json_string] equality) — and do the same search
+   work.  On top of that: manifests are one small checksummed file whose
+   size grows linearly with the design, doctored manifests fail closed,
+   gc sweeps what older versions left behind, and the canonical serial
+   form the cache keys on is a byte fixpoint. *)
 
 module Compile = Msched.Compile
 module Tiers = Msched_route.Tiers
@@ -21,6 +21,8 @@ module Edit = Msched_delta.Edit
 module Fingerprint = Msched_delta.Fingerprint
 module Cache = Msched_server.Cache
 module Diag = Msched_diag.Diag
+module Sink = Msched_obs.Sink
+module Netlist = Msched_netlist.Netlist
 
 let options mode =
   {
@@ -128,83 +130,74 @@ let test_differential () =
        !comparisons)
     true (!comparisons >= 50)
 
-(* ---- Identity delta: everything replays, nothing is searched. ---- *)
+(* ---- Delta is cold: the same bytes from the same search. ---- *)
 
-let test_identity_replay () =
-  let nl =
-    (Design_gen.gals_islands ~seed:9 ~islands:6 ~island_size:6 ())
-      .Design_gen.netlist
+(* The settings of the end-to-end benchmark's delta_edit workload. *)
+let delta_edit_options obs =
+  {
+    Compile.default_options with
+    Compile.max_block_weight = 64;
+    pins_per_fpga = 96;
+    obs;
+  }
+
+let spec_netlist spec =
+  match Design_gen.of_spec spec with
+  | Ok d -> d.Design_gen.netlist
+  | Error d -> Alcotest.failf "bad spec %s: %a" spec Diag.pp d
+
+(* One edit of each kind, chained as the benchmark chains them: each edit
+   applies to the previous edited design and compiles against the
+   previous manifest.  Every delta must compile exactly what a plain
+   compile of the same text compiles — same schedule bytes, same number
+   of pathfinder states — whatever the diff says. *)
+let test_delta_is_cold () =
+  let nl0 = spec_netlist "design1:scale=0.025,seed=1" in
+  let base = Compile.compile_base ~options:(delta_edit_options Sink.null) nl0 in
+  (* The identity delta: nothing dirty, nothing moved, an empty cone. *)
+  let ident =
+    Compile.compile_delta ~options:(delta_edit_options Sink.null)
+      ~manifest:base.Compile.base_manifest nl0
   in
-  let options = options Tiers.Mts_virtual in
-  let base = Compile.compile_base ~options nl in
-  Alcotest.(check bool) "base has ledger entries" true
-    (List.length base.Compile.base_manifest.Manifest.entries > 0);
-  Alcotest.(check bool) "base did search work" true
-    (base.Compile.base_expansions > 0);
-  let delta =
-    Compile.compile_delta ~options ~manifest:base.Compile.base_manifest nl
-  in
-  (match delta.Compile.delta_diff with
-  | None -> Alcotest.fail "identity delta fell back cold"
-  | Some diff ->
-      Alcotest.(check int) "no dirty blocks" 0 (Diff.dirty_count diff);
-      Alcotest.(check int) "empty cone" 0 (Diff.cone_size diff));
-  Alcotest.(check int) "zero expansions on identity replay" 0
-    delta.Compile.delta_expansions;
-  Alcotest.(check bool) "everything reused" true
-    (delta.Compile.delta_reused > 0 && delta.Compile.delta_fresh = 0);
-  Alcotest.(check (float 0.0001)) "reuse fraction 1" 1.0
-    (Compile.delta_reuse_fraction delta);
-  Alcotest.(check string) "schedule identical"
+  (match ident.Compile.delta_diff with
+  | None -> Alcotest.fail "identity delta is not comparable"
+  | Some d ->
+      Alcotest.(check (list int)) "identity: no dirty blocks" [] d.Diff.d_dirty;
+      Alcotest.(check (list int)) "identity: no moved blocks" [] d.Diff.d_moved;
+      Alcotest.(check int) "identity: empty cone" 0 (Diff.cone_size d));
+  Alcotest.(check string) "identity: schedule bytes"
     (schedule_json base.Compile.base_compiled.Compile.schedule)
-    (schedule_json delta.Compile.delta_compiled.Compile.schedule)
-
-(* ---- Single-block edit: warm reuse beats the cold search. ---- *)
-
-let test_reuse_beats_cold () =
-  let nl =
-    (Design_gen.gals_islands ~seed:9 ~islands:6 ~island_size:6 ())
-      .Design_gen.netlist
-  in
-  let options = options Tiers.Mts_virtual in
-  let base = Compile.compile_base ~options nl in
-  (* A connectivity-preserving edit keeps the seeded partition stable, so
-     the untouched blocks' transports replay.  Scan flip seeds until one
-     achieves reuse — the partition is allowed to be globally sensitive
-     to some edits, but not to all of them. *)
-  let rec scan seed =
-    if seed > 19 then
-      Alcotest.fail
-        "no domain-flip edit achieved any reuse over 20 seeds — the cone \
-         or fingerprints regressed"
-    else
-      match Edit.apply ~seed Edit.Flip_domain nl with
-      | Error _ -> scan (seed + 1)
-      | Ok (edited, desc) ->
-          let cold = Compile.compile_base ~options edited in
-          let delta =
-            Compile.compile_delta ~options ~manifest:base.Compile.base_manifest
-              edited
-          in
-          Alcotest.(check string)
-            (desc ^ ": schedule identical")
-            (schedule_json cold.Compile.base_compiled.Compile.schedule)
-            (schedule_json delta.Compile.delta_compiled.Compile.schedule);
-          if delta.Compile.delta_reused > 0 then begin
-            Alcotest.(check bool)
-              (Printf.sprintf
-                 "%s: warm expansions (%d) strictly below cold (%d)" desc
-                 delta.Compile.delta_expansions cold.Compile.base_expansions)
-              true
-              (delta.Compile.delta_expansions < cold.Compile.base_expansions);
-            Alcotest.(check bool)
-              (desc ^ ": reuse fraction > 0")
-              true
-              (Compile.delta_reuse_fraction delta > 0.0)
-          end
-          else scan (seed + 1)
-  in
-  scan 0
+    (schedule_json ident.Compile.delta_compiled.Compile.schedule);
+  ignore
+    (List.fold_left
+       (fun (nl, manifest) kind ->
+         let edited, desc =
+           match find_edit kind nl with
+           | Some e -> e
+           | None -> Alcotest.failf "no %s edit applies" (Edit.kind_name kind)
+         in
+         let what = Printf.sprintf "%s (%s)" (Edit.kind_name kind) desc in
+         let cold_obs = Sink.create () and delta_obs = Sink.create () in
+         let cold =
+           Compile.compile ~options:(delta_edit_options cold_obs) edited
+         in
+         let delta =
+           Compile.compile_delta ~options:(delta_edit_options delta_obs)
+             ~manifest edited
+         in
+         Alcotest.(check string)
+           (what ^ ": schedule bytes")
+           (schedule_json cold.Compile.schedule)
+           (schedule_json delta.Compile.delta_compiled.Compile.schedule);
+         let states obs = Sink.counter obs "pathfind.states_expanded" in
+         Alcotest.(check bool) (what ^ ": the cold compile searched") true
+           (states cold_obs > 0);
+         Alcotest.(check int)
+           (what ^ ": pathfind.states_expanded")
+           (states cold_obs) (states delta_obs);
+         (edited, delta.Compile.delta_manifest))
+       (nl0, base.Compile.base_manifest)
+       Edit.all_kinds)
 
 (* ---- The independent verifier accepts delta schedules. ---- *)
 
@@ -303,7 +296,7 @@ let test_foreign_options_fall_cold () =
         (schedule_json cold.Compile.base_compiled.Compile.schedule)
         (schedule_json delta.Compile.delta_compiled.Compile.schedule)
 
-(* ---- Block-granular cache entries. ---- *)
+(* ---- Cache entries: one file per manifest. ---- *)
 
 let fresh_dir =
   let n = ref 0 in
@@ -317,32 +310,35 @@ let fresh_dir =
     Cache.ensure_dir dir;
     dir
 
-let test_cache_block_granular () =
-  let _, _, base = small_manifest () in
-  let m = base.Compile.base_manifest in
+(* The stored manifest of a 3 736-cell design is one file that grows with
+   the cell count, not with the routing: no ledger, no probe
+   transcripts, no per-block slices. *)
+let test_manifest_linear () =
+  let nl = spec_netlist "design1:scale=0.1,seed=1" in
+  let options = delta_edit_options Sink.null in
+  let m = (Compile.compile_base ~options nl).Compile.base_manifest in
   let dir = fresh_dir () in
-  let key = "cafe0001cafe0001" in
+  let key = Cache.key ~text:(Serial.to_string nl) ~options in
   (match Cache.store_manifest ~dir ~key m with
   | Ok () -> ()
   | Error d -> Alcotest.failf "store failed: %a" Diag.pp d);
-  (* Full reload reassembles the manifest byte-identically. *)
+  Alcotest.(check (list string)) "one file"
+    [ "manifest-" ^ key ^ ".json" ]
+    (Array.to_list (Sys.readdir dir));
+  let bytes = (Unix.stat (Cache.manifest_file ~dir ~key)).Unix.st_size in
+  let cells = Netlist.num_cells nl in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d bytes for %d cells: at most 16 per cell" bytes cells)
+    true
+    (bytes <= 16 * cells);
   (match Cache.load_manifest ~dir ~key with
   | Cache.M_hit (m', 0) ->
-      Alcotest.(check string) "reassembled byte-identically"
+      Alcotest.(check string) "reloads byte-identically"
         (Manifest.to_json_string m)
         (Manifest.to_json_string m')
-  | Cache.M_hit (_, n) -> Alcotest.failf "%d slices missing on full load" n
+  | Cache.M_hit (_, n) -> Alcotest.failf "%d missing blocks reported" n
   | Cache.M_miss -> Alcotest.fail "stored manifest missed"
   | Cache.M_corrupt _ -> Alcotest.fail "stored manifest corrupt");
-  (* An evicted slice degrades that block to cold, nothing more. *)
-  Sys.remove (Cache.block_file ~dir ~key ~block:0);
-  (match Cache.load_manifest ~dir ~key with
-  | Cache.M_hit (m', missing) ->
-      Alcotest.(check int) "one slice missing" 1 missing;
-      Alcotest.(check bool) "block 0 entries gone, shape intact" true
-        (m'.Manifest.num_blocks = m.Manifest.num_blocks
-        && List.for_all (fun e -> e.Manifest.m_src <> 0) m'.Manifest.entries)
-  | _ -> Alcotest.fail "manifest with an evicted slice must still load");
   (* A corrupt header is a full, diagnosed miss. *)
   let oc = open_out (Cache.manifest_file ~dir ~key) in
   output_string oc "{\"schema\": \"garbage\"}";
@@ -354,6 +350,51 @@ let test_cache_block_granular () =
   match Cache.load_manifest ~dir ~key:"0123456789abcdef" with
   | Cache.M_miss -> ()
   | _ -> Alcotest.fail "unknown key must miss"
+
+(* A manifest header as the server stored it before manifests lost their
+   ledger: fig3 at weight 4, default options otherwise. *)
+let stored_header =
+  {|{"schema":"msched-delta-manifest-1","checksum":"7d166ce265d956c6","payload":{"options_fp":"mode=virtual;extra=4096;pins=240;weight=4;pseed=1;plseed=7;effort=4;vhz=3.4e+07;topo=mesh;verify=true","design_fp":"8422783c82ca38e6","num_blocks":3,"assignment":[1,0,2],"blocks":["9ebbb29455bdd846","d7f7ae62e6be974e","2d088e009acc8cac"],"boundary":[["DATA","t=clk1,clk2;s=clk1,clk2;mt=true;mts=true"],["FA","t=clk1;s=clk1,clk2;mt=false;mts=false"],["FA2","t=clk1;s=clk1,clk2;mt=false;mts=false"],["FB","t=clk2;s=clk1,clk2;mt=false;mts=false"],["MTSL","t=clk1,clk2;s=clk1,clk2;mt=true;mts=true"]]}}|}
+
+let test_stored_headers_load () =
+  (match Manifest.of_json_string stored_header with
+  | Error m -> Alcotest.failf "stored header refused: %s" m
+  | Ok m ->
+      Alcotest.(check string) "re-renders byte-identically" stored_header
+        (Manifest.to_json_string m));
+  let options = { Compile.default_options with Compile.max_block_weight = 4 } in
+  let fig3 = (Design_gen.fig3_latch ()).Design_gen.netlist in
+  Alcotest.(check string) "today's manifest of the same design"
+    stored_header
+    (Manifest.to_json_string
+       (Compile.compile_base ~options fig3).Compile.base_manifest);
+  (* The same manifest as the CLI wrote it with a ledger spliced into the
+     payload, checksummed over the ledger: refused, not half-read. *)
+  let open_payload = {|"payload":|} in
+  let i =
+    let rec find i =
+      if String.sub stored_header i (String.length open_payload) = open_payload
+      then i + String.length open_payload
+      else find (i + 1)
+    in
+    find 0
+  in
+  let payload =
+    String.sub stored_header i (String.length stored_header - i - 2)
+    ^ {|,"ledger":[]}|}
+  in
+  let with_ledger =
+    Printf.sprintf
+      {|{"schema":"msched-delta-manifest-1","checksum":"%s","payload":%s}|}
+      (Diag.Json.hash_hex payload) payload
+  in
+  match Manifest.of_json_string with_ledger with
+  | Ok _ -> Alcotest.fail "a manifest with a ledger must not load"
+  | Error m ->
+      Alcotest.(check bool)
+        (Printf.sprintf "the ledger fails the checksum (%s)" m)
+        true
+        (String.starts_with ~prefix:"checksum mismatch" m)
 
 let test_cache_gc_never_strands () =
   let _, _, base = small_manifest () in
@@ -367,12 +408,10 @@ let test_cache_gc_never_strands () =
       | Error _ -> Alcotest.fail "store failed")
     keys;
   let st = Cache.stats ~dir in
-  Alcotest.(check int) "manifest headers counted" 3 st.Cache.st_manifests;
-  Alcotest.(check int) "block slices counted"
-    (3 * m.Manifest.num_blocks)
-    st.Cache.st_blocks;
+  Alcotest.(check int) "manifests counted" 3 st.Cache.st_manifests;
+  Alcotest.(check int) "one file per manifest" 3 st.Cache.st_entries;
   (* Evict down to roughly a third: some entries must go, and whatever
-     survives must still load — degraded at worst, never corrupt. *)
+     survives must still load, never corrupt. *)
   let r = Cache.gc ~dir ~max_bytes:(st.Cache.st_bytes / 3) in
   Alcotest.(check bool) "something was evicted" true (r.Cache.gc_evicted > 0);
   Alcotest.(check bool) "cap respected" true
@@ -382,22 +421,38 @@ let test_cache_gc_never_strands () =
       match Cache.load_manifest ~dir ~key with
       | Cache.M_miss -> ()
       | Cache.M_hit (m', missing) ->
-          Alcotest.(check bool) "surviving manifest is coherent" true
-            (m'.Manifest.num_blocks = m.Manifest.num_blocks && missing >= 0)
+          Alcotest.(check bool) "surviving manifest is whole" true
+            (m'.Manifest.num_blocks = m.Manifest.num_blocks && missing = 0)
       | Cache.M_corrupt _ ->
           Alcotest.fail "gc stranded a manifest in a corrupt state")
     keys;
-  (* Deleting a header orphans its slices; the next gc sweeps them. *)
+  (* Per-block ledger files older versions wrote are dead whether or not
+     their manifest survives: gc sweeps every one and keeps the live
+     manifest. *)
   let dir2 = fresh_dir () in
-  (match Cache.store_manifest ~dir:dir2 ~key:(List.hd keys) m with
+  let live = List.hd keys in
+  (match Cache.store_manifest ~dir:dir2 ~key:live m with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "store failed");
-  Sys.remove (Cache.manifest_file ~dir:dir2 ~key:(List.hd keys));
+  List.iter
+    (fun name ->
+      let oc = open_out (Filename.concat dir2 name) in
+      output_string oc "{}\n";
+      close_out oc)
+    [
+      Printf.sprintf "block-%s-0.json" live;
+      Printf.sprintf "block-%s-3.json" (List.nth keys 1);
+    ];
+  Alcotest.(check int) "leftover block files counted" 2
+    (Cache.stats ~dir:dir2).Cache.st_blocks;
   let r2 = Cache.gc ~dir:dir2 ~max_bytes:max_int in
-  Alcotest.(check int) "orphaned slices swept" m.Manifest.num_blocks
-    r2.Cache.gc_orphans;
-  Alcotest.(check int) "directory left empty" 0
-    (Cache.stats ~dir:dir2).Cache.st_entries
+  Alcotest.(check int) "every leftover block file swept" 2 r2.Cache.gc_orphans;
+  Alcotest.(check int) "live manifest kept" 0 r2.Cache.gc_evicted;
+  Alcotest.(check int) "only the manifest is left" 1
+    (Cache.stats ~dir:dir2).Cache.st_entries;
+  match Cache.load_manifest ~dir:dir2 ~key:live with
+  | Cache.M_hit _ -> ()
+  | _ -> Alcotest.fail "the live manifest must still load"
 
 (* ---- Canonical serial form: the cache-key preimage is a fixpoint. ---- *)
 
@@ -442,15 +497,70 @@ let prop_cache_key_canonical =
       let options = Compile.default_options in
       Cache.key ~text ~options = Cache.key ~text:noisy ~options)
 
+(* Serving parses each request once and keys on that parse; the key must
+   be the one [Cache.key] computes from the text, byte for byte, on every
+   serve_mix generator family, a reformatted copy, and texts that do not
+   parse (which key on their raw bytes). *)
+let test_key_of_parse () =
+  let options = Compile.default_options in
+  let reformat text =
+    String.split_on_char '\n' text
+    |> List.map (fun l -> if l = "" then l else "  " ^ l ^ "   ")
+    |> String.concat "\n\n"
+    |> fun t -> "# reformatted\n" ^ t ^ "\n# eof\n"
+  in
+  let parsed =
+    List.concat_map
+      (fun spec ->
+        let text = Serial.to_string (spec_netlist spec) in
+        [ (spec, text); (spec ^ " (reformatted)", reformat text) ])
+      [
+        "random:domains=3,modules=8,mts=0.20,seed=11";
+        "gals:islands=4,size=3,seed=12";
+        "dense:domains=8,density=0.20,seed=13";
+        "fabric:banks=4,domains=3,seed=14";
+        "design1:scale=0.02,seed=15";
+        "design2:scale=0.02,seed=16";
+      ]
+  in
+  let multi_driver =
+    (* examples/broken/multi_driver.mnl: net 1 driven twice. *)
+    "design multi_driver\ndomain clk0\nnet 0 IN\nnet 1 X\nnet 2 Q\n\
+     input IN 0 domain 0\ngate buf G1 1 0\ngate not G2 1 0\n\
+     ff F0 2 1 dom 0\noutput Q 2\n"
+  in
+  let unparseable =
+    [
+      ("undeclared net", "design broken\nnet x\n");
+      ("multi-driver", multi_driver);
+    ]
+  in
+  List.iter
+    (fun (what, text) ->
+      Alcotest.(check string) (what ^ ": key of the parse")
+        (Cache.key ~text ~options)
+        (Cache.key_of_parse ~text ~options (Serial.of_string_diag text)))
+    (parsed @ unparseable);
+  List.iter
+    (fun (what, text) ->
+      Alcotest.(check string) (what ^ ": keys on the raw bytes")
+        (Cache.hash_hex (Cache.fingerprint options ^ "\n" ^ text))
+        (Cache.key ~text ~options))
+    unparseable;
+  match parsed with
+  | (_, text) :: (_, reformatted) :: _ ->
+      Alcotest.(check string) "reformatting keeps the key"
+        (Cache.key ~text ~options)
+        (Cache.key ~text:reformatted ~options)
+  | _ -> assert false
+
 let suite =
   [
     Alcotest.test_case "differential: delta == cold across families, modes, \
                         edits"
       `Slow test_differential;
-    Alcotest.test_case "identity delta replays everything" `Quick
-      test_identity_replay;
-    Alcotest.test_case "single-block edit reuses and searches less" `Quick
-      test_reuse_beats_cold;
+    Alcotest.test_case "delta is cold: bytes and search" `Quick
+      test_delta_is_cold;
     Alcotest.test_case "verifier accepts delta schedules" `Quick
       test_delta_schedule_verifies;
     Alcotest.test_case "manifest JSON roundtrip" `Quick test_manifest_roundtrip;
@@ -458,10 +568,14 @@ let suite =
       test_manifest_doctored_fails;
     Alcotest.test_case "foreign options fingerprint falls cold" `Quick
       test_foreign_options_fall_cold;
-    Alcotest.test_case "cache: block-granular store, load, degrade" `Quick
-      test_cache_block_granular;
+    Alcotest.test_case "manifests are linear, one file" `Quick
+      test_manifest_linear;
+    Alcotest.test_case "stored headers still load" `Quick
+      test_stored_headers_load;
     Alcotest.test_case "cache: gc never strands a manifest" `Quick
       test_cache_gc_never_strands;
     QCheck_alcotest.to_alcotest prop_canonical_fixpoint;
     QCheck_alcotest.to_alcotest prop_cache_key_canonical;
+    Alcotest.test_case "key of one parse == Cache.key" `Quick
+      test_key_of_parse;
   ]

@@ -681,6 +681,119 @@ let test_delta_over_socket () =
   let s = drain_and_wait srv in
   Alcotest.(check bool) "clean drain" true s.Transport.sm_clean
 
+(* A delta [base] is a client-supplied cache key.  Anything but 16
+   lowercase hex digits must miss without naming a path: each bad key
+   below has a valid manifest planted where it would resolve (where the
+   filesystem allows one), so reading it would answer "warm". *)
+let test_delta_base_key_validated () =
+  let dir = fresh_dir () in
+  let srv = Transport.start (config ~workers:1 ~cache_dir:dir ()) in
+  let c = connect srv in
+  let fp line =
+    Option.bind
+      (Option.bind (Diag.Json.mem "delta" (json line))
+         (Diag.Json.mem "schedule_fp"))
+      Diag.Json.str
+  in
+  let text = good_text ~seed:933 () in
+  send c
+    (Printf.sprintf {|{"op":"delta","text":%s}|} (Diag.Json.string text));
+  let cold = recv_exn c in
+  Alcotest.(check int) "cold compile succeeds" 0 (exit_code cold);
+  let key =
+    match str_mem "key" cold with
+    | Some k -> k
+    | None -> Alcotest.fail "no manifest key announced"
+  in
+  let stored =
+    In_channel.with_open_bin (Cache.manifest_file ~dir ~key)
+      In_channel.input_all
+  in
+  let rec mkdir_p d =
+    if not (Sys.file_exists d) then begin
+      mkdir_p (Filename.dirname d);
+      Unix.mkdir d 0o755
+    end
+  in
+  let plant bad =
+    let path = Cache.manifest_file ~dir ~key:bad in
+    mkdir_p (Filename.dirname path);
+    write_file path stored
+  in
+  List.iter
+    (fun (what, bad, plantable) ->
+      if plantable then plant bad;
+      send c
+        (Printf.sprintf {|{"op":"delta","text":%s,"base":%s}|}
+           (Diag.Json.string text) (Diag.Json.string bad));
+      let r = recv_exn c in
+      Alcotest.(check int) (what ^ ": compiles") 0 (exit_code r);
+      Alcotest.(check (option string)) (what ^ ": misses") (Some "miss")
+        (str_mem "base" r);
+      Alcotest.(check (option string))
+        (what ^ ": schedule_fp of the cold compile")
+        (fp cold) (fp r))
+    [
+      ("../x", "../x", true);
+      ("/etc/passwd", "/etc/passwd", true);
+      ("empty", "", true);
+      ("uppercase hex", "0123456789ABCDEF", true);
+      ("17 digits", key ^ "0", true);
+      ("embedded NUL", String.sub key 0 8 ^ "\000" ^ String.sub key 9 7, false);
+    ];
+  send c
+    (Printf.sprintf {|{"op":"delta","text":%s,"base":%s}|}
+       (Diag.Json.string text) (Diag.Json.string key));
+  Alcotest.(check (option string)) "the real key still loads" (Some "warm")
+    (str_mem "base" (recv_exn c));
+  close c;
+  let s = drain_and_wait srv in
+  Alcotest.(check bool) "clean drain" true s.Transport.sm_clean
+
+(* A net driven twice is rejected by the builder in the middle of the
+   parse.  Under a cache directory that text is keyed before it compiles;
+   it must answer E_MALFORMED_NET at exit 3 on both ops, in a batch too,
+   and never take its worker down. *)
+let multi_driver_text =
+  "design multi_driver\ndomain clk0\nnet 0 IN\nnet 1 X\nnet 2 Q\n\
+   input IN 0 domain 0\ngate buf G1 1 0\ngate not G2 1 0\n\
+   ff F0 2 1 dom 0\noutput Q 2\n"
+
+let test_multi_driver_cached () =
+  let dir = fresh_dir () in
+  let srv = Transport.start (config ~workers:1 ~cache_dir:dir ()) in
+  let c = connect srv in
+  send c
+    (Printf.sprintf {|{"text":%s,"id":"md"}|}
+       (Diag.Json.string multi_driver_text));
+  check_failure ~what:"cached multi-driver request" ~code:"E_MALFORMED_NET"
+    ~exit:3 (recv_exn c);
+  send c
+    (Printf.sprintf {|{"op":"delta","text":%s,"id":"md-delta"}|}
+       (Diag.Json.string multi_driver_text));
+  let d = recv_exn c in
+  Alcotest.(check string) "delta record" "msched-delta-1" (schema d);
+  Alcotest.(check int) "delta exit class" 3 (exit_code d);
+  Alcotest.(check bool) "delta carries E_MALFORMED_NET" true
+    (List.mem "E_MALFORMED_NET" (diag_codes d));
+  send c
+    (Printf.sprintf {|{"text":%s,"id":"after"}|}
+       (Diag.Json.string (good_text ())));
+  Alcotest.(check int) "the worker still serves" 0 (exit_code (recv_exn c));
+  close c;
+  let s = drain_and_wait srv in
+  Alcotest.(check int) "no worker crashed" 0
+    s.Transport.sm_counters.Dispatch.c_crashed;
+  let settings =
+    { Server.default_settings with Server.s_cache_dir = Some dir }
+  in
+  let b =
+    Server.run_batch ~jobs:1 settings
+      [ Server.job_of_text ~index:0 ~path:"multi_driver.mnl" multi_driver_text ]
+  in
+  Alcotest.(check int) "cached batch record exit class" 3 (Server.exit_code b);
+  Alcotest.(check int) "one record" 1 (Array.length b.Server.b_results)
+
 (* `serve --stdin` is one Transport session over a pair of fds (pipes
    here; stdin/stdout in the CLI): the socket grammar, responses in
    request order with ids echoed, the records a direct run_job produces,
@@ -819,6 +932,10 @@ let suite =
       test_fairness_round_robin;
     Alcotest.test_case "serve: delta op warm == cold over the wire" `Quick
       test_delta_over_socket;
+    Alcotest.test_case "serve: delta base keys are validated" `Quick
+      test_delta_base_key_validated;
+    Alcotest.test_case "serve: cached multi-driver text is exit 3" `Quick
+      test_multi_driver_cached;
     Alcotest.test_case "serve: stdin session speaks the socket grammar"
       `Quick test_stdio_session;
   ]
