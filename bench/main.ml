@@ -165,91 +165,6 @@ let driver_doc () =
     (Msched.Compile.resilient_to_json r)
     (Msched_obs.Export.json_string obs)
 
-(* Batch-server throughput: designs/sec at 1 vs 4 workers over a seeded
-   corpus, and cache-cold vs cache-warm wall time on a congested corpus
-   where the persisted reroute ledger actually shortens the search.  The
-   host core count is recorded because worker-count speedup is bounded by
-   it (a 1-core container cannot show parallel gain). *)
-let batch_doc () =
-  let module Server = Msched_server.Server in
-  let module Serial = Msched_netlist.Serial in
-  let design ~seed ~modules =
-    Serial.to_string
-      (Design_gen.random_multidomain ~seed ~domains:3 ~modules
-         ~mts_fraction:0.25 ())
-        .Design_gen.netlist
-  in
-  let corpus n ~base ~modules =
-    List.init n (fun i ->
-        Server.job_of_text ~index:i
-          ~path:(Printf.sprintf "bench-%02d.mnl" i)
-          (design ~seed:(base + i) ~modules))
-  in
-  (* Throughput: 16 mid-size designs, cache off.  Large enough that
-     per-design compile work dominates domain-spawn overhead. *)
-  let throughput = corpus 16 ~base:700 ~modules:24 in
-  (* Best-of-3 wall time: sub-100ms batches are noisy under GC. *)
-  let best run =
-    let pick a b = if a.Server.b_wall_s <= b.Server.b_wall_s then a else b in
-    pick (run ()) (pick (run ()) (run ()))
-  in
-  let b1 =
-    best (fun () -> Server.run_batch ~jobs:1 Server.default_settings throughput)
-  in
-  let b4 =
-    best (fun () -> Server.run_batch ~jobs:4 Server.default_settings throughput)
-  in
-  (* Cache: 6 congested designs under tight options, one cold batch to
-     populate a fresh cache directory, one warm batch over it. *)
-  let tight =
-    {
-      Msched.Compile.default_options with
-      Msched.Compile.max_block_weight = 32;
-      pins_per_fpga = 24;
-      route = { Tiers.default_options with Tiers.max_extra_slots = 0 };
-    }
-  in
-  let cache_dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "msched-bench-cache-%d" (Unix.getpid ()))
-  in
-  let congested = corpus 6 ~base:517 ~modules:30 in
-  let settings =
-    {
-      Server.default_settings with
-      Server.s_options = tight;
-      s_max_retries = 2;
-      s_fallback_hard = true;
-      s_cache_dir = Some cache_dir;
-    }
-  in
-  (* One cold batch populates the fresh cache; warm batches replay it. *)
-  let cold = Server.run_batch ~jobs:1 settings congested in
-  let warm = best (fun () -> Server.run_batch ~jobs:1 settings congested) in
-  let count status b =
-    Array.fold_left
-      (fun n r -> if r.Server.r_cache = status then n + 1 else n)
-      0 b.Server.b_results
-  in
-  let per_s b =
-    if b.Server.b_wall_s > 0.0 then
-      float_of_int (Array.length b.Server.b_results) /. b.Server.b_wall_s
-    else 0.0
-  in
-  Printf.sprintf
-    "{\"cores\":%d,\"throughput\":{\"designs\":%d,\"jobs1_wall_s\":%.6f,\"jobs4_wall_s\":%.6f,\"speedup_4v1\":%.3f,\"designs_per_s_jobs1\":%.2f,\"designs_per_s_jobs4\":%.2f,\"max_inflight_jobs4\":%d},\"cache\":{\"designs\":%d,\"cold_wall_s\":%.6f,\"warm_wall_s\":%.6f,\"warm_speedup\":%.3f,\"warm_hits\":%d}}"
-    (Domain.recommended_domain_count ())
-    (List.length throughput) b1.Server.b_wall_s b4.Server.b_wall_s
-    (if b4.Server.b_wall_s > 0.0 then b1.Server.b_wall_s /. b4.Server.b_wall_s
-     else 0.0)
-    (per_s b1) (per_s b4) b4.Server.b_max_inflight (List.length congested)
-    cold.Server.b_wall_s warm.Server.b_wall_s
-    (if warm.Server.b_wall_s > 0.0 then
-       cold.Server.b_wall_s /. warm.Server.b_wall_s
-     else 0.0)
-    (count Server.Cache_warm warm)
-
 (* Socket-serve throughput: req/s and p50/p99 latency over a REAL tcp
    socket at 1 vs 4 worker domains, 4 concurrent client connections each —
    the full hardened path (framing, dispatch queue, worker domains,
@@ -491,10 +406,9 @@ let delta_doc () =
 let write_pipeline_json path =
   let doc =
     Printf.sprintf
-      "{\"schema\":\"msched-bench-pipeline-7\",\"designs\":{\"design1\":%s,\"design2\":%s},\"driver\":%s,\"batch\":%s,\"serve\":%s,\"workloads\":%s,\"par\":%s,\"delta\":%s}\n"
+      "{\"schema\":\"msched-bench-pipeline-7\",\"designs\":{\"design1\":%s,\"design2\":%s},\"driver\":%s,\"serve\":%s,\"workloads\":%s,\"par\":%s,\"delta\":%s}\n"
       (pipeline_doc design1) (pipeline_doc design2) (driver_doc ())
-      (batch_doc ()) (serve_doc ()) (workloads_doc ()) (par_doc ())
-      (delta_doc ())
+      (serve_doc ()) (workloads_doc ()) (par_doc ()) (delta_doc ())
   in
   let oc = open_out path in
   output_string oc doc;

@@ -541,12 +541,11 @@ let server_settings pins weight mode retries fallback_hard cold max_extra
     s_obs_jobs = obs_jobs;
   }
 
-let batch_cmd source jobs cache_dir out pins weight mode retries fallback_hard
-    cold max_extra trace json =
+let batch_cmd source jobs _cache_dir out pins weight mode retries
+    fallback_hard cold max_extra trace json =
   protect @@ fun () ->
   let settings =
-    server_settings pins weight mode retries fallback_hard cold max_extra
-      cache_dir
+    server_settings pins weight mode retries fallback_hard cold max_extra None
       (trace <> None || json <> None)
   in
   match Manifest.load source with
@@ -758,7 +757,8 @@ let cold_arg =
         ~doc:
           "Disable warm rerouting between retry rungs: every attempt \
            re-searches all transports from scratch instead of replaying \
-           the previous attempt's routes (same schedules, more work)")
+           the previous attempt's routes (same outcome, attempt ladder, \
+           routing mode and frequency; the schedule bytes may differ)")
 
 let max_extra_arg =
   Arg.(
@@ -824,15 +824,22 @@ let jobs_arg =
           "Worker domains compiling designs concurrently (default: the \
            recommended domain count; output is byte-identical for any N)")
 
-let cache_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "cache-dir" ] ~docv:"DIR"
-        ~doc:
-          "Persistent warm-route cache: reroute contexts keyed by design \
-           content are stored here and replayed by later runs (corrupt \
-           entries degrade to cold with an E_CACHE warning)")
+let cache_dir_arg ~doc =
+  Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
+
+let batch_cache_dir_arg =
+  cache_dir_arg
+    ~doc:
+      "Accepted for compatibility; has no effect.  Batch records depend \
+       only on the design text and the settings"
+
+let serve_cache_dir_arg =
+  cache_dir_arg
+    ~doc:
+      "Delta-manifest directory: {\"op\":\"delta\"} requests store each \
+       design's manifest here and diff the next edit against it (corrupt \
+       manifests compile cold with an E_CACHE warning); plain compile \
+       requests never touch it"
 
 let out_arg =
   Arg.(
@@ -916,8 +923,8 @@ let cache_max_bytes_arg =
     & opt (some int) None
     & info [ "cache-max-bytes" ] ~docv:"BYTES"
         ~doc:
-          "Cap the warm-route cache: a janitor evicts least-recently-used \
-           entries past the cap while the server runs")
+          "Cap the --cache-dir manifests: a janitor evicts \
+           least-recently-used entries past the cap while the server runs")
 
 let inject_faults_arg =
   Arg.(
@@ -999,7 +1006,7 @@ let cache_cmd =
   Cmd.group
     (Cmd.info "cache"
        ~doc:
-         "Warm-route cache maintenance: inspect or shrink a --cache-dir \
+         "Delta-manifest cache maintenance: inspect or shrink a --cache-dir \
           directory (safe against a live server: eviction runs under the \
           cache lock and never removes in-use entries, which loads keep \
           fresh by touching their mtime)")
@@ -1073,7 +1080,7 @@ let cmds =
            "Compile a whole corpus concurrently on a Domain worker pool \
             and emit one NDJSON record per design (see docs/SERVER.md)")
       Term.(
-        const batch_cmd $ source_arg $ jobs_arg $ cache_dir_arg $ out_arg
+        const batch_cmd $ source_arg $ jobs_arg $ batch_cache_dir_arg $ out_arg
         $ pins_arg $ weight_arg $ mode_arg $ retries_arg $ fallback_hard_arg
         $ cold_arg $ max_extra_arg $ trace_arg $ json_arg);
     Cmd.v
@@ -1087,7 +1094,7 @@ let cmds =
       Term.(
         const serve_cmd $ stdin_flag_arg $ socket_arg $ tcp_arg $ workers_arg
         $ queue_max_arg $ overload_arg $ deadline_arg $ grace_arg
-        $ cache_max_bytes_arg $ inject_faults_arg $ cache_dir_arg $ pins_arg
+        $ cache_max_bytes_arg $ inject_faults_arg $ serve_cache_dir_arg $ pins_arg
         $ weight_arg $ mode_arg $ retries_arg $ fallback_hard_arg $ cold_arg
         $ max_extra_arg);
     delta_cmd;

@@ -340,10 +340,9 @@ let compile_resilient ?(options = default_options) ?(max_retries = 3)
        relax-slack, and the per-net fallback iterations); a seed change
        invalidates the ledger, so reseed rungs start cold.  With
        [reuse = false] every attempt starts cold — the differential-test
-       baseline.  An externally supplied [reroute] context (deserialized
-       from the warm-route cache, or retained from a previous run of the
-       same design) makes even the baseline attempt warm: its ledger
-       replays and its congestion history steers from the first search. *)
+       baseline.  A caller-supplied [reroute] context is used in place of
+       a fresh one; callers pass a fresh context to read its statistics
+       afterwards. *)
     let ctx = match reroute with Some c -> c | None -> Reroute.create () in
     (* Forced-hard keys survive context clears via this driver-side list,
        so cold mode reaches the same per-net fallback state as warm. *)

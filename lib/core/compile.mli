@@ -255,13 +255,13 @@ val compile_resilient :
     the per-net hard-fallback rungs (and the whole-schedule hard rung as a
     last resort); [reuse] (default [true]) keeps the reroute context warm
     across seed-compatible attempts — [false] re-searches every attempt
-    from scratch (same results, more work; used by the differential
-    tests).  [reroute] supplies the context instead of starting fresh:
-    pass one deserialized from {!Msched_route.Reroute.of_json_string} (or
-    retained from a previous run of the same design) and even the baseline
-    attempt runs warm — the mechanism behind the process-spanning
-    warm-route cache of {!Msched_server}.  The context is mutated in
-    place; serialize it afterwards to persist what this run learned. *)
+    from scratch.  Warm and cold agree on success, attempt labels,
+    routing mode and emulation frequency, and both schedules are
+    verifier-clean ([test/test_reroute.ml]); the schedule bytes may
+    differ.  [reroute] supplies the context the ladder starts from
+    instead of a fresh one; it is mutated in place, so a caller that
+    passes a fresh context can read the ladder's statistics from it
+    afterwards. *)
 
 val succeeded : resilient -> bool
 val degraded : resilient -> bool

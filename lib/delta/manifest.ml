@@ -54,8 +54,8 @@ let build ~options_fp ~design_fp placement ~analysis =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Canonical, checksummed JSON.  Same conventions as the reroute cache:
-   sorted structural order, re-serialize-and-compare integrity check. *)
+(* Canonical, checksummed JSON: sorted structural order, and a
+   re-serialize-and-compare integrity check. *)
 
 let fnv = J.hash_hex
 

@@ -198,9 +198,9 @@ module Json = struct
     Buffer.add_string b value
 
   (* A minimal JSON reader for the documents this toolchain itself emits
-     (diag/driver/reroute/batch schemas): objects, arrays, strings with
+     (diag/driver/manifest/batch schemas): objects, arrays, strings with
      the escapes [escape] produces, numbers, booleans, null.  Readers that
-     accumulate diagnostics (the batch server, the reroute cache) need to
+     accumulate diagnostics (the batch server, the manifest cache) need to
      parse without pulling a JSON library into the dependency cone. *)
   type value =
     | Null

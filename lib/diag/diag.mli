@@ -29,9 +29,9 @@ type code =
           costs a per-domain transport and equalization padding). *)
   | E_INTERNAL  (** Invariant breakage inside the compiler. *)
   | E_CACHE
-      (** A persisted artifact (warm-route cache file) is unreadable,
-          corrupt, checksum-mismatched or version-skewed.  Warning-class
-          in practice: the consumer degrades to a cold start. *)
+      (** A persisted artifact (a delta manifest) is unreadable, corrupt,
+          checksum-mismatched or version-skewed.  Warning-class in
+          practice: the consumer compiles cold without it. *)
   | E_TIMEOUT
       (** A request exceeded its deadline: the serve dispatcher cancelled
           it while queued, or abandoned the running compile and answered

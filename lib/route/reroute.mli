@@ -18,8 +18,10 @@
     residue instead of flipping the whole schedule to hard mode).
 
     One context belongs to one prepared design: partition or placement
-    reseeding invalidates both ledger and history ({!clear}).  All state
-    is single-threaded mutable, like {!Msched_obs.Sink}. *)
+    reseeding invalidates both ledger and history ({!clear}).  A context
+    lives in memory for one compile's retry ladder; nothing persists it,
+    so a compile's answer depends only on its design and settings.  All
+    state is single-threaded mutable, like {!Msched_obs.Sink}. *)
 
 type key = {
   k_net : int;
@@ -114,27 +116,3 @@ val record_metrics : Msched_obs.Sink.t -> t -> unit
 (** Record the context statistics as [reroute.*] gauges into [obs]
     (cumulative totals; the per-attempt counters are recorded at the use
     sites).  No-op on a disabled sink. *)
-
-(** {2 Persistence (schema ["msched-reroute-1"])}
-
-    The warm parts of a context — ledger, congestion history, forced-hard
-    set — as a versioned, checksummed, canonical JSON document, so warm
-    retries can span processes (batch compile servers, CI re-runs).
-    Statistics and the failure residue are per-run state: a deserialized
-    context starts with zero counters and no residue.  Every ledger entry
-    is written with ["dir":"rev"] (reverse TIERS slots); a document whose
-    entry names another direction does not load. *)
-
-val to_json_string : t -> string
-(** Canonical (sorted) emission: [to_json_string (of_json_string s)] is
-    byte-identical to [s] for any document this function produced. *)
-
-val of_json_string : string -> (t, string) result
-(** [Error] on unparseable text, schema mismatch, malformed payload
-    (including a ["dir"] other than ["rev"]) or checksum mismatch
-    (truncation and bit-rot both land here, as do entries carrying the
-    ["pf"]/["pb"] probe transcripts older exact contexts wrote: the
-    codec no longer reads them, so the re-rendered payload cannot hash
-    to the stored checksum).  Callers
-    are expected to degrade to a cold context and surface the message as
-    an [E_CACHE] warning.  Never raises. *)

@@ -1,23 +1,24 @@
-(* Process-spanning warm-route cache: one msched-reroute-1 document per
-   (design content, compile-options fingerprint) key on disk.  A later
-   process compiling the same design under the same options deserializes
-   the context and replays the previous run's routes instead of searching
-   from scratch (ROADMAP: "warm retries span processes").
+(* The server's cache directory: one checksummed delta manifest per
+   (design content, compile-options fingerprint) key, written by
+   [{"op":"delta"}] requests and read back as the base of the next edit
+   (docs/DELTA.md).  Compile requests never read or write it, so a
+   compile's answer depends only on its design text and settings.
 
    The module is stateless — all functions take the directory explicitly —
    so concurrent worker domains share nothing but the filesystem.  Stores
    are atomic and durable (write a writer-private temp file, fsync it, then
    rename: a crash mid-write can leave at most a stale temp file, never a
    short-but-parseable entry); loads of a missing key are misses; loads of
-   an unreadable, truncated or checksum-mismatched file degrade to a cold
-   start with an E_CACHE warning instead of failing the job.
+   an unreadable, truncated or checksum-mismatched file are reported
+   corrupt with an E_CACHE warning, and the request compiles cold.
 
    Hygiene for long-lived servers: a successful load touches the entry's
-   mtime, making mtime an LRU clock; [gc ~max_bytes] evicts
-   oldest-mtime-first under an exclusive lock file until the directory fits
-   the cap, so entries in active use (recently loaded or stored) survive. *)
+   mtime, making mtime an LRU clock; [gc ~max_bytes] deletes the files
+   older versions left behind (reroute contexts, per-block ledger slices),
+   then evicts oldest-mtime-first under an exclusive lock file until the
+   directory fits the cap, so entries in active use (recently loaded or
+   stored) survive. *)
 
-module Reroute = Msched_route.Reroute
 module Diag = Msched_diag.Diag
 
 let hash_hex = Diag.Json.hash_hex
@@ -39,6 +40,8 @@ let key_of_parse ~text ~options parsed =
 let key ~text ~options =
   key_of_parse ~text ~options (Msched_netlist.Serial.of_string text)
 
+(* Shim: the name reroute contexts were stored under.  Nothing writes it
+   now; the benchmark under perfbench/ still names it. *)
 let file ~dir ~key = Filename.concat dir ("reroute-" ^ key ^ ".json")
 
 let ensure_dir dir =
@@ -55,30 +58,17 @@ let ensure_dir dir =
   if not (Sys.is_directory dir) then
     raise (Diag.Fail (Diag.error Diag.E_CACHE "%s is not a directory" dir))
 
-type load = Miss | Hit of Reroute.t | Corrupt of Diag.t
+type load = Miss | Hit of Msched_route.Reroute.t | Corrupt of Diag.t
+
+(* Shims for the benchmark under perfbench/, which still calls the
+   deleted reroute cache: every load misses and every store is a no-op,
+   neither touching the filesystem. *)
+let load ~dir:_ ~key:_ = Miss
+let store ~dir:_ ~key:_ _ = Ok ()
 
 (* A hit bumps the entry's mtime so LRU eviction ([gc]) sees it as in
    active use.  Best-effort: a read-only cache still serves hits. *)
 let touch path = try Unix.utimes path 0.0 0.0 with Unix.Unix_error _ -> ()
-
-let load ~dir ~key =
-  let path = file ~dir ~key in
-  if not (Sys.file_exists path) then Miss
-  else
-    match In_channel.with_open_bin path In_channel.input_all with
-    | exception Sys_error msg ->
-        Corrupt
-          (Diag.warning Diag.E_CACHE
-             "warm-route cache %s unreadable (%s); starting cold" path msg)
-    | text -> (
-        match Reroute.of_json_string text with
-        | Ok ctx ->
-            touch path;
-            Hit ctx
-        | Error msg ->
-            Corrupt
-              (Diag.warning Diag.E_CACHE
-                 "warm-route cache %s corrupt (%s); starting cold" path msg))
 
 let write_atomic ~path payload =
   (* pid + domain id: unique per writer even when several processes (each
@@ -118,11 +108,8 @@ let write_atomic ~path payload =
       in
       (if Sys.file_exists tmp then try Sys.remove tmp with Sys_error _ -> ());
       Error
-        (Diag.warning Diag.E_CACHE "could not persist warm-route cache %s: %s"
+        (Diag.warning Diag.E_CACHE "could not persist cache entry %s: %s"
            path msg)
-
-let store ~dir ~key ctx =
-  write_atomic ~path:(file ~dir ~key) (Reroute.to_json_string ctx ^ "\n")
 
 (* ---- Delta manifests: one checksummed file per design. ---- *)
 
@@ -244,9 +231,11 @@ type gc_result = {
   gc_bytes_after : int;
 }
 
-(* Manifests are single files now, so every [block-*] ledger slice an
-   older version left behind is dead: sweep them all before the LRU pass,
-   which then only ever sees live entries. *)
+(* Manifests are the only live format: every [reroute-*] context and
+   [block-*] ledger slice an older version left behind is dead, so sweep
+   them all before the LRU pass, which then only ever sees live entries. *)
+let is_leftover name = has_prefix "reroute-" name || has_prefix "block-" name
+
 let gc ~dir ~max_bytes =
   with_lock ~dir (fun () ->
       let entries = scan dir in
@@ -256,7 +245,7 @@ let gc ~dir ~max_bytes =
       let orphans, live, bytes =
         List.fold_left
           (fun (orphans, live, bytes) ((path, size, _) as e) ->
-            if not (has_prefix "block-" (Filename.basename path)) then
+            if not (is_leftover (Filename.basename path)) then
               (orphans, e :: live, bytes)
             else
               match Sys.remove path with

@@ -1,11 +1,13 @@
-(** On-disk warm-route cache: persisted {!Msched_route.Reroute} contexts
+(** The server's cache directory: delta manifests
+    ({!Msched_delta.Manifest}), one [manifest-<key>.json] file each,
     keyed by a content hash of the design text and the compile-options
-    fingerprint, so warm retries span processes.
+    fingerprint.  [{"op":"delta"}] requests store them and read them back
+    as the base of the next edit; compile requests never touch the
+    directory.
 
     All functions are stateless in the directory argument — concurrent
-    worker domains share nothing but the filesystem.  The file layout
-    ([reroute-<key>.json], one canonical [msched-reroute-1] document each)
-    is documented in [docs/SERVER.md]. *)
+    worker domains share nothing but the filesystem.  The layout is
+    documented in [docs/SERVER.md]. *)
 
 val hash_hex : string -> string
 (** {!Msched_diag.Diag.Json.hash_hex}: FNV-1a 64-bit, as 16 lowercase hex
@@ -13,8 +15,8 @@ val hash_hex : string -> string
 
 val fingerprint : Msched.Compile.options -> string
 (** {!Msched.Compile.options_fingerprint}: the option fields that change
-    routing results; part of the cache key so stale contexts are never
-    replayed against different options. *)
+    routing results; part of the cache key, so a manifest built under
+    other options is stored under another key. *)
 
 val key : text:string -> options:Msched.Compile.options -> string
 (** Content hash of the {e canonical} serial form of [text] (when it
@@ -32,38 +34,16 @@ val key_of_parse :
     bytes when the parse failed.  Byte-identical to {!key}, one parse
     cheaper. *)
 
-val file : dir:string -> key:string -> string
-
 val ensure_dir : string -> unit
 (** Create the cache directory (and one missing parent) if needed.
     @raise Msched_diag.Diag.Fail (E_CACHE) when the path exists but is not
     a directory. *)
 
-type load =
-  | Miss  (** No cache file for this key. *)
-  | Hit of Msched_route.Reroute.t
-  | Corrupt of Msched_diag.Diag.t
-      (** Unreadable / truncated / checksum-mismatched file: the carried
-          E_CACHE warning says why; the caller degrades to a cold start. *)
-
-val load : dir:string -> key:string -> load
-(** A [Hit] also touches the entry's mtime (best-effort), making mtime a
-    least-recently-used clock for {!gc}. *)
-
-val store :
-  dir:string -> key:string -> Msched_route.Reroute.t -> (unit, Msched_diag.Diag.t) result
-(** Atomic and durable: the entry is written to a writer-private temp file
-    (name includes pid and domain id, so concurrent processes never
-    collide), fsynced, then renamed into place — a crash can leave a stale
-    temp file but never a partially-written entry.  [Error] carries an
-    E_CACHE warning; persisting is best-effort and never fails a job. *)
-
 (** {2 Delta manifests}
 
     A {!Msched_delta.Manifest.t} is stored as one checksummed
-    [manifest-<key>.json] file, atomic like {!store}.  A missing file is
-    a miss; an unreadable or corrupt one is [M_corrupt] with an E_CACHE
-    warning. *)
+    [manifest-<key>.json] file.  A missing file is a miss; an unreadable
+    or corrupt one is [M_corrupt] with an E_CACHE warning. *)
 
 val manifest_file : dir:string -> key:string -> string
 
@@ -72,6 +52,11 @@ val store_manifest :
   key:string ->
   Msched_delta.Manifest.t ->
   (unit, Msched_diag.Diag.t) result
+(** Atomic and durable: the entry is written to a writer-private temp file
+    (name includes pid and domain id, so concurrent processes never
+    collide), fsynced, then renamed into place — a crash can leave a stale
+    temp file but never a partially-written entry.  [Error] carries an
+    E_CACHE warning; storing is best-effort and never fails a request. *)
 
 type manifest_load =
   | M_miss
@@ -96,7 +81,8 @@ val load_manifest : dir:string -> key:string -> manifest_load
 
 type stats = {
   st_entries : int;
-      (** All cache entries ([reroute-*] / [manifest-*] / [block-*]). *)
+      (** All cache entries: [manifest-*] files, plus any [reroute-*] /
+          [block-*] files an older version left. *)
   st_manifests : int;  (** Delta manifests among them. *)
   st_blocks : int;
       (** Leftover per-block ledger files from older versions; the next
@@ -120,14 +106,36 @@ type gc_result = {
   gc_scanned : int;
   gc_evicted : int;
   gc_orphans : int;
-      (** Leftover [block-*] ledger files deleted: nothing reads them. *)
+      (** Leftover [reroute-*] and [block-*] files deleted: nothing reads
+          either format. *)
   gc_bytes_before : int;
   gc_bytes_after : int;
 }
 
 val gc : dir:string -> max_bytes:int -> gc_result
-(** Delete every leftover [block-*] file, then evict entries
+(** Delete every leftover [reroute-*] and [block-*] file, then evict entries
     oldest-mtime-first (deterministic path tie-break) until total entry
     bytes fit [max_bytes], all under {!with_lock}.  Entries that vanish
     mid-scan are skipped; the lock file itself is never evicted.  Every
     entry is one self-contained file, so whatever survives still loads. *)
+
+(** {2 Shims for the benchmark under [perfbench/]}
+
+    The reroute cache is gone: compile requests neither read nor write
+    the directory.  These keep the benchmark's replay of it compiling. *)
+
+val file : dir:string -> key:string -> string
+(** The [reroute-<key>.json] name reroute contexts were stored under;
+    nothing writes it, and {!gc} deletes any such file it finds. *)
+
+type load =
+  | Miss
+  | Hit of Msched_route.Reroute.t  (** Never returned. *)
+  | Corrupt of Msched_diag.Diag.t  (** Never returned. *)
+
+val load : dir:string -> key:string -> load
+(** Always [Miss], without touching the filesystem. *)
+
+val store :
+  dir:string -> key:string -> Msched_route.Reroute.t -> (unit, Msched_diag.Diag.t) result
+(** Always [Ok ()]; writes nothing. *)

@@ -2,21 +2,18 @@
    concurrently, with nothing shared between in-flight jobs.
 
    [run_job] gives every job its own copy of the compile options carrying
-   a job-private observability sink, its own diagnostic report, and its
-   own reroute context (possibly deserialized warm from the on-disk
-   cache).  The pipeline passes reachable from
-   [Compile.compile] hold no module-level mutable state (audit in
-   docs/SERVER.md), so two jobs never race — which is what makes the
-   jobs=N output byte-identical to jobs=1.
+   a job-private observability sink and its own diagnostic report; the
+   resilient driver creates the job's reroute context.  The pipeline
+   passes reachable from [Compile.compile] hold no module-level mutable
+   state (audit in docs/SERVER.md), so two jobs never race — which is
+   what makes the jobs=N output byte-identical to jobs=1.
 
    Timing and observability are kept out of the per-design NDJSON records
-   (they go to the summary line and the server sink instead), so the
-   per-design output is a pure function of (design text, settings, cache
-   state). *)
+   (they go to the summary line and the server sink instead), and compile
+   jobs never read the cache directory, so the per-design output is a
+   pure function of (design text, settings). *)
 
 module Compile = Msched.Compile
-module Reroute = Msched_route.Reroute
-module Tiers = Msched_route.Tiers
 module Serial = Msched_netlist.Serial
 module Sink = Msched_obs.Sink
 module Diag = Msched_diag.Diag
@@ -33,7 +30,8 @@ type settings = {
   s_max_retries : int;
   s_fallback_hard : bool;
   s_reuse : bool;  (** Warm rerouting across retry rungs (--cold unsets). *)
-  s_cache_dir : string option;  (** Process-spanning warm-route cache. *)
+  s_cache_dir : string option;
+      (** Delta-manifest directory; compile jobs never read it. *)
   s_obs_jobs : bool;
       (** Give each job an enabled sink and merge its counters into the
           server totals (on for --trace; off keeps probes free). *)
@@ -49,6 +47,8 @@ let default_settings =
     s_obs_jobs = false;
   }
 
+(* Compile jobs always report [Cache_off]; the other three constructors
+   stay for the benchmark under perfbench/ and the summary's four counts. *)
 type cache_status = Cache_off | Cache_cold | Cache_warm | Cache_corrupt
 
 let cache_status_name = function
@@ -59,39 +59,26 @@ let cache_status_name = function
 
 type job_result = {
   r_job : job;
-  r_key : string;
-  r_cache : cache_status;
+  r_key : string;  (** Always [""]; kept for the benchmark. *)
+  r_cache : cache_status;  (** Always [Cache_off] from {!run_job}. *)
   r_resilient : Compile.resilient option;
       (** [None] when the design text did not parse. *)
-  r_diags : Diag.t list;  (** Front-end / cache diagnostics. *)
+  r_diags : Diag.t list;  (** Front-end diagnostics. *)
   r_exit : int;  (** The job's documented exit class (0 on success). *)
   r_queue_s : float;  (** Batch start to job start. *)
   r_wall_s : float;
   r_counters : (string * int) list;  (** Job-sink counters (s_obs_jobs). *)
 }
 
-(* Everything mutable a job touches — its sink, options copy, report and
-   reroute context — is created here and owned by this call alone. *)
+(* Everything mutable a job touches — its sink, options copy and report —
+   is created here and owned by this call alone. *)
 let run_job settings ~epoch job =
   let t0 = Unix.gettimeofday () in
   let obs = if settings.s_obs_jobs then Sink.create () else Sink.null in
   let options = { settings.s_options with Compile.obs } in
   let report = Diag.Report.create () in
-  let parsed = Serial.of_string_diag job.j_text in
-  let key, cache, reroute =
-    match settings.s_cache_dir with
-    | None -> ("", Cache_off, Reroute.create ())
-    | Some dir -> (
-        let key = Cache.key_of_parse ~text:job.j_text ~options parsed in
-        match Cache.load ~dir ~key with
-        | Cache.Hit ctx -> (key, Cache_warm, ctx)
-        | Cache.Miss -> (key, Cache_cold, Reroute.create ())
-        | Cache.Corrupt d ->
-            Diag.Report.add report d;
-            (key, Cache_corrupt, Reroute.create ()))
-  in
   let resilient, exit_code =
-    match parsed with
+    match Serial.of_string_diag job.j_text with
     | Error diags ->
         Diag.Report.add_list report diags;
         (None, Diag.Report.exit_code report)
@@ -100,21 +87,15 @@ let run_job settings ~epoch job =
           Compile.compile_resilient ~options
             ~max_retries:settings.s_max_retries
             ~fallback_hard:settings.s_fallback_hard ~reuse:settings.s_reuse
-            ~reroute nl
+            nl
         in
-        (match (settings.s_cache_dir, Compile.succeeded r) with
-        | Some dir, true -> (
-            match Cache.store ~dir ~key reroute with
-            | Ok () -> ()
-            | Error d -> Diag.Report.add report d)
-        | _ -> ());
         (Some r, Compile.resilient_exit_code r)
   in
   let t1 = Unix.gettimeofday () in
   {
     r_job = job;
-    r_key = key;
-    r_cache = cache;
+    r_key = "";
+    r_cache = Cache_off;
     r_resilient = resilient;
     r_diags = Diag.Report.to_list report;
     r_exit = exit_code;
@@ -325,9 +306,6 @@ type batch_result = {
    result lands in its job's slot, so records merge in job order no
    matter which domain ran them. *)
 let run_batch ?(jobs = 1) settings job_list =
-  (match settings.s_cache_dir with
-  | Some dir -> Cache.ensure_dir dir
-  | None -> ());
   let tasks = Array.of_list job_list in
   let n = Array.length tasks in
   let jobs = max 1 (min jobs n) in
@@ -375,7 +353,6 @@ let record_json r =
   Buffer.add_char b '{';
   J.field b ~first "schema" (J.string "msched-batch-1");
   J.field b ~first "design" (J.string r.r_job.j_path);
-  if r.r_key <> "" then J.field b ~first "key" (J.string r.r_key);
   J.field b ~first "cache" (J.string (cache_status_name r.r_cache));
   J.field b ~first "exit_code" (string_of_int r.r_exit);
   let diags = Buffer.create 256 in
@@ -481,7 +458,6 @@ let record_obs obs batch =
     Array.iter
       (fun r ->
         Sink.incr obs "server.jobs";
-        Sink.incr obs ("server.cache." ^ cache_status_name r.r_cache);
         (if r.r_exit <> 0 then Sink.incr obs "server.jobs_failed");
         Sink.observe obs "server.queue_wait_us"
           (int_of_float (r.r_queue_s *. 1e6));

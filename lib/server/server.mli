@@ -3,10 +3,11 @@
     {!run_job} and {!run_delta} each carry one design through
     {!Msched.Compile}; everything mutable a job touches (options copy with
     a private observability sink, diagnostic report, reroute context) is
-    created inside that call, with an optional process-spanning
-    warm-route {!Cache}.  {!run_batch} runs a closed list of jobs on a
-    {!Msched_par.Pool}; an open request stream runs them on {!Dispatch}
-    via {!Transport}.  Per-design records are deterministic —
+    created inside that call.  Only {!run_delta} uses the cache directory,
+    for its delta manifests; a compile job's record is a pure function of
+    its design text and the settings.  {!run_batch} runs a closed list of
+    jobs on a {!Msched_par.Pool}; an open request stream runs them on
+    {!Dispatch} via {!Transport}.  Per-design records are deterministic —
     byte-identical across worker counts — because no mutable state is
     shared between in-flight jobs (audit in [docs/SERVER.md]) and results
     merge in job order.
@@ -27,7 +28,9 @@ type settings = {
   s_max_retries : int;
   s_fallback_hard : bool;
   s_reuse : bool;  (** Warm rerouting across retry rungs ([--cold] unsets). *)
-  s_cache_dir : string option;  (** Process-spanning warm-route cache. *)
+  s_cache_dir : string option;
+      (** Where {!run_delta} stores and loads delta manifests.  Compile
+          jobs ({!run_job}, {!run_batch}) never read or write it. *)
   s_obs_jobs : bool;
       (** Give each job an enabled sink and merge its counters into the
           server totals (on for [--trace]; off keeps probes free). *)
@@ -36,16 +39,19 @@ type settings = {
 val default_settings : settings
 
 type cache_status = Cache_off | Cache_cold | Cache_warm | Cache_corrupt
+(** A compile record's [cache] field.  {!run_job} always reports
+    [Cache_off]; the other constructors stay for the benchmark under
+    [perfbench/], and the batch summary still counts all four. *)
 
 val cache_status_name : cache_status -> string
 
 type job_result = {
   r_job : job;
-  r_key : string;
+  r_key : string;  (** Always [""] from {!run_job}; kept for the benchmark. *)
   r_cache : cache_status;
   r_resilient : Msched.Compile.resilient option;
       (** [None] when the design text did not parse. *)
-  r_diags : Msched_diag.Diag.t list;  (** Front-end / cache diagnostics. *)
+  r_diags : Msched_diag.Diag.t list;  (** Front-end diagnostics. *)
   r_exit : int;  (** The job's documented exit class (0 on success). *)
   r_queue_s : float;  (** Batch start to job start. *)
   r_wall_s : float;
@@ -53,7 +59,7 @@ type job_result = {
 }
 
 val run_job : settings -> epoch:float -> job -> job_result
-(** Never raises on bad input: parse, cache and pipeline failures land in
+(** Never raises on bad input: parse and pipeline failures land in
     [r_diags] and [r_exit]. *)
 
 type batch_result = {
@@ -69,8 +75,7 @@ type batch_result = {
 val run_batch : ?jobs:int -> settings -> job list -> batch_result
 (** [jobs] is clamped to [1 .. length job_list].  At [jobs = 1] every job
     runs inline in the caller; otherwise on a {!Msched_par.Pool} of
-    [jobs] workers, the caller among them.  Creates the cache directory
-    when [s_cache_dir] is set. *)
+    [jobs] workers, the caller among them. *)
 
 val job_of_text : index:int -> path:string -> string -> job
 val job_of_file : index:int -> string -> (job, Msched_diag.Diag.t) result
@@ -92,8 +97,8 @@ val merged_counters : batch_result -> (string * int) list
 (** Per-job sink counters summed in job order, sorted by name. *)
 
 val record_obs : Msched_obs.Sink.t -> batch_result -> unit
-(** Record the [server.*] metrics (queue wait, job wall, cache hit/miss,
-    in-flight high-water mark) plus the merged job counters onto a
+(** Record the [server.*] metrics (queue wait, job wall, in-flight
+    high-water mark) plus the merged job counters onto a
     main-domain sink.  Call after {!run_batch}; no-op on a null sink. *)
 
 val with_id : string option -> string -> string

@@ -512,21 +512,26 @@ let test_abort_during_drain () =
 
 let test_cache_gc_under_serve () =
   let dir = fresh_dir () in
+  (* Smaller than the eight manifests together (evictions > 0 below
+     shows it), larger than one. *)
+  let cap = 2048 in
   let srv =
     Transport.start
-      (config ~workers:2 ~cache_dir:dir ~cache_max_bytes:512 ~gc_interval:0.2 ())
+      (config ~workers:2 ~cache_dir:dir ~cache_max_bytes:cap ~gc_interval:0.2 ())
   in
   let c = connect srv in
-  (* Distinct designs, each persisting a warm-route entry; the janitor
-     must keep the directory under the cap while the server runs. *)
-  for seed = 910 to 917 do
-    send c
-      (Printf.sprintf {|{"text":%s}|} (Diag.Json.string (good_text ~seed ())));
-    Alcotest.(check int)
-      (Printf.sprintf "design %d compiles" seed)
-      0
-      (exit_code (recv_exn c))
-  done;
+  (* Distinct designs, each storing a delta manifest; the janitor must
+     keep the directory under the cap while the server runs. *)
+  List.iter
+    (fun seed ->
+      send c
+        (Printf.sprintf {|{"op":"delta","text":%s}|}
+           (Diag.Json.string (good_text ~seed ())));
+      Alcotest.(check int)
+        (Printf.sprintf "design %d compiles" seed)
+        0
+        (exit_code (recv_exn c)))
+    (List.init 8 (fun i -> 910 + i));
   Thread.delay 0.5;
   close c;
   let s = drain_and_wait srv in
@@ -537,7 +542,7 @@ let test_cache_gc_under_serve () =
     (Printf.sprintf "cache within cap after shutdown (%d bytes)"
        stats.Cache.st_bytes)
     true
-    (stats.Cache.st_bytes <= 512)
+    (stats.Cache.st_bytes <= cap)
 
 (* One worker, three clients with unequal backlogs: completion order must
    rotate the client lanes round-robin, not drain the flooder first.  A
@@ -751,9 +756,9 @@ let test_delta_base_key_validated () =
   Alcotest.(check bool) "clean drain" true s.Transport.sm_clean
 
 (* A net driven twice is rejected by the builder in the middle of the
-   parse.  Under a cache directory that text is keyed before it compiles;
-   it must answer E_MALFORMED_NET at exit 3 on both ops, in a batch too,
-   and never take its worker down. *)
+   parse.  Under a cache directory a delta request keys that text before
+   it compiles; it must answer E_MALFORMED_NET at exit 3 on both ops, in a
+   batch too, and never take its worker down. *)
 let multi_driver_text =
   "design multi_driver\ndomain clk0\nnet 0 IN\nnet 1 X\nnet 2 Q\n\
    input IN 0 domain 0\ngate buf G1 1 0\ngate not G2 1 0\n\
@@ -793,6 +798,51 @@ let test_multi_driver_cached () =
   in
   Alcotest.(check int) "cached batch record exit class" 3 (Server.exit_code b);
   Alcotest.(check int) "one record" 1 (Array.length b.Server.b_results)
+
+(* A torn base manifest: the identity delta against it answers
+   "corrupt" with an E_CACHE warning and the cold schedule, at exit 0,
+   and its own store repairs the file. *)
+let test_delta_corrupt_base () =
+  let dir = fresh_dir () in
+  let srv = Transport.start (config ~workers:1 ~cache_dir:dir ()) in
+  let c = connect srv in
+  let fp line =
+    Option.bind
+      (Option.bind (Diag.Json.mem "delta" (json line))
+         (Diag.Json.mem "schedule_fp"))
+      Diag.Json.str
+  in
+  let request =
+    Printf.sprintf {|{"op":"delta","text":%s%s}|}
+      (Diag.Json.string (good_text ~seed:935 ()))
+  in
+  send c (request "");
+  let cold = recv_exn c in
+  Alcotest.(check int) "cold compile succeeds" 0 (exit_code cold);
+  let key =
+    match str_mem "key" cold with
+    | Some k -> k
+    | None -> Alcotest.fail "no manifest key announced"
+  in
+  let path = Cache.manifest_file ~dir ~key in
+  let whole = In_channel.with_open_bin path In_channel.input_all in
+  write_file path (String.sub whole 0 (String.length whole / 2));
+  send c (request (Printf.sprintf {|,"base":%s|} (Diag.Json.string key)));
+  let r = recv_exn c in
+  Alcotest.(check (option string)) "base reads corrupt" (Some "corrupt")
+    (str_mem "base" r);
+  Alcotest.(check bool) "carries E_CACHE" true
+    (List.mem "E_CACHE" (diag_codes r));
+  Alcotest.(check int) "exit 0" 0 (exit_code r);
+  Alcotest.(check (option string)) "the cold schedule" (fp cold) (fp r);
+  Alcotest.(check (option string)) "the same key" (Some key) (str_mem "key" r);
+  (match Cache.load_manifest ~dir ~key with
+  | Cache.M_hit _ -> ()
+  | Cache.M_miss -> Alcotest.fail "repaired manifest missing"
+  | Cache.M_corrupt _ -> Alcotest.fail "manifest not repaired");
+  close c;
+  let s = drain_and_wait srv in
+  Alcotest.(check bool) "clean drain" true s.Transport.sm_clean
 
 (* `serve --stdin` is one Transport session over a pair of fds (pipes
    here; stdin/stdout in the CLI): the socket grammar, responses in
@@ -938,4 +988,6 @@ let suite =
       test_multi_driver_cached;
     Alcotest.test_case "serve: stdin session speaks the socket grammar"
       `Quick test_stdio_session;
+    Alcotest.test_case "serve: corrupt delta base compiles cold" `Quick
+      test_delta_corrupt_base;
   ]

@@ -1,17 +1,15 @@
 (* Batch-compile server: the domain pool batches run on must keep its
    contract (every index once, lowest failing task re-raised with its
    backtrace), batch output must be deterministic (jobs=4 byte-identical
-   to jobs=1 over a seeded corpus), and the process-spanning warm-route
-   cache must round-trip exactly, replay equivalently to an in-process
-   warm context, and degrade to cold (with the documented E_CACHE
-   warning) on corrupt files. *)
+   to jobs=1 over a seeded corpus) and must not depend on a cache
+   directory, and the manifest cache must refuse torn files (with the
+   documented E_CACHE warning), evict least-recently-used entries and
+   sweep the files older versions left behind. *)
 
 module Ids = Msched_netlist.Ids
 module Serial = Msched_netlist.Serial
 module Tiers = Msched_route.Tiers
-module Reroute = Msched_route.Reroute
 module Design_gen = Msched_gen.Design_gen
-module Verify = Msched_check.Verify
 module Compile = Msched.Compile
 module Diag = Msched_diag.Diag
 module Pool = Msched_par.Pool
@@ -40,8 +38,7 @@ let fresh_dir =
     dir
 
 (* Same congestion point as test_reroute: tight enough that the baseline
-   rung fails and the ladder (and hence the reroute ledger) does real
-   work. *)
+   rung fails and the ladder does real work. *)
 let tight_options =
   {
     Compile.default_options with
@@ -167,222 +164,124 @@ let test_batch_determinism () =
   Alcotest.(check int) "exit code identical" (Server.exit_code b1)
     (Server.exit_code b4)
 
-(* ---- Reroute cache: round-trip, warm-from-disk, corruption. ---- *)
+(* ---- One answer per request: the cache directory changes nothing. ---- *)
 
-let test_reroute_round_trip () =
-  let nl = design ~seed:517 ~modules:30 ~domains:3 in
-  let ctx = Reroute.create () in
-  let r =
-    Compile.compile_resilient ~options:tight_options ~max_retries:2
-      ~fallback_hard:true ~reroute:ctx nl
+let test_batch_ignores_cache_dir () =
+  (* The congested ladder: under a cache that replayed route ledgers, the
+     second run's baseline rung returned the first run's relaxed schedule
+     and the record flipped from degraded to ok. *)
+  let corpus =
+    [
+      ( "design1.mnl",
+        (Design_gen.design1_like ~seed:101 ~scale:0.02 ()).Design_gen.netlist );
+      ( "design2.mnl",
+        (Design_gen.design2_like ~seed:202 ~scale:0.02 ()).Design_gen.netlist );
+      ("congested.mnl", design ~seed:517 ~modules:30 ~domains:3);
+    ]
   in
-  Alcotest.(check bool) "congested design recovered" true (Compile.succeeded r);
-  Alcotest.(check bool) "ledger non-trivial" true (Reroute.ledger_size ctx > 0);
-  let s1 = Reroute.to_json_string ctx in
-  match Reroute.of_json_string s1 with
-  | Error msg -> Alcotest.failf "round-trip parse failed: %s" msg
-  | Ok ctx2 ->
-      Alcotest.(check string) "canonical re-serialization byte-identical" s1
-        (Reroute.to_json_string ctx2);
-      Alcotest.(check int) "ledger size preserved" (Reroute.ledger_size ctx)
-        (Reroute.ledger_size ctx2);
-      Alcotest.(check int) "history total preserved"
-        (Reroute.history_total ctx)
-        (Reroute.history_total ctx2);
-      Alcotest.(check int) "forced-hard set preserved"
-        (Reroute.forced_hard_count ctx)
-        (Reroute.forced_hard_count ctx2);
-      (* Stats are per-run state: a deserialized context starts clean. *)
-      Alcotest.(check int) "stats reset on load" 0 (Reroute.reused ctx2)
-
-let labels r = List.map (fun a -> a.Compile.attempt_label) r.Compile.attempts
-
-let hz r =
-  match r.Compile.degradation.Compile.achieved_hz with
-  | None -> 0.0
-  | Some hz -> hz
-
-let check_clean name r =
-  match r.Compile.compiled with
-  | None -> ()
-  | Some c ->
-      Alcotest.(check bool) (name ^ ": verifier clean") true
-        (Verify.is_clean
-           (Compile.verify_schedule c.Compile.prepared c.Compile.schedule))
-
-let test_warm_from_disk_equivalent () =
-  let nl = design ~seed:517 ~modules:30 ~domains:3 in
-  let run ctx =
-    Compile.compile_resilient ~options:tight_options ~max_retries:2
-      ~fallback_hard:true ~reroute:ctx nl
+  let jobs =
+    List.mapi
+      (fun index (path, nl) ->
+        Server.job_of_text ~index ~path (Serial.to_string nl))
+      corpus
   in
-  (* First run learns; its context is both kept in-process and persisted. *)
-  let c_mem = Reroute.create () in
-  let r0 = run c_mem in
-  Alcotest.(check bool) "first run succeeded" true (Compile.succeeded r0);
-  let serialized = Reroute.to_json_string c_mem in
-  let c_disk =
-    match Reroute.of_json_string serialized with
-    | Ok c -> c
-    | Error msg -> Alcotest.failf "deserialize failed: %s" msg
-  in
-  (* Re-run warm twice: once against the in-process context, once against
-     the disk round-tripped one.  Outcomes must match exactly. *)
-  let r_mem = run c_mem in
-  let r_disk = run c_disk in
-  Alcotest.(check (list string)) "same attempt ladder" (labels r_mem)
-    (labels r_disk);
-  Alcotest.(check (float 0.0)) "same emulation frequency" (hz r_mem) (hz r_disk);
-  Alcotest.(check bool) "disk-warm replayed the ledger" true
-    (r_disk.Compile.degradation.Compile.reused_transports > 0);
-  check_clean "disk-warm" r_disk;
-  check_clean "in-process warm" r_mem
-
-let test_corrupt_cache_degrades_cold () =
   let dir = fresh_dir () in
-  let text = design_text ~seed:611 ~modules:10 ~domains:2 in
-  let options = Server.default_settings.Server.s_options in
-  let key = Cache.key ~text ~options in
-  (* A truncated document: parseable prefix, invalid JSON overall. *)
-  let nl = design ~seed:611 ~modules:10 ~domains:2 in
-  let ctx = Reroute.create () in
-  ignore (Compile.compile_resilient ~reroute:ctx nl);
-  let whole = Reroute.to_json_string ctx in
-  let oc = open_out (Cache.file ~dir ~key) in
-  output_string oc (String.sub whole 0 (String.length whole / 2));
-  close_out oc;
-  (match Cache.load ~dir ~key with
-  | Cache.Corrupt d ->
-      Alcotest.(check string) "corruption carries E_CACHE" "E_CACHE"
-        (Diag.code_name d.Diag.code);
-      Alcotest.(check bool) "warning, not error" false (Diag.is_error d)
-  | Cache.Hit _ -> Alcotest.fail "truncated cache file accepted"
-  | Cache.Miss -> Alcotest.fail "truncated cache file invisible");
-  (* End to end: the job still compiles, reports cache=corrupt, and
-     surfaces the warning in its record. *)
-  let settings =
-    { Server.default_settings with Server.s_cache_dir = Some dir }
+  let run cache_dir =
+    let settings =
+      {
+        Server.default_settings with
+        Server.s_options = tight_options;
+        s_max_retries = 2;
+        s_fallback_hard = true;
+        s_cache_dir = cache_dir;
+      }
+    in
+    records (Server.run_batch ~jobs:1 settings jobs)
   in
-  let job = Server.job_of_text ~index:0 ~path:"corrupt-test.mnl" text in
-  let batch = Server.run_batch ~jobs:1 settings [ job ] in
-  let r = batch.Server.b_results.(0) in
-  Alcotest.(check string) "status corrupt" "corrupt"
-    (Server.cache_status_name r.Server.r_cache);
-  Alcotest.(check int) "job still compiled" 0 r.Server.r_exit;
-  Alcotest.(check bool) "E_CACHE diagnostic surfaced" true
-    (List.exists (fun d -> d.Diag.code = Diag.E_CACHE) r.Server.r_diags);
-  Alcotest.(check bool) "record mentions corrupt cache" true
-    (let json = Server.record_json r in
-     let needle = "\"cache\":\"corrupt\"" in
-     let n = String.length json and m = String.length needle in
-     let rec find i = i + m <= n && (String.sub json i m = needle || find (i + 1)) in
-     find 0);
-  (* The corrupt entry was overwritten by the successful run: next load is
-     a hit. *)
-  match Cache.load ~dir ~key with
-  | Cache.Hit _ -> ()
-  | _ -> Alcotest.fail "cache not repaired after successful compile"
+  let first = run (Some dir) in
+  let second = run (Some dir) in
+  let uncached = run None in
+  List.iteri
+    (fun i ((a, b), c) ->
+      Alcotest.(check string)
+        (Printf.sprintf "record %d: second cached run" i) a b;
+      Alcotest.(check string) (Printf.sprintf "record %d: no cache dir" i) a c)
+    (List.combine (List.combine first second) uncached);
+  Alcotest.(check bool) "the ladder ran: some record is degraded" true
+    (List.exists
+       (fun r ->
+         let needle = {|"status":"degraded"|} in
+         let n = String.length r and m = String.length needle in
+         let rec find i = i + m <= n && (String.sub r i m = needle || find (i + 1)) in
+         find 0)
+       first);
+  Alcotest.(check (array string)) "nothing written to the cache dir" [||]
+    (Sys.readdir dir)
 
-let test_cache_spans_processes_effort () =
-  (* Warm-from-cache must not change results but must skip search work:
-     strictly fewer pathfinder expansions than the cold run of the same
-     congested design (the per-process analogue of test_reroute's
-     warm-vs-cold differential). *)
-  let dir = fresh_dir () in
-  let text = Serial.to_string (design ~seed:517 ~modules:30 ~domains:3) in
-  let settings =
-    {
-      Server.default_settings with
-      Server.s_options = tight_options;
-      s_max_retries = 2;
-      s_fallback_hard = true;
-      s_cache_dir = Some dir;
-    }
-  in
-  let job = Server.job_of_text ~index:0 ~path:"congested.mnl" text in
-  let run () = Server.run_batch ~jobs:1 settings [ job ] in
-  let cold = (run ()).Server.b_results.(0) in
-  let warm = (run ()).Server.b_results.(0) in
-  Alcotest.(check string) "cold then warm"
-    "cold/warm"
-    (Server.cache_status_name cold.Server.r_cache
-    ^ "/"
-    ^ Server.cache_status_name warm.Server.r_cache);
-  let resilient r =
-    match r.Server.r_resilient with
-    | Some res -> res
-    | None -> Alcotest.fail "job did not reach the driver"
-  in
-  let total_expansions r =
-    List.fold_left
-      (fun acc a -> acc + a.Compile.attempt_expansions)
-      0 (resilient r).Compile.attempts
-  in
-  Alcotest.(check (float 0.0)) "same Hz from disk-warm start"
-    (hz (resilient cold))
-    (hz (resilient warm));
-  Alcotest.(check bool) "disk-warm run searches strictly less" true
-    (total_expansions warm < total_expansions cold);
-  Alcotest.(check bool) "disk-warm run replays the ledger" true
-    ((resilient warm).Compile.degradation.Compile.reused_transports > 0)
+(* ---- Manifest cache: torn files, LRU eviction, leftover sweep. ---- *)
+
+(* fig3 at weight 4: three blocks, a manifest of a few hundred bytes. *)
+let small_manifest () =
+  let options = { Compile.default_options with Compile.max_block_weight = 4 } in
+  (Compile.compile_base ~options (Design_gen.fig3_latch ()).Design_gen.netlist)
+    .Compile.base_manifest
+
+let store_manifest ~dir ~key m =
+  match Cache.store_manifest ~dir ~key m with
+  | Ok () -> ()
+  | Error d -> Alcotest.failf "store failed: %s" d.Diag.message
 
 let test_cache_truncation_sweep () =
-  (* Exhaustive torn-write simulation: for EVERY strict prefix of a small
-     entry, a load must degrade (Corrupt, with the E_CACHE warning) — never
-     accept the prefix as a Hit, never raise.  The fsync-before-rename in
-     [store] is what keeps real crashes from publishing such prefixes; this
-     sweep proves the reader is safe even if one appears. *)
+  (* Exhaustive torn-write simulation: for EVERY strict prefix of a
+     manifest, a load must be reported corrupt (with the E_CACHE warning)
+     — never accepted as a hit, never raise.  The fsync-before-rename in
+     [store_manifest] is what keeps real crashes from publishing such
+     prefixes; this sweep proves the reader is safe even if one appears. *)
   let dir = fresh_dir () in
   let key = Cache.hash_hex "truncation-sweep" in
-  let whole = Reroute.to_json_string (Reroute.create ()) in
-  let path = Cache.file ~dir ~key in
+  let m = small_manifest () in
+  let whole = Msched_delta.Manifest.to_json_string m in
+  let path = Cache.manifest_file ~dir ~key in
   for len = 0 to String.length whole - 1 do
     let oc = open_out_bin path in
     output_string oc (String.sub whole 0 len);
     close_out oc;
-    match Cache.load ~dir ~key with
-    | Cache.Corrupt d ->
+    match Cache.load_manifest ~dir ~key with
+    | Cache.M_corrupt d ->
         Alcotest.(check string)
           (Printf.sprintf "prefix %d/%d carries E_CACHE" len
              (String.length whole))
           "E_CACHE"
           (Diag.code_name d.Diag.code)
-    | Cache.Hit _ ->
+    | Cache.M_hit _ ->
         Alcotest.failf "truncated prefix %d/%d accepted as a hit" len
           (String.length whole)
-    | Cache.Miss ->
+    | Cache.M_miss ->
         Alcotest.failf "truncated prefix %d/%d invisible" len
           (String.length whole)
   done;
-  (* The full document (as [store] writes it) still loads. *)
-  (match Cache.store ~dir ~key (Reroute.create ()) with
-  | Ok () -> ()
-  | Error d -> Alcotest.failf "store failed: %s" d.Diag.message);
-  match Cache.load ~dir ~key with
-  | Cache.Hit _ -> ()
-  | _ -> Alcotest.fail "full entry no longer loads"
+  (* The full file (as [store_manifest] writes it) still loads. *)
+  store_manifest ~dir ~key m;
+  match Cache.load_manifest ~dir ~key with
+  | Cache.M_hit _ -> ()
+  | _ -> Alcotest.fail "full manifest no longer loads"
 
 let test_cache_stats_and_gc () =
   let dir = fresh_dir () in
-  let ctx = Reroute.create () in
+  let m = small_manifest () in
   let keys = List.map Cache.hash_hex [ "gc-a"; "gc-b"; "gc-c" ] in
-  List.iter
-    (fun key ->
-      match Cache.store ~dir ~key ctx with
-      | Ok () -> ()
-      | Error d -> Alcotest.failf "store failed: %s" d.Diag.message)
-    keys;
+  List.iter (fun key -> store_manifest ~dir ~key m) keys;
   let k1, k2, k3 =
     match keys with [ a; b; c ] -> (a, b, c) | _ -> assert false
   in
-  let size = (Unix.stat (Cache.file ~dir ~key:k1)).Unix.st_size in
+  let size = (Unix.stat (Cache.manifest_file ~dir ~key:k1)).Unix.st_size in
   let stats = Cache.stats ~dir in
   Alcotest.(check int) "stats counts entries" 3 stats.Cache.st_entries;
   Alcotest.(check int) "stats sums bytes" (3 * size) stats.Cache.st_bytes;
   (* Age the entries: k1 oldest, then k2, then k3. *)
   let now = Unix.gettimeofday () in
   let age key secs =
-    let p = Cache.file ~dir ~key in
+    let p = Cache.manifest_file ~dir ~key in
     Unix.utimes p (now -. secs) (now -. secs)
   in
   age k1 300.0;
@@ -391,20 +290,18 @@ let test_cache_stats_and_gc () =
   (* A load refreshes k1's mtime — it is now the MOST recently used, so a
      gc to two entries must evict k2 (the oldest remaining), proving that
      entries in active use survive the cap. *)
-  (match Cache.load ~dir ~key:k1 with
-  | Cache.Hit _ -> ()
+  (match Cache.load_manifest ~dir ~key:k1 with
+  | Cache.M_hit _ -> ()
   | _ -> Alcotest.fail "expected a hit on k1");
   let r = Cache.gc ~dir ~max_bytes:(2 * size) in
   Alcotest.(check int) "gc scanned all entries" 3 r.Cache.gc_scanned;
   Alcotest.(check int) "gc evicted exactly one" 1 r.Cache.gc_evicted;
   Alcotest.(check int) "gc bytes settle at the cap" (2 * size)
     r.Cache.gc_bytes_after;
-  Alcotest.(check bool) "recently-loaded k1 survives" true
-    (Sys.file_exists (Cache.file ~dir ~key:k1));
-  Alcotest.(check bool) "LRU k2 evicted" false
-    (Sys.file_exists (Cache.file ~dir ~key:k2));
-  Alcotest.(check bool) "newer k3 survives" true
-    (Sys.file_exists (Cache.file ~dir ~key:k3));
+  let exists key = Sys.file_exists (Cache.manifest_file ~dir ~key) in
+  Alcotest.(check bool) "recently-loaded k1 survives" true (exists k1);
+  Alcotest.(check bool) "LRU k2 evicted" false (exists k2);
+  Alcotest.(check bool) "newer k3 survives" true (exists k3);
   (* Idempotent under the cap; cap 0 clears everything but the lock. *)
   let r2 = Cache.gc ~dir ~max_bytes:(2 * size) in
   Alcotest.(check int) "gc under cap evicts nothing" 0 r2.Cache.gc_evicted;
@@ -412,6 +309,38 @@ let test_cache_stats_and_gc () =
   Alcotest.(check int) "cap 0 clears the cache" 2 r3.Cache.gc_evicted;
   Alcotest.(check int) "cache empty after cap 0"
     0 (Cache.stats ~dir).Cache.st_entries
+
+(* An msched-reroute-1 document as the deleted reroute cache stored it:
+   one ledger entry, congestion history and a forced-hard link. *)
+let reroute_doc =
+  {|{"schema":"msched-reroute-1","checksum":"c193f395971f18bf","payload":{"ledger":[{"dir":"rev","net":3,"src":0,"dst":1,"dom":-1,"anchor":2,"len":3,"hops":[[4,5],[1,4]]}],"history":[[2,2],[5,1]],"forced":[[9,2,0]]}}|}
+
+let test_gc_sweeps_leftovers () =
+  (* Nothing reads reroute contexts or per-block ledger slices any more:
+     gc deletes both, whatever their age, and keeps the live manifest. *)
+  let dir = fresh_dir () in
+  let live = Cache.hash_hex "live" and old = Cache.hash_hex "old" in
+  store_manifest ~dir ~key:live (small_manifest ());
+  let plant name text =
+    let oc = open_out_bin (Filename.concat dir name) in
+    output_string oc text;
+    close_out oc
+  in
+  plant ("reroute-" ^ old ^ ".json") (reroute_doc ^ "\n");
+  plant (Printf.sprintf "block-%s-0.json" old) "{}\n";
+  Alcotest.(check int) "three entries before gc" 3
+    (Cache.stats ~dir).Cache.st_entries;
+  let r = Cache.gc ~dir ~max_bytes:max_int in
+  Alcotest.(check int) "both leftovers swept" 2 r.Cache.gc_orphans;
+  Alcotest.(check int) "live manifest not evicted" 0 r.Cache.gc_evicted;
+  Alcotest.(check (list string)) "only the manifest is left"
+    [ Filename.basename (Cache.manifest_file ~dir ~key:live) ]
+    (List.filter
+       (fun f -> f <> ".msched-cache.lock")
+       (Array.to_list (Sys.readdir dir)));
+  match Cache.load_manifest ~dir ~key:live with
+  | Cache.M_hit _ -> ()
+  | _ -> Alcotest.fail "the live manifest must still load"
 
 (* ---- Manifest sources. ---- *)
 
@@ -577,14 +506,6 @@ let suite =
       test_pool_first_exception_wins;
     Alcotest.test_case "batch: jobs=4 byte-identical to jobs=1 (33 designs)"
       `Slow test_batch_determinism;
-    Alcotest.test_case "reroute cache: serialize/deserialize round-trip"
-      `Quick test_reroute_round_trip;
-    Alcotest.test_case "reroute cache: disk-warm equivalent to in-process warm"
-      `Quick test_warm_from_disk_equivalent;
-    Alcotest.test_case "reroute cache: corrupt file degrades to cold" `Quick
-      test_corrupt_cache_degrades_cold;
-    Alcotest.test_case "reroute cache: warm spans processes, less search"
-      `Quick test_cache_spans_processes_effort;
     Alcotest.test_case "cache: truncated-at-every-byte sweep" `Quick
       test_cache_truncation_sweep;
     Alcotest.test_case "cache: stats and LRU gc respect active use" `Quick
@@ -597,4 +518,8 @@ let suite =
       test_batch_exit_classes;
     Alcotest.test_case "batch: mixed GALS corpus at jobs=2" `Slow
       test_batch_gals_corpus;
+    Alcotest.test_case "batch: records do not depend on the cache dir" `Slow
+      test_batch_ignores_cache_dir;
+    Alcotest.test_case "cache: gc sweeps reroute and block leftovers" `Quick
+      test_gc_sweeps_leftovers;
   ]

@@ -378,45 +378,6 @@ let test_ladder_pin () =
       ("reroute.fresh", 953);
     ]
 
-(* msched-reroute-1 documents.  The first was recorded by the
-   implementation that still had exact contexts, with one probe-free
-   ledger entry, congestion history and a forced-hard link.  The second
-   names a forward entry (its checksum is valid), which no longer loads.
-   The third carries an entry with the "pf"/"pb" probe transcript exact
-   contexts wrote (valid when written); the codec no longer reads
-   transcripts, so it fails its checksum. *)
-let reroute_doc =
-  {|{"schema":"msched-reroute-1","checksum":"c193f395971f18bf","payload":{"ledger":[{"dir":"rev","net":3,"src":0,"dst":1,"dom":-1,"anchor":2,"len":3,"hops":[[4,5],[1,4]]}],"history":[[2,2],[5,1]],"forced":[[9,2,0]]}}|}
-
-let reroute_doc_fwd =
-  {|{"schema":"msched-reroute-1","checksum":"bb23d83aa79ab3bb","payload":{"ledger":[{"dir":"fwd","net":3,"src":0,"dst":1,"dom":-1,"anchor":2,"len":3,"hops":[[4,5],[1,4]]}],"history":[[2,2],[5,1]],"forced":[[9,2,0]]}}|}
-
-let reroute_doc_probes =
-  {|{"schema":"msched-reroute-1","checksum":"c1b492170fc13325","payload":{"ledger":[{"dir":"rev","net":3,"src":0,"dst":1,"dom":-1,"anchor":2,"len":3,"hops":[[4,5],[1,4]]},{"dir":"rev","net":7,"src":1,"dst":2,"dom":0,"anchor":0,"len":1,"hops":[[2,1]],"pf":[[2,1],[0,1]],"pb":[[3,1]]}],"history":[[2,2],[5,1]],"forced":[[9,2,0]]}}|}
-
-let test_reroute_doc_pin () =
-  (match Reroute.of_json_string reroute_doc with
-  | Error m -> Alcotest.failf "stored document refused: %s" m
-  | Ok ctx ->
-      Alcotest.(check string) "round-trips byte-identically" reroute_doc
-        (Reroute.to_json_string ctx);
-      Alcotest.(check int) "ledger entries" 1 (Reroute.ledger_size ctx);
-      Alcotest.(check int) "history" 3 (Reroute.history_total ctx);
-      Alcotest.(check bool) "forced-hard link" true
-        (Reroute.is_forced_hard ctx ~net:9 ~src_block:2 ~dst_block:0));
-  (match Reroute.of_json_string reroute_doc_fwd with
-  | Ok _ -> Alcotest.fail "a forward-direction entry must not load"
-  | Error m ->
-      Alcotest.(check string) "error names the direction"
-        {|unsupported dir "fwd" (want "rev")|} m);
-  match Reroute.of_json_string reroute_doc_probes with
-  | Ok _ -> Alcotest.fail "a document with probe transcripts must not load"
-  | Error m ->
-      Alcotest.(check bool)
-        (Printf.sprintf "probe transcripts fail the checksum (%s)" m)
-        true
-        (String.starts_with ~prefix:"checksum mismatch" m)
-
 (* ---- History pins ----
 
    Every served compile routes under a fresh negotiated-congestion
@@ -523,7 +484,6 @@ let suite =
     Alcotest.test_case "route pins" `Quick test_route_pins;
     Alcotest.test_case "forward pins" `Quick test_forward_pins;
     Alcotest.test_case "ladder pin" `Quick test_ladder_pin;
-    Alcotest.test_case "reroute document pin" `Quick test_reroute_doc_pin;
     QCheck_alcotest.to_alcotest prop_virtual_schedule_length_le_hard;
     Alcotest.test_case "history pins" `Quick test_history_pins;
   ]
