@@ -208,41 +208,6 @@ let pp_report ppf r =
       r.violations
   end
 
-(* ---- Independent local-settle recomputation ----------------------------
-
-   Max combinational delay from frame-start origins (primary inputs, clock
-   sources, dom-clocked flip-flop outputs, RAM read outputs) local to a
-   block.  Re-derived here from the netlist graph alone so the verifier
-   does not trust the scheduler's Latch_analysis tables. *)
-let local_settle_table nl region cells =
-  let table = Ids.Net.Tbl.create 64 in
-  List.iter
-    (fun cid ->
-      let c = Netlist.cell nl cid in
-      match c.Cell.kind, c.Cell.trigger with
-      | Cell.Flip_flop, Some (Cell.Net_trigger _) ->
-          (* Net-triggered flip-flops evaluate mid-frame, not at frame
-             start. *)
-          ()
-      | (Cell.Flip_flop | Cell.Ram _ | Cell.Input _ | Cell.Clock_source _), _
-        -> (
-          match c.Cell.output with
-          | Some out -> Ids.Net.Tbl.replace table out 0
-          | None -> ())
-      | (Cell.Latch _ | Cell.Gate _ | Cell.Output), _ -> ())
-    cells;
-  List.iter
-    (fun cid ->
-      let c = Netlist.cell nl cid in
-      let ins = Levelize.comb_inputs nl c in
-      let reach = List.filter_map (fun n -> Ids.Net.Tbl.find_opt table n) ins in
-      match reach, c.Cell.output with
-      | [], _ | _, None -> ()
-      | first :: rest, Some out ->
-          Ids.Net.Tbl.replace table out (List.fold_left max first rest + 1))
-    (Traverse.topo region);
-  table
-
 let verify ?(obs = Msched_obs.Sink.null) placement analysis
     (sched : Schedule.t) =
   Msched_obs.Sink.span obs "verify" @@ fun () ->
@@ -506,52 +471,69 @@ let verify ?(obs = Msched_obs.Sink.null) placement analysis
             (Domain_analysis.transitions analysis m)
             (Domain_analysis.transitions analysis data_net)))
   in
+  let needs_holdoff (c : Cell.t) =
+    match c.Cell.kind, c.Cell.trigger with
+    | Cell.Latch _, _ -> true
+    | (Cell.Flip_flop | Cell.Ram _), Some (Cell.Net_trigger _) -> true
+    | (Cell.Flip_flop | Cell.Ram _), (Some (Cell.Dom_clock _) | None) -> false
+    | (Cell.Gate _ | Cell.Input _ | Cell.Clock_source _ | Cell.Output), _ ->
+        false
+  in
+  let is_ram (c : Cell.t) =
+    match c.Cell.kind with Cell.Ram _ -> true | _ -> false
+  in
+  (* The delay tables are re-derived here from the netlist graph, through
+     the shared delay kernel on regions of our own: the verifier reads
+     none of the scheduler's Latch_analysis tables.  Per block, each cone
+     from an input net folds into two dense tables, reset per block:
+     - [gate_lb] (by cell): the latest link-fed same-domain arrival of a
+       net-triggered cell's gate (read for hold-off cells only);
+     - [required] (by net): when a net leaving the block can have
+       settled, for the nets [link_block] marks as this block's. *)
+  let scratch = Traverse.scratch nl in
+  let gate_lb = Array.make (Netlist.num_cells nl) 0 in
+  let required = Array.make (Netlist.num_nets nl) 0 in
+  let link_block = Array.make (Netlist.num_nets nl) (-1) in
   for b = 0 to nblocks - 1 do
     let block = Ids.Block.of_int b in
     let cells = Partition.cells_of_block part block in
-    let region = Traverse.of_cells nl cells in
-    let settle_tbl = local_settle_table nl region cells in
-    let settle n =
-      Option.value ~default:0 (Ids.Net.Tbl.find_opt settle_tbl n)
-    in
-    let input_delay_tbls =
-      List.map
-        (fun m -> (m, Traverse.delays_from region m))
-        (Partition.input_nets part block)
-    in
+    let region = Traverse.region scratch cells in
+    List.iter (fun cid -> gate_lb.(Ids.Cell.to_int cid) <- 0) cells;
+    List.iter
+      (fun (ls : Schedule.link_sched) ->
+        let i = Ids.Net.to_int ls.Schedule.ls_link.Link.net in
+        link_block.(i) <- b;
+        required.(i) <- 0)
+      links_from.(b);
+    Traverse.settle region (fun n settle ->
+        let i = Ids.Net.to_int n in
+        if link_block.(i) = b then required.(i) <- settle);
+    List.iter
+      (fun m ->
+        let at = arrival b m in
+        Traverse.cone region m (fun n _ dmax ->
+            let i = Ids.Net.to_int n in
+            if link_block.(i) = b then
+              required.(i) <- max required.(i) (at + dmax);
+            let fanouts = Netlist.fanouts nl n in
+            for t = 0 to Array.length fanouts - 1 do
+              let tm = fanouts.(t) in
+              let c = Netlist.cell nl tm.Netlist.term_cell in
+              match tm.Netlist.term_pin, c.Cell.trigger with
+              | Netlist.Trigger_pin, Some (Cell.Net_trigger _)
+                when Traverse.contains region c.Cell.id
+                     && (is_ram c || shares_domain m c.Cell.data_inputs.(0)) ->
+                  let ci = Ids.Cell.to_int c.Cell.id in
+                  gate_lb.(ci) <- max gate_lb.(ci) (at + dmax)
+              | (Netlist.Trigger_pin | Netlist.Data_pin _), _ -> ()
+            done))
+      (Partition.input_nets part block);
     (* Hold safety: latches and net-triggered flip-flops/RAMs must hold
        data back until after the latest link-fed same-domain gate
        arrival (delay compensation, paper Section 7 / Observation 2). *)
     List.iter
       (fun cid ->
-        let c = Netlist.cell nl cid in
-        let needs_holdoff =
-          match c.Cell.kind, c.Cell.trigger with
-          | Cell.Latch _, _ -> true
-          | (Cell.Flip_flop | Cell.Ram _), Some (Cell.Net_trigger _) -> true
-          | (Cell.Flip_flop | Cell.Ram _), (Some (Cell.Dom_clock _) | None) ->
-              false
-          | (Cell.Gate _ | Cell.Input _ | Cell.Clock_source _ | Cell.Output), _
-            ->
-              false
-        in
-        if needs_holdoff then begin
-          let data_net = c.Cell.data_inputs.(0) in
-          let is_ram =
-            match c.Cell.kind with Cell.Ram _ -> true | _ -> false
-          in
-          let gate_lb =
-            match c.Cell.trigger with
-            | Some (Cell.Net_trigger tn) ->
-                List.fold_left
-                  (fun acc (m, tbl) ->
-                    match Ids.Net.Tbl.find_opt tbl tn with
-                    | Some d when is_ram || shares_domain m data_net ->
-                        max acc (arrival b m + d.Traverse.dmax)
-                    | Some _ | None -> acc)
-                  0 input_delay_tbls
-            | Some (Cell.Dom_clock _) | None -> 0
-          in
+        if needs_holdoff (Netlist.cell nl cid) then
           match Ids.Cell.Tbl.find_opt holdoff_tbl cid with
           | None -> push (Missing_holdoff { cell = cid })
           | Some (gate, data) ->
@@ -560,28 +542,21 @@ let verify ?(obs = Msched_obs.Sink.null) placement analysis
               else begin
                 if data < min length (gate + 1) then
                   push (Holdoff_misordered { cell = cid; gate; data });
-                let required = min length (gate_lb + 1) in
+                let required =
+                  min length (gate_lb.(Ids.Cell.to_int cid) + 1)
+                in
                 if data < required then
                   push
                     (Gate_after_data
                        { cell = cid; data_holdoff = data; required })
-              end
-        end)
+              end)
       cells;
     (* Departure readiness: a virtual transport may not sample its source
        terminal before the net can have settled there. *)
     List.iter
       (fun (ls : Schedule.link_sched) ->
         let link = ls.Schedule.ls_link in
-        let net = link.Link.net in
-        let required =
-          List.fold_left
-            (fun acc (m, tbl) ->
-              match Ids.Net.Tbl.find_opt tbl net with
-              | Some d -> max acc (arrival b m + d.Traverse.dmax)
-              | None -> acc)
-            (settle net) input_delay_tbls
-        in
+        let required = required.(Ids.Net.to_int link.Link.net) in
         List.iter
           (fun (tr : Schedule.transport) ->
             if (not tr.Schedule.tr_hard) && tr.Schedule.tr_fwd_dep < required

@@ -7,10 +7,14 @@
     {e dynamically} against a finite edge stream.  This module closes the
     gap with a third, static leg: it re-derives the paper's invariants
     directly from a finished {!Msched_route.Schedule.t} plus the placement
-    and domain analysis it was built from, in O(schedule), sharing no code
-    with either scheduler (only the base netlist graph library).  A schedule
-    that passes is structurally incapable of the failure modes of the
-    paper's Section 3, independent of any particular stimulus.
+    and domain analysis it was built from.  It reads none of the
+    schedulers' tables; the only code it shares with them is the
+    netlist-level Min/MaxDelay kernel ({!Msched_netlist.Traverse}), run on
+    regions of its own.  The transport, resource and completeness checks
+    are O(schedule); the hold-safety and departure checks add, per block,
+    an O(block) region build and one kernel cone per input net.  A
+    schedule that passes is structurally incapable of the failure modes of
+    the paper's Section 3, independent of any particular stimulus.
 
     Checked axioms, mapped to the paper:
 

@@ -89,82 +89,47 @@ let merge_delay a b =
           Traverse.dmax = max d.Traverse.dmax b.Traverse.dmax;
         }
 
-(* Origin info from a delays_from table. *)
-let origin_info_of nl region is_output table =
+(* Origin info from the origin's cone, in the kernel's visit order. *)
+let origin_info_of nl region is_output src =
   let to_outputs = ref [] in
-  let deadline = ref None in
-  let pins : pin_delay Ids.Cell.Tbl.t = Ids.Cell.Tbl.create 8 in
-  Ids.Net.Tbl.iter
-    (fun n d ->
-      if is_output n then to_outputs := (n, d) :: !to_outputs;
-      Array.iter
-        (fun tm ->
-          if Traverse.mem region (Netlist.cell nl tm.Netlist.term_cell).Cell.id
-          then
-            match classify_sink nl tm with
-            | Not_sink -> ()
-            | Deadline ->
-                let cur = Option.value ~default:0 !deadline in
-                deadline := Some (max cur d.Traverse.dmax)
-            | State_data l ->
-                let pd =
-                  Option.value
-                    ~default:{ to_data = None; to_gate = None }
-                    (Ids.Cell.Tbl.find_opt pins l)
-                in
-                Ids.Cell.Tbl.replace pins l
-                  { pd with to_data = merge_delay pd.to_data d }
-            | State_gate l ->
-                let pd =
-                  Option.value
-                    ~default:{ to_data = None; to_gate = None }
-                    (Ids.Cell.Tbl.find_opt pins l)
-                in
-                Ids.Cell.Tbl.replace pins l
-                  { pd with to_gate = merge_delay pd.to_gate d })
-        (Netlist.fanouts nl n))
-    table;
+  let deadline = ref (-1) in
+  let pins = ref [] in
+  let add_pin l d ~gate =
+    let pd, rest =
+      match List.partition (fun (l', _) -> Ids.Cell.equal l l') !pins with
+      | [ (_, pd) ], rest -> (pd, rest)
+      | _, rest -> ({ to_data = None; to_gate = None }, rest)
+    in
+    let pd =
+      if gate then { pd with to_gate = merge_delay pd.to_gate d }
+      else { pd with to_data = merge_delay pd.to_data d }
+    in
+    pins := (l, pd) :: rest
+  in
+  Traverse.cone region src (fun n dmin dmax ->
+      if is_output n then
+        to_outputs := (n, { Traverse.dmin; dmax }) :: !to_outputs;
+      let fanouts = Netlist.fanouts nl n in
+      for t = 0 to Array.length fanouts - 1 do
+        let tm = fanouts.(t) in
+        if Traverse.contains region tm.Netlist.term_cell then
+          match classify_sink nl tm with
+          | Not_sink -> ()
+          | Deadline -> deadline := max !deadline dmax
+          | State_data l -> add_pin l { Traverse.dmin; dmax } ~gate:false
+          | State_gate l -> add_pin l { Traverse.dmin; dmax } ~gate:true
+      done);
   {
     to_outputs = List.rev !to_outputs;
-    deadline_delay = !deadline;
+    deadline_delay = (if !deadline < 0 then None else Some !deadline);
     to_latch_pins =
-      Ids.Cell.Tbl.fold (fun l pd acc -> (l, pd) :: acc) pins []
-      |> List.sort (fun (a, _) (b, _) -> Ids.Cell.compare a b);
+      List.sort (fun (a, _) (b, _) -> Ids.Cell.compare a b) !pins;
   }
 
-(* Max combinational settle from frame-start origins local to the block. *)
-let compute_local_settle nl region cells =
-  let table = Ids.Net.Tbl.create 64 in
-  let seed (c : Cell.t) =
-    (* Net-triggered flip-flops update mid-frame (when their derived clock
-       arrives), so they are not frame-start origins; their outputs are
-       handled like latch outputs. *)
-    match c.Cell.kind, c.Cell.trigger with
-    | Cell.Flip_flop, Some (Cell.Net_trigger _) -> ()
-    | (Cell.Flip_flop | Cell.Ram _ | Cell.Input _ | Cell.Clock_source _), _ -> (
-        match c.Cell.output with
-        | Some out -> Ids.Net.Tbl.replace table out 0
-        | None -> ())
-    | (Cell.Latch _ | Cell.Gate _ | Cell.Output), _ -> ()
-  in
-  List.iter (fun cid -> seed (Netlist.cell nl cid)) cells;
-  List.iter
-    (fun cid ->
-      let c = Netlist.cell nl cid in
-      let ins = Levelize.comb_inputs nl c in
-      let reach = List.filter_map (fun n -> Ids.Net.Tbl.find_opt table n) ins in
-      match reach, c.Cell.output with
-      | [], _ | _, None -> ()
-      | first :: rest, Some out ->
-          let m = List.fold_left max first rest in
-          Ids.Net.Tbl.replace table out (m + 1))
-    (Traverse.topo region);
-  table
-
-let analyze_block part block =
+let analyze_block_in scratch part block =
   let nl = Partition.netlist part in
   let cells = Partition.cells_of_block part block in
-  let region = Traverse.of_cells nl cells in
+  let region = Traverse.region scratch cells in
   let input_nets = Partition.input_nets part block in
   let output_nets = Partition.output_nets part block in
   let output_set =
@@ -192,8 +157,7 @@ let analyze_block part block =
   List.iter
     (fun m ->
       if not (Ids.Net.Tbl.mem origins m) then
-        let table = Traverse.delays_from region m in
-        Ids.Net.Tbl.replace origins m (origin_info_of nl region is_output table))
+        Ids.Net.Tbl.replace origins m (origin_info_of nl region is_output m))
     origin_nets;
   (* Latches needing group coordination: those reached by an input net, or
      by another latch's output (local latch chains must propagate ReadyTime
@@ -325,6 +289,8 @@ let analyze_block part block =
         })
       comps
   in
+  let local_max_settle = Ids.Net.Tbl.create 64 in
+  Traverse.settle region (Ids.Net.Tbl.replace local_max_settle);
   {
     block;
     input_nets;
@@ -332,13 +298,17 @@ let analyze_block part block =
     latch_output_origins;
     origins;
     groups = Array.of_list groups;
-    local_max_settle = compute_local_settle nl region cells;
+    local_max_settle;
   }
 
+let analyze_block part block =
+  analyze_block_in (Traverse.scratch (Partition.netlist part)) part block
+
 let analyze ?(obs = Msched_obs.Sink.null) part =
+  let scratch = Traverse.scratch (Partition.netlist part) in
   let la =
     Array.init (Partition.num_blocks part) (fun b ->
-        analyze_block part (Ids.Block.of_int b))
+        analyze_block_in scratch part (Ids.Block.of_int b))
   in
   if Msched_obs.Sink.enabled obs then
     Array.iter

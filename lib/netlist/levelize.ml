@@ -6,15 +6,21 @@ type t = {
   max_level : int;
 }
 
-let comb_inputs _nl (c : Cell.t) =
+(* RAM data_inputs = [| we; wdata; waddr...; raddr... |] *)
+let comb_lo (c : Cell.t) =
+  match c.kind with Cell.Ram { addr_bits } -> 2 + addr_bits | _ -> 0
+
+let comb_hi (c : Cell.t) =
   match c.kind with
-  | Cell.Gate _ -> Array.to_list c.data_inputs
-  | Cell.Ram { addr_bits } ->
-      (* data_inputs = [| we; wdata; waddr...; raddr... |] *)
-      List.init addr_bits (fun i -> c.data_inputs.(2 + addr_bits + i))
+  | Cell.Gate _ -> Array.length c.data_inputs
+  | Cell.Ram { addr_bits } -> 2 + (2 * addr_bits)
   | Cell.Latch _ | Cell.Flip_flop | Cell.Input _ | Cell.Clock_source _
   | Cell.Output ->
-      []
+      0
+
+let comb_inputs _nl (c : Cell.t) =
+  let lo = comb_lo c in
+  List.init (comb_hi c - lo) (fun i -> c.data_inputs.(lo + i))
 
 let is_comb_through (c : Cell.t) =
   match c.kind with

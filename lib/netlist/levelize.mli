@@ -36,6 +36,11 @@ val comb_inputs : Netlist.t -> Cell.t -> Ids.Net.t list
     gates, the read-address nets for RAMs, nothing for sequential/source
     cells. *)
 
+val comb_lo : Cell.t -> int
+val comb_hi : Cell.t -> int
+(** [comb_inputs] without the list: the combinational inputs of [c] are
+    [c.data_inputs.(i)] for [comb_lo c <= i < comb_hi c]. *)
+
 val is_comb_through : Cell.t -> bool
 (** Whether the cell propagates values combinationally from (some of) its
     inputs to its output: gates and RAM read paths. *)

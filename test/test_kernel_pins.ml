@@ -1,0 +1,415 @@
+(* ---- Delay-kernel pins ----
+
+   The Min/MaxDelay tables of the paper's Section 7 feed three outputs:
+   the latch analysis the schedulers read, the static verifier's
+   [required] values, and through both, the schedule bytes.  These pins
+   hash all three over the end-to-end benchmark's designs, recorded from
+   the implementation whose region builds swept the whole netlist and
+   whose delay walks covered a block's whole topological order, so a
+   cheaper traversal has to reproduce them exactly.
+
+   Grid: the 24 cold_compile designs of seed 1 (weight 64, 96 pins, no
+   retries), the six serve_mix generator families (weight 32, 24 pins,
+   max-extra 0, two retries with hard fallback), the injection suite's
+   design, and fig3 at weight 4. *)
+
+open Msched_netlist
+module Compile = Msched.Compile
+module Tiers = Msched_route.Tiers
+module Schedule = Msched_route.Schedule
+module Reroute = Msched_route.Reroute
+module LA = Msched_mts.Latch_analysis
+module Verify = Msched_check.Verify
+module Design_gen = Msched_gen.Design_gen
+module System = Msched_arch.System
+module Json = Msched_diag.Diag.Json
+
+type setting = {
+  weight : int;
+  pins : int option;
+  max_extra : int option;
+  retries : int;
+  fallback : bool;
+}
+
+let cold =
+  {
+    weight = 64;
+    pins = Some 96;
+    max_extra = None;
+    retries = 0;
+    fallback = false;
+  }
+
+let mix =
+  {
+    weight = 32;
+    pins = Some 24;
+    max_extra = Some 0;
+    retries = 2;
+    fallback = true;
+  }
+
+let grid =
+  List.concat
+    (List.init 8 (fun k ->
+         [
+           (Printf.sprintf "design1:scale=0.05,seed=%d" (1 + (2 * k)), cold);
+           (Printf.sprintf "design1:scale=0.05,seed=%d" (2 + (2 * k)), cold);
+           (Printf.sprintf "design2:scale=0.05,seed=%d" (1 + k), cold);
+         ]))
+  @ [
+      ("random:domains=3,modules=10,mts=0.20,seed=11", mix);
+      ("gals:islands=4,size=3,seed=12", mix);
+      ("dense:domains=8,density=0.20,seed=13", mix);
+      ("fabric:banks=4,domains=3,seed=14", mix);
+      ("design1:scale=0.02,seed=15", mix);
+      ("design2:scale=0.02,seed=16", mix);
+      ( "random:domains=3,modules=30,mts=0.30,seed=76",
+        { cold with weight = 32; pins = None } );
+      ("fig3", { cold with weight = 4; pins = None });
+    ]
+
+let netlist_of spec =
+  if spec = "fig3" then (Design_gen.fig3_latch ()).Design_gen.netlist
+  else
+    match Design_gen.of_spec spec with
+    | Ok d -> d.Design_gen.netlist
+    | Error _ -> invalid_arg spec
+
+let options_of s =
+  let d = Compile.default_options in
+  {
+    d with
+    Compile.max_block_weight = s.weight;
+    pins_per_fpga = Option.value ~default:d.Compile.pins_per_fpga s.pins;
+    route =
+      (match s.max_extra with
+      | None -> Tiers.default_options
+      | Some n -> { Tiers.default_options with Tiers.max_extra_slots = n });
+  }
+
+(* ---- Canonical latch analysis: origins sorted by net, each origin's
+   [to_outputs] sorted by net, groups and their lists as they are,
+   [local_max_settle] sorted by net. ---- *)
+
+let pp_delay b (d : Traverse.delay) =
+  Printf.bprintf b "[%d,%d]" d.Traverse.dmin d.Traverse.dmax
+
+let pp_opt b = function None -> Buffer.add_char b '-' | Some d -> pp_delay b d
+
+let pp_nets b ns =
+  List.iter (fun n -> Printf.bprintf b " %d" (Ids.Net.to_int n)) ns
+
+let pp_pd b (pd : LA.pin_delay) =
+  Buffer.add_char b 'd';
+  pp_opt b pd.LA.to_data;
+  Buffer.add_char b 'g';
+  pp_opt b pd.LA.to_gate
+
+let pp_deps b deps =
+  List.iter
+    (fun (d : LA.dep) ->
+      Printf.bprintf b " %d>%d:"
+        (Ids.Net.to_int d.LA.dep_origin)
+        (Ids.Cell.to_int d.LA.dep_latch);
+      pp_pd b d.LA.dep_pd)
+    deps
+
+let by_net l = List.sort (fun (a, _) (b, _) -> Ids.Net.compare a b) l
+
+let sorted_bindings tbl =
+  by_net (Ids.Net.Tbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+let canonical_latch_analysis (la : LA.t array) =
+  let b = Buffer.create 4096 in
+  Array.iter
+    (fun (t : LA.t) ->
+      Printf.bprintf b "block %d\n in" (Ids.Block.to_int t.LA.block);
+      pp_nets b t.LA.input_nets;
+      Buffer.add_string b "\n out";
+      pp_nets b t.LA.output_nets;
+      Buffer.add_string b "\n latch-origins";
+      pp_nets b t.LA.latch_output_origins;
+      Buffer.add_char b '\n';
+      List.iter
+        (fun (m, (o : LA.origin_info)) ->
+          Printf.bprintf b " origin %d deadline %s outs" (Ids.Net.to_int m)
+            (match o.LA.deadline_delay with
+            | None -> "-"
+            | Some d -> string_of_int d);
+          List.iter
+            (fun (n, d) ->
+              Printf.bprintf b " %d" (Ids.Net.to_int n);
+              pp_delay b d)
+            (by_net o.LA.to_outputs);
+          Buffer.add_string b " pins";
+          List.iter
+            (fun (l, pd) ->
+              Printf.bprintf b " %d:" (Ids.Cell.to_int l);
+              pp_pd b pd)
+            o.LA.to_latch_pins;
+          Buffer.add_char b '\n')
+        (sorted_bindings t.LA.origins);
+      Array.iter
+        (fun (g : LA.group) ->
+          Printf.bprintf b " group %d latches" g.LA.gid;
+          List.iter
+            (fun l -> Printf.bprintf b " %d" (Ids.Cell.to_int l))
+            g.LA.latches;
+          Buffer.add_string b " inputs";
+          pp_deps b g.LA.input_deps;
+          Buffer.add_string b " locals";
+          pp_deps b g.LA.local_deps;
+          Buffer.add_char b '\n')
+        t.LA.groups;
+      Buffer.add_string b " settle";
+      List.iter
+        (fun (n, v) -> Printf.bprintf b " %d=%d" (Ids.Net.to_int n) v)
+        (sorted_bindings t.LA.local_max_settle);
+      Buffer.add_char b '\n')
+    la;
+  Buffer.contents b
+
+(* ---- Schedule corruptions: the injection suite's, plus every hold-off
+   releasing data one slot after a gate at slot 0, which the Gate<=Data
+   check names ---- *)
+
+let virtual_transports (ls : Schedule.link_sched) =
+  List.filter (fun tr -> not tr.Schedule.tr_hard) ls.Schedule.ls_transports
+
+let is_fork ls = List.length (virtual_transports ls) >= 2
+let multiplexed tr = (not tr.Schedule.tr_hard) && tr.Schedule.tr_hops <> []
+
+let mutate_first_link sched ~pred ~f =
+  let hit = ref false in
+  let link_scheds =
+    List.map
+      (fun (ls : Schedule.link_sched) ->
+        if (not !hit) && pred ls then begin
+          hit := true;
+          { ls with Schedule.ls_transports = f ls.Schedule.ls_transports }
+        end
+        else ls)
+      sched.Schedule.link_scheds
+  in
+  { sched with Schedule.link_scheds }
+
+let map_transports sched f =
+  {
+    sched with
+    Schedule.link_scheds =
+      List.map
+        (fun (ls : Schedule.link_sched) ->
+          {
+            ls with
+            Schedule.ls_transports = List.map f ls.Schedule.ls_transports;
+          })
+        sched.Schedule.link_scheds;
+  }
+
+let corruptions system =
+  let length s = s.Schedule.length in
+  [
+    ("dropped-holdoffs", fun s -> { s with Schedule.holdoffs = [] });
+    ( "early-sampling",
+      fun s ->
+        map_transports s (fun tr ->
+            if tr.Schedule.tr_hard then tr
+            else { tr with Schedule.tr_fwd_dep = 0 }) );
+    ( "truncated-frame",
+      fun s -> { s with Schedule.length = max 1 (length s / 2) } );
+    ( "dropped-link",
+      fun s ->
+        match s.Schedule.link_scheds with
+        | _ :: rest -> { s with Schedule.link_scheds = rest }
+        | [] -> s );
+    ( "skewed-arrival",
+      fun s ->
+        mutate_first_link s ~pred:is_fork ~f:(function
+          | first :: rest ->
+              let arr = first.Schedule.tr_fwd_arr in
+              {
+                first with
+                Schedule.tr_fwd_arr =
+                  (if arr < length s then arr + 1 else arr - 1);
+              }
+              :: rest
+          | [] -> []) );
+    ( "swapped-holdoff",
+      fun s ->
+        match s.Schedule.holdoffs with
+        | h :: rest ->
+            let swapped =
+              {
+                h with
+                Schedule.ho_gate = h.Schedule.ho_data;
+                ho_data = h.Schedule.ho_gate;
+              }
+            in
+            { s with Schedule.holdoffs = swapped :: rest }
+        | [] -> s );
+    ( "dropped-fork-transport",
+      fun s ->
+        mutate_first_link s ~pred:is_fork ~f:(function
+          | _ :: rest -> rest
+          | [] -> []) );
+    ( "double-booked-slot",
+      fun s ->
+        mutate_first_link s
+          ~pred:(fun ls -> List.exists multiplexed ls.Schedule.ls_transports)
+          ~f:(fun transports ->
+            let tr = List.find multiplexed transports in
+            let c, _ = List.hd tr.Schedule.tr_hops in
+            let width = (System.channels system).(c).System.width in
+            List.init width (fun _ -> tr) @ transports) );
+    ( "early-release",
+      fun s ->
+        {
+          s with
+          Schedule.holdoffs =
+            List.map
+              (fun h -> { h with Schedule.ho_gate = 0; ho_data = 1 })
+              s.Schedule.holdoffs;
+        } );
+  ]
+
+let report prepared sched =
+  Format.asprintf "%a" Verify.pp_report (Compile.verify_schedule prepared sched)
+
+(* What one grid point produces: the latch-analysis hash, the verify
+   report text and the schedule hash.  The verify text covers the clean
+   schedule, a naive-mode schedule of the same front end and every
+   corruption of the clean schedule. *)
+let run_point (spec, s) =
+  let r =
+    Compile.compile_resilient ~options:(options_of s) ~max_retries:s.retries
+      ~fallback_hard:s.fallback ~reroute:(Reroute.create ()) (netlist_of spec)
+  in
+  match r.Compile.compiled with
+  | None -> Alcotest.failf "%s: unroutable" spec
+  | Some c ->
+      let prepared = c.Compile.prepared and sched = c.Compile.schedule in
+      let b = Buffer.create 1024 in
+      Printf.bprintf b "clean: %s\n" (report prepared sched);
+      (match Compile.route prepared Tiers.naive_options with
+      | naive -> Printf.bprintf b "naive: %s\n" (report prepared naive)
+      | exception Tiers.Unroutable _ ->
+          Buffer.add_string b "naive: unroutable\n");
+      List.iter
+        (fun (name, corrupt) ->
+          Printf.bprintf b "%s: %s\n" name (report prepared (corrupt sched)))
+        (corruptions prepared.Compile.system);
+      let la = prepared.Compile.latch_analysis in
+      ( Json.hash_hex (canonical_latch_analysis la),
+        Buffer.contents b,
+        Json.hash_hex (Schedule.to_json_string sched) )
+
+let results = lazy (List.map (fun p -> (fst p, run_point p)) grid)
+
+(* (spec, latch-analysis hash, verify-report hash, schedule hash) *)
+let pins =
+  [
+    ( "design1:scale=0.05,seed=1",
+      "773b83a29bbdcd3e", "5f021c2a0d2edce9", "258515b1f46decc7" );
+    ( "design1:scale=0.05,seed=2",
+      "c68d86cafa2449bc", "10d62969adc75395", "cab59d64ff71e0bb" );
+    ( "design2:scale=0.05,seed=1",
+      "923d2207561cb828", "a9238fd6d44734ef", "3378b49e4d2f2c14" );
+    ( "design1:scale=0.05,seed=3",
+      "3d0d95d0c76761b0", "ee9fe84d667f9cba", "6fe9aee44837142d" );
+    ( "design1:scale=0.05,seed=4",
+      "efeb59f4c30647d7", "9abbf9d9f5585635", "f141f1cfec89c244" );
+    ( "design2:scale=0.05,seed=2",
+      "14349e51c7f01d89", "697a6f7c880a4f31", "29c2af4c87d8e71e" );
+    ( "design1:scale=0.05,seed=5",
+      "959896b5b35d2be5", "64ccb3cbed9f177a", "9a6b686d5430801d" );
+    ( "design1:scale=0.05,seed=6",
+      "d8a9302e4205507e", "d4f45adc378b4cfb", "0e6ab97b59089fc3" );
+    ( "design2:scale=0.05,seed=3",
+      "15e84b6f266dcff8", "a1fff2eb3580a1e2", "db9b93ac78d20e27" );
+    ( "design1:scale=0.05,seed=7",
+      "e85059632fd24e5d", "8a4bf35ee5c689bb", "1e78a04ae7f03be5" );
+    ( "design1:scale=0.05,seed=8",
+      "81e65b3a8eb2fb15", "0f3f2815757b4793", "c74928e876ae6d8c" );
+    ( "design2:scale=0.05,seed=4",
+      "2602251322e6d8c9", "8c172268606bf158", "547f166018a1a0f6" );
+    ( "design1:scale=0.05,seed=9",
+      "be8f69fe6d2ef30e", "b5ed51517850609f", "e458b469eb6f201b" );
+    ( "design1:scale=0.05,seed=10",
+      "adc393390f7d17b9", "3d67cf1c00334361", "debdab73c7a19740" );
+    ( "design2:scale=0.05,seed=5",
+      "a820cf14946d0a75", "caf1e511d6c4e1b4", "d51ac5da015e5cb5" );
+    ( "design1:scale=0.05,seed=11",
+      "6487e2140ff96c54", "f4da3d6475651bb2", "103bdfc1803534d1" );
+    ( "design1:scale=0.05,seed=12",
+      "fd499caa9ae6af35", "716a0165439b620f", "8a66546621134ec2" );
+    ( "design2:scale=0.05,seed=6",
+      "f3e71bfd1706f73b", "10c01716bbdb6fc1", "11374f253b2616f3" );
+    ( "design1:scale=0.05,seed=13",
+      "fd07aa18737f0b05", "97abc142432c677c", "d908676018c852ef" );
+    ( "design1:scale=0.05,seed=14",
+      "e90f7d6e2d326ad9", "1319993331d144fd", "610e2fd6ba3fec89" );
+    ( "design2:scale=0.05,seed=7",
+      "106d7c73ffbed582", "02f57a7ccf897dd0", "1b549dc2677f7c46" );
+    ( "design1:scale=0.05,seed=15",
+      "fc09115b511180f1", "3296fe4a245cf836", "efc525695f348ede" );
+    ( "design1:scale=0.05,seed=16",
+      "1ce254b7698bd7f5", "21525262dca9dd97", "40976d67cabd144f" );
+    ( "design2:scale=0.05,seed=8",
+      "1fe013a5f05f92e3", "3fe974e27d58a54b", "15a3851ff1669ead" );
+    ( "random:domains=3,modules=10,mts=0.20,seed=11",
+      "a71ff834e0ec2149", "ecac5e147e0ae24f", "00c40a4cc35ffa03" );
+    ( "gals:islands=4,size=3,seed=12",
+      "39c056fbbf0ded00", "49bdc72a84f5c522", "93fbac2e137e32f5" );
+    ( "dense:domains=8,density=0.20,seed=13",
+      "f81a4fe367ad6baa", "eab4214c5d07e627", "d01c4a7a75347b15" );
+    ( "fabric:banks=4,domains=3,seed=14",
+      "1f0e50480b87cd4c", "06cb637110f1edb3", "32327e318a495886" );
+    ( "design1:scale=0.02,seed=15",
+      "3a65e750e4b2c962", "7aa2c822302a6364", "0b9c4c583c26f227" );
+    ( "design2:scale=0.02,seed=16",
+      "85b643743ebdf8f5", "558616409e1655b0", "229350c767126bf8" );
+    ( "random:domains=3,modules=30,mts=0.30,seed=76",
+      "6be2d5f7bfa72260", "ef93aea174e0bd9f", "5aa988073602beec" );
+    ( "fig3",
+      "9871fb0a2b6e26a5", "b0c05f08eeacac18", "fcc6900e1daf18bc" );
+  ]
+
+let check_pin what pick =
+  let got = Lazy.force results in
+  Alcotest.(check int) "grid size" (List.length pins) (List.length got);
+  List.iter2
+    (fun (spec, la, v, s) (spec', r) ->
+      Alcotest.(check string) "grid order" spec spec';
+      let expected, actual = pick (la, v, s) r in
+      Alcotest.(check string) (spec ^ ": " ^ what) expected actual)
+    pins got
+
+let test_latch_analysis_pin () =
+  check_pin "latch analysis" (fun (la, _, _) (la', _, _) -> (la, la'))
+
+let test_verify_report_pin () =
+  check_pin "verify reports" (fun (_, v, _) (_, text, _) ->
+      (v, Json.hash_hex text));
+  (* The hashes cover delay-derived verdicts, not only clean reports. *)
+  let lines =
+    List.concat_map
+      (fun (_, (_, text, _)) -> String.split_on_char '\n' text)
+      (Lazy.force results)
+  in
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool) ("grid reports name " ^ kind) true
+        (List.exists (String.starts_with ~prefix:("  " ^ kind ^ ":")) lines))
+    [ "missing-holdoff"; "departure-too-early"; "gate-after-data" ]
+
+let test_schedule_pins () =
+  check_pin "schedule" (fun (_, _, s) (_, _, s') -> (s, s'))
+
+let suite =
+  [
+    Alcotest.test_case "latch-analysis pin" `Quick test_latch_analysis_pin;
+    Alcotest.test_case "verify-report pin" `Quick test_verify_report_pin;
+    Alcotest.test_case "schedule pins" `Quick test_schedule_pins;
+  ]

@@ -33,4 +33,5 @@ let () =
       ("serve-net", Test_serve_net.suite);
       ("explain", Test_explain.suite);
       ("delta", Test_delta.suite);
+      ("kernel-pins", Test_kernel_pins.suite);
     ]
