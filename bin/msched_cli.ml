@@ -133,14 +133,6 @@ let options_of ?(obs = Sink.null) pins weight =
     obs;
   }
 
-let write_out path contents =
-  if path = "-" then print_string contents
-  else begin
-    let oc = open_out path in
-    output_string oc contents;
-    close_out oc
-  end
-
 (* A [--trace FILE] argument turns the sink on; without it every probe in
    the pipeline is a no-op. *)
 let sink_of_trace = function None -> Sink.null | Some _ -> Sink.create ()
@@ -219,7 +211,8 @@ let compile_delta_cmd ~options ~ppf ~pins ~delta_base ~emit_manifest nl =
   in
   match emit_manifest with
   | None -> ()
-  | Some p -> write_out p (Delta_manifest.to_json_string manifest ^ "\n")
+  | Some p ->
+      Obs_export.write_file p (Delta_manifest.to_json_string manifest ^ "\n")
 
 let compile_cmd path pins weight mode forward retries fallback_hard cold
     max_extra trace diag_json delta_base emit_manifest =
@@ -278,7 +271,8 @@ let compile_cmd path pins weight mode forward retries fallback_hard cold
       Format.fprintf ppf "%a@." Msched.Compile.pp_resilient r;
     (match diag_json with
     | None -> ()
-    | Some p -> write_out p (Msched.Compile.resilient_to_json r ^ "\n"));
+    | Some p ->
+        Obs_export.write_file p (Msched.Compile.resilient_to_json r ^ "\n"));
     write_trace trace obs;
     let code = Msched.Compile.resilient_exit_code r in
     if code <> 0 then exit code
@@ -299,7 +293,7 @@ let lint_cmd path diag_json =
     (List.length (Diag.Report.warnings rep));
   (match diag_json with
   | None -> ()
-  | Some p -> write_out p (Diag.Report.to_json rep ^ "\n"));
+  | Some p -> Obs_export.write_file p (Diag.Report.to_json rep ^ "\n"));
   if Diag.Report.has_errors rep then exit (Diag.Report.exit_code rep)
 
 (* The machine-readable side of [check]: verifier verdict plus the
@@ -392,7 +386,7 @@ let check_cmd path pins weight mode forward trace json =
   (match json with
   | None -> ()
   | Some p ->
-      write_out p
+      Obs_export.write_file p
         (check_json ~design:path ~mode ~route:ropts prepared sched report
         ^ "\n"));
   write_trace trace obs;
@@ -421,10 +415,12 @@ let explain_cmd name pins weight mode scale json trace =
   Format.fprintf ppf "%a@." Msched_explain.Explain.pp_summary report;
   (match json with
   | None -> ()
-  | Some p -> write_out p (Msched_explain.Explain.to_json report ^ "\n"));
+  | Some p ->
+      Obs_export.write_file p (Msched_explain.Explain.to_json report ^ "\n"));
   match trace with
   | None -> ()
-  | Some p -> write_out p (Msched_explain.Explain.perfetto_string report)
+  | Some p ->
+      Obs_export.write_file p (Msched_explain.Explain.perfetto_string report)
 
 let stats_cmd path =
   protect @@ fun () ->
@@ -450,7 +446,8 @@ let simulate_cmd path horizon seed pins weight trace diag_json =
   let emit diags =
     match diag_json with
     | None -> ()
-    | Some p -> write_out p (Diag.Report.to_json (report_of diags) ^ "\n")
+    | Some p ->
+        Obs_export.write_file p (Diag.Report.to_json (report_of diags) ^ "\n")
   in
   protect @@ fun () ->
   try
@@ -564,7 +561,7 @@ let batch_cmd source jobs _cache_dir out pins weight mode retries
           entries
       in
       let batch = Server.run_batch ~jobs settings job_list in
-      write_out out (Server.to_ndjson batch);
+      Obs_export.write_file out (Server.to_ndjson batch);
       (* Human summary on stderr; stdout may be carrying the NDJSON. *)
       Format.eprintf "%s@." (Server.summary_json batch);
       (match (trace, json) with
@@ -693,13 +690,14 @@ let delta_diff_cmd base edited pins weight json =
       (match json with
       | None -> ()
       | Some p ->
-          write_out p
+          Obs_export.write_file p
             "{\"schema\":\"msched-delta-diff-1\",\"comparable\":false}\n")
   | Some diff ->
       Format.fprintf ppf "%a@." Delta_diff.pp diff;
       (match json with
       | None -> ()
-      | Some p -> write_out p (Delta_diff.to_json_string diff ^ "\n"))
+      | Some p ->
+          Obs_export.write_file p (Delta_diff.to_json_string diff ^ "\n"))
 
 let gen_cmd name scale =
   protect @@ fun () ->

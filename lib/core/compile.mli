@@ -27,9 +27,9 @@ type options = {
           phase plus the counters catalogued in [docs/OBSERVABILITY.md]. *)
   compile_jobs : int;
       (** Ignored: every compile runs on the calling domain.  The field
-          stays because the end-to-end benchmark under [perfbench/] (and
-          [bench/main.ml]'s [par] section) still sets it; it goes with
-          that benchmark's [par.speedup_2v1]. *)
+          stays only because the frozen end-to-end benchmark under
+          [perfbench/] still sets it; it goes with that benchmark's
+          [par.speedup_2v1]. *)
 }
 
 val default_options : options

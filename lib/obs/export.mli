@@ -7,8 +7,8 @@
       the metric catalogue — what [msched profile] prints.
     - {!json_string}: a stable JSON document
       ([{"schema":"msched-obs-1","spans":…,"counters":…,"gauges":…,
-      "histograms":…}]) meant to be diffed across runs and committed as
-      [BENCH_pipeline.json].
+      "histograms":…}]) meant to be diffed across runs — what
+      [msched profile --json] writes.
     - {!chrome_trace_string}: Chrome trace-event format
       ([{"traceEvents":[…]}]) that loads directly in [chrome://tracing] and
       {{:https://ui.perfetto.dev}Perfetto}: spans become complete ("X")
@@ -25,5 +25,5 @@ val json_string : Sink.t -> string
 val chrome_trace_string : Sink.t -> string
 
 val write_file : string -> string -> unit
-(** [write_file path contents] — tiny helper shared by the CLI, bench and
-    experiment drivers; ["-"] writes to stdout. *)
+(** [write_file path contents] — the file writer of the CLI and the
+    experiment driver; ["-"] writes to stdout. *)

@@ -14,17 +14,13 @@
    - the occupancy matrix column peaks agree with the schedule's own
      [peak_channel_usage] accounting;
    - phase attribution does exact Amdahl arithmetic on a fake clock, and
-     [Sink.annotate] lands args on the innermost open span;
-   - the bench regression gate passes on identical documents and fails on
-     each injected regression class (slower span, longer frame, dirty
-     verifier, vanished metric) while tolerating benign wall-clock noise. *)
+     [Sink.annotate] lands args on the innermost open span. *)
 
 module Design_gen = Msched_gen.Design_gen
 module Tiers = Msched_route.Tiers
 module Schedule = Msched_route.Schedule
 module Sink = Msched_obs.Sink
 module Explain = Msched_explain.Explain
-module Baseline = Msched_explain.Baseline
 
 let compile ?(weight = 48) ?(route = Tiers.default_options) nl =
   let options =
@@ -188,100 +184,6 @@ let annotate_lands_on_open_span () =
         s.Sink.sp_args
   | _ -> Alcotest.fail "expected exactly one span"
 
-(* ---- Bench regression gate ---- *)
-
-let doc ?(par_identical = true) ~span_us ~length ~speed ~clean ~extra_counter
-    () =
-  Printf.sprintf
-    {|{"schema":"msched-bench-pipeline-7",
-       "designs":{"d1":{"schema":"msched-obs-1",
-         "spans":[{"id":0,"parent":null,"depth":0,"name":"prepare","begin_us":0,"dur_us":%d,"args":{}}],
-         "counters":{"work.items":100%s},
-         "gauges":{"schedule.length":%d,"schedule.est_speed_hz":%g,"place.wirelength":500},
-         "histograms":{}}},
-       "driver":{"result":{},"obs":{"schema":"msched-obs-1","spans":[],"counters":{"driver.attempts":1},"gauges":{},"histograms":{}}},
-       "batch":{"cores":1},
-       "workloads":{"gals":[{"spec":"gals:islands=4,size=2","schedule_length":%d,"est_speed_hz":%g,"verifier_clean":%b}]},
-       "par":{"design":"dense:domains=16,density=0.8","cores":1,
-         "prepare_wall_s":{"jobs1":0.1,"jobs2":0.2,"jobs4":0.3},
-         "route_wall_s":{"jobs1":0.1,"jobs2":0.2,"jobs4":0.3},
-         "schedule_identical_1v2":%b,"schedule_identical_1v4":true,
-         "placement_identical":true,"schedule_length":%d,"est_speed_hz":%g}}|}
-    span_us extra_counter length speed length speed clean par_identical
-    length speed
-
-let base_doc =
-  doc ~span_us:10_000 ~length:10 ~speed:1e6 ~clean:true ~extra_counter:"" ()
-
-let gate label ~fresh expect_ok =
-  match Baseline.compare_runs ~baseline:base_doc ~fresh with
-  | Error d -> Alcotest.failf "%s: gate errored: %a" label Msched_diag.Diag.pp d
-  | Ok diff ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s (regressions: %s)" label
-           (String.concat "; "
-              (List.map (fun v -> v.Baseline.v_path) diff.Baseline.d_verdicts)))
-        expect_ok (Baseline.ok diff)
-
-let gate_verdicts () =
-  gate "identical documents pass" ~fresh:base_doc true;
-  gate "benign time noise passes"
-    ~fresh:(doc ~span_us:30_000 ~length:10 ~speed:1e6 ~clean:true ~extra_counter:"" ())
-    true;
-  gate "6x slower and >50ms fails"
-    ~fresh:(doc ~span_us:70_000 ~length:10 ~speed:1e6 ~clean:true ~extra_counter:"" ())
-    false;
-  gate "any frame growth fails"
-    ~fresh:(doc ~span_us:10_000 ~length:11 ~speed:1e6 ~clean:true ~extra_counter:"" ())
-    false;
-  gate "any speed loss fails"
-    ~fresh:(doc ~span_us:10_000 ~length:10 ~speed:9e5 ~clean:true ~extra_counter:"" ())
-    false;
-  gate "verifier going dirty fails"
-    ~fresh:(doc ~span_us:10_000 ~length:10 ~speed:1e6 ~clean:false ~extra_counter:"" ())
-    false;
-  (* Parallel widths diverging (schedule no longer byte-identical across
-     --compile-jobs) is a Bool equality class: any flip fails. *)
-  gate "parallel divergence fails"
-    ~fresh:
-      (doc ~par_identical:false ~span_us:10_000 ~length:10 ~speed:1e6
-         ~clean:true ~extra_counter:"" ())
-    false;
-  (* New metrics never fail; metrics vanishing from the fresh run do. *)
-  gate "new metric in fresh run passes"
-    ~fresh:
-      (doc ~span_us:10_000 ~length:10 ~speed:1e6 ~clean:true
-         ~extra_counter:{|,"work.extra":1|} ())
-    true;
-  (match
-     Baseline.compare_runs
-       ~baseline:
-         (doc ~span_us:10_000 ~length:10 ~speed:1e6 ~clean:true
-            ~extra_counter:{|,"work.extra":1|} ())
-       ~fresh:base_doc
-   with
-  | Ok diff ->
-      Alcotest.(check bool) "vanished metric fails" false (Baseline.ok diff)
-  | Error d -> Alcotest.failf "gate errored: %a" Msched_diag.Diag.pp d);
-  (match Baseline.compare_runs ~baseline:{|{"schema":"nope"}|} ~fresh:base_doc with
-  | Ok _ -> Alcotest.fail "wrong schema must be rejected"
-  | Error d ->
-      Alcotest.(check string) "schema mismatch is E_PARSE" "E_PARSE"
-        (Msched_diag.Diag.code_name d.Msched_diag.Diag.code))
-
-let gate_roundtrip_on_real_doc () =
-  (* The diff's own JSON document parses and carries the verdict. *)
-  match Baseline.compare_runs ~baseline:base_doc ~fresh:base_doc with
-  | Error d -> Alcotest.failf "gate errored: %a" Msched_diag.Diag.pp d
-  | Ok diff -> (
-      let json = Baseline.to_json diff in
-      match Msched_diag.Diag.Json.parse json with
-      | Error e -> Alcotest.failf "diff JSON does not parse: %s" e
-      | Ok v ->
-          Alcotest.(check (option string)) "schema" (Some "msched-bench-diff-1")
-            Option.(bind (Msched_diag.Diag.Json.mem "schema" v)
-                      Msched_diag.Diag.Json.str))
-
 let suite =
   [
     Alcotest.test_case "seeded families: chains exact in both modes" `Slow
@@ -295,8 +197,4 @@ let suite =
       attribution_math;
     Alcotest.test_case "Sink.annotate targets the innermost open span" `Quick
       annotate_lands_on_open_span;
-    Alcotest.test_case "bench gate verdicts per tolerance class" `Quick
-      gate_verdicts;
-    Alcotest.test_case "bench gate diff document round-trips" `Quick
-      gate_roundtrip_on_real_doc;
   ]

@@ -34,4 +34,5 @@ let () =
       ("explain", Test_explain.suite);
       ("delta", Test_delta.suite);
       ("kernel-pins", Test_kernel_pins.suite);
+      ("quality-pins", Test_quality_pins.suite);
     ]
