@@ -538,11 +538,13 @@ let server_settings pins weight mode retries fallback_hard cold max_extra
     s_obs_jobs = obs_jobs;
   }
 
-let batch_cmd source jobs _cache_dir out pins weight mode retries
+let batch_cmd source jobs cache_dir out pins weight mode retries
     fallback_hard cold max_extra trace json =
   protect @@ fun () ->
+  Option.iter Cache.ensure_dir cache_dir;
   let settings =
-    server_settings pins weight mode retries fallback_hard cold max_extra None
+    server_settings pins weight mode retries fallback_hard cold max_extra
+      cache_dir
       (trace <> None || json <> None)
   in
   match Manifest.load source with
@@ -654,9 +656,10 @@ let cache_stats_cmd dir =
   protect @@ fun () ->
   let s = Cache.stats ~dir in
   Printf.printf
-    "{\"schema\":\"msched-cache-stats-1\",\"dir\":%s,\"entries\":%d,\"manifests\":%d,\"blocks\":%d,\"bytes\":%d,\"oldest_s\":%.3f}\n"
-    (Diag.Json.string dir) s.Cache.st_entries s.Cache.st_manifests
-    s.Cache.st_blocks s.Cache.st_bytes s.Cache.st_oldest_s
+    "{\"schema\":\"msched-cache-stats-1\",\"dir\":%s,\"entries\":%d,\"results\":%d,\"manifests\":%d,\"blocks\":%d,\"bytes\":%d,\"oldest_s\":%.3f}\n"
+    (Diag.Json.string dir) s.Cache.st_entries s.Cache.st_results
+    s.Cache.st_manifests s.Cache.st_blocks s.Cache.st_bytes
+    s.Cache.st_oldest_s
 
 let cache_gc_cmd dir max_bytes =
   protect @@ fun () ->
@@ -820,7 +823,9 @@ let jobs_arg =
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Worker domains compiling designs concurrently (default: the \
-           recommended domain count; output is byte-identical for any N)")
+           recommended domain count; output is byte-identical for any N, \
+           apart from which records read \"cache\":\"warm\" under \
+           --cache-dir)")
 
 let cache_dir_arg ~doc =
   Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
@@ -828,16 +833,22 @@ let cache_dir_arg ~doc =
 let batch_cache_dir_arg =
   cache_dir_arg
     ~doc:
-      "Accepted for compatibility; has no effect.  Batch records depend \
-       only on the design text and the settings"
+      "Result cache (created if missing): a design whose text and \
+       settings match an earlier exit-0 compile byte for byte is answered \
+       from its stored record (\"cache\":\"warm\"); others compile and \
+       store (\"cold\"); a corrupt entry compiles with an E_CACHE warning \
+       (\"corrupt\").  Records otherwise equal the uncached ones"
 
 let serve_cache_dir_arg =
   cache_dir_arg
     ~doc:
-      "Delta-manifest directory: {\"op\":\"delta\"} requests store each \
-       design's manifest here and diff the next edit against it (corrupt \
-       manifests compile cold with an E_CACHE warning); plain compile \
-       requests never touch it"
+      "Cache directory (created if missing).  Compile requests use it as \
+       a result cache: a byte-exact repeat of an earlier exit-0 request \
+       under the same settings is answered from its stored record \
+       (\"cache\":\"warm\"), anything else compiles and stores \
+       (\"cold\").  {\"op\":\"delta\"} requests store each design's \
+       manifest here and diff the next edit against it.  Corrupt entries \
+       compile cold with an E_CACHE warning"
 
 let out_arg =
   Arg.(
@@ -921,8 +932,9 @@ let cache_max_bytes_arg =
     & opt (some int) None
     & info [ "cache-max-bytes" ] ~docv:"BYTES"
         ~doc:
-          "Cap the --cache-dir manifests: a janitor evicts \
-           least-recently-used entries past the cap while the server runs")
+          "Cap the --cache-dir entries (results and manifests): a \
+           janitor evicts least-recently-used entries past the cap while \
+           the server runs")
 
 let inject_faults_arg =
   Arg.(
@@ -1004,14 +1016,16 @@ let cache_cmd =
   Cmd.group
     (Cmd.info "cache"
        ~doc:
-         "Delta-manifest cache maintenance: inspect or shrink a --cache-dir \
-          directory (safe against a live server: eviction runs under the \
-          cache lock and never removes in-use entries, which loads keep \
-          fresh by touching their mtime)")
+         "Cache maintenance: inspect or shrink a --cache-dir directory of \
+          result entries and delta manifests (safe against a live server: \
+          eviction runs under the cache lock and never removes in-use \
+          entries, which loads keep fresh by touching their mtime)")
     [
       Cmd.v
         (Cmd.info "stats"
-           ~doc:"Entry count, total bytes and LRU age as one JSON line")
+           ~doc:
+             "Entry counts (all, results, manifests, leftover blocks), total \
+              bytes and LRU age as one JSON line")
         Term.(const cache_stats_cmd $ cache_positional_dir_arg);
       Cmd.v
         (Cmd.info "gc"

@@ -358,15 +358,28 @@ module Json = struct
      and processes.  The system's one content hash — cache keys, block
      fingerprints and the checksums of the reroute and manifest documents
      this reader loads back. *)
-  let hash_hex s =
-    let h = ref 0xcbf29ce484222325L in
-    for i = 0 to String.length s - 1 do
+  let fnv h s pos len =
+    let h = ref h in
+    for i = pos to pos + len - 1 do
       h :=
         Int64.mul
           (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
           0x100000001b3L
     done;
-    Printf.sprintf "%016Lx" !h
+    !h
+
+  let fnv_basis = 0xcbf29ce484222325L
+
+  let hash_hex s = Printf.sprintf "%016Lx" (fnv fnv_basis s 0 (String.length s))
+
+  let hash_hex_slices slices =
+    Printf.sprintf "%016Lx"
+      (List.fold_left
+         (fun h (s, pos, len) ->
+           if pos < 0 || len < 0 || pos > String.length s - len then
+             invalid_arg "Diag.Json.hash_hex_slices";
+           fnv h s pos len)
+         fnv_basis slices)
 end
 
 let to_json_buf b d =

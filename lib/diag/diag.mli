@@ -173,6 +173,11 @@ module Json : sig
   val hash_hex : string -> string
   (** FNV-1a 64-bit, as 16 lowercase hex digits: document checksums,
       cache keys and block fingerprints all use it. *)
+
+  val hash_hex_slices : (string * int * int) list -> string
+  (** {!hash_hex} of the concatenation of the [(s, pos, len)] slices (the
+      [len] bytes of [s] at [pos]), without building it.
+      @raise Invalid_argument when a slice is outside its string. *)
 end
 
 (** Accumulate-don't-crash collection of diagnostics. *)

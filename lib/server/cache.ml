@@ -1,8 +1,11 @@
-(* The server's cache directory: one checksummed delta manifest per
-   (design content, compile-options fingerprint) key, written by
-   [{"op":"delta"}] requests and read back as the base of the next edit
-   (docs/DELTA.md).  Compile requests never read or write it, so a
-   compile's answer depends only on its design text and settings.
+(* The server's cache directory, two kinds of checksummed entry:
+
+   - [result-<key>.json]: one compile record per exact request (retry
+     policy plus raw design text).  A byte-identical repeat is answered
+     from the stored record instead of compiling again.
+   - [manifest-<key>.json]: one delta manifest per (design content,
+     compile-options fingerprint), written by [{"op":"delta"}] requests
+     and read back as the base of the next edit (docs/DELTA.md).
 
    The module is stateless — all functions take the directory explicitly —
    so concurrent worker domains share nothing but the filesystem.  Stores
@@ -45,8 +48,8 @@ let key ~text ~options =
 let file ~dir ~key = Filename.concat dir ("reroute-" ^ key ^ ".json")
 
 let ensure_dir dir =
-  (* mkdir -p, shallow: the cache dir plus one missing parent is all the
-     CLI ever needs; anything deeper fails loudly below. *)
+  (* mkdir -p: creates every missing ancestor.  A file in the way makes
+     mkdir raise; a [dir] that is itself a file fails below. *)
   let rec make d =
     if not (Sys.file_exists d) then begin
       make (Filename.dirname d);
@@ -70,6 +73,10 @@ let store ~dir:_ ~key:_ _ = Ok ()
    active use.  Best-effort: a read-only cache still serves hits. *)
 let touch path = try Unix.utimes path 0.0 0.0 with Unix.Unix_error _ -> ()
 
+let whole s = (s, 0, String.length s)
+
+(* [payload] is a list of slices [(s, pos, len)], written in order, so
+   callers need not concatenate a large entry into one more string. *)
 let write_atomic ~path payload =
   (* pid + domain id: unique per writer even when several processes (each
      with a domain 0) share the directory — two writers can never clobber
@@ -85,12 +92,15 @@ let write_atomic ~path payload =
     Fun.protect
       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       (fun () ->
-        let n = String.length payload in
-        let written = ref 0 in
-        while !written < n do
-          written :=
-            !written + Unix.write_substring fd payload !written (n - !written)
-        done;
+        List.iter
+          (fun (s, pos, len) ->
+            let written = ref 0 in
+            while !written < len do
+              written :=
+                !written
+                + Unix.write_substring fd s (pos + !written) (len - !written)
+            done)
+          payload;
         (* Durability before visibility: without the fsync, a crash after
            the rename could expose an entry whose tail never reached disk —
            short but possibly still parseable.  With it, the rename only
@@ -120,7 +130,7 @@ let manifest_file ~dir ~key = Filename.concat dir ("manifest-" ^ key ^ ".json")
 let store_manifest ~dir ~key m =
   write_atomic
     ~path:(manifest_file ~dir ~key)
-    (Manifest.to_json_string m ^ "\n")
+    [ whole (Manifest.to_json_string m); whole "\n" ]
 
 type manifest_load = M_miss | M_hit of Manifest.t * int | M_corrupt of Diag.t
 
@@ -150,6 +160,162 @@ let load_manifest ~dir ~key =
             touch path;
             M_hit (m, 0))
 
+(* ---- Compile results: one checksummed record per exact request. ----
+
+   [result-<key>.json], where the key hashes the request's policy line
+   and its raw design text:
+
+     msched-result-1 <checksum>\n                header
+     <status> <policy len> <text len> <tail len>\n
+     <policy>\n
+     <text>\n
+     <tail>\n
+
+   [checksum] is the FNV-1a hex of everything after the header line;
+   [status] is "ok" or "degraded"; [tail] is the record's members after
+   "cache".  The key only picks the file: a hit also needs the stored
+   policy and text to equal the request's byte for byte, because FNV
+   names are cheap to collide on purpose and the text may come from an
+   untrusted client.  A hit is checked in place on the one string the
+   read allocates, so serving it costs that read plus the record sent;
+   a store writes slices of the strings it is given. *)
+
+let result_schema = "msched-result-1"
+
+let result_key ~policy ~text =
+  Diag.Json.hash_hex_slices [ whole policy; whole "\n"; whole text ]
+
+let result_file ~dir ~key = Filename.concat dir ("result-" ^ key ^ ".json")
+
+let status_name = function `Ok -> "ok" | `Degraded -> "degraded"
+
+let store_result ~dir ~key ~policy ~text ~status ~tail =
+  let _, _, tail_len = tail in
+  let counts =
+    Printf.sprintf "%s %d %d %d\n" (status_name status) (String.length policy)
+      (String.length text) tail_len
+  in
+  let nl = whole "\n" in
+  let body = [ whole counts; whole policy; nl; whole text; nl; tail; nl ] in
+  let header =
+    Printf.sprintf "%s %s\n" result_schema (Diag.Json.hash_hex_slices body)
+  in
+  write_atomic ~path:(result_file ~dir ~key) (whole header :: body)
+
+type result_load =
+  | R_miss
+  | R_hit of { tail : string * int * int; status : [ `Ok | `Degraded ] }
+  | R_corrupt of Diag.t
+
+(* [t] equals the [String.length t] bytes of [s] at [pos]. *)
+let equal_at s pos t =
+  let n = String.length t in
+  pos >= 0
+  && pos + n <= String.length s
+  &&
+  let rec go i = i = n || (s.[pos + i] = t.[i] && go (i + 1)) in
+  go 0
+
+(* The whole file as one string, [None] when it does not exist.  Entries
+   are renamed into place whole, so a visible file never changes. *)
+let read_file path =
+  match Unix.openfile path [ Unix.O_RDONLY ] 0 with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> None
+  | fd ->
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          let size = (Unix.fstat fd).Unix.st_size in
+          let buf = Bytes.create size in
+          let rec fill off =
+            if off < size then
+              match Unix.read fd buf off (size - off) with
+              | 0 -> off
+              | n -> fill (off + n)
+            else off
+          in
+          let got = fill 0 in
+          Some
+            (if got = size then Bytes.unsafe_to_string buf
+             else Bytes.sub_string buf 0 got))
+
+exception Bad_entry of string
+
+(* Where an entry's policy, text and tail sit, as (position, length),
+   once its header, checksum and lengths check out. *)
+type layout = {
+  l_status : [ `Ok | `Degraded ];
+  l_policy : int * int;
+  l_text : int * int;
+  l_tail : int * int;
+}
+
+let layout s =
+  let bad why = raise (Bad_entry why) in
+  let n = String.length s in
+  let line_end from =
+    match String.index_from_opt s from '\n' with
+    | Some i -> i
+    | None -> bad "truncated"
+  in
+  let header = result_schema ^ " " in
+  let hl = String.length header in
+  if not (equal_at s 0 header) then bad "not a msched-result-1 entry";
+  let body = line_end 0 + 1 in
+  if body <> hl + 17 then bad "malformed header";
+  if not (equal_at s hl (Diag.Json.hash_hex_slices [ (s, body, n - body) ]))
+  then bad "checksum mismatch";
+  let counts_end = line_end body in
+  let status, p, t, r =
+    match String.split_on_char ' ' (String.sub s body (counts_end - body)) with
+    | [ st; p; t; r ] -> (
+        let status =
+          match st with
+          | "ok" -> `Ok
+          | "degraded" -> `Degraded
+          | _ -> bad "unknown status"
+        in
+        match List.map int_of_string_opt [ p; t; r ] with
+        | [ Some p; Some t; Some r ] when p >= 0 && t >= 0 && r >= 0 ->
+            (status, p, t, r)
+        | _ -> bad "malformed lengths")
+    | _ -> bad "malformed lengths"
+  in
+  let policy_pos = counts_end + 1 in
+  let text_pos = policy_pos + p + 1 in
+  let tail_pos = text_pos + t + 1 in
+  if tail_pos + r + 1 <> n then bad "length mismatch";
+  List.iter
+    (fun i -> if s.[i] <> '\n' then bad "missing separator")
+    [ text_pos - 1; tail_pos - 1; n - 1 ];
+  {
+    l_status = status;
+    l_policy = (policy_pos, p);
+    l_text = (text_pos, t);
+    l_tail = (tail_pos, r);
+  }
+
+let load_result ~dir ~key ~policy ~text =
+  let path = result_file ~dir ~key in
+  let corrupt why =
+    R_corrupt
+      (Diag.warning Diag.E_CACHE "result entry %s corrupt (%s); compiling cold"
+         path why)
+  in
+  let holds s (pos, len) t = len = String.length t && equal_at s pos t in
+  match read_file path with
+  | exception Unix.Unix_error (err, _, _) ->
+      corrupt ("unreadable: " ^ Unix.error_message err)
+  | None -> R_miss
+  | Some s -> (
+      match layout s with
+      | exception Bad_entry why -> corrupt why
+      | l when holds s l.l_policy policy && holds s l.l_text text ->
+          touch path;
+          let pos, len = l.l_tail in
+          R_hit { tail = (s, pos, len); status = l.l_status }
+      | _ -> R_miss)
+
 (* ---- Hygiene: stats, locking, LRU-by-mtime eviction. ---- *)
 
 let has_prefix p name =
@@ -158,8 +324,8 @@ let has_prefix p name =
 
 let is_entry name =
   Filename.check_suffix name ".json"
-  && (has_prefix "reroute-" name || has_prefix "manifest-" name
-    || has_prefix "block-" name)
+  && (has_prefix "result-" name || has_prefix "manifest-" name
+    || has_prefix "reroute-" name || has_prefix "block-" name)
 
 (* Entries with their size and mtime; files that vanish mid-scan (another
    worker's rename or eviction) are skipped, not errors. *)
@@ -178,6 +344,7 @@ let scan dir =
 
 type stats = {
   st_entries : int;
+  st_results : int;
   st_manifests : int;
   st_blocks : int;
   st_bytes : int;
@@ -192,6 +359,8 @@ let stats ~dir =
       let name = Filename.basename path in
       {
         st_entries = acc.st_entries + 1;
+        st_results =
+          (acc.st_results + if has_prefix "result-" name then 1 else 0);
         st_manifests =
           (acc.st_manifests + if has_prefix "manifest-" name then 1 else 0);
         st_blocks = (acc.st_blocks + if has_prefix "block-" name then 1 else 0);
@@ -200,6 +369,7 @@ let stats ~dir =
       })
     {
       st_entries = 0;
+      st_results = 0;
       st_manifests = 0;
       st_blocks = 0;
       st_bytes = 0;
@@ -231,9 +401,10 @@ type gc_result = {
   gc_bytes_after : int;
 }
 
-(* Manifests are the only live format: every [reroute-*] context and
-   [block-*] ledger slice an older version left behind is dead, so sweep
-   them all before the LRU pass, which then only ever sees live entries. *)
+(* Results and manifests are the live formats: every [reroute-*] context
+   and [block-*] ledger slice an older version left behind is dead, so
+   sweep them all before the LRU pass, which then only ever sees live
+   entries. *)
 let is_leftover name = has_prefix "reroute-" name || has_prefix "block-" name
 
 let gc ~dir ~max_bytes =

@@ -1,9 +1,12 @@
-(** The server's cache directory: delta manifests
-    ({!Msched_delta.Manifest}), one [manifest-<key>.json] file each,
-    keyed by a content hash of the design text and the compile-options
-    fingerprint.  [{"op":"delta"}] requests store them and read them back
-    as the base of the next edit; compile requests never touch the
-    directory.
+(** The server's cache directory, two kinds of checksummed entry:
+
+    - [result-<key>.json]: one compile record per exact request — the
+      retry policy plus the raw design text.  A byte-identical repeat is
+      answered from it instead of compiling again ({!Server.answer_job}).
+    - [manifest-<key>.json]: one delta manifest
+      ({!Msched_delta.Manifest}) per design content and compile-options
+      fingerprint.  [{"op":"delta"}] requests store them and read them
+      back as the base of the next edit.
 
     All functions are stateless in the directory argument — concurrent
     worker domains share nothing but the filesystem.  The layout is
@@ -35,9 +38,58 @@ val key_of_parse :
     cheaper. *)
 
 val ensure_dir : string -> unit
-(** Create the cache directory (and one missing parent) if needed.
+(** Create the cache directory, and every missing ancestor, if needed.
     @raise Msched_diag.Diag.Fail (E_CACHE) when the path exists but is not
     a directory. *)
+
+(** {2 Compile results}
+
+    One [result-<key>.json] file per exact request, [msched-result-1]:
+    a header line carrying an FNV-1a checksum of everything after it,
+    then the status, the policy line, the raw request text and the
+    record's members after ["cache"] ([exit_code], [diagnostics],
+    [result]).  Stores go through the same atomic, durable write as
+    manifests. *)
+
+val result_key : policy:string -> text:string -> string
+(** The entry's file key: {!hash_hex} of [policy] (the server's options
+    fingerprint and retry policy), a newline and the raw [text].  It
+    only picks the file; {!load_result} checks policy and text byte for
+    byte. *)
+
+val result_file : dir:string -> key:string -> string
+
+val store_result :
+  dir:string ->
+  key:string ->
+  policy:string ->
+  text:string ->
+  status:[ `Ok | `Degraded ] ->
+  tail:string * int * int ->
+  (unit, Msched_diag.Diag.t) result
+(** Store [tail], the slice [(s, pos, len)] holding a record's members
+    after ["cache"], for this policy and text.  Atomic and durable like
+    {!store_manifest}; [Error] carries an E_CACHE warning. *)
+
+type result_load =
+  | R_miss
+      (** No file, or one whose stored policy or text differs from the
+          request's (a key collision): compile and store over it. *)
+  | R_hit of {
+      tail : string * int * int;
+          (** The stored tail, as a slice of the entry read. *)
+      status : [ `Ok | `Degraded ];
+    }
+  | R_corrupt of Msched_diag.Diag.t
+      (** Unreadable, truncated, malformed or checksum-mismatched; an
+          E_CACHE warning.  The request compiles cold and its store
+          repairs the entry. *)
+
+val load_result :
+  dir:string -> key:string -> policy:string -> text:string -> result_load
+(** Reads the entry once and checks it in place: checksum, format, then
+    policy and text against the request's.  A hit touches the file
+    (LRU). *)
 
 (** {2 Delta manifests}
 
@@ -81,8 +133,9 @@ val load_manifest : dir:string -> key:string -> manifest_load
 
 type stats = {
   st_entries : int;
-      (** All cache entries: [manifest-*] files, plus any [reroute-*] /
-          [block-*] files an older version left. *)
+      (** All cache entries: [result-*] and [manifest-*] files, plus any
+          [reroute-*] / [block-*] files an older version left. *)
+  st_results : int;  (** Compile results among them. *)
   st_manifests : int;  (** Delta manifests among them. *)
   st_blocks : int;
       (** Leftover per-block ledger files from older versions; the next
@@ -113,16 +166,17 @@ type gc_result = {
 }
 
 val gc : dir:string -> max_bytes:int -> gc_result
-(** Delete every leftover [reroute-*] and [block-*] file, then evict entries
-    oldest-mtime-first (deterministic path tie-break) until total entry
-    bytes fit [max_bytes], all under {!with_lock}.  Entries that vanish
-    mid-scan are skipped; the lock file itself is never evicted.  Every
-    entry is one self-contained file, so whatever survives still loads. *)
+(** Delete every leftover [reroute-*] and [block-*] file, then evict
+    [result-*] and [manifest-*] entries oldest-mtime-first (deterministic
+    path tie-break) until total entry bytes fit [max_bytes], all under
+    {!with_lock}.  Entries that vanish mid-scan are skipped; the lock file
+    itself is never evicted.  Every entry is one self-contained file, so
+    whatever survives still loads. *)
 
 (** {2 Shims for the benchmark under [perfbench/]}
 
-    The reroute cache is gone: compile requests neither read nor write
-    the directory.  These keep the benchmark's replay of it compiling. *)
+    The reroute cache is gone; compile requests use result entries
+    instead.  These keep the benchmark's replay of it compiling. *)
 
 val file : dir:string -> key:string -> string
 (** The [reroute-<key>.json] name reroute contexts were stored under;

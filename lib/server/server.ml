@@ -9,9 +9,11 @@
    what makes the jobs=N output byte-identical to jobs=1.
 
    Timing and observability are kept out of the per-design NDJSON records
-   (they go to the summary line and the server sink instead), and compile
-   jobs never read the cache directory, so the per-design output is a
-   pure function of (design text, settings). *)
+   (they go to the summary line and the server sink instead), so a
+   compile record is a pure function of (design text, settings).  That
+   is what lets [answer_job] answer a byte-exact repeat from the result
+   entry its first compile stored: only the record's "cache" member
+   tells the two apart. *)
 
 module Compile = Msched.Compile
 module Serial = Msched_netlist.Serial
@@ -31,7 +33,7 @@ type settings = {
   s_fallback_hard : bool;
   s_reuse : bool;  (** Warm rerouting across retry rungs (--cold unsets). *)
   s_cache_dir : string option;
-      (** Delta-manifest directory; compile jobs never read it. *)
+      (** Result entries and delta manifests ([--cache-dir]). *)
   s_obs_jobs : bool;
       (** Give each job an enabled sink and merge its counters into the
           server totals (on for --trace; off keeps probes free). *)
@@ -47,8 +49,6 @@ let default_settings =
     s_obs_jobs = false;
   }
 
-(* Compile jobs always report [Cache_off]; the other three constructors
-   stay for the benchmark under perfbench/ and the summary's four counts. *)
 type cache_status = Cache_off | Cache_cold | Cache_warm | Cache_corrupt
 
 let cache_status_name = function
@@ -293,8 +293,152 @@ let delta_record_json r =
   Buffer.add_char b '}';
   Buffer.contents b
 
+(* ---- Job construction. ---- *)
+
+let job_of_text ~index ~path text = { j_index = index; j_path = path; j_text = text }
+
+let job_of_file ~index path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | text -> Ok (job_of_text ~index ~path text)
+  | exception Sys_error msg ->
+      Error (Diag.error Diag.E_PARSE "%s: %s" path msg)
+
+(* ---- NDJSON emission (schemas msched-batch-1 / msched-batch-summary-1).
+
+   The per-design record is deterministic: no wall-clock fields, job
+   order fixed by j_index.  Timing lives in the summary line only. *)
+
+(* A record is a head ([schema], [design], [cache]) and a tail (the
+   members after [cache]).  The tail is what a result entry stores. *)
+let record_head ~design ~cache =
+  Printf.sprintf {|{"schema":"msched-batch-1","design":%s,"cache":%s,|}
+    (Diag.Json.string design)
+    (Diag.Json.string (cache_status_name cache))
+
+let record_json r =
+  let module J = Diag.Json in
+  let b = Buffer.create 1024 in
+  Buffer.add_string b (record_head ~design:r.r_job.j_path ~cache:r.r_cache);
+  let first = ref true in
+  J.field b ~first "exit_code" (string_of_int r.r_exit);
+  let diags = Buffer.create 256 in
+  let rep = Diag.Report.create () in
+  Diag.Report.add_list rep r.r_diags;
+  Diag.Report.to_json_buf diags rep;
+  J.field b ~first "diagnostics" (Buffer.contents diags);
+  J.field b ~first "result"
+    (match r.r_resilient with
+    | None -> "null"
+    | Some r -> Compile.resilient_to_json r);
+  Buffer.add_char b '}';
+  Buffer.contents b
+
+(* [record_head] ^ the tail slice ^ "}", in one allocation: a hit's
+   record, built from the entry it read. *)
+let assemble ~design ~cache (src, pos, len) =
+  let head = record_head ~design ~cache in
+  let hl = String.length head in
+  let b = Bytes.create (hl + len + 1) in
+  Bytes.blit_string head 0 b 0 hl;
+  Bytes.blit_string src pos b hl len;
+  Bytes.set b (hl + len) '}';
+  Bytes.unsafe_to_string b
+
+(* ---- One executor: the result cache in front of [run_job]. ---- *)
+
+type status = [ `Ok | `Degraded | `Failed ]
+
+type answer = {
+  a_record : string Lazy.t;
+  a_exit : int;
+  a_status : status;
+  a_cache : cache_status;
+  a_queue_s : float;
+  a_wall_s : float;
+  a_counters : (string * int) list;
+}
+
+(* Everything besides the options that changes a compile record: the
+   retry ladder's policy.  [Tiers]' fork, latch-order and same-domain
+   switches are left out because only [--mode] sets them, and the mode
+   is in the fingerprint. *)
+let policy settings =
+  Printf.sprintf "%s;retries=%d;fallback_hard=%b;reuse=%b"
+    (Cache.fingerprint settings.s_options)
+    settings.s_max_retries settings.s_fallback_hard settings.s_reuse
+
+let status_of r =
+  match r.r_resilient with
+  | Some res when Compile.succeeded res ->
+      if Compile.degraded res then `Degraded else `Ok
+  | _ -> `Failed
+
+(* Records are built by whoever sends them, off the worker domain, except
+   a stored record, which the worker builds to store: building a
+   compile's JSON on the worker put its large temporary strings next to
+   the compile's own peak and measured +7% peak RSS on cold_compile. *)
+let answer_job settings ~epoch job =
+  let t0 = Unix.gettimeofday () in
+  let answer ~record ~exit ~status ~cache ~counters =
+    {
+      a_record = record;
+      a_exit = exit;
+      a_status = status;
+      a_cache = cache;
+      a_queue_s = t0 -. epoch;
+      a_wall_s = Unix.gettimeofday () -. t0;
+      a_counters = counters;
+    }
+  in
+  match settings.s_cache_dir with
+  | None ->
+      let r = run_job settings ~epoch job in
+      answer
+        ~record:(lazy (record_json r))
+        ~exit:r.r_exit ~status:(status_of r) ~cache:Cache_off
+        ~counters:r.r_counters
+  | Some dir -> (
+      let policy = policy settings and text = job.j_text in
+      let key = Cache.result_key ~policy ~text in
+      (* Compile, and store the tail of an exit-0 record: a failure, even
+         a transient E_INTERNAL, compiles again next time.  [found] (a
+         warning about the entry read) and a failed store's warning lead
+         the answer's diagnostics and never go into the entry. *)
+      let compile ~cache found =
+        let r = { (run_job settings ~epoch job) with r_cache = cache } in
+        let status = status_of r and record = record_json r in
+        let stored =
+          match status with
+          | `Failed -> []
+          | (`Ok | `Degraded) as status -> (
+              let hl = String.length (record_head ~design:job.j_path ~cache) in
+              let tail = (record, hl, String.length record - hl - 1) in
+              match
+                Cache.store_result ~dir ~key ~policy ~text ~status ~tail
+              with
+              | Ok () -> []
+              | Error d -> [ d ])
+        in
+        let record =
+          match found @ stored with
+          | [] -> record
+          | warnings -> record_json { r with r_diags = warnings @ r.r_diags }
+        in
+        answer ~record:(Lazy.from_val record) ~exit:r.r_exit ~status ~cache
+          ~counters:r.r_counters
+      in
+      match Cache.load_result ~dir ~key ~policy ~text with
+      | Cache.R_hit { tail; status } ->
+          answer
+            ~record:(lazy (assemble ~design:job.j_path ~cache:Cache_warm tail))
+            ~exit:0
+            ~status:(status :> status)
+            ~cache:Cache_warm ~counters:[]
+      | Cache.R_miss -> compile ~cache:Cache_cold []
+      | Cache.R_corrupt d -> compile ~cache:Cache_corrupt [ d ])
+
 type batch_result = {
-  b_results : job_result array;  (** In job order, always. *)
+  b_results : answer array;  (** In job order, always. *)
   b_jobs : int;  (** Worker count actually used. *)
   b_max_inflight : int;
   b_queue_peak : int;
@@ -319,7 +463,7 @@ let run_batch ?(jobs = 1) settings job_list =
   Msched_par.Pool.with_pool ~jobs (fun pool ->
       Msched_par.Pool.run pool ~n (fun ~worker:_ i ->
           note_peak (1 + Atomic.fetch_and_add inflight 1);
-          results.(i) <- Some (run_job settings ~epoch tasks.(i));
+          results.(i) <- Some (answer_job settings ~epoch tasks.(i));
           Atomic.decr inflight));
   let wall = Unix.gettimeofday () -. epoch in
   {
@@ -331,56 +475,25 @@ let run_batch ?(jobs = 1) settings job_list =
     b_wall_s = wall;
   }
 
-(* ---- Job construction. ---- *)
-
-let job_of_text ~index ~path text = { j_index = index; j_path = path; j_text = text }
-
-let job_of_file ~index path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | text -> Ok (job_of_text ~index ~path text)
-  | exception Sys_error msg ->
-      Error (Diag.error Diag.E_PARSE "%s: %s" path msg)
-
-(* ---- NDJSON emission (schemas msched-batch-1 / msched-batch-summary-1).
-
-   The per-design record is deterministic: no wall-clock fields, job
-   order fixed by j_index.  Timing lives in the summary line only. *)
-
-let record_json r =
-  let module J = Diag.Json in
-  let b = Buffer.create 1024 in
-  let first = ref true in
-  Buffer.add_char b '{';
-  J.field b ~first "schema" (J.string "msched-batch-1");
-  J.field b ~first "design" (J.string r.r_job.j_path);
-  J.field b ~first "cache" (J.string (cache_status_name r.r_cache));
-  J.field b ~first "exit_code" (string_of_int r.r_exit);
-  let diags = Buffer.create 256 in
-  let rep = Diag.Report.create () in
-  Diag.Report.add_list rep r.r_diags;
-  Diag.Report.to_json_buf diags rep;
-  J.field b ~first "diagnostics" (Buffer.contents diags);
-  J.field b ~first "result"
-    (match r.r_resilient with
-    | None -> "null"
-    | Some r -> Compile.resilient_to_json r);
-  Buffer.add_char b '}';
-  Buffer.contents b
-
 let ok_degraded_failed batch =
   Array.fold_left
-    (fun (ok, degraded, failed) r ->
-      match r.r_resilient with
-      | Some res when Compile.succeeded res ->
-          if Compile.degraded res then (ok, degraded + 1, failed)
-          else (ok + 1, degraded, failed)
-      | _ -> (ok, degraded, failed + 1))
+    (fun (ok, degraded, failed) a ->
+      match a.a_status with
+      | `Ok -> (ok + 1, degraded, failed)
+      | `Degraded -> (ok, degraded + 1, failed)
+      | `Failed -> (ok, degraded, failed + 1))
     (0, 0, 0) batch.b_results
 
-let count_cache batch status =
-  Array.fold_left
-    (fun n r -> if r.r_cache = status then n + 1 else n)
-    0 batch.b_results
+let cache_counts_json count =
+  let module J = Diag.Json in
+  let b = Buffer.create 128 in
+  let first = ref true in
+  Buffer.add_char b '{';
+  List.iter
+    (fun s -> J.field b ~first (cache_status_name s) (string_of_int (count s)))
+    [ Cache_off; Cache_cold; Cache_warm; Cache_corrupt ];
+  Buffer.add_char b '}';
+  Buffer.contents b
 
 let summary_json batch =
   let module J = Diag.Json in
@@ -397,16 +510,11 @@ let summary_json batch =
   J.field b ~first "jobs" (string_of_int batch.b_jobs);
   J.field b ~first "max_inflight" (string_of_int batch.b_max_inflight);
   J.field b ~first "queue_depth_peak" (string_of_int batch.b_queue_peak);
-  let cb = Buffer.create 128 in
-  let cf = ref true in
-  Buffer.add_char cb '{';
-  List.iter
-    (fun s ->
-      J.field cb ~first:cf (cache_status_name s)
-        (string_of_int (count_cache batch s)))
-    [ Cache_off; Cache_cold; Cache_warm; Cache_corrupt ];
-  Buffer.add_char cb '}';
-  J.field b ~first "cache" (Buffer.contents cb);
+  J.field b ~first "cache"
+    (cache_counts_json (fun status ->
+         Array.fold_left
+           (fun n a -> if a.a_cache = status then n + 1 else n)
+           0 batch.b_results));
   J.field b ~first "wall_s" (Printf.sprintf "%.6f" batch.b_wall_s);
   J.field b ~first "designs_per_s"
     (Printf.sprintf "%.6g"
@@ -418,8 +526,8 @@ let summary_json batch =
 let to_ndjson batch =
   let b = Buffer.create 4096 in
   Array.iter
-    (fun r ->
-      Buffer.add_string b (record_json r);
+    (fun a ->
+      Buffer.add_string b (Lazy.force a.a_record);
       Buffer.add_char b '\n')
     batch.b_results;
   Buffer.add_string b (summary_json batch);
@@ -431,7 +539,7 @@ let to_ndjson batch =
    first failing job — deterministic because results are in job order. *)
 let exit_code batch =
   Array.fold_left
-    (fun acc r -> if acc <> 0 then acc else r.r_exit)
+    (fun acc a -> if acc <> 0 then acc else a.a_exit)
     0 batch.b_results
 
 (* ---- Deterministic merges (job order) onto a main-domain sink. ---- *)
@@ -439,12 +547,12 @@ let exit_code batch =
 let merged_counters batch =
   let tbl = Hashtbl.create 64 in
   Array.iter
-    (fun r ->
+    (fun a ->
       List.iter
         (fun (name, v) ->
           Hashtbl.replace tbl name
             (v + Option.value ~default:0 (Hashtbl.find_opt tbl name)))
-        r.r_counters)
+        a.a_counters)
     batch.b_results;
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
@@ -456,13 +564,13 @@ let record_obs obs batch =
     Sink.gauge obs "server.workers" (float_of_int batch.b_jobs);
     Sink.gauge obs "server.queue_depth_peak" (float_of_int batch.b_queue_peak);
     Array.iter
-      (fun r ->
+      (fun a ->
         Sink.incr obs "server.jobs";
-        (if r.r_exit <> 0 then Sink.incr obs "server.jobs_failed");
+        (if a.a_exit <> 0 then Sink.incr obs "server.jobs_failed");
         Sink.observe obs "server.queue_wait_us"
-          (int_of_float (r.r_queue_s *. 1e6));
+          (int_of_float (a.a_queue_s *. 1e6));
         Sink.observe obs "server.job_wall_us"
-          (int_of_float (r.r_wall_s *. 1e6)))
+          (int_of_float (a.a_wall_s *. 1e6)))
       batch.b_results;
     List.iter (fun (name, v) -> Sink.add obs name v) (merged_counters batch)
   end

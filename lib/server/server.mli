@@ -3,14 +3,17 @@
     {!run_job} and {!run_delta} each carry one design through
     {!Msched.Compile}; everything mutable a job touches (options copy with
     a private observability sink, diagnostic report, reroute context) is
-    created inside that call.  Only {!run_delta} uses the cache directory,
-    for its delta manifests; a compile job's record is a pure function of
-    its design text and the settings.  {!run_batch} runs a closed list of
-    jobs on a {!Msched_par.Pool}; an open request stream runs them on
-    {!Dispatch} via {!Transport}.  Per-design records are deterministic —
-    byte-identical across worker counts — because no mutable state is
-    shared between in-flight jobs (audit in [docs/SERVER.md]) and results
-    merge in job order.
+    created inside that call, and a compile job's record is a pure
+    function of its design text and the settings.  {!answer_job} puts
+    the result cache in front of {!run_job}: with a cache directory, a
+    byte-exact repeat is answered from the record its first compile
+    stored.  {!run_batch} runs a closed list of jobs through
+    {!answer_job} on a {!Msched_par.Pool}; an open request stream runs
+    them on {!Dispatch} via {!Transport}.  Per-design records are
+    deterministic — byte-identical across worker counts, and across
+    cache hits and misses once the [cache] member is set aside — because
+    no mutable state is shared between in-flight jobs (audit in
+    [docs/SERVER.md]) and results merge in job order.
 
     Output is NDJSON: one [msched-batch-1] record per design (embedding
     the job's [msched-driver-1] document) plus one [msched-batch-summary-1]
@@ -29,8 +32,9 @@ type settings = {
   s_fallback_hard : bool;
   s_reuse : bool;  (** Warm rerouting across retry rungs ([--cold] unsets). *)
   s_cache_dir : string option;
-      (** Where {!run_delta} stores and loads delta manifests.  Compile
-          jobs ({!run_job}, {!run_batch}) never read or write it. *)
+      (** [--cache-dir]: where {!answer_job} keeps result entries and
+          {!run_delta} its delta manifests.  [None] turns both off;
+          {!run_job} alone never reads it. *)
   s_obs_jobs : bool;
       (** Give each job an enabled sink and merge its counters into the
           server totals (on for [--trace]; off keeps probes free). *)
@@ -39,15 +43,19 @@ type settings = {
 val default_settings : settings
 
 type cache_status = Cache_off | Cache_cold | Cache_warm | Cache_corrupt
-(** A compile record's [cache] field.  {!run_job} always reports
-    [Cache_off]; the other constructors stay for the benchmark under
-    [perfbench/], and the batch summary still counts all four. *)
+(** A compile record's [cache] field, set by {!answer_job}: [Cache_off]
+    without a cache directory; [Cache_cold] compiled (and stored, when
+    exit 0); [Cache_warm] answered from a result entry; [Cache_corrupt]
+    compiled because the entry failed its checksum or format, with an
+    E_CACHE warning. *)
 
 val cache_status_name : cache_status -> string
 
 type job_result = {
   r_job : job;
-  r_key : string;  (** Always [""] from {!run_job}; kept for the benchmark. *)
+  r_key : string;
+      (** Always [""] from {!run_job}, and in no record; kept because the
+          benchmark under [perfbench/] builds [job_result] values. *)
   r_cache : cache_status;
   r_resilient : Msched.Compile.resilient option;
       (** [None] when the design text did not parse. *)
@@ -59,11 +67,44 @@ type job_result = {
 }
 
 val run_job : settings -> epoch:float -> job -> job_result
-(** Never raises on bad input: parse and pipeline failures land in
-    [r_diags] and [r_exit]. *)
+(** The compile itself, without the result cache.  Never raises on bad
+    input: parse and pipeline failures land in [r_diags] and [r_exit]. *)
+
+type status = [ `Ok | `Degraded | `Failed ]
+(** Compiled, compiled after retries or a fallback, or not compiled. *)
+
+type answer = {
+  a_record : string Lazy.t;
+      (** The [msched-batch-1] record, without an id.  Force it once, in
+          the thread that sends it: {!answer_job} builds only a stored
+          record on the worker. *)
+  a_exit : int;  (** Its exit class. *)
+  a_status : status;
+  a_cache : cache_status;
+  a_queue_s : float;  (** Batch start (or submit) to job start. *)
+  a_wall_s : float;  (** Lookup, compile and store. *)
+  a_counters : (string * int) list;
+      (** Job-sink counters ([s_obs_jobs]); none on a hit. *)
+}
+(** One answered compile request: the record, and what the batch and
+    serve summaries count. *)
+
+val policy : settings -> string
+(** The line a result entry is keyed and checked on: the options
+    fingerprint plus [s_max_retries], [s_fallback_hard] and [s_reuse]. *)
+
+val answer_job : settings -> epoch:float -> job -> answer
+(** The one compile executor of [batch] and [serve].  Without
+    [s_cache_dir]: {!run_job} and {!record_json}, [cache] ["off"].  With
+    it, the request's result entry ({!Cache.load_result}) answers a hit
+    with its stored bytes ([cache] ["warm"]); a miss compiles, stores an
+    exit-0 record and answers ["cold"]; a corrupt entry compiles,
+    answers ["corrupt"] with the E_CACHE warning first in [diagnostics],
+    and repairs the entry.  A failed store adds its E_CACHE warning the
+    same way.  Never raises on bad input. *)
 
 type batch_result = {
-  b_results : job_result array;  (** In job order, always. *)
+  b_results : answer array;  (** In job order, always. *)
   b_jobs : int;  (** Worker count actually used. *)
   b_max_inflight : int;  (** Measured peak of concurrently running jobs. *)
   b_queue_peak : int;
@@ -73,15 +114,20 @@ type batch_result = {
 }
 
 val run_batch : ?jobs:int -> settings -> job list -> batch_result
-(** [jobs] is clamped to [1 .. length job_list].  At [jobs = 1] every job
-    runs inline in the caller; otherwise on a {!Msched_par.Pool} of
-    [jobs] workers, the caller among them. *)
+(** {!answer_job} over every job.  [jobs] is clamped to
+    [1 .. length job_list].  At [jobs = 1] every job runs inline in the
+    caller; otherwise on a {!Msched_par.Pool} of [jobs] workers, the
+    caller among them. *)
 
 val job_of_text : index:int -> path:string -> string -> job
 val job_of_file : index:int -> string -> (job, Msched_diag.Diag.t) result
 
 val record_json : job_result -> string
 (** One deterministic [msched-batch-1] object (no timing fields). *)
+
+val cache_counts_json : (cache_status -> int) -> string
+(** [{"off":n,"cold":n,"warm":n,"corrupt":n}], the [cache] member of the
+    batch and serve summaries. *)
 
 val summary_json : batch_result -> string
 (** The [msched-batch-summary-1] line (carries all the timing). *)

@@ -13,7 +13,10 @@
      poison:sleep=0.25 | poison:hang | poison:crash   (--inject-faults only)
 
    Every response is a [msched-batch-1] record (the request [id] spliced
-   in when given); failures carry the documented diagnostic codes —
+   in when given) — from the result cache when the server runs with a
+   cache directory and the request repeats an earlier text byte for
+   byte — and delta requests get [msched-delta-1]; failures carry the
+   documented diagnostic codes —
    E_PARSE for malformed or oversized frames, E_OVERLOAD when shed,
    E_TIMEOUT on deadline, E_INTERNAL when a worker crashed on the job.
    Client EOF gets a [msched-serve-conn-1] summary line; the server's own
@@ -195,12 +198,14 @@ type payload = {
 }
 
 (* Compile and delta jobs share the dispatcher, so they share its queue
-   bound, deadlines and fairness lanes; only the response record differs. *)
-type reply = R_record of Server.job_result | R_delta of Server.delta_result
+   bound, deadlines and fairness lanes; only the response record differs.
+   The result-cache lookup runs here, on the worker, so a hit waits its
+   turn like a compile. *)
+type reply = R_answer of Server.answer | R_delta of Server.delta_result
 
 let run_payload settings ~stopping payload =
   match payload.p_work with
-  | `Job job -> R_record (Server.run_job settings ~epoch:payload.p_epoch job)
+  | `Job job -> R_answer (Server.answer_job settings ~epoch:payload.p_epoch job)
   | `Delta req -> R_delta (Server.run_delta settings req)
   | `Poison p ->
       (match p with
@@ -216,8 +221,8 @@ let run_payload settings ~stopping payload =
           while not (stopping ()) do
             Thread.delay 0.005
           done);
-      R_record
-        (Server.run_job settings ~epoch:payload.p_epoch
+      R_answer
+        (Server.answer_job settings ~epoch:payload.p_epoch
            (Server.job_of_text ~index:0 ~path:payload.p_label poison_design))
 
 (* ---- Server. ---- *)
@@ -260,6 +265,9 @@ type t = {
   n_disconnects : int ref;
   n_frame_errors : int ref;
   n_evicted : int ref;
+  n_cache : int array;
+      (** [msched-batch-1] responses sent, by [cache] member
+          ({!cache_slot}). *)
   mutable shutdown : [ `Drain | `Abort ] option;
   mutable stop_accept : bool;
   mutable stop_sessions : bool;
@@ -322,22 +330,38 @@ let request_shutdown srv mode =
       | Some `Drain, `Abort -> srv.shutdown <- Some `Abort
       | Some _, _ -> ())
 
+let cache_slot = function
+  | Server.Cache_off -> 0
+  | Server.Cache_cold -> 1
+  | Server.Cache_warm -> 2
+  | Server.Cache_corrupt -> 3
+
+let count_cache srv status =
+  let i = cache_slot status in
+  locked srv (fun () -> srv.n_cache.(i) <- srv.n_cache.(i) + 1)
+
+(* A request that never reached the driver: its record reads "off". *)
+let emit_error srv ss emit ?id ~path diags =
+  ss.ss_errors <- ss.ss_errors + 1;
+  count_cache srv Server.Cache_off;
+  emit (Server.error_record ?id ~path diags)
+
 (* Submit one payload into this session's fairness lane and emit its
    response record; all three job kinds (compile, delta, poison) share
    this path, so they share backpressure, deadlines and fairness. *)
 let submit_and_emit srv ~client ss emit ~id ~deadline_s payload =
   match Dispatch.submit ~client ?deadline_s srv.disp payload with
-  | Dispatch.Done (R_record r) ->
-      if r.Server.r_exit = 0 then ss.ss_ok <- ss.ss_ok + 1
+  | Dispatch.Done (R_answer a) ->
+      if a.Server.a_exit = 0 then ss.ss_ok <- ss.ss_ok + 1
       else ss.ss_errors <- ss.ss_errors + 1;
-      emit (Server.with_id id (Server.record_json r))
+      count_cache srv a.Server.a_cache;
+      emit (Server.with_id id (Lazy.force a.Server.a_record))
   | Dispatch.Done (R_delta r) ->
       if r.Server.dr_exit = 0 then ss.ss_ok <- ss.ss_ok + 1
       else ss.ss_errors <- ss.ss_errors + 1;
       emit (Server.with_id id (Server.delta_record_json r))
   | Dispatch.Rejected d | Dispatch.Timed_out d | Dispatch.Crashed d ->
-      ss.ss_errors <- ss.ss_errors + 1;
-      emit (Server.error_record ?id ~path:payload.p_label [ d ])
+      emit_error srv ss emit ?id ~path:payload.p_label [ d ]
 
 (* Delta jobs parse their source in the session thread (cheap file read);
    the compile itself runs on a worker. *)
@@ -356,8 +380,7 @@ let handle_request srv ~client ss emit line =
   | Q_blank -> ()
   | Q_bad { q_diag; q_id } ->
       ss.ss_requests <- ss.ss_requests + 1;
-      ss.ss_errors <- ss.ss_errors + 1;
-      emit (Server.error_record ?id:q_id ~path:"<request>" [ q_diag ])
+      emit_error srv ss emit ?id:q_id ~path:"<request>" [ q_diag ]
   | Q_shutdown mode ->
       request_shutdown srv mode;
       emit (ctl_ack_json (match mode with `Drain -> "drain" | `Abort -> "abort"))
@@ -370,11 +393,10 @@ let handle_request srv ~client ss emit line =
       ss.ss_requests <- ss.ss_requests + 1;
       match delta_request_of ~source:q_source ~base:q_base with
       | Error d ->
-          ss.ss_errors <- ss.ss_errors + 1;
           let path =
             match q_source with `Path p -> p | `Text _ -> "<inline>"
           in
-          emit (Server.error_record ?id:q_id ~path [ d ])
+          emit_error srv ss emit ?id:q_id ~path [ d ]
       | Ok req ->
           submit_and_emit srv ~client ss emit ~id:q_id ~deadline_s:q_deadline_s
             {
@@ -391,11 +413,10 @@ let handle_request srv ~client ss emit line =
       in
       match job with
       | Error d ->
-          ss.ss_errors <- ss.ss_errors + 1;
           let path =
             match q_source with `Path p -> p | `Text _ -> "<inline>"
           in
-          emit (Server.error_record ?id:q_id ~path [ d ])
+          emit_error srv ss emit ?id:q_id ~path [ d ]
       | Ok job ->
           submit_and_emit srv ~client ss emit ~id:q_id ~deadline_s:q_deadline_s
             {
@@ -429,15 +450,13 @@ let session_main srv ~client ~input ~output =
     if String.length !carry > srv.cfg.t_max_frame then begin
       locked srv (fun () -> incr srv.n_frame_errors);
       ss.ss_requests <- ss.ss_requests + 1;
-      ss.ss_errors <- ss.ss_errors + 1;
-      emit
-        (Server.error_record ~path:"<request>"
-           [
-             Diag.error Diag.E_PARSE
-               "request frame exceeds %d bytes without a newline; closing \
-                connection"
-               srv.cfg.t_max_frame;
-           ]);
+      emit_error srv ss emit ~path:"<request>"
+        [
+          Diag.error Diag.E_PARSE
+            "request frame exceeds %d bytes without a newline; closing \
+             connection"
+            srv.cfg.t_max_frame;
+        ];
       raise Disconnect
     end
   in
@@ -600,6 +619,7 @@ let start ?sink cfg =
       n_disconnects;
       n_frame_errors;
       n_evicted;
+      n_cache = Array.make 4 0;
       shutdown = None;
       stop_accept = false;
       stop_sessions = false;
@@ -636,6 +656,7 @@ type summary = {
   sm_disconnects : int;
   sm_frame_errors : int;
   sm_evictions : int;
+  sm_cache : (Server.cache_status * int) list;
   sm_wall_s : float;
   sm_clean : bool;
 }
@@ -661,6 +682,8 @@ let summary_json s =
   J.field b ~first "disconnects" (string_of_int s.sm_disconnects);
   J.field b ~first "frame_errors" (string_of_int s.sm_frame_errors);
   J.field b ~first "cache_evictions" (string_of_int s.sm_evictions);
+  J.field b ~first "cache"
+    (Server.cache_counts_json (fun status -> List.assoc status s.sm_cache));
   J.field b ~first "wall_s" (Printf.sprintf "%.6f" s.sm_wall_s);
   J.field b ~first "drain"
     (J.string (if s.sm_clean then "clean" else "forced"));
@@ -732,6 +755,10 @@ let wait srv =
         sm_disconnects = !(srv.n_disconnects);
         sm_frame_errors = !(srv.n_frame_errors);
         sm_evictions = !(srv.n_evicted);
+        sm_cache =
+          List.map
+            (fun st -> (st, srv.n_cache.(cache_slot st)))
+            Server.[ Cache_off; Cache_cold; Cache_warm; Cache_corrupt ];
         sm_wall_s = Unix.gettimeofday () -. srv.t_start;
         sm_clean = clean;
       })

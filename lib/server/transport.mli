@@ -107,6 +107,9 @@ type summary = {
   sm_disconnects : int;  (** Clients that vanished mid-session. *)
   sm_frame_errors : int;
   sm_evictions : int;  (** Cache entries evicted by the janitor. *)
+  sm_cache : (Server.cache_status * int) list;
+      (** [msched-batch-1] responses sent, by their [cache] member; error
+          records that never reached a worker read [Cache_off]. *)
   sm_wall_s : float;
   sm_clean : bool;
       (** Every worker finished within the timeout and no abort

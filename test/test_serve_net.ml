@@ -11,7 +11,8 @@
    - hung-worker replacement after the grace period
    - malformed and oversized frames, mid-request client disconnects
    - graceful drain with zero lost in-flight responses; abort escalation
-   - cache LRU eviction under a live server
+   - cache LRU eviction under a live server, result entries and
+     manifests alike, and the summary's result-cache counts
    - server.* gauges sampled by the monitor, asserted against the faults
    - the stdio session behind `serve --stdin`, over pipes *)
 
@@ -512,25 +513,33 @@ let test_abort_during_drain () =
 
 let test_cache_gc_under_serve () =
   let dir = fresh_dir () in
-  (* Smaller than the eight manifests together (evictions > 0 below
-     shows it), larger than one. *)
-  let cap = 2048 in
+  (* Room for a couple of result entries (each about 7 KiB here) and
+     manifests, far less than the eight designs store together
+     (evictions > 0 below shows it). *)
+  let cap = 16384 in
   let srv =
     Transport.start
       (config ~workers:2 ~cache_dir:dir ~cache_max_bytes:cap ~gc_interval:0.2 ())
   in
   let c = connect srv in
-  (* Distinct designs, each storing a delta manifest; the janitor must
-     keep the directory under the cap while the server runs. *)
+  (* Distinct designs, each storing a delta manifest and a compile
+     result, the compile sent twice; the janitor must keep the directory
+     under the cap while the server runs. *)
   List.iter
     (fun seed ->
-      send c
-        (Printf.sprintf {|{"op":"delta","text":%s}|}
-           (Diag.Json.string (good_text ~seed ())));
-      Alcotest.(check int)
-        (Printf.sprintf "design %d compiles" seed)
-        0
-        (exit_code (recv_exn c)))
+      let text = Diag.Json.string (good_text ~seed ()) in
+      List.iter
+        (fun (what, request) ->
+          send c request;
+          Alcotest.(check int)
+            (Printf.sprintf "design %d %s" seed what)
+            0
+            (exit_code (recv_exn c)))
+        [
+          ("delta compiles", Printf.sprintf {|{"op":"delta","text":%s}|} text);
+          ("compiles", Printf.sprintf {|{"text":%s}|} text);
+          ("repeat answers", Printf.sprintf {|{"text":%s}|} text);
+        ])
     (List.init 8 (fun i -> 910 + i));
   Thread.delay 0.5;
   close c;
@@ -542,7 +551,59 @@ let test_cache_gc_under_serve () =
     (Printf.sprintf "cache within cap after shutdown (%d bytes)"
        stats.Cache.st_bytes)
     true
-    (stats.Cache.st_bytes <= cap)
+    (stats.Cache.st_bytes <= cap);
+  Alcotest.(check bool) "the newest result entries survive the cap" true
+    (stats.Cache.st_results > 0)
+
+(* The serve summary counts every msched-batch-1 response by its cache
+   member, as the batch summary does: an identical repeat reads warm
+   with the cold record's bytes, a refused frame reads off. *)
+let test_summary_counts_cache () =
+  let dir = fresh_dir () in
+  let srv = Transport.start (config ~workers:2 ~cache_dir:dir ()) in
+  let c = connect srv in
+  let request =
+    Printf.sprintf {|{"text":%s}|} (Diag.Json.string (good_text ()))
+  in
+  send c request;
+  let first = recv_exn c in
+  send c request;
+  let second = recv_exn c in
+  send c "{not json";
+  check_failure ~what:"malformed line" ~code:"E_PARSE" ~exit:3 (recv_exn c);
+  close c;
+  let s = drain_and_wait srv in
+  Alcotest.(check (option string)) "first compiles" (Some "cold")
+    (str_mem "cache" first);
+  Alcotest.(check (option string)) "repeat hits" (Some "warm")
+    (str_mem "cache" second);
+  let warm = {|"cache":"warm"|} in
+  let at =
+    let n = String.length warm in
+    let rec find k =
+      if k + n > String.length second then Alcotest.fail "no warm member"
+      else if String.sub second k n = warm then k
+      else find (k + 1)
+    in
+    find 0
+  in
+  Alcotest.(check string) "warm bytes == cold bytes, cache member aside"
+    first
+    (String.sub second 0 at ^ {|"cache":"cold"|}
+    ^ String.sub second (at + String.length warm)
+        (String.length second - at - String.length warm));
+  Alcotest.(check (list (pair string int))) "summary cache counts"
+    [ ("off", 1); ("cold", 1); ("warm", 1); ("corrupt", 0) ]
+    (List.map
+       (fun (st, n) -> (Server.cache_status_name st, n))
+       s.Transport.sm_cache);
+  let cache = Diag.Json.mem "cache" (json (Transport.summary_json s)) in
+  Alcotest.(check (list (option int))) "summary line cache member"
+    [ Some 1; Some 1; Some 1; Some 0 ]
+    (List.map
+       (fun k ->
+         Option.bind (Option.bind cache (Diag.Json.mem k)) Diag.Json.int)
+       [ "off"; "cold"; "warm"; "corrupt" ])
 
 (* One worker, three clients with unequal backlogs: completion order must
    rotate the client lanes round-robin, not drain the flooder first.  A
@@ -990,4 +1051,6 @@ let suite =
       `Quick test_stdio_session;
     Alcotest.test_case "serve: corrupt delta base compiles cold" `Quick
       test_delta_corrupt_base;
+    Alcotest.test_case "serve: summary counts result-cache outcomes" `Quick
+      test_summary_counts_cache;
   ]

@@ -2,9 +2,11 @@
    contract (every index once, lowest failing task re-raised with its
    backtrace), batch output must be deterministic (jobs=4 byte-identical
    to jobs=1 over a seeded corpus) and must not depend on a cache
-   directory, and the manifest cache must refuse torn files (with the
-   documented E_CACHE warning), evict least-recently-used entries and
-   sweep the files older versions left behind. *)
+   directory beyond each record's cache member (a result-cache hit is
+   the cold record's bytes), and the cache must refuse torn or colliding
+   entries (with the documented E_CACHE warning), evict
+   least-recently-used entries and sweep the files older versions left
+   behind. *)
 
 module Ids = Msched_netlist.Ids
 module Serial = Msched_netlist.Serial
@@ -133,8 +135,10 @@ let corpus () =
 let jobs_of corpus =
   List.mapi (fun index (path, text) -> Server.job_of_text ~index ~path text) corpus
 
+let record_of a = Lazy.force a.Server.a_record
+
 let records batch =
-  Array.to_list (Array.map Server.record_json batch.Server.b_results)
+  Array.to_list (Array.map record_of batch.Server.b_results)
 
 let test_batch_determinism () =
   let corpus = corpus () in
@@ -153,7 +157,7 @@ let test_batch_determinism () =
   (* The corpus must actually compile (not vacuous identical failures). *)
   let compiled =
     Array.fold_left
-      (fun n r -> if r.Server.r_exit = 0 then n + 1 else n)
+      (fun n a -> if a.Server.a_exit = 0 then n + 1 else n)
       0 b4.Server.b_results
   in
   Alcotest.(check bool)
@@ -164,59 +168,183 @@ let test_batch_determinism () =
   Alcotest.(check int) "exit code identical" (Server.exit_code b1)
     (Server.exit_code b4)
 
-(* ---- One answer per request: the cache directory changes nothing. ---- *)
+(* ---- Result cache: a hit answers with the cold record's bytes. ---- *)
+
+let index_of needle s =
+  let n = String.length s and m = String.length needle in
+  let rec go i =
+    if i + m > n then None
+    else if String.sub s i m = needle then Some i
+    else go (i + 1)
+  in
+  go 0
+
+(* A record's "cache" member, and the record without it. *)
+let split_cache record =
+  let cache =
+    match Diag.Json.parse record with
+    | Ok doc -> Option.bind (Diag.Json.mem "cache" doc) Diag.Json.str
+    | Error m -> Alcotest.failf "unparseable record (%s): %s" m record
+  in
+  match cache with
+  | None -> Alcotest.failf "record without a cache member: %s" record
+  | Some c -> (
+      let member = Printf.sprintf {|"cache":"%s",|} c in
+      match index_of member record with
+      | Some i ->
+          ( c,
+            String.sub record 0 i
+            ^ String.sub record
+                (i + String.length member)
+                (String.length record - i - String.length member) )
+      | None -> Alcotest.failf "cache member not found: %s" record)
+
+(* serve_mix's settings: the congested ladder of [tight_options], two
+   retries, fallback to hard mode. *)
+let mix_settings cache_dir =
+  {
+    Server.default_settings with
+    Server.s_options = tight_options;
+    s_max_retries = 2;
+    s_fallback_hard = true;
+    s_cache_dir = cache_dir;
+  }
+
+let spec_text spec =
+  match Design_gen.of_spec spec with
+  | Ok d -> Serial.to_string d.Design_gen.netlist
+  | Error d -> Alcotest.failf "bad spec %s: %s" spec d.Diag.message
+
+let result_entries dir =
+  List.filter
+    (fun f -> String.length f > 7 && String.sub f 0 7 = "result-")
+    (Array.to_list (Sys.readdir dir))
 
 let test_batch_ignores_cache_dir () =
-  (* The congested ladder: under a cache that replayed route ledgers, the
-     second run's baseline rung returned the first run's relaxed schedule
-     and the record flipped from degraded to ok. *)
+  (* Two runs over one directory and one without: the first stores, the
+     second is answered from the entries, and all three agree byte for
+     byte once the cache member is set aside.  The congested design
+     stays degraded: under the deleted reroute cache, its second run
+     replayed a relaxed schedule and flipped to ok.  One design per
+     serve_mix family, at serve_mix settings, and a design that fails:
+     failures are never stored, so it compiles cold both times. *)
   let corpus =
     [
       ( "design1.mnl",
-        (Design_gen.design1_like ~seed:101 ~scale:0.02 ()).Design_gen.netlist );
+        Serial.to_string
+          (Design_gen.design1_like ~seed:101 ~scale:0.02 ()).Design_gen.netlist
+      );
       ( "design2.mnl",
-        (Design_gen.design2_like ~seed:202 ~scale:0.02 ()).Design_gen.netlist );
-      ("congested.mnl", design ~seed:517 ~modules:30 ~domains:3);
+        Serial.to_string
+          (Design_gen.design2_like ~seed:202 ~scale:0.02 ()).Design_gen.netlist
+      );
+      ("congested.mnl", design_text ~seed:517 ~modules:30 ~domains:3);
+      ("random.mnl", spec_text "random:domains=3,modules=10,mts=0.20,seed=11");
+      ("gals.mnl", spec_text "gals:islands=4,size=3,seed=12");
+      ("dense.mnl", spec_text "dense:domains=8,density=0.20,seed=13");
+      ("fabric.mnl", spec_text "fabric:banks=4,domains=3,seed=14");
+      ("broken.mnl", "design broken\nnet x\n");
     ]
   in
   let jobs =
-    List.mapi
-      (fun index (path, nl) ->
-        Server.job_of_text ~index ~path (Serial.to_string nl))
+    List.mapi (fun index (path, text) -> Server.job_of_text ~index ~path text)
       corpus
   in
   let dir = fresh_dir () in
-  let run cache_dir =
-    let settings =
-      {
-        Server.default_settings with
-        Server.s_options = tight_options;
-        s_max_retries = 2;
-        s_fallback_hard = true;
-        s_cache_dir = cache_dir;
-      }
-    in
-    records (Server.run_batch ~jobs:1 settings jobs)
+  let run ~jobs:n cache_dir =
+    Server.run_batch ~jobs:n (mix_settings cache_dir) jobs
   in
-  let first = run (Some dir) in
-  let second = run (Some dir) in
-  let uncached = run None in
+  let first = run ~jobs:2 (Some dir) in
+  let second = run ~jobs:2 (Some dir) in
+  let uncached = run ~jobs:1 None in
   List.iteri
     (fun i ((a, b), c) ->
+      let name = fst (List.nth corpus i) in
+      let ca, ra = split_cache a and cb, rb = split_cache b
+      and cc, rc = split_cache c in
+      let stored = first.Server.b_results.(i).Server.a_exit = 0 in
+      Alcotest.(check bool) (name ^ ": only the broken design fails")
+        (name <> "broken.mnl") stored;
+      Alcotest.(check string) (name ^ ": first run compiles") "cold" ca;
       Alcotest.(check string)
-        (Printf.sprintf "record %d: second cached run" i) a b;
-      Alcotest.(check string) (Printf.sprintf "record %d: no cache dir" i) a c)
-    (List.combine (List.combine first second) uncached);
-  Alcotest.(check bool) "the ladder ran: some record is degraded" true
-    (List.exists
-       (fun r ->
-         let needle = {|"status":"degraded"|} in
-         let n = String.length r and m = String.length needle in
-         let rec find i = i + m <= n && (String.sub r i m = needle || find (i + 1)) in
-         find 0)
-       first);
-  Alcotest.(check (array string)) "nothing written to the cache dir" [||]
-    (Sys.readdir dir)
+        (name ^ ": second run hits what was stored")
+        (if stored then "warm" else "cold")
+        cb;
+      Alcotest.(check string) (name ^ ": no cache dir") "off" cc;
+      Alcotest.(check string) (name ^ ": warm == cold") ra rb;
+      Alcotest.(check string) (name ^ ": cold == uncached") ra rc)
+    (List.combine
+       (List.combine (records first) (records second))
+       (records uncached));
+  List.iter
+    (fun b ->
+      Alcotest.(check bool) "the congested record stays degraded" true
+        (b.Server.b_results.(2).Server.a_status = `Degraded))
+    [ first; second; uncached ];
+  Alcotest.(check bool) "the summaries agree on ok/degraded/failed" true
+    (List.map
+       (fun a -> a.Server.a_status)
+       (Array.to_list second.Server.b_results)
+    = List.map
+        (fun a -> a.Server.a_status)
+        (Array.to_list first.Server.b_results));
+  let compiled = List.length corpus - 1 in
+  Alcotest.(check int) "one result entry per compiled design" compiled
+    (List.length (result_entries dir));
+  Alcotest.(check int) "no manifest or leftover written" compiled
+    (Cache.stats ~dir).Cache.st_entries
+
+(* The key covers the retry policy as well as the options: the same text
+   under five policies in one directory never hits another's entry, and
+   each policy's record equals its uncached one. *)
+let test_result_policies_never_cross () =
+  let dir = fresh_dir () in
+  let job =
+    Server.job_of_text ~index:0 ~path:"congested.mnl"
+      (design_text ~seed:517 ~modules:30 ~domains:3)
+  in
+  let base = mix_settings None in
+  let policies =
+    [
+      ("--retries 0", { base with Server.s_max_retries = 0 });
+      ("--retries 2", { base with Server.s_fallback_hard = false });
+      ("--retries 2 --fallback-hard --pins 24", base);
+      ("--cold", { base with Server.s_reuse = false });
+      ( "--pins 96",
+        {
+          base with
+          Server.s_options = { tight_options with Compile.pins_per_fpga = 96 };
+        } );
+    ]
+  in
+  let answer s =
+    Server.answer_job { s with Server.s_cache_dir = Some dir } ~epoch:0.0 job
+  in
+  let uncached s =
+    snd (split_cache (record_of (Server.answer_job s ~epoch:0.0 job)))
+  in
+  let firsts =
+    List.map
+      (fun (name, s) ->
+        let a = answer s in
+        let c, r = split_cache (record_of a) in
+        Alcotest.(check string) (name ^ ": no hit across policies") "cold" c;
+        Alcotest.(check string) (name ^ ": the uncached record") (uncached s) r;
+        a)
+      policies
+  in
+  List.iter2
+    (fun (name, s) first ->
+      let c, r = split_cache (record_of (answer s)) in
+      let expect = if first.Server.a_exit = 0 then "warm" else "cold" in
+      Alcotest.(check string) (name ^ ": its own entry") expect c;
+      Alcotest.(check string) (name ^ ": the same record")
+        (snd (split_cache (record_of first)))
+        r)
+    policies firsts;
+  Alcotest.(check int) "one entry per stored policy"
+    (List.length (List.filter (fun a -> a.Server.a_exit = 0) firsts))
+    (List.length (result_entries dir))
 
 (* ---- Manifest cache: torn files, LRU eviction, leftover sweep. ---- *)
 
@@ -230,6 +358,23 @@ let store_manifest ~dir ~key m =
   match Cache.store_manifest ~dir ~key m with
   | Ok () -> ()
   | Error d -> Alcotest.failf "store failed: %s" d.Diag.message
+
+(* The smallest design that compiles: a result entry of under 1 KiB, so
+   the sweep below can answer every prefix of it. *)
+let tiny_text =
+  "design tiny\ndomain clk0\nnet 0 a\nnet 1 q\ninput in0 0 domain 0\n\
+   ff f0 1 0 dom 0\noutput o0 1\n"
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path text =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text)
+
+(* A record's members, parsed. *)
+let members record =
+  match Diag.Json.parse record with
+  | Ok (Diag.Json.Obj m) -> m
+  | _ -> Alcotest.failf "not a JSON object: %s" record
 
 let test_cache_truncation_sweep () =
   (* Exhaustive torn-write simulation: for EVERY strict prefix of a
@@ -262,9 +407,93 @@ let test_cache_truncation_sweep () =
   done;
   (* The full file (as [store_manifest] writes it) still loads. *)
   store_manifest ~dir ~key m;
-  match Cache.load_manifest ~dir ~key with
+  (match Cache.load_manifest ~dir ~key with
   | Cache.M_hit _ -> ()
-  | _ -> Alcotest.fail "full manifest no longer loads"
+  | _ -> Alcotest.fail "full manifest no longer loads");
+  (* Result entries: every strict prefix, and one flipped byte in each
+     region, answers "corrupt" with E_CACHE first in its diagnostics and
+     otherwise the cold record; that answer's store repairs the entry,
+     so the next identical request reads warm. *)
+  let settings =
+    { Server.default_settings with Server.s_cache_dir = Some dir }
+  in
+  let job = Server.job_of_text ~index:0 ~path:"tiny.mnl" tiny_text in
+  let answer () = Server.answer_job settings ~epoch:0.0 job in
+  let cold = answer () in
+  let c, cold_rest = split_cache (record_of cold) in
+  Alcotest.(check string) "first answer compiles" "cold" c;
+  let path =
+    Cache.result_file ~dir
+      ~key:(Cache.result_key ~policy:(Server.policy settings) ~text:tiny_text)
+  in
+  let whole = read_file path in
+  let cold_members = members cold_rest in
+  let check_corrupt what bytes =
+    write_file path bytes;
+    let c, rest = split_cache (record_of (answer ())) in
+    Alcotest.(check string) (what ^ ": corrupt") "corrupt" c;
+    let m = members rest in
+    (match
+       (List.assoc "diagnostics" m, List.assoc "diagnostics" cold_members)
+     with
+    | Diag.Json.Arr (d :: ds), Diag.Json.Arr cold_ds ->
+        Alcotest.(check (option string)) (what ^ ": E_CACHE first")
+          (Some "E_CACHE")
+          (Option.bind (Diag.Json.mem "code" d) Diag.Json.str);
+        Alcotest.(check bool) (what ^ ": then the cold diagnostics") true
+          (ds = cold_ds)
+    | _ -> Alcotest.failf "%s: no E_CACHE diagnostic" what);
+    Alcotest.(check bool) (what ^ ": otherwise the cold record") true
+      (List.remove_assoc "diagnostics" m
+      = List.remove_assoc "diagnostics" cold_members);
+    let c, rest = split_cache (record_of (answer ())) in
+    Alcotest.(check string) (what ^ ": repaired, then warm") "warm" c;
+    Alcotest.(check string) (what ^ ": warm == cold") cold_rest rest
+  in
+  for len = 0 to String.length whole - 1 do
+    check_corrupt
+      (Printf.sprintf "result prefix %d/%d" len (String.length whole))
+      (String.sub whole 0 len)
+  done;
+  let line_after i = String.index_from whole i '\n' + 1 in
+  let policy_pos = line_after (line_after 0) in
+  let text_pos = policy_pos + String.length (Server.policy settings) + 1 in
+  let tail_pos = text_pos + String.length tiny_text + 1 in
+  List.iter
+    (fun (region, i) ->
+      let b = Bytes.of_string whole in
+      Bytes.set b i (Char.chr (Char.code whole.[i] lxor 1));
+      check_corrupt ("flipped byte in the " ^ region) (Bytes.to_string b))
+    [
+      ("header checksum", String.length "msched-result-1 " + 3);
+      ("policy", policy_pos + 2);
+      ("text", text_pos + 3);
+      ("record", tail_pos + 4);
+    ];
+  (* A valid entry under this request's key that holds another text (an
+     FNV collision) or another policy is never served: a plain miss,
+     whose store replaces it. *)
+  let policy = Server.policy settings in
+  let key = Cache.result_key ~policy ~text:tiny_text in
+  let bogus_tail = {|"exit_code":0,"diagnostics":[],"result":null|} in
+  List.iter
+    (fun (what, policy', text') ->
+      (match
+         Cache.store_result ~dir ~key ~policy:policy' ~text:text' ~status:`Ok
+           ~tail:(bogus_tail, 0, String.length bogus_tail)
+       with
+      | Ok () -> ()
+      | Error d -> Alcotest.failf "store failed: %s" d.Diag.message);
+      let a = answer () in
+      let c, rest = split_cache (record_of a) in
+      Alcotest.(check string) (what ^ ": a plain miss") "cold" c;
+      Alcotest.(check string) (what ^ ": the cold record") cold_rest rest;
+      Alcotest.(check string) (what ^ ": replaced, then warm") "warm"
+        (fst (split_cache (record_of (answer ())))))
+    [
+      ("another text under the key", policy, tiny_text ^ "# collision\n");
+      ("another policy under the key", policy ^ ";other", tiny_text);
+    ]
 
 let test_cache_stats_and_gc () =
   let dir = fresh_dir () in
@@ -308,7 +537,51 @@ let test_cache_stats_and_gc () =
   let r3 = Cache.gc ~dir ~max_bytes:0 in
   Alcotest.(check int) "cap 0 clears the cache" 2 r3.Cache.gc_evicted;
   Alcotest.(check int) "cache empty after cap 0"
-    0 (Cache.stats ~dir).Cache.st_entries
+    0 (Cache.stats ~dir).Cache.st_entries;
+  (* Result entries share one LRU with manifests, and a hit refreshes
+     its entry: with a manifest older than two results, the oldest result
+     hit, a cap of two results evicts the manifest, and a cap of one
+     evicts the result that was not hit. *)
+  let policy = "policy" in
+  let tail = {|"exit_code":0,"diagnostics":[],"result":null|} in
+  let tail = (tail, 0, String.length tail) in
+  let result_path text =
+    Cache.result_file ~dir ~key:(Cache.result_key ~policy ~text)
+  in
+  List.iter
+    (fun text ->
+      match
+        Cache.store_result ~dir ~key:(Cache.result_key ~policy ~text) ~policy
+          ~text ~status:`Ok ~tail
+      with
+      | Ok () -> ()
+      | Error d -> Alcotest.failf "store failed: %s" d.Diag.message)
+    [ "text-a"; "text-b" ];
+  store_manifest ~dir ~key:k1 m;
+  let { Cache.st_entries; st_results; st_manifests; _ } = Cache.stats ~dir in
+  Alcotest.(check (list int)) "stats: entries, results, manifests"
+    [ 3; 2; 1 ]
+    [ st_entries; st_results; st_manifests ];
+  let rsize = (Unix.stat (result_path "text-a")).Unix.st_size in
+  let age_path p secs = Unix.utimes p (now -. secs) (now -. secs) in
+  age_path (Cache.manifest_file ~dir ~key:k1) 500.0;
+  age_path (result_path "text-a") 400.0;
+  age_path (result_path "text-b") 300.0;
+  (match
+     Cache.load_result ~dir ~key:(Cache.result_key ~policy ~text:"text-a")
+       ~policy ~text:"text-a"
+   with
+  | Cache.R_hit _ -> ()
+  | _ -> Alcotest.fail "expected a result hit on text-a");
+  let r4 = Cache.gc ~dir ~max_bytes:(2 * rsize) in
+  Alcotest.(check int) "the older manifest goes first" 1 r4.Cache.gc_evicted;
+  Alcotest.(check bool) "manifest evicted" false (exists k1);
+  let r5 = Cache.gc ~dir ~max_bytes:rsize in
+  Alcotest.(check int) "then the result that was not hit" 1 r5.Cache.gc_evicted;
+  Alcotest.(check bool) "the hit result survives" true
+    (Sys.file_exists (result_path "text-a"));
+  Alcotest.(check bool) "the other result evicted" false
+    (Sys.file_exists (result_path "text-b"))
 
 (* An msched-reroute-1 document as the deleted reroute cache stored it:
    one ledger entry, congestion history and a forced-hard link. *)
@@ -446,11 +719,14 @@ let test_batch_exit_classes () =
     ]
   in
   let batch = Server.run_batch ~jobs:2 Server.default_settings jobs in
-  Alcotest.(check int) "good job exit 0" 0 batch.Server.b_results.(0).Server.r_exit;
+  Alcotest.(check int) "good job exit 0" 0
+    batch.Server.b_results.(0).Server.a_exit;
   Alcotest.(check int) "parse failure exit 3" 3
-    batch.Server.b_results.(1).Server.r_exit;
+    batch.Server.b_results.(1).Server.a_exit;
   Alcotest.(check bool) "parse failure has no driver result" true
-    (batch.Server.b_results.(1).Server.r_resilient = None);
+    (match Diag.Json.parse (record_of batch.Server.b_results.(1)) with
+    | Ok doc -> Diag.Json.mem "result" doc = Some Diag.Json.Null
+    | Error _ -> false);
   Alcotest.(check int) "batch exit is first failing class" 3
     (Server.exit_code batch)
 
@@ -487,11 +763,11 @@ let test_batch_gals_corpus () =
   (* Every well-formed family design compiles (exit 0, verifier on); the
      seeded broken text fails in the malformed-input class (exit 3). *)
   Array.iteri
-    (fun i r ->
+    (fun i a ->
       let expected = if i < 9 then 0 else 3 in
       Alcotest.(check int)
-        (Printf.sprintf "job %d (%s) exit class" i r.Server.r_job.Server.j_path)
-        expected r.Server.r_exit)
+        (Printf.sprintf "job %d (%s) exit class" i (fst (List.nth corpus i)))
+        expected a.Server.a_exit)
     b2.Server.b_results;
   Alcotest.(check int) "batch exit is the parse-failure class" 3
     (Server.exit_code b2)
@@ -518,8 +794,12 @@ let suite =
       test_batch_exit_classes;
     Alcotest.test_case "batch: mixed GALS corpus at jobs=2" `Slow
       test_batch_gals_corpus;
-    Alcotest.test_case "batch: records do not depend on the cache dir" `Slow
-      test_batch_ignores_cache_dir;
+    Alcotest.test_case
+      "batch: records do not depend on the cache dir, except their cache \
+       member"
+      `Slow test_batch_ignores_cache_dir;
+    Alcotest.test_case "batch: result entries never hit across policies"
+      `Slow test_result_policies_never_cross;
     Alcotest.test_case "cache: gc sweeps reroute and block leftovers" `Quick
       test_gc_sweeps_leftovers;
   ]
