@@ -352,6 +352,24 @@ let ablation_cmd =
     (Cmd.info "ablation" ~doc:"Design-choice ablations")
     Term.(const ablation $ seeds_arg $ horizon_arg)
 
+(* Every subcommand runs under this, as every `msched` command does: a
+   failure prints its structured diagnostic and exits with the documented
+   class (docs/ROBUSTNESS.md; an unroutable design exits 4), never as an
+   uncaught exception.  A host I/O failure (an unwritable --trace file)
+   is malformed input. *)
+let protect f =
+  match f () with
+  | code -> code
+  | exception e ->
+      let module Diag = Msched_diag.Diag in
+      let d =
+        match e with
+        | Sys_error msg -> Diag.error Diag.E_PARSE "%s" msg
+        | e -> Msched.Compile.diag_of_exn e
+      in
+      Format.eprintf "%a@." Diag.pp d;
+      Diag.exit_code d.Diag.code
+
 let () =
   let info =
     Cmd.info "experiments"
@@ -360,13 +378,14 @@ let () =
          Asynchronous Domains For Functional Verification' (DAC 2001)"
   in
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            table1_cmd;
-            figure8_cmd;
-            fidelity_cmd;
-            ablation_cmd;
-            domains_cmd;
-            workloads_cmd;
-          ]))
+    (protect (fun () ->
+         Cmd.eval ~catch:false
+           (Cmd.group info
+              [
+                table1_cmd;
+                figure8_cmd;
+                fidelity_cmd;
+                ablation_cmd;
+                domains_cmd;
+                workloads_cmd;
+              ])))

@@ -240,10 +240,22 @@ module Json = struct
       String.iter expect word;
       value
     in
+    (* The end of the run of plain string bytes starting at [i]. *)
+    let rec run_end i =
+      if i = n then i
+      else
+        match String.unsafe_get text i with
+        | '"' | '\\' -> i
+        | _ -> run_end (i + 1)
+    in
     let parse_string () =
       expect '"';
       let b = Buffer.create 16 in
       let rec go () =
+        (* Copy the run up to the next quote or backslash in one piece. *)
+        let start = !pos in
+        pos := run_end start;
+        Buffer.add_substring b text start (!pos - start);
         match next () with
         | '"' -> Buffer.contents b
         | '\\' ->
@@ -266,9 +278,7 @@ module Json = struct
                 | None -> fail "bad \\u escape")
             | c -> Buffer.add_char b c);
             go ()
-        | c ->
-            Buffer.add_char b c;
-            go ()
+        | _ -> assert false (* a run ends only at a quote or backslash *)
       in
       go ()
     in

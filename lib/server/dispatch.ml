@@ -37,9 +37,13 @@
      never waited on forever.
 
    Locking: one mutex guards the queue, tickets, worker table and
-   counters.  Workers block on a condition variable for work; submitters
-   poll their ticket's result cell (OCaml has no timed condition wait, and
-   1 ms polling granularity is far below compile latency). *)
+   counters.  Workers block on [cond] for work.  Submitters block on
+   [settled], which is broadcast whenever a ticket's result cell fills
+   (finish, abort, orphan settlement), a queued ticket leaves the queue
+   (taken, cancelled, aborted) and draining starts; a finished job wakes
+   its submitter at once.  OCaml has no timed condition wait, so the
+   monitor also broadcasts [settled] on every 10 ms tick: a deadline
+   fires within one tick of expiry. *)
 
 module Diag = Msched_diag.Diag
 module Sink = Msched_obs.Sink
@@ -118,6 +122,8 @@ type ('job, 'res) t = {
   run : stopping:(unit -> bool) -> 'job -> 'res;
   lock : Mutex.t;
   cond : Condition.t;  (** Workers wait here for work. *)
+  settled : Condition.t;
+      (** Submitters wait here, for their result or for queue space. *)
   lanes : (int, ('job, 'res) ticket Queue.t) Hashtbl.t;
       (** Per-client FIFO lanes; a lane exists iff it is non-empty. *)
   rr : int Queue.t;
@@ -204,6 +210,7 @@ let take t w =
           | Some k ->
               k.k_state <- Running w.w_slot;
               t.q_live <- t.q_live - 1;
+              Condition.broadcast t.settled;
               w.w_ticket <- Some k;
               t.n_inflight <- t.n_inflight + 1;
               if t.n_inflight > t.peak_inflight then
@@ -226,6 +233,7 @@ let finish t w k outcome =
       | Running _ ->
           k.k_state <- Finished;
           k.k_cell <- Some outcome;
+          Condition.broadcast t.settled;
           (match outcome with
           | Done _ -> t.n_completed <- t.n_completed + 1
           | Crashed _ -> t.n_crashed <- t.n_crashed + 1
@@ -347,6 +355,8 @@ let monitor_tick t =
         let exited, still = List.partition claim t.zombies in
         t.zombies <- still;
         acc := exited @ !acc;
+        (* Submitters re-check their deadlines. *)
+        Condition.broadcast t.settled;
         !acc)
   in
   List.iter
@@ -372,6 +382,7 @@ let create ?sink ?(gauges = []) cfg run =
       run;
       lock = Mutex.create ();
       cond = Condition.create ();
+      settled = Condition.create ();
       lanes = Hashtbl.create 16;
       rr = Queue.create ();
       slots = Array.make cfg.d_workers None;
@@ -420,7 +431,7 @@ let submit ?(client = 0) ?deadline_s t job =
     | None -> false
     | Some d -> Unix.gettimeofday () >= d
   in
-  Mutex.lock t.lock;
+  locked t @@ fun () ->
   (* Admission: draining/stopped servers shed everything; a full queue
      sheds or blocks per policy. *)
   let rec admit () =
@@ -450,16 +461,12 @@ let submit ?(client = 0) ?deadline_s t job =
                     (Unix.gettimeofday () -. t0)))
           end
           else begin
-            Mutex.unlock t.lock;
-            Thread.delay 0.001;
-            Mutex.lock t.lock;
+            Condition.wait t.settled t.lock;
             admit ()
           end
   in
   match admit () with
-  | Error outcome ->
-      Mutex.unlock t.lock;
-      outcome
+  | Error outcome -> outcome
   | Ok () ->
       let k =
         {
@@ -476,49 +483,39 @@ let submit ?(client = 0) ?deadline_s t job =
       t.q_live <- t.q_live + 1;
       if t.q_live > t.peak_queue then t.peak_queue <- t.q_live;
       Condition.signal t.cond;
-      Mutex.unlock t.lock;
-      (* Await the outcome: poll the cell; on deadline, cancel (queued) or
-         abandon (running). *)
+      (* Await the outcome; on deadline, cancel (queued) or abandon
+         (running). *)
       let rec await () =
-        Mutex.lock t.lock;
         match k.k_cell with
-        | Some o ->
-            Mutex.unlock t.lock;
-            o
-        | None ->
-            if not (expired ()) then begin
-              Mutex.unlock t.lock;
-              Thread.delay 0.001;
-              await ()
-            end
-            else begin
-              let elapsed = Unix.gettimeofday () -. t0 in
-              match k.k_state with
-              | Queued ->
-                  k.k_state <- Cancelled;
-                  t.q_live <- t.q_live - 1;
-                  t.n_timed_out <- t.n_timed_out + 1;
-                  Mutex.unlock t.lock;
-                  Timed_out
-                    (timeout_diag
-                       "request %d cancelled after %.3fs in queue (never \
-                        started)"
-                       k.k_id elapsed)
-              | Running slot ->
-                  k.k_state <- Abandoned (Unix.gettimeofday ());
-                  t.n_timed_out <- t.n_timed_out + 1;
-                  Mutex.unlock t.lock;
-                  Timed_out
-                    (timeout_diag
-                       "request %d abandoned after %.3fs running on worker %d \
-                        (worker will be replaced if it does not recover)"
-                       k.k_id elapsed slot)
-              | Finished | Cancelled | Abandoned _ ->
-                  (* Finished sets the cell in the same critical section;
-                     cancel/abandon are ours alone. *)
-                  Mutex.unlock t.lock;
-                  assert false
-            end
+        | Some o -> o
+        | None when not (expired ()) ->
+            Condition.wait t.settled t.lock;
+            await ()
+        | None -> (
+            let elapsed = Unix.gettimeofday () -. t0 in
+            match k.k_state with
+            | Queued ->
+                k.k_state <- Cancelled;
+                t.q_live <- t.q_live - 1;
+                t.n_timed_out <- t.n_timed_out + 1;
+                Condition.broadcast t.settled;
+                Timed_out
+                  (timeout_diag
+                     "request %d cancelled after %.3fs in queue (never \
+                      started)"
+                     k.k_id elapsed)
+            | Running slot ->
+                k.k_state <- Abandoned (Unix.gettimeofday ());
+                t.n_timed_out <- t.n_timed_out + 1;
+                Timed_out
+                  (timeout_diag
+                     "request %d abandoned after %.3fs running on worker %d \
+                      (worker will be replaced if it does not recover)"
+                     k.k_id elapsed slot)
+            | Finished | Cancelled | Abandoned _ ->
+                (* Finished sets the cell in the same critical section;
+                   cancel/abandon are ours alone. *)
+                assert false)
       in
       await ()
 
@@ -597,7 +594,8 @@ let settle_orphans t =
         | _ -> ()
       in
       Array.iter (Option.iter settle) t.slots;
-      List.iter settle t.zombies)
+      List.iter settle t.zombies;
+      Condition.broadcast t.settled)
 
 let stop_monitor t =
   t.monitor_stop <- true;
@@ -613,7 +611,8 @@ let stop_monitor t =
 let drain ?(timeout_s = 30.0) t =
   locked t (fun () ->
       t.accepting <- false;
-      Condition.broadcast t.cond);
+      Condition.broadcast t.cond;
+      Condition.broadcast t.settled);
   (* Workers finish the queue, then their takes return None and they
      exit.  Monitor keeps reaping crashes mid-drain. *)
   let clean = wait_workers t timeout_s in
@@ -644,7 +643,8 @@ let abort ?(timeout_s = 2.0) t =
               end)
             lane)
         t.lanes;
-      Condition.broadcast t.cond);
+      Condition.broadcast t.cond;
+      Condition.broadcast t.settled);
   let clean = wait_workers t timeout_s in
   settle_orphans t;
   locked t (fun () -> t.stopped <- true);

@@ -11,8 +11,9 @@
 
     Threading model: submitters are sys-threads (one per client session),
     workers are domains, and one monitor thread reaps crashed workers,
-    replaces hung ones, and is the {e only} writer of the optional
-    observability sink (sinks are single-threaded mutable state). *)
+    replaces hung ones, wakes submitters whose deadline has passed, and is
+    the {e only} writer of the optional observability sink (sinks are
+    single-threaded mutable state). *)
 
 type overload =
   | Shed  (** Full queue: answer E_OVERLOAD immediately. *)
@@ -69,8 +70,14 @@ val create :
 
 val submit :
   ?client:int -> ?deadline_s:float -> ('job, 'res) t -> 'job -> 'res outcome
-(** Enqueue and wait for the outcome (blocks the calling thread).
+(** Enqueue and wait for the outcome (blocks the calling thread on a
+    condition the dispatcher broadcasts when a result lands, so a finished
+    job wakes its submitter at once; no polling).  Under [Block], a
+    submitter facing a full queue waits on the same condition, which also
+    fires when a queued ticket leaves the queue or draining starts.
     [deadline_s] overrides the config default; [None] means wait forever.
+    A deadline is checked on each wake-up and on the monitor's 10 ms tick,
+    so it fires within one tick of expiry.
     Safe to call from many threads concurrently.
 
     [client] (default 0) names the fairness lane: tickets queue per

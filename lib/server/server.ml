@@ -297,11 +297,31 @@ let delta_record_json r =
 
 let job_of_text ~index ~path text = { j_index = index; j_path = path; j_text = text }
 
+(* Request text an answer quotes back (a path, a poison spec, an op
+   name): at most [echo_max] bytes, then the original length, so an
+   answer stays small whatever a client sends. *)
+let echo_max = 256
+
+let echo s =
+  let n = String.length s in
+  if n <= echo_max then s
+  else Printf.sprintf "%s... (%d bytes)" (String.sub s 0 echo_max) n
+
 let job_of_file ~index path =
   match In_channel.with_open_bin path In_channel.input_all with
   | text -> Ok (job_of_text ~index ~path text)
   | exception Sys_error msg ->
-      Error (Diag.error Diag.E_PARSE "%s: %s" path msg)
+      (* The OS error starts with the path again: quote the path once. *)
+      let lp = String.length path in
+      let reason =
+        if
+          String.starts_with ~prefix:path msg
+          && String.length msg >= lp + 2
+          && String.sub msg lp 2 = ": "
+        then String.sub msg (lp + 2) (String.length msg - lp - 2)
+        else msg
+      in
+      Error (Diag.error Diag.E_PARSE "%s: %s" (echo path) (echo reason))
 
 (* ---- NDJSON emission (schemas msched-batch-1 / msched-batch-summary-1).
 
@@ -592,7 +612,7 @@ let error_record ?id ~path diags =
   let first = ref true in
   Buffer.add_char b '{';
   J.field b ~first "schema" (J.string "msched-batch-1");
-  J.field b ~first "design" (J.string path);
+  J.field b ~first "design" (J.string (echo path));
   J.field b ~first "cache" (J.string "off");
   let rep = Diag.Report.create () in
   Diag.Report.add_list rep diags;

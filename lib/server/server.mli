@@ -120,7 +120,14 @@ val run_batch : ?jobs:int -> settings -> job list -> batch_result
     caller among them. *)
 
 val job_of_text : index:int -> path:string -> string -> job
+
 val job_of_file : index:int -> string -> (job, Msched_diag.Diag.t) result
+(** Read a design file.  An unreadable file is an E_PARSE diagnostic that
+    quotes the path once, through {!echo}, followed by the OS error. *)
+
+val echo : string -> string
+(** Request text as an answer quotes it back: the first 256 bytes, then
+    the original length when it is longer (identity up to 256 bytes). *)
 
 val record_json : job_result -> string
 (** One deterministic [msched-batch-1] object (no timing fields). *)
@@ -154,7 +161,8 @@ val with_id : string option -> string -> string
 val error_record : ?id:string -> path:string -> Msched_diag.Diag.t list -> string
 (** A [msched-batch-1] record for a request that never reached the driver
     (parse failure, unreadable file, shed, timed out, worker crash):
-    [result] is null, [exit_code] is the first diagnostic's class. *)
+    [design] is [echo path], [result] is null, [exit_code] is the first
+    diagnostic's class. *)
 
 (** {2 Delta jobs}
 

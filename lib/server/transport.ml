@@ -122,7 +122,8 @@ let parse_request ~inject_faults line =
   else if String.length line > 7 && String.sub line 0 7 = "poison:" then
     match parse_poison_spec (String.sub line 7 (String.length line - 7)) with
     | Some p -> gate_poison p None None
-    | None -> bad (Diag.error Diag.E_PARSE "bad poison spec %S" line)
+    | None ->
+        bad (Diag.error Diag.E_PARSE "bad poison spec %S" (Server.echo line))
   else if line.[0] <> '{' then
     Q_compile { q_source = `Path line; q_id = None; q_deadline_s = None }
   else
@@ -154,7 +155,9 @@ let parse_request ~inject_faults line =
             | Some "abort" -> Q_shutdown `Abort
             | Some "drain" | None -> Q_shutdown `Drain
             | Some m ->
-                bad (Diag.error Diag.E_PARSE "unknown shutdown mode %S" m))
+                bad
+                  (Diag.error Diag.E_PARSE "unknown shutdown mode %S"
+                     (Server.echo m)))
         | Some "delta" -> (
             match source "delta request" with
             | Ok src ->
@@ -166,14 +169,17 @@ let parse_request ~inject_faults line =
                     q_deadline_s = deadline;
                   }
             | Error d -> bad d)
-        | Some op -> bad (Diag.error Diag.E_PARSE "unknown op %S" op)
+        | Some op ->
+            bad (Diag.error Diag.E_PARSE "unknown op %S" (Server.echo op))
         | None -> (
             match Option.bind (J.mem "poison" doc) J.str with
             | Some spec -> (
                 match parse_poison_spec spec with
                 | Some p -> gate_poison p id deadline
                 | None ->
-                    bad (Diag.error Diag.E_PARSE "bad poison spec %S" spec))
+                    bad
+                      (Diag.error Diag.E_PARSE "bad poison spec %S"
+                         (Server.echo spec)))
             | None -> (
                 match source "request" with
                 | Ok src ->
@@ -429,25 +435,35 @@ let session_main srv ~client ~input ~output =
   let t0 = Unix.gettimeofday () in
   let ss = { ss_requests = 0; ss_ok = 0; ss_errors = 0 } in
   let emit line = write_all output (line ^ "\n") in
-  let carry = ref "" in
-  let chunk = Bytes.create 8192 in
+  let chunk = Bytes.create 65536 in
+  (* The unterminated tail: bytes read since the last newline. *)
+  let partial = Buffer.create 8192 in
   let lines = Queue.create () in
   let eof = ref false in
-  (* Split completed frames out of [carry]; enforce the frame cap on the
-     unterminated tail. *)
-  let absorb data =
-    let s = !carry ^ data in
-    let n = String.length s in
-    let start = ref 0 in
-    (try
-       while true do
-         let i = String.index_from s !start '\n' in
-         Queue.add (String.sub s !start (i - !start)) lines;
-         start := i + 1
-       done
-     with Not_found -> ());
-    carry := String.sub s !start (n - !start);
-    if String.length !carry > srv.cfg.t_max_frame then begin
+  (* Split the [n] bytes just read into frames.  Only the new bytes are
+     scanned for a newline and each byte is copied into [partial] at most
+     once, so assembling a frame costs time linear in its length.  The
+     frame cap applies to the unterminated tail. *)
+  let absorb n =
+    let rec newline i =
+      if i = n || Bytes.unsafe_get chunk i = '\n' then i else newline (i + 1)
+    in
+    let rec split start =
+      let i = newline start in
+      if i = n then Buffer.add_subbytes partial chunk start (n - start)
+      else begin
+        if Buffer.length partial = 0 then
+          Queue.add (Bytes.sub_string chunk start (i - start)) lines
+        else begin
+          Buffer.add_subbytes partial chunk start (i - start);
+          Queue.add (Buffer.contents partial) lines;
+          Buffer.reset partial
+        end;
+        split (i + 1)
+      end
+    in
+    split 0;
+    if Buffer.length partial > srv.cfg.t_max_frame then begin
       locked srv (fun () -> incr srv.n_frame_errors);
       ss.ss_requests <- ss.ss_requests + 1;
       emit_error srv ss emit ~path:"<request>"
@@ -470,9 +486,9 @@ let session_main srv ~client ~input ~output =
            if !eof then begin
              (* A truncated final frame (no newline before EOF) is still a
                 request. *)
-             if !carry <> "" then begin
-               let line = !carry in
-               carry := "";
+             if Buffer.length partial > 0 then begin
+               let line = Buffer.contents partial in
+               Buffer.reset partial;
                handle_request srv ~client ss emit line
              end
            end
@@ -483,7 +499,7 @@ let session_main srv ~client ~input ~output =
              | _ -> (
                  match Unix.read input chunk 0 (Bytes.length chunk) with
                  | 0 -> eof := true
-                 | n -> absorb (Bytes.sub_string chunk 0 n)
+                 | n -> absorb n
                  | exception Unix.Unix_error ((ECONNRESET | EBADF), _, _) ->
                      raise Disconnect));
              loop ()

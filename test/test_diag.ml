@@ -434,6 +434,79 @@ let test_resilient_json () =
         true (contains j frag))
     [ {|"schema":"msched-driver-1"|}; {|"attempts":[|}; {|"degradation":{|} ]
 
+(* ---- JSON string reader. ---- *)
+
+(* Byte strings the reader must round-trip: quotes, backslashes, control
+   characters, bytes >= 0x80, and long runs with no escape at all.  The
+   server suite sends them as [{"text": s}] frames too. *)
+let json_bytes =
+  let open QCheck.Gen in
+  let special =
+    oneofl
+      [
+        '"'; '\\'; '\n'; '\r'; '\t'; '\b'; '\000'; '\031'; '\127'; '\128';
+        '\255'; 'u';
+      ]
+  in
+  let piece =
+    oneof
+      [
+        map (String.make 1) special;
+        string_size ~gen:char (0 -- 24);
+        map (fun n -> String.make n 'r') (0 -- 5000);
+      ]
+  in
+  QCheck.make
+    ~print:(fun s -> Printf.sprintf "%S" s)
+    (map (String.concat "") (list_size (0 -- 8) piece))
+
+let prop_json_string_roundtrip =
+  QCheck.Test.make ~name:"Json.parse (Json.string s) = Str s" ~count:500
+    json_bytes (fun s ->
+      Diag.Json.parse (Diag.Json.string s) = Ok (Diag.Json.Str s))
+
+(* Every strict prefix of an encoded string lacks its closing quote (or
+   cuts an escape): an [Error], never an exception. *)
+let prop_json_truncated_string =
+  QCheck.Test.make ~name:"truncated strings are errors, never exceptions"
+    ~count:500
+    QCheck.(pair json_bytes (int_bound 1_000_000))
+    (fun (s, cut) ->
+      let enc = Diag.Json.string s in
+      let cut = cut mod String.length enc in
+      match Diag.Json.parse (String.sub enc 0 cut) with
+      | Error _ -> true
+      | Ok _ -> false
+      | exception e ->
+          QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
+(* Arbitrary bytes after an opening quote: a value or an [Error], never
+   an exception. *)
+let prop_json_garbled_string =
+  QCheck.Test.make ~name:"garbled strings never raise" ~count:500 json_bytes
+    (fun s ->
+      match Diag.Json.parse ("\"" ^ s) with
+      | Ok _ | Error _ -> true
+      | exception e ->
+          QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
+let test_json_bad_strings () =
+  List.iter
+    (fun text ->
+      match Diag.Json.parse text with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%S parsed" text
+      | exception e ->
+          Alcotest.failf "%S raised %s" text (Printexc.to_string e))
+    [
+      {|"abc|};
+      {|"\|};
+      {|"\u12|};
+      {|"\uzzzz"|};
+      {|{"text":"abc|};
+      {|{"text":"\u00|};
+    ]
+
 let suite =
   [
     Alcotest.test_case "code names roundtrip" `Quick test_code_roundtrip;
@@ -463,4 +536,9 @@ let suite =
     Alcotest.test_case "resilient: lint stops attempts" `Quick
       test_resilient_lint_stops;
     Alcotest.test_case "resilient: driver JSON" `Quick test_resilient_json;
+    QCheck_alcotest.to_alcotest prop_json_string_roundtrip;
+    QCheck_alcotest.to_alcotest prop_json_truncated_string;
+    QCheck_alcotest.to_alcotest prop_json_garbled_string;
+    Alcotest.test_case "json: truncated and garbled strings are errors" `Quick
+      test_json_bad_strings;
   ]

@@ -1015,6 +1015,143 @@ let test_stdio_session () =
         (str_mem "drain" (Transport.summary_json s))
   | _ -> assert false
 
+(* A finished job must wake its submitter at once, not on a poll tick:
+   200 no-op jobs in sequence through a one-worker dispatcher, median
+   submit-to-return under 0.3 ms (a 1 ms poll puts it near 1 ms).  Then
+   50 jobs that each run 1 ms, so the submitter is already waiting when
+   the job finishes: the median must stay within 0.3 ms of the 1 ms. *)
+let test_dispatch_wakes_submitter () =
+  let d =
+    Dispatch.create
+      { Dispatch.default_config with Dispatch.d_workers = 1 }
+      (fun ~stopping:_ run_s ->
+        let t_end = Unix.gettimeofday () +. run_s in
+        while Unix.gettimeofday () < t_end do
+          ()
+        done)
+  in
+  let median_ms ~jobs run_s =
+    let times =
+      Array.init jobs (fun _ ->
+          let t0 = Unix.gettimeofday () in
+          (match Dispatch.submit d run_s with
+          | Dispatch.Done () -> ()
+          | _ -> Alcotest.fail "a job did not complete");
+          1000.0 *. (Unix.gettimeofday () -. t0))
+    in
+    Array.sort Float.compare times;
+    times.(jobs / 2)
+  in
+  let no_op = median_ms ~jobs:200 0.0 in
+  let one_ms = median_ms ~jobs:50 0.001 in
+  Alcotest.(check bool) "clean drain" true (Dispatch.drain d);
+  if no_op >= 0.3 then
+    Alcotest.failf "no-op jobs: median submit-to-return %.3f ms, want < 0.3 ms"
+      no_op;
+  if one_ms >= 1.3 then
+    Alcotest.failf "1 ms jobs: median submit-to-return %.3f ms, want < 1.3 ms"
+      one_ms
+
+(* One `serve --stdin` session over pipes.  [feed] writes request bytes
+   from a thread (the session may block on a full response pipe until the
+   test reads); [finish] closes the input and returns the conn summary and
+   the server summary that input EOF produces. *)
+type stdio = {
+  st_srv : Transport.t;
+  st_req_r : Unix.file_descr;
+  st_req_w : Unix.file_descr;
+  st_resp_w : Unix.file_descr;
+  st_resp : client;
+}
+
+let stdio_start ?max_frame () =
+  let req_r, req_w = Unix.pipe ~cloexec:true () in
+  let resp_r, resp_w = Unix.pipe ~cloexec:true () in
+  let srv =
+    Transport.start
+      (config ?max_frame ~address:(Transport.Stdio (req_r, resp_w)) ())
+  in
+  {
+    st_srv = srv;
+    st_req_r = req_r;
+    st_req_w = req_w;
+    st_resp_w = resp_w;
+    st_resp = { c_fd = resp_r; c_carry = "" };
+  }
+
+let feed st data =
+  Thread.create (fun () -> send_raw { c_fd = st.st_req_w; c_carry = "" } data) ()
+
+let stdio_finish st =
+  Unix.close st.st_req_w;
+  let conn = recv_exn st.st_resp in
+  let s = Transport.wait st.st_srv in
+  Unix.close st.st_resp_w;
+  Alcotest.(check (option string)) "stream ends after the conn summary" None
+    (recv st.st_resp);
+  close st.st_resp;
+  Unix.close st.st_req_r;
+  (conn, s)
+
+(* A request that is one long bare path (ENAMETOOLONG) is answered
+   exit 3 with a line under 4 KiB: the path is quoted once, capped, in
+   [design] and in the message, and the OS error does not repeat it. *)
+let test_long_path_echo_capped () =
+  let path = String.make (1024 * 1024) 'p' in
+  let st = stdio_start () in
+  let writer = feed st (path ^ "\n") in
+  let r = recv_exn st.st_resp in
+  Thread.join writer;
+  check_failure ~what:"1 MiB bare path" ~code:"E_PARSE" ~exit:3 r;
+  if String.length r >= 4096 then
+    Alcotest.failf "answer is %d bytes, want < 4096" (String.length r);
+  let quoted = String.sub path 0 256 ^ "... (1048576 bytes)" in
+  Alcotest.(check (option string)) "design: 256 bytes and the length"
+    (Some quoted) (str_mem "design" r);
+  let conn, s = stdio_finish st in
+  Alcotest.(check (option int)) "one request, one error" (Some 1)
+    (int_mem "errors" conn);
+  Alcotest.(check bool) "input EOF drains clean" true s.Transport.sm_clean
+
+(* Frame assembly is linear: one 4 MiB frame (the cap) costs at most 3x
+   the same bytes sent as 64 frames of 64 KiB.  Each frame is a bare path
+   too long to open, so every answer is a small exit-3 record and the
+   time is framing.  Best of two rounds per shape. *)
+let test_frame_at_cap_linear () =
+  let cap = 4 * 1024 * 1024 in
+  let st = stdio_start ~max_frame:cap () in
+  let small = String.make (cap / 64) 's' in
+  let big = String.make cap 'b' in
+  let timed data frames =
+    let t0 = Unix.gettimeofday () in
+    let writer = feed st data in
+    for _ = 1 to frames do
+      let r = recv_exn ~timeout_s:60.0 st.st_resp in
+      Alcotest.(check int) "too long to open: exit 3" 3 (exit_code r);
+      if String.length r >= 4096 then
+        Alcotest.failf "answer is %d bytes, want < 4096" (String.length r)
+    done;
+    Thread.join writer;
+    Unix.gettimeofday () -. t0
+  in
+  let small_frames = String.concat "" (List.init 64 (fun _ -> small ^ "\n")) in
+  let rounds =
+    List.init 2 (fun _ ->
+        let t_small = timed small_frames 64 in
+        let t_big = timed (big ^ "\n") 1 in
+        (t_small, t_big))
+  in
+  let best f = List.fold_left (fun m r -> Float.min m (f r)) infinity rounds in
+  let t_small = best fst and t_big = best snd in
+  let conn, s = stdio_finish st in
+  Alcotest.(check (option int)) "every frame answered" (Some 130)
+    (int_mem "requests" conn);
+  Alcotest.(check int) "no frame error at the cap" 0
+    s.Transport.sm_frame_errors;
+  if t_big > 3.0 *. t_small then
+    Alcotest.failf "one %d-byte frame took %.3f s, 64 frames of %d bytes %.3f s"
+      cap t_big (cap / 64) t_small
+
 let suite =
   [
     Alcotest.test_case "serve: round-trip over a unix socket" `Quick
@@ -1053,4 +1190,10 @@ let suite =
       test_delta_corrupt_base;
     Alcotest.test_case "serve: summary counts result-cache outcomes" `Quick
       test_summary_counts_cache;
+    Alcotest.test_case "dispatch: a finished job wakes its submitter" `Quick
+      test_dispatch_wakes_submitter;
+    Alcotest.test_case "serve: a long bare path is echoed capped" `Quick
+      test_long_path_echo_capped;
+    Alcotest.test_case "serve: a frame at the cap costs linear time" `Quick
+      test_frame_at_cap_linear;
   ]

@@ -18,6 +18,7 @@ module Pool = Msched_par.Pool
 module Cache = Msched_server.Cache
 module Manifest = Msched_server.Manifest
 module Server = Msched_server.Server
+module Transport = Msched_server.Transport
 
 let design ~seed ~modules ~domains =
   (Design_gen.random_multidomain ~seed ~domains ~modules ~mts_fraction:0.25 ())
@@ -772,6 +773,18 @@ let test_batch_gals_corpus () =
   Alcotest.(check int) "batch exit is the parse-failure class" 3
     (Server.exit_code b2)
 
+(* A [{"text": s}] frame carries [s] to the compile request byte for
+   byte, whatever bytes it holds. *)
+let prop_text_frame_roundtrip =
+  QCheck.Test.make ~name:"parse_request {\"text\": s} is `Text s" ~count:300
+    Test_diag.json_bytes (fun s ->
+      match
+        Transport.parse_request ~inject_faults:false
+          (Printf.sprintf {|{"text":%s}|} (Diag.Json.string s))
+      with
+      | Transport.Q_compile { q_source = `Text t; q_id = None; _ } -> t = s
+      | _ -> false)
+
 let suite =
   [
     Alcotest.test_case "pool: parallel map deterministic" `Quick
@@ -802,4 +815,5 @@ let suite =
       `Slow test_result_policies_never_cross;
     Alcotest.test_case "cache: gc sweeps reroute and block leftovers" `Quick
       test_gc_sweeps_leftovers;
+    QCheck_alcotest.to_alcotest prop_text_frame_roundtrip;
   ]
