@@ -82,9 +82,12 @@ let prepare ?(options = default_options) original =
     Transform.master_slave ~obs original analysis0
   in
   let netlist = rewritten.Transform.netlist in
+  (* Only a rewrite changes what the first analysis saw. *)
   let analysis =
-    Sink.span obs "domain-analysis" @@ fun () ->
-    Domain_analysis.compute ~obs netlist
+    if rewritten.Transform.rewrites = [] then analysis0
+    else
+      Sink.span obs "domain-analysis" @@ fun () ->
+      Domain_analysis.compute ~obs netlist
   in
   let partition =
     Sink.span obs "partition" @@ fun () ->

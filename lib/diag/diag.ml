@@ -265,18 +265,23 @@ module Json = struct
             | 'r' -> Buffer.add_char b '\r'
             | 'b' -> Buffer.add_char b '\b'
             | 'f' -> Buffer.add_char b '\012'
+            | ('"' | '\\' | '/') as c -> Buffer.add_char b c
             | 'u' ->
                 if !pos + 4 > n then fail "truncated \\u escape";
                 let hex = String.sub text !pos 4 in
                 pos := !pos + 4;
-                (match int_of_string_opt ("0x" ^ hex) with
-                | Some cp when cp < 0x80 -> Buffer.add_char b (Char.chr cp)
-                | Some _ ->
-                    (* Our emitters only \u-escape control chars; keep
-                       anything wider escaped rather than transcoding. *)
-                    Buffer.add_string b ("\\u" ^ hex)
-                | None -> fail "bad \\u escape")
-            | c -> Buffer.add_char b c);
+                let digit = function
+                  | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+                  | _ -> false
+                in
+                if not (String.for_all digit hex) then fail "bad \\u escape";
+                let cp = int_of_string ("0x" ^ hex) in
+                if cp < 0x80 then Buffer.add_char b (Char.chr cp)
+                else
+                  (* Our emitters only \u-escape control chars; keep
+                     anything wider escaped rather than transcoding. *)
+                  Buffer.add_string b ("\\u" ^ hex)
+            | _ -> fail "bad escape");
             go ()
         | _ -> assert false (* a run ends only at a quote or backslash *)
       in

@@ -46,22 +46,49 @@ let output_trans trans (c : Cell.t) =
         (of_trigger ()) raddr
   | Cell.Output -> DSet.empty
 
+(* Least fixed points by worklist.  Every item (cell or net) is evaluated
+   once, in the order [first] gives; after that an item is evaluated again
+   only when a set it reads grew.  Each item sits in the FIFO at most once,
+   so a ring of [n] slots holds it.  The updates are monotone unions, so
+   the result is the same least fixed point a sweep-until-stable loop
+   reaches, whatever the order. *)
+let worklist n ~first eval =
+  let ring = Array.init n first in
+  let queued = Array.make n true in
+  let head = ref 0 and len = ref n in
+  let push i =
+    if not queued.(i) then begin
+      queued.(i) <- true;
+      ring.((!head + !len) mod n) <- i;
+      incr len
+    end
+  in
+  while !len > 0 do
+    let i = ring.(!head) in
+    head := (!head + 1) mod n;
+    decr len;
+    queued.(i) <- false;
+    eval push i
+  done
+
+(* A cell is evaluated again when a net it reads (a fanout of that net)
+   grew. *)
 let compute_trans nl =
   let trans = Array.make (Netlist.num_nets nl) DSet.empty in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Netlist.iter_cells nl (fun c ->
-        match c.Cell.output with
-        | None -> ()
-        | Some out ->
-            let s = output_trans trans c in
-            let i = Ids.Net.to_int out in
-            if not (DSet.subset s trans.(i)) then begin
-              trans.(i) <- DSet.union trans.(i) s;
-              changed := true
-            end)
-  done;
+  let cells = Netlist.cells nl in
+  worklist (Array.length cells) ~first:Fun.id (fun push ci ->
+      let c = cells.(ci) in
+      match c.Cell.output with
+      | None -> ()
+      | Some out ->
+          let s = output_trans trans c in
+          let i = Ids.Net.to_int out in
+          if not (DSet.subset s trans.(i)) then begin
+            trans.(i) <- DSet.union trans.(i) s;
+            Array.iter
+              (fun (tm : Netlist.term) -> push (Ids.Cell.to_int tm.Netlist.term_cell))
+              (Netlist.fanouts nl out)
+          end);
   trans
 
 (* Backward fixed point for sample domains.
@@ -75,7 +102,6 @@ let compute_trans nl =
      backward (asynchronous read path), as do gate data pins. *)
 let compute_sample nl trans =
   let sample = Array.make (Netlist.num_nets nl) DSet.empty in
-  let changed = ref true in
   let demand_of_term (tm : Netlist.term) =
     let c = Netlist.cell nl tm.Netlist.term_cell in
     let trig_doms () =
@@ -105,20 +131,34 @@ let compute_sample nl trans =
     | Cell.Gate _, Netlist.Trigger_pin | Cell.Output, Netlist.Trigger_pin ->
         DSet.empty
   in
-  while !changed do
-    changed := false;
-    Netlist.iter_nets nl (fun n ni ->
-        let s =
-          Array.fold_left
-            (fun acc tm -> DSet.union acc (demand_of_term tm))
-            DSet.empty ni.Netlist.fanouts
-        in
-        let i = Ids.Net.to_int n in
-        if not (DSet.subset s sample.(i)) then begin
-          sample.(i) <- DSet.union sample.(i) s;
-          changed := true
-        end)
-  done;
+  (* A net is evaluated again when the output of a gate it feeds, or of
+     a RAM it addresses for reading, grew: the only demands that read
+     [sample]. *)
+  let requeue_inputs push (c : Cell.t) =
+    match c.Cell.kind with
+    | Cell.Gate _ -> Array.iter (fun n -> push (Ids.Net.to_int n)) c.Cell.data_inputs
+    | Cell.Ram { addr_bits } ->
+        for i = 2 + addr_bits to (2 * addr_bits) + 1 do
+          push (Ids.Net.to_int c.Cell.data_inputs.(i))
+        done
+    | Cell.Input _ | Cell.Clock_source _ | Cell.Latch _ | Cell.Flip_flop
+    | Cell.Output ->
+        ()
+  in
+  let n = Netlist.num_nets nl in
+  (* Demand flows from consumers back to producers: start from the last
+     net. *)
+  worklist n ~first:(fun i -> n - 1 - i) (fun push i ->
+      let ni = Netlist.net nl (Ids.Net.of_int i) in
+      let s =
+        Array.fold_left
+          (fun acc tm -> DSet.union acc (demand_of_term tm))
+          DSet.empty ni.Netlist.fanouts
+      in
+      if not (DSet.subset s sample.(i)) then begin
+        sample.(i) <- DSet.union sample.(i) s;
+        requeue_inputs push (Netlist.cell nl ni.Netlist.driver)
+      end);
   sample
 
 let compute ?(obs = Msched_obs.Sink.null) nl =

@@ -6,8 +6,9 @@
     - its {e sample domains}: the domains whose state elements read the net
       (directly or through combinational logic).
 
-    Both are monotone fixed points over the netlist graph, so combinational
-    loops through latches converge.  A net is {e multi-transition} when it
+    Both are monotone least fixed points over the netlist graph, computed
+    by worklist (an item is evaluated again only when a set it reads grew),
+    so combinational loops through latches converge.  A net is {e multi-transition} when it
     transitions in two or more domains; an MTS net additionally is sampled by
     more than one domain. *)
 

@@ -6,11 +6,7 @@ type rewrite = {
   slave : Ids.Cell.t;
 }
 
-type rewritten = {
-  netlist : Netlist.t;
-  rewrites : rewrite list;
-  new_cell_of_old : Ids.Cell.t array;
-}
+type rewritten = { netlist : Netlist.t; rewrites : rewrite list }
 
 (* Multi-domain RAM write clocks — the paper's "memories under test" future
    work — are supported by treating the write port like an MTS latch (write
@@ -27,7 +23,7 @@ let is_mts_ff analysis (c : Cell.t) =
 (* Rebuild the netlist, preserving net ids: every original net is
    pre-allocated in id order, then cells are re-added in id order with _to
    constructors.  Master-latch output nets are appended at the end. *)
-let master_slave ?(obs = Msched_obs.Sink.null) nl analysis =
+let rebuild nl analysis =
   let b = Netlist.Builder.create ~design_name:(Netlist.design_name nl) () in
   List.iter
     (fun d ->
@@ -42,9 +38,6 @@ let master_slave ?(obs = Msched_obs.Sink.null) nl analysis =
     assert (Ids.Net.equal n' old)
   done;
   let rewrites = ref [] in
-  let new_cell_of_old =
-    Array.make (Netlist.num_cells nl) (Ids.Cell.of_int 0)
-  in
   let next_new_cell = ref 0 in
   let take () =
     let id = Ids.Cell.of_int !next_new_cell in
@@ -52,7 +45,6 @@ let master_slave ?(obs = Msched_obs.Sink.null) nl analysis =
     id
   in
   Netlist.iter_cells nl (fun c ->
-      let old_idx = Ids.Cell.to_int c.Cell.id in
       if is_mts_ff analysis c then begin
         let out = Option.get c.Cell.output in
         let trigger = Option.get c.Cell.trigger in
@@ -66,12 +58,11 @@ let master_slave ?(obs = Msched_obs.Sink.null) nl analysis =
         let slave = take () in
         Netlist.Builder.add_latch_to b ~name:(c.Cell.name ^ "_slave")
           ~active_high:true ~data:mid ~gate:trigger ~output:out ();
-        rewrites := { old_ff = c.Cell.id; master; slave } :: !rewrites;
-        new_cell_of_old.(old_idx) <- slave
+        rewrites := { old_ff = c.Cell.id; master; slave } :: !rewrites
       end
       else begin
-        let id = take () in
-        (match c.Cell.kind with
+        incr next_new_cell;
+        match c.Cell.kind with
         | Cell.Input { domain } ->
             Netlist.Builder.add_input_to b ~name:c.Cell.name ?domain
               ~output:(Option.get c.Cell.output) ()
@@ -107,11 +98,17 @@ let master_slave ?(obs = Msched_obs.Sink.null) nl analysis =
               ~read_addr:(List.init addr_bits (fun i -> d.(2 + addr_bits + i)))
               ~clock:(Option.get c.Cell.trigger)
               ~output:(Option.get c.Cell.output)
-              ());
-        new_cell_of_old.(old_idx) <- id
+              ()
       end);
+  { netlist = Netlist.Builder.finalize b; rewrites = List.rev !rewrites }
+
+(* Without an MTS flip-flop the rebuild would reproduce its input cell
+   for cell and net for net, so the input is returned as is. *)
+let master_slave ?(obs = Msched_obs.Sink.null) nl analysis =
   let r =
-    { netlist = Netlist.Builder.finalize b; rewrites = List.rev !rewrites; new_cell_of_old }
+    if Array.exists (is_mts_ff analysis) (Netlist.cells nl) then
+      rebuild nl analysis
+    else { netlist = nl; rewrites = [] }
   in
   Msched_obs.Sink.add obs "mts.ff_rewrites" (List.length r.rewrites);
   Msched_obs.Sink.add obs "mts.cells_out" (Netlist.num_cells r.netlist);

@@ -6,7 +6,8 @@
     are rewritten into master/slave latch pairs: an active-low master latch
     followed by an active-high slave latch sharing the original clock net.
     The rewritten netlist preserves all net ids of the original; one fresh
-    net per rewritten flip-flop is appended for the master's output. *)
+    net per rewritten flip-flop is appended for the master's output.  A
+    design without MTS flip-flops is returned as is. *)
 
 open Msched_netlist
 
@@ -16,18 +17,14 @@ type rewrite = {
   slave : Ids.Cell.t;  (** Slave latch in the {e new} netlist. *)
 }
 
-type rewritten = {
-  netlist : Netlist.t;
-  rewrites : rewrite list;
-  new_cell_of_old : Ids.Cell.t array;
-      (** Indexed by old cell id; for a rewritten flip-flop this is the slave
-          latch (which drives the flip-flop's original output net). *)
-}
+type rewritten = { netlist : Netlist.t; rewrites : rewrite list }
 
 val master_slave :
   ?obs:Msched_obs.Sink.t -> Netlist.t -> Domain_analysis.t -> rewritten
-(** Identity (modulo cell renumbering) when the design has no MTS
-    flip-flops. *)
+(** When no flip-flop's trigger fires in two or more domains, [netlist] is
+    the input netlist itself (physically equal) and [rewrites] is empty;
+    the [mts.ff_rewrites] and [mts.cells_out] counters are recorded either
+    way. *)
 
 val check_supported : Netlist.t -> Domain_analysis.t -> (unit, string) result
 (** Reports constructs the compiler cannot schedule.  Currently everything

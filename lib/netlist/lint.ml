@@ -21,7 +21,7 @@ let diag_of_validation_error (e : Netlist.validation_error) =
 
 (* The frozen-netlist lint.  Builder.finalize already rejects structurally
    broken graphs (undriven nets, arity, unknown domains) fail-fast;
-   [Builder.validate_all] collects those without raising.  What remains
+   [Builder.finalize_result] collects those without raising.  What remains
    checkable — and is NOT enforced by finalize — is linted here:
 
    - combinational cycles (otherwise first surfaced as a raise from deep

@@ -5,7 +5,7 @@
 
     + {!Serial.of_string_diag} — parse errors, one diagnostic per bad line
       (with recovery), plus accumulated structural validation;
-    + {!Netlist.Builder.validate_all} — every structural error of a
+    + {!Netlist.Builder.finalize_result} — every structural error of a
       builder graph ([E_UNDRIVEN], [E_ARITY], [E_UNKNOWN_DOMAIN], ...);
     + {!check} (this module) — properties finalize does not enforce:
       combinational cycles, dangling nets, unclocked domains.

@@ -92,15 +92,17 @@ let pp_summary ppf t =
 (* ------------------------------------------------------------------ *)
 
 module Builder = struct
-  type proto_net = { mutable pname : string; mutable pdriver : Ids.Cell.t option }
-
+  (* Proto-nets live in two growable arrays indexed by net id: the name
+     and the driving cell id ([-1] while undriven).  Only the first
+     [nnets] slots are meaningful. *)
   type t = {
     bname : string;
     mutable bdomains : string list;  (* reversed *)
     mutable ndomains : int;
     mutable bcells : Cell.t list;  (* reversed *)
     mutable ncells : int;
-    pnets : (int, proto_net) Hashtbl.t;
+    mutable pnames : string array;
+    mutable pdrivers : int array;
     mutable nnets : int;
     bclock_sources : (int, Ids.Net.t) Hashtbl.t;
   }
@@ -112,7 +114,8 @@ module Builder = struct
       ndomains = 0;
       bcells = [];
       ncells = 0;
-      pnets = Hashtbl.create 1024;
+      pnames = Array.make 64 "";
+      pdrivers = Array.make 64 (-1);
       nnets = 0;
       bclock_sources = Hashtbl.create 8;
     }
@@ -126,8 +129,17 @@ module Builder = struct
   let fresh_net b ?name () =
     let id = b.nnets in
     let name = match name with Some s -> s | None -> Printf.sprintf "n%d" id in
-    Hashtbl.add b.pnets id { pname = name; pdriver = None };
-    b.nnets <- b.nnets + 1;
+    if id = Array.length b.pnames then begin
+      let grow a fill =
+        let a' = Array.make (2 * id) fill in
+        Array.blit a 0 a' 0 id;
+        a'
+      in
+      b.pnames <- grow b.pnames "";
+      b.pdrivers <- grow b.pdrivers (-1)
+    end;
+    b.pnames.(id) <- name;
+    b.nnets <- id + 1;
     Ids.Net.of_int id
 
   let fresh_cell_id b =
@@ -136,11 +148,12 @@ module Builder = struct
     id
 
   let drive b net cell_id =
-    let p = Hashtbl.find b.pnets (Ids.Net.to_int net) in
-    (match p.pdriver with
-    | Some prev -> raise (Invalid (Multiple_drivers (net, prev, cell_id)))
-    | None -> p.pdriver <- Some cell_id);
-    ()
+    let i = Ids.Net.to_int net in
+    if i >= b.nnets then invalid_arg "Builder: net not allocated by this builder";
+    let prev = b.pdrivers.(i) in
+    if prev >= 0 then
+      raise (Invalid (Multiple_drivers (net, Ids.Cell.of_int prev, cell_id)));
+    b.pdrivers.(i) <- Ids.Cell.to_int cell_id
 
   let push b (c : Cell.t) = b.bcells <- c :: b.bcells
 
@@ -287,12 +300,10 @@ module Builder = struct
         check_domain d
     | Cell.Output -> expect 1
 
-  (* Accumulating variant of the finalize-time checks: every structural
-     error in the builder graph (one per cell at most, plus every undriven
-     net), in deterministic id order, without raising.  [Lint] maps these
-     onto diagnostic codes. *)
-  let validate_all b =
-    let cells = Array.of_list (List.rev b.bcells) in
+  (* Every structural error in the builder graph (one per cell at most,
+     plus every undriven net), in deterministic id order, without
+     raising.  [Lint] maps these onto diagnostic codes. *)
+  let errors b cells =
     let errs = ref [] in
     Array.iter
       (fun c ->
@@ -301,69 +312,71 @@ module Builder = struct
         | exception Invalid e -> errs := e :: !errs)
       cells;
     for i = 0 to b.nnets - 1 do
-      match Hashtbl.find_opt b.pnets i with
-      | Some { pdriver = Some _; _ } -> ()
-      | Some { pdriver = None; _ } | None ->
-          errs := Undriven_net (Ids.Net.of_int i) :: !errs
+      if b.pdrivers.(i) < 0 then errs := Undriven_net (Ids.Net.of_int i) :: !errs
     done;
     List.rev !errs
 
-  let finalize b =
+  let no_term = { term_cell = Ids.Cell.of_int 0; term_pin = Trigger_pin }
+
+  (* Freeze a graph that [errors] accepted.  Fanout arrays are sized by a
+     counting pass and filled in cell order, data pins before the
+     trigger. *)
+  let freeze b cells =
     let domain_names = Array.of_list (List.rev b.bdomains) in
-    let cells = Array.of_list (List.rev b.bcells) in
-    Array.iter (check_cell (Array.length domain_names)) cells;
-    let drivers = Array.make b.nnets None in
-    let names = Array.make b.nnets "" in
-    Hashtbl.iter
-      (fun i p ->
-        names.(i) <- p.pname;
-        drivers.(i) <- p.pdriver)
-      b.pnets;
-    let fanouts = Array.make b.nnets [] in
-    let add_fanout n tm =
-      let i = Ids.Net.to_int n in
-      fanouts.(i) <- tm :: fanouts.(i)
-    in
     let clock_sources = Array.make (Array.length domain_names) None in
-    Hashtbl.iter
-      (fun d n -> clock_sources.(d) <- Some n)
-      b.bclock_sources;
+    Hashtbl.iter (fun d n -> clock_sources.(d) <- Some n) b.bclock_sources;
+    let trigger_net (c : Cell.t) =
+      match c.trigger with
+      | Some (Cell.Net_trigger n) -> Some n
+      (* A domain clock materialized as a net records the trigger as its
+         fanout, so analyses see the dependency. *)
+      | Some (Cell.Dom_clock d) -> clock_sources.(Ids.Dom.to_int d)
+      | None -> None
+    in
+    let counts = Array.make b.nnets 0 in
+    let count n =
+      let i = Ids.Net.to_int n in
+      counts.(i) <- counts.(i) + 1
+    in
+    Array.iter
+      (fun (c : Cell.t) ->
+        Array.iter count c.data_inputs;
+        Option.iter count (trigger_net c))
+      cells;
+    let fanouts =
+      Array.map (fun k -> if k = 0 then [||] else Array.make k no_term) counts
+    in
+    let fill = Array.make b.nnets 0 in
+    let add n tm =
+      let i = Ids.Net.to_int n in
+      fanouts.(i).(fill.(i)) <- tm;
+      fill.(i) <- fill.(i) + 1
+    in
     Array.iter
       (fun (c : Cell.t) ->
         Array.iteri
-          (fun i n -> add_fanout n { term_cell = c.id; term_pin = Data_pin i })
+          (fun i n -> add n { term_cell = c.id; term_pin = Data_pin i })
           c.data_inputs;
-        match c.trigger with
-        | Some (Cell.Net_trigger n) ->
-            add_fanout n { term_cell = c.id; term_pin = Trigger_pin }
-        | Some (Cell.Dom_clock d) -> (
-            (* If the domain clock is materialized as a net, record the
-               trigger as its fanout so analyses see the dependency. *)
-            match clock_sources.(Ids.Dom.to_int d) with
-            | Some n -> add_fanout n { term_cell = c.id; term_pin = Trigger_pin }
-            | None -> ())
-        | None -> ())
+        Option.iter
+          (fun n -> add n { term_cell = c.id; term_pin = Trigger_pin })
+          (trigger_net c))
       cells;
     let nets =
       Array.init b.nnets (fun i ->
-          match drivers.(i) with
-          | None -> raise (Invalid (Undriven_net (Ids.Net.of_int i)))
-          | Some d ->
-              {
-                net_name = names.(i);
-                driver = d;
-                fanouts = Array.of_list (List.rev fanouts.(i));
-              })
+          {
+            net_name = b.pnames.(i);
+            driver = Ids.Cell.of_int b.pdrivers.(i);
+            fanouts = fanouts.(i);
+          })
     in
     { design_name = b.bname; domain_names; cells; nets; clock_sources }
 
   let finalize_result b =
-    match validate_all b with
-    | [] -> (
-        (* The accumulating pass mirrors finalize's checks; a raise here
-           would mean they diverged, so surface it rather than mask it. *)
-        match finalize b with
-        | nl -> Ok nl
-        | exception Invalid e -> Error [ e ])
-    | errs -> Error errs
+    let cells = Array.of_list (List.rev b.bcells) in
+    match errors b cells with [] -> Ok (freeze b cells) | errs -> Error errs
+
+  let finalize b =
+    match finalize_result b with
+    | Ok nl -> nl
+    | Error errs -> raise (Invalid (List.hd errs))
 end

@@ -171,16 +171,13 @@ module Builder : sig
     unit ->
     unit
 
-  val validate_all : t -> validation_error list
-  (** Every structural error of the builder graph (bad arities, missing
-      triggers, unknown domains — at most one per cell — plus every
-      undriven net), in deterministic id order.  Never raises; [[]] iff
-      {!finalize} would succeed. *)
+  val finalize_result : t -> (netlist, validation_error list) result
+  (** Validate and freeze.  [Error] carries every structural error of the
+      builder graph (bad arities, missing triggers, unknown domains — at
+      most one per cell — plus every undriven net), in deterministic id
+      order. *)
 
   val finalize : t -> netlist
-  (** Freeze and validate. @raise Invalid on a malformed design. *)
-
-  val finalize_result : t -> (netlist, validation_error list) result
-  (** Like {!finalize} but collects {e all} validation errors instead of
-      raising on the first. *)
+  (** Like {!finalize_result}, raising the first error.
+      @raise Invalid on a malformed design. *)
 end

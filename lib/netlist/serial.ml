@@ -112,133 +112,222 @@ let output ppf nl = Format.pp_print_string ppf (to_string nl)
 
 exception Parse of int * string
 
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash i = i land max_int
+end)
+
 (* Mutable parse state shared by the fail-fast and the diagnostic-collecting
-   entry points.  A `design' directive resets the builder (matching the
-   historical behavior of one design per file). *)
+   entry points.  The current line's tokens are offsets into [text]: token
+   [k] spans [starts.(k)] up to [stops.(k)].  A `design' directive starts a
+   new builder and forgets the file's net ids with the old one (one design
+   per file). *)
 type pstate = {
+  text : string;
   mutable b : Netlist.Builder.t;
-  nets : (int, Ids.Net.t) Hashtbl.t;
+  nets : Ids.Net.t Itbl.t;  (* file net id -> net of [b] *)
+  mutable starts : int array;
+  mutable stops : int array;
+  mutable ntok : int;
 }
 
-let process_line st lineno tokens =
-  let nets = st.nets in
-  let net lineno id =
-    match Hashtbl.find_opt nets id with
-    | Some n -> n
-    | None -> raise (Parse (lineno, Printf.sprintf "unknown net %d" id))
-  in
-  let int lineno s =
+let create_state text =
+  {
+    text;
+    b = Netlist.Builder.create ();
+    nets = Itbl.create 256;
+    starts = Array.make 16 0;
+    stops = Array.make 16 0;
+    ntok = 0;
+  }
+
+let push_token st start stop =
+  let k = st.ntok in
+  if k = Array.length st.starts then begin
+    let grow a =
+      let a' = Array.make (2 * k) 0 in
+      Array.blit a 0 a' 0 k;
+      a'
+    in
+    st.starts <- grow st.starts;
+    st.stops <- grow st.stops
+  end;
+  st.starts.(k) <- start;
+  st.stops.(k) <- stop;
+  st.ntok <- k + 1
+
+let token st k = String.sub st.text st.starts.(k) (st.stops.(k) - st.starts.(k))
+
+let rec same_from text start lit i =
+  i = String.length lit
+  || String.unsafe_get text (start + i) = String.unsafe_get lit i
+     && same_from text start lit (i + 1)
+
+let token_is st k lit =
+  st.stops.(k) - st.starts.(k) = String.length lit
+  && same_from st.text st.starts.(k) lit 0
+
+(* The value of the decimal digits text.[i .. stop - 1] after [acc], or
+   [-1] at the first other byte. *)
+let rec digits text stop i acc =
+  if i = stop then acc
+  else
+    match String.unsafe_get text i with
+    | '0' .. '9' as c -> digits text stop (i + 1) ((acc * 10) + Char.code c - 48)
+    | _ -> -1
+
+(* [int_of_string_opt] of token [k]; a run of at most 18 decimal digits
+   (no overflow) is read in place. *)
+let token_int st lineno k =
+  let start = st.starts.(k) and stop = st.stops.(k) in
+  let v = if stop - start <= 18 then digits st.text stop start 0 else -1 in
+  if v >= 0 then v
+  else
+    let s = token st k in
     match int_of_string_opt s with
     | Some i -> i
     | None -> raise (Parse (lineno, Printf.sprintf "expected integer, got %S" s))
-  in
-  let dom lineno s = Ids.Dom.of_int (int lineno s) in
-  let parse_trigger lineno = function
-    | [ "dom"; d ] -> Cell.Dom_clock (dom lineno d)
-    | [ "net"; n ] -> Cell.Net_trigger (net lineno (int lineno n))
-    | _ -> raise (Parse (lineno, "expected `dom <d>' or `net <n>'"))
-  in
-  match tokens with
-    | [] -> ()
-    | "#" :: _ -> ()
-    | [ "design"; name ] -> st.b <- Netlist.Builder.create ~design_name:name ()
-    | [ "domain"; name ] ->
-        let (_ : Ids.Dom.t) = Netlist.Builder.add_domain st.b name in
-        ()
-    | [ "net"; id; name ] ->
-        let n = Netlist.Builder.fresh_net st.b ~name () in
-        Hashtbl.replace nets (int lineno id) n
-    | "input" :: name :: out :: rest ->
-        let domain =
-          match rest with
-          | [] -> None
-          | [ "domain"; d ] -> Some (dom lineno d)
-          | _ -> raise (Parse (lineno, "bad input line"))
-        in
-        Netlist.Builder.add_input_to st.b ~name ?domain
-          ~output:(net lineno (int lineno out))
-          ()
-    | [ "clocksource"; d; out ] ->
-        Netlist.Builder.add_clock_source_to st.b (dom lineno d)
-          ~output:(net lineno (int lineno out))
-    | "gate" :: kind :: name :: out :: ins -> (
-        match gate_of_name kind with
-        | None -> raise (Parse (lineno, "unknown gate kind " ^ kind))
-        | Some g ->
-            Netlist.Builder.add_gate_to st.b ~name g
-              (List.map (fun i -> net lineno (int lineno i)) ins)
-              ~output:(net lineno (int lineno out)))
-    | [ "latch"; name; out; data; t0; t1; pol ] ->
-        let active_high =
-          match pol with
-          | "high" -> true
-          | "low" -> false
-          | _ -> raise (Parse (lineno, "latch polarity must be high|low"))
-        in
-        Netlist.Builder.add_latch_to st.b ~name ~active_high
-          ~data:(net lineno (int lineno data))
-          ~gate:(parse_trigger lineno [ t0; t1 ])
-          ~output:(net lineno (int lineno out))
-          ()
-    | [ "ff"; name; out; data; t0; t1 ] ->
-        Netlist.Builder.add_flip_flop_to st.b ~name
-          ~data:(net lineno (int lineno data))
-          ~clock:(parse_trigger lineno [ t0; t1 ])
-          ~output:(net lineno (int lineno out))
-          ()
-    | "ram" :: name :: out :: addr_bits :: rest ->
-        let a = int lineno addr_bits in
-        let expected = 2 + (2 * a) + 2 in
-        if List.length rest <> expected then
-          raise (Parse (lineno, "bad ram pin count"));
-        let pins, trig =
-          let rec split k acc = function
-            | rest when k = 0 -> (List.rev acc, rest)
-            | x :: rest -> split (k - 1) (x :: acc) rest
-            | [] -> raise (Parse (lineno, "bad ram line"))
-          in
-          split (2 + (2 * a)) [] rest
-        in
-        let pins = List.map (fun i -> net lineno (int lineno i)) pins in
-        let we, wdata, waddr, raddr =
-          match pins with
-          | we :: wdata :: rest ->
-              let rec take k acc = function
-                | rest when k = 0 -> (List.rev acc, rest)
-                | x :: rest -> take (k - 1) (x :: acc) rest
-                | [] -> raise (Parse (lineno, "bad ram address pins"))
-              in
-              let waddr, rest = take a [] rest in
-              let raddr, _ = take a [] rest in
-              (we, wdata, waddr, raddr)
-          | _ -> raise (Parse (lineno, "bad ram pins"))
-        in
-        Netlist.Builder.add_ram_to st.b ~name ~addr_bits:a ~write_enable:we
-          ~write_data:wdata ~write_addr:waddr ~read_addr:raddr
-          ~clock:(parse_trigger lineno trig)
-          ~output:(net lineno (int lineno out))
-          ()
-    | [ "output"; name; input ] ->
-        let (_ : Ids.Cell.t) =
-          Netlist.Builder.add_output st.b ~name (net lineno (int lineno input))
-        in
-        ()
-    | tok :: _ -> raise (Parse (lineno, "unknown directive " ^ tok))
 
-let iter_lines text f =
-  String.split_on_char '\n' text
-  |> List.iteri (fun i line ->
-         let tokens =
-           String.split_on_char ' ' (String.trim line)
-           |> List.filter (fun s -> s <> "")
-         in
-         match tokens with
-         | t :: _ when String.length t > 0 && t.[0] = '#' -> ()
-         | _ -> f (i + 1) tokens)
+let token_net st lineno k =
+  let id = token_int st lineno k in
+  match Itbl.find st.nets id with
+  | n -> n
+  | exception Not_found ->
+      raise (Parse (lineno, Printf.sprintf "unknown net %d" id))
+
+let token_dom st lineno k = Ids.Dom.of_int (token_int st lineno k)
+
+(* The two tokens at [k]: `dom <d>' or `net <n>'. *)
+let token_trigger st lineno k =
+  if token_is st k "dom" then Cell.Dom_clock (token_dom st lineno (k + 1))
+  else if token_is st k "net" then
+    Cell.Net_trigger (token_net st lineno (k + 1))
+  else raise (Parse (lineno, "expected `dom <d>' or `net <n>'"))
+
+let fail lineno msg = raise (Parse (lineno, msg))
+
+(* Which token of a line fails first is part of the diagnostic, so each
+   directive resolves its tokens in a fixed order: the output net, then the
+   trigger, then the data nets (gate inputs and RAM pins left to right; RAM
+   pins before the output). *)
+let process_line st lineno =
+  let n = st.ntok and b = st.b in
+  if n = 2 && token_is st 0 "design" then begin
+    st.b <- Netlist.Builder.create ~design_name:(token st 1) ();
+    Itbl.reset st.nets
+  end
+  else if n = 2 && token_is st 0 "domain" then
+    let (_ : Ids.Dom.t) = Netlist.Builder.add_domain b (token st 1) in
+    ()
+  else if n = 3 && token_is st 0 "net" then begin
+    let fresh = Netlist.Builder.fresh_net b ~name:(token st 2) () in
+    Itbl.replace st.nets (token_int st lineno 1) fresh
+  end
+  else if n >= 3 && token_is st 0 "input" then begin
+    let domain =
+      if n = 3 then None
+      else if n = 5 && token_is st 3 "domain" then Some (token_dom st lineno 4)
+      else fail lineno "bad input line"
+    in
+    let output = token_net st lineno 2 in
+    Netlist.Builder.add_input_to b ~name:(token st 1) ?domain ~output ()
+  end
+  else if n = 3 && token_is st 0 "clocksource" then begin
+    let output = token_net st lineno 2 in
+    Netlist.Builder.add_clock_source_to b (token_dom st lineno 1) ~output
+  end
+  else if n >= 4 && token_is st 0 "gate" then begin
+    let kind = token st 1 in
+    match gate_of_name kind with
+    | None -> fail lineno ("unknown gate kind " ^ kind)
+    | Some g ->
+        let output = token_net st lineno 3 in
+        let ins = ref [] in
+        for k = 4 to n - 1 do
+          ins := token_net st lineno k :: !ins
+        done;
+        Netlist.Builder.add_gate_to b ~name:(token st 2) g (List.rev !ins)
+          ~output
+  end
+  else if n = 7 && token_is st 0 "latch" then begin
+    let active_high =
+      if token_is st 6 "high" then true
+      else if token_is st 6 "low" then false
+      else fail lineno "latch polarity must be high|low"
+    in
+    let output = token_net st lineno 2 in
+    let gate = token_trigger st lineno 4 in
+    let data = token_net st lineno 3 in
+    Netlist.Builder.add_latch_to b ~name:(token st 1) ~active_high ~data ~gate
+      ~output ()
+  end
+  else if n = 6 && token_is st 0 "ff" then begin
+    let output = token_net st lineno 2 in
+    let clock = token_trigger st lineno 4 in
+    let data = token_net st lineno 3 in
+    Netlist.Builder.add_flip_flop_to b ~name:(token st 1) ~data ~clock ~output
+      ()
+  end
+  else if n >= 4 && token_is st 0 "ram" then begin
+    (* Pins: we, wdata, [a] write-address and [a] read-address nets, then
+       the two trigger tokens. *)
+    let a = token_int st lineno 3 in
+    if n - 4 <> 2 + (2 * a) + 2 then fail lineno "bad ram pin count";
+    let npins = 2 + (2 * a) in
+    if npins < 0 then fail lineno "bad ram line";
+    let pins = Array.init npins (fun i -> token_net st lineno (4 + i)) in
+    if npins < 2 then fail lineno "bad ram pins";
+    if a < 0 then fail lineno "bad ram address pins";
+    let output = token_net st lineno 2 in
+    let clock = token_trigger st lineno (4 + npins) in
+    let list pos = Array.to_list (Array.sub pins pos a) in
+    Netlist.Builder.add_ram_to b ~name:(token st 1) ~addr_bits:a
+      ~write_enable:pins.(0) ~write_data:pins.(1) ~write_addr:(list 2)
+      ~read_addr:(list (2 + a)) ~clock ~output ()
+  end
+  else if n = 3 && token_is st 0 "output" then
+    let input = token_net st lineno 2 in
+    let (_ : Ids.Cell.t) = Netlist.Builder.add_output b ~name:(token st 1) input in
+    ()
+  else fail lineno ("unknown directive " ^ token st 0)
+
+let is_blank = function ' ' | '\012' | '\r' | '\t' -> true | _ -> false
+
+(* Calls [f lineno] with the line's tokens in [st] for every line that has
+   tokens and does not start with `#'.  Lines end at '\n' and are numbered
+   from 1; a line is trimmed of [String.trim]'s blanks at both ends and
+   split at single spaces, so a tab inside a line is part of a token. *)
+let iter_lines st f =
+  let text = st.text in
+  let len = String.length text in
+  let lineno = ref 1 and ls = ref 0 in
+  while !ls <= len do
+    let le =
+      match String.index_from_opt text !ls '\n' with Some i -> i | None -> len
+    in
+    let s = ref !ls and e = ref le in
+    while !s < !e && is_blank (String.unsafe_get text !s) do incr s done;
+    while !e > !s && is_blank (String.unsafe_get text (!e - 1)) do decr e done;
+    st.ntok <- 0;
+    let i = ref !s in
+    while !i < !e do
+      if String.unsafe_get text !i = ' ' then incr i
+      else begin
+        let start = !i in
+        while !i < !e && String.unsafe_get text !i <> ' ' do incr i done;
+        push_token st start !i
+      end
+    done;
+    if st.ntok > 0 && text.[st.starts.(0)] <> '#' then f !lineno;
+    incr lineno;
+    ls := le + 1
+  done
 
 let of_string text =
-  let st = { b = Netlist.Builder.create (); nets = Hashtbl.create 256 } in
-  match iter_lines text (process_line st) with
+  let st = create_state text in
+  match iter_lines st (process_line st) with
   | () -> (
       match Netlist.Builder.finalize st.b with
       | nl -> Ok nl
@@ -265,7 +354,7 @@ let max_parse_diags = 100
 
 let of_string_diag text =
   let module Diag = Msched_diag.Diag in
-  let st = { b = Netlist.Builder.create (); nets = Hashtbl.create 256 } in
+  let st = create_state text in
   let rev_diags = ref [] in
   let ndiags = ref 0 in
   let truncated = ref false in
@@ -276,8 +365,8 @@ let of_string_diag text =
     end
     else truncated := true
   in
-  iter_lines text (fun lineno tokens ->
-      match process_line st lineno tokens with
+  iter_lines st (fun lineno ->
+      match process_line st lineno with
       | () -> ()
       | exception Parse (l, m) ->
           push (Diag.error Diag.E_PARSE "line %d: %s" l m)

@@ -20,7 +20,10 @@
     [ff <name> <out> <data> (dom <d> | net <n>)],
     [ram <name> <out> <addr_bits> <we> <wdata> <waddr...> <raddr...>
          (dom <d> | net <n>)],
-    [output <name> <in>].  [#] starts a comment. *)
+    [output <name> <in>].  [#] starts a comment.  Tokens are separated by
+    spaces; blanks at either end of a line are ignored.  A later [design]
+    line starts a new design: net ids declared before it are unknown after
+    it. *)
 
 val to_string : Netlist.t -> string
 val output : Format.formatter -> Netlist.t -> unit

@@ -507,6 +507,26 @@ let test_json_bad_strings () =
       {|{"text":"\u00|};
     ]
 
+(* JSON defines eight one-character escapes and [\u] with exactly four hex
+   digits; anything else is an [Error], not a guess. *)
+let test_json_escapes () =
+  List.iter
+    (fun text ->
+      match Diag.Json.parse text with
+      | Error _ -> ()
+      | Ok v ->
+          Alcotest.failf "%S parsed as %S" text
+            (Option.value ~default:"(not a string)" (Diag.Json.str v))
+      | exception e ->
+          Alcotest.failf "%S raised %s" text (Printexc.to_string e))
+    [ {|"\u0_41"|}; {|"\u004_"|}; {|"\q"|}; {|"\u+041"|}; {|"\u 041"|}; {|"\x41"|} ];
+  let u hex = "\\" ^ "u" ^ hex in
+  Alcotest.(check (result (option string) string))
+    "every defined escape"
+    (Ok (Some "\"\\/\b\012\n\r\tAJ\\u00e9"))
+    (Result.map Diag.Json.str
+       (Diag.Json.parse ({|"\"\\\/\b\f\n\r\t|} ^ u "0041" ^ u "004A" ^ u "00e9" ^ {|"|})))
+
 let suite =
   [
     Alcotest.test_case "code names roundtrip" `Quick test_code_roundtrip;
@@ -541,4 +561,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_json_garbled_string;
     Alcotest.test_case "json: truncated and garbled strings are errors" `Quick
       test_json_bad_strings;
+    Alcotest.test_case "json: only JSON's escapes are accepted" `Quick
+      test_json_escapes;
   ]

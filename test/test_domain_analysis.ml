@@ -103,6 +103,67 @@ let test_static_input_no_domains () =
   Alcotest.(check doms_testable) "static input" (set []) (DA.transitions da i);
   Alcotest.(check doms_testable) "sampled by d0" (set [ 0 ]) (DA.samples da i)
 
+(* A cell that reads a net driven by a later cell sees that net's sets
+   only when it is evaluated again: the buffer [early] reads [late]
+   before [late]'s driver is reached, and the input [i0] feeds the
+   flip-flop's sampler only through both buffers, backwards. *)
+let test_back_edges_reevaluated () =
+  let b = B.create () in
+  let d0 = B.add_domain b "c0" and d1 = B.add_domain b "c1" in
+  let late = B.fresh_net b () in
+  let early = B.add_gate b Cell.Buf [ late ] in
+  let q = B.add_flip_flop b ~data:early ~clock:(Cell.Dom_clock d1) () in
+  let i0 = B.add_input b ~domain:d0 () in
+  B.add_gate_to b Cell.Buf [ i0 ] ~output:late;
+  let (_ : Ids.Cell.t) = B.add_output b q in
+  let da = DA.compute (B.finalize b) in
+  Alcotest.(check doms_testable) "early transitions" (set [ 0 ]) (DA.transitions da early);
+  Alcotest.(check doms_testable) "i0 samples" (set [ 1 ]) (DA.samples da i0)
+
+(* Every net's transition and sample sets over generator designs, as one
+   hash per design of [pp_net] over all nets, recorded from the analysis
+   that swept the whole netlist until nothing changed. *)
+let pinned_designs =
+  [
+    ("design1", fun () -> Design_gen.design1_like ~scale:0.05 ());
+    ("design2", fun () -> Design_gen.design2_like ~scale:0.05 ());
+    ("fabric", fun () -> Design_gen.gated_memory_fabric ~seed:3 ~banks:8 ~domains:4 ());
+    ("dense", fun () -> Design_gen.dense_crossing ~seed:5 ~domains:12 ~density:0.6 ());
+    ("gals", fun () -> Design_gen.gals_islands ~seed:2 ~islands:6 ());
+    ( "random",
+      fun () ->
+        Design_gen.random_multidomain ~seed:19 ~domains:4 ~modules:20
+          ~mts_fraction:0.3 ~mts_ffs:3 ~xwrite_rams:2 () );
+    ("fig3", Design_gen.fig3_latch);
+    ("handshake", Design_gen.handshake);
+  ]
+
+let sets_digest nl =
+  let da = DA.compute nl in
+  let b = Buffer.create 4096 in
+  let ppf = Format.formatter_of_buffer b in
+  Netlist.iter_nets nl (fun n _ -> Format.fprintf ppf "%a\n" (DA.pp_net da) n);
+  Format.pp_print_flush ppf ();
+  Msched_diag.Diag.Json.hash_hex (Buffer.contents b)
+
+let sets_pin =
+  {|design1 a15ee9efcbca9aae
+design2 321d0926527f67a6
+fabric b4bc4dd4470738c6
+dense ccbf1dc29297176c
+gals 984fb396b89a5e52
+random 5cdfdd0874f773c7
+fig3 8fef3be35d030a82
+handshake c954b38e1db9a6d3|}
+
+let test_sets_pinned () =
+  Alcotest.(check (list string))
+    "per-design set hashes"
+    (String.split_on_char '\n' sets_pin)
+    (List.map
+       (fun (name, make) -> name ^ " " ^ sets_digest (make ()).Design_gen.netlist)
+       pinned_designs)
+
 let suite =
   [
     Alcotest.test_case "fig1 transitions/samples" `Quick test_fig1_transitions;
@@ -112,4 +173,6 @@ let suite =
     Alcotest.test_case "mts state detection" `Quick test_mts_state_detection;
     Alcotest.test_case "ram domains" `Quick test_ram_domains;
     Alcotest.test_case "static input" `Quick test_static_input_no_domains;
+    Alcotest.test_case "back edges re-evaluated" `Quick test_back_edges_reevaluated;
+    Alcotest.test_case "sets pinned" `Quick test_sets_pinned;
   ]

@@ -179,10 +179,10 @@ let design1_pin =
   {|classify.mts_blocks=6
 classify.mts_paths=6
 classify.mts_states=2
-domain.domains=6
-domain.mts_nets=20
-domain.multi_transition_nets=28
-domain.nets=3748
+domain.domains=3
+domain.mts_nets=10
+domain.multi_transition_nets=14
+domain.nets=1874
 holdoff.cells=4
 holdoff.relax_rounds=62
 holdoff.slots=41
@@ -214,10 +214,10 @@ let design2_pin =
   {|classify.mts_blocks=19
 classify.mts_paths=62
 classify.mts_states=3
-domain.domains=4
-domain.mts_nets=64
-domain.multi_transition_nets=144
-domain.nets=2078
+domain.domains=2
+domain.mts_nets=32
+domain.multi_transition_nets=72
+domain.nets=1039
 holdoff.cells=6
 holdoff.relax_rounds=46
 holdoff.slots=120
@@ -250,10 +250,10 @@ let driver_pin =
 classify.mts_blocks=10
 classify.mts_paths=10
 classify.mts_states=9
-domain.domains=6
-domain.mts_nets=72
-domain.multi_transition_nets=72
-domain.nets=648
+domain.domains=3
+domain.mts_nets=36
+domain.multi_transition_nets=36
+domain.nets=324
 driver.attempts=2
 driver.fallback_nets=0
 driver.lint_errors=0

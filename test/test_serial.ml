@@ -123,6 +123,37 @@ let test_dot_clusters () =
   in
   Alcotest.(check bool) "has clusters" true (contains "subgraph cluster_")
 
+(* A second [design] line starts a new design: net ids of the first are
+   unknown after it, so later uses answer E_PARSE with their line instead
+   of resolving nets of the discarded builder. *)
+let test_design_line_resets_net_ids () =
+  let cases =
+    [
+      ( "design a\ndomain c\nnet 0 x\ndesign b\ndomain c\ninput i 0 domain 0\n\
+         output o 0\n",
+        [ "line 6: unknown net 0"; "line 7: unknown net 0" ] );
+      ( "design a\ndomain c\nnet 0 x\nnet 1 y\ndesign b\ndomain c\nnet 0 z\n\
+         input i 0 domain 0\noutput o 1\n",
+        [ "line 9: unknown net 1" ] );
+    ]
+  in
+  List.iter
+    (fun (text, messages) ->
+      (match Serial.of_string_diag text with
+      | Ok _ -> Alcotest.fail "expected E_PARSE"
+      | Error ds ->
+          Alcotest.(check (list string)) "codes"
+            (List.map (fun _ -> "E_PARSE") messages)
+            (List.map
+               (fun d -> Msched_diag.Diag.code_name d.Msched_diag.Diag.code)
+               ds);
+          Alcotest.(check (list string)) "messages" messages
+            (List.map (fun d -> d.Msched_diag.Diag.message) ds));
+      Alcotest.(check (result reject string)) "of_string"
+        (Error (List.hd messages))
+        (Result.map ignore (Serial.of_string text)))
+    cases
+
 let suite =
   [
     Alcotest.test_case "roundtrip fig designs" `Quick test_roundtrip_fig_designs;
@@ -130,6 +161,8 @@ let suite =
     Alcotest.test_case "roundtrip behavior" `Quick test_roundtrip_behavior;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
     Alcotest.test_case "comments and blank lines" `Quick test_comments_and_blank_lines;
+    Alcotest.test_case "a design line resets net ids" `Quick
+      test_design_line_resets_net_ids;
     QCheck_alcotest.to_alcotest prop_roundtrip_random;
     Alcotest.test_case "dot structure" `Quick test_dot_contains_structure;
     Alcotest.test_case "dot clusters" `Quick test_dot_clusters;

@@ -1152,6 +1152,29 @@ let test_frame_at_cap_linear () =
     Alcotest.failf "one %d-byte frame took %.3f s, 64 frames of %d bytes %.3f s"
       cap t_big (cap / 64) t_small
 
+(* A second [design] line starts a new design and forgets the first one's
+   net ids: over [serve --stdin] the text answers E_PARSE "unknown net 0"
+   at exit 3, and no worker crashes. *)
+let design_reset_text =
+  "design a\ndomain c\nnet 0 x\ndesign b\ndomain c\ninput i 0 domain 0\n\
+   output o 0\n"
+
+let test_design_reset_no_crash () =
+  let st = stdio_start () in
+  let request id text =
+    Printf.sprintf {|{"text":%s,"id":"%s"}|} (Diag.Json.string text) id ^ "\n"
+  in
+  let writer = feed st (request "reset" design_reset_text) in
+  let r = recv_exn st.st_resp in
+  Thread.join writer;
+  check_failure ~what:"second design line" ~code:"E_PARSE" ~exit:3 r;
+  let writer = feed st (request "after" (good_text ())) in
+  Alcotest.(check int) "the worker still serves" 0 (exit_code (recv_exn st.st_resp));
+  Thread.join writer;
+  let _conn, s = stdio_finish st in
+  Alcotest.(check int) "no worker crashed" 0
+    s.Transport.sm_counters.Dispatch.c_crashed
+
 let suite =
   [
     Alcotest.test_case "serve: round-trip over a unix socket" `Quick
@@ -1196,4 +1219,6 @@ let suite =
       test_long_path_echo_capped;
     Alcotest.test_case "serve: a frame at the cap costs linear time" `Quick
       test_frame_at_cap_linear;
+    Alcotest.test_case "serve: a second design line is exit 3, not a crash"
+      `Quick test_design_reset_no_crash;
   ]
