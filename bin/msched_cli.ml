@@ -298,7 +298,7 @@ let lint_cmd path diag_json =
 
 (* The machine-readable side of [check]: verifier verdict plus the
    schedule-quality numbers a dashboard wants next to it (utilization and
-   the replayed critical path). *)
+   the critical path). *)
 let check_json ~design ~mode ~route prepared sched
     (report : Msched_check.Verify.report) =
   let module J = Diag.Json in

@@ -1,24 +1,20 @@
-(* Critical-chain extraction works by replay with provenance: the TIERS
-   scheduler derives the frame length from a ReadyTime requirement table it
-   propagates consumers-first over links and latch groups; we re-run that
-   propagation over the same processing order (Sched_graph), but take every
-   transport's departure/arrival from the compiled schedule instead of
-   routing, and store a backpointer alongside every requirement bump.
-   Because the order is consumers-first, a requirement is final before the
-   link that consumes it is processed, so the replayed table matches the
-   one the scheduler saw and the replayed length lands exactly on
-   Schedule.length for any TIERS-compiled schedule.  The chain is then the
-   backpointer walk from the binding length constraint toward the frame
-   end; requirement values strictly decrease along the walk, so it
-   terminates and the hops tile [0, length] with no gaps. *)
+(* The critical chain is the provenance of the scheduler's own ReadyTime
+   pass (Ready), run over the same processing order (Sched_graph) with
+   every link's departure read from the compiled schedule instead of
+   routed.  Because the order is consumers-first, a requirement is final
+   before the link that reads it is taken, so the pass sees the table TIERS
+   saw and its frame length lands exactly on Schedule.length for any
+   TIERS-compiled schedule.  The chain is the provenance walk from the
+   binding length constraint toward the frame end; requirement values
+   strictly decrease along the walk, so it terminates and the hops tile
+   [0, length] with no gaps. *)
 
 open Msched_netlist
-module Partition = Msched_partition.Partition
 module System = Msched_arch.System
-module Latch_analysis = Msched_mts.Latch_analysis
 module Schedule = Msched_route.Schedule
 module Link = Msched_route.Link
 module Sched_graph = Msched_route.Sched_graph
+module Ready = Msched_route.Ready
 module Tiers = Msched_route.Tiers
 module Sink = Msched_obs.Sink
 module Diag = Msched_diag.Diag
@@ -40,27 +36,6 @@ type chain = {
   ch_exact : bool;
 }
 
-(* Backpointer stored at a (block, net) requirement: what bumped it to its
-   final value. *)
-type prov =
-  | P_deadline of { delay : int }
-  | P_link of { li : int; dmax : int }
-  | P_group of {
-      latch : Ids.Cell.t;
-      gate : bool;
-      dmax : int;
-      via_out : Ids.Net.t option;
-    }
-
-(* The length candidate that ended up binding, mirroring the scheduler's
-   bump order exactly (strict >, first writer of a value wins ties). *)
-type binding =
-  | B_floor
-  | B_transport of int
-  | B_congestion of (int * int) option  (* owning (link, channel) *)
-  | B_sink of int * Ids.Cell.t * Ids.Net.t
-  | B_latch of int * Ids.Cell.t * Ids.Net.t option * int * int
-
 let critical_chain ?(route = Tiers.default_options) (p : Compile.prepared)
     (sched : Schedule.t) =
   let part = p.Compile.partition in
@@ -69,108 +44,19 @@ let critical_chain ?(route = Tiers.default_options) (p : Compile.prepared)
   let length = sched.Schedule.length in
   let link_scheds = Array.of_list sched.Schedule.link_scheds in
   let links = Array.map (fun ls -> ls.Schedule.ls_link) link_scheds in
-  let nblocks = Partition.num_blocks part in
   let order, _graph_warnings = Sched_graph.order part la links in
-  let req : (int * int, int * prov) Hashtbl.t = Hashtbl.create 4096 in
-  let req_get b n =
-    match Hashtbl.find_opt req (Ids.Block.to_int b, Ids.Net.to_int n) with
-    | Some (v, _) -> v
-    | None -> 0
-  in
-  let req_bump b n v prov =
-    let key = (Ids.Block.to_int b, Ids.Net.to_int n) in
-    let cur =
-      match Hashtbl.find_opt req key with Some (v, _) -> v | None -> 0
-    in
-    if v > cur then Hashtbl.replace req key (v, prov)
-  in
-  for b = 0 to nblocks - 1 do
-    let lab = la.(b) in
-    Ids.Net.Tbl.iter
-      (fun m info ->
-        match info.Latch_analysis.deadline_delay with
-        | Some d -> req_bump lab.Latch_analysis.block m d (P_deadline { delay = d })
-        | None -> ())
-      lab.Latch_analysis.origins
-  done;
-  let local_settle b n =
-    Option.value ~default:0
-      (Ids.Net.Tbl.find_opt la.(b).Latch_analysis.local_max_settle n)
-  in
-  let lmax = ref 1 in
-  let binding = ref B_floor in
-  let bump need b =
-    if need > !lmax then begin
-      lmax := need;
-      binding := b
-    end
-  in
-  let rdep_max_of i =
+  let departure i =
     List.fold_left
       (fun acc tr -> max acc (length - tr.Schedule.tr_fwd_dep))
       0 link_scheds.(i).Schedule.ls_transports
   in
-  let process_link i =
-    let l = links.(i) in
-    let rdep_max = rdep_max_of i in
-    let sb = Ids.Block.to_int l.Link.src_block in
-    Ids.Net.Tbl.iter
-      (fun m info ->
-        List.iter
-          (fun (onet, (d : Traverse.delay)) ->
-            if Ids.Net.equal onet l.Link.net then
-              req_bump l.Link.src_block m
-                (rdep_max + d.Traverse.dmax)
-                (P_link { li = i; dmax = d.Traverse.dmax }))
-          info.Latch_analysis.to_outputs)
-      la.(sb).Latch_analysis.origins;
-    bump (rdep_max + local_settle sb l.Link.net) (B_transport i)
-  in
-  let process_group b gi =
-    let lab = la.(b) in
-    let block = lab.Latch_analysis.block in
-    let g = lab.Latch_analysis.groups.(gi) in
-    let r_group, via_out =
-      List.fold_left
-        (fun (acc, via) latch ->
-          match (Netlist.cell nl latch).Cell.output with
-          | Some out ->
-              let r = req_get block out in
-              if r > acc || via = None then (max r acc, Some out)
-              else (acc, via)
-          | None -> (acc, via))
-        (0, None) g.Latch_analysis.latches
-    in
-    (* Mirror the scheduler: [via] only refines the walk; a group whose
-       outputs all carry requirement 0 keeps via_out = None when it has no
-       latch outputs at all. *)
-    let bump_for_dep (dep : Latch_analysis.dep) ~gate_side =
-      let bump_pin gate d =
-        req_bump block dep.Latch_analysis.dep_origin
-          (r_group + d.Traverse.dmax + 1)
-          (P_group
-             { latch = dep.Latch_analysis.dep_latch; gate; dmax = d.Traverse.dmax; via_out })
-      in
-      (match dep.Latch_analysis.dep_pd.Latch_analysis.to_data with
-      | Some d -> bump_pin false d
-      | None -> ());
-      if gate_side then
-        match dep.Latch_analysis.dep_pd.Latch_analysis.to_gate with
-        | Some d -> bump_pin true d
-        | None -> ()
-    in
-    List.iter
-      (bump_for_dep ~gate_side:route.Tiers.latch_ordering)
-      g.Latch_analysis.input_deps;
-    List.iter (bump_for_dep ~gate_side:true) g.Latch_analysis.local_deps
-  in
-  List.iter
-    (function
-      | Sched_graph.Lnk i -> process_link i
-      | Sched_graph.Grp (b, gi) -> process_group b gi)
+  let ready = Ready.seed part la links in
+  Ready.propagate ready ~latch_ordering:route.Tiers.latch_ordering
+    ~depart:(fun i _ -> departure i)
     order;
   (* Wire congestion: the latest reverse slot with a multiplexed
-     reservation — exactly the hops of non-hard transports. *)
+     reservation — exactly the hops of non-hard transports — and the first
+     (link, channel) holding it. *)
   let max_rslot = ref (-1) in
   let max_hop = ref None in
   Array.iteri
@@ -188,62 +74,7 @@ let critical_chain ?(route = Tiers.default_options) (p : Compile.prepared)
               tr.Schedule.tr_hops)
         ls.Schedule.ls_transports)
     link_scheds;
-  bump !max_rslot (B_congestion !max_hop);
-  for b = 0 to nblocks - 1 do
-    let lab = la.(b) in
-    let block = lab.Latch_analysis.block in
-    List.iter
-      (fun cid ->
-        let c = Netlist.cell nl cid in
-        let settle n = local_settle b n in
-        let deadline_nets =
-          match (c.Cell.kind, c.Cell.trigger) with
-          | Cell.Flip_flop, Some (Cell.Dom_clock _) -> [ c.Cell.data_inputs.(0) ]
-          | Cell.Ram { addr_bits }, _ ->
-              List.init (2 + addr_bits) (fun i -> c.Cell.data_inputs.(i))
-          | Cell.Output, _ -> [ c.Cell.data_inputs.(0) ]
-          | ( ( Cell.Flip_flop | Cell.Gate _ | Cell.Latch _ | Cell.Input _
-              | Cell.Clock_source _ ),
-              _ ) ->
-              []
-        in
-        List.iter (fun n -> bump (settle n) (B_sink (b, cid, n))) deadline_nets;
-        match (c.Cell.kind, c.Cell.trigger) with
-        | Cell.Latch _, _
-        | (Cell.Flip_flop | Cell.Ram _), Some (Cell.Net_trigger _) ->
-            let r =
-              match c.Cell.output with
-              | Some out -> req_get block out
-              | None -> 0
-            in
-            let pin_settle =
-              let data =
-                match c.Cell.kind with
-                | Cell.Ram { addr_bits } ->
-                    let m = ref 0 in
-                    for i = 0 to (2 + addr_bits) - 1 do
-                      m := max !m (settle c.Cell.data_inputs.(i))
-                    done;
-                    !m
-                | Cell.Latch _ | Cell.Flip_flop | Cell.Gate _ | Cell.Input _
-                | Cell.Clock_source _ | Cell.Output ->
-                    settle c.Cell.data_inputs.(0)
-              in
-              let gate =
-                match c.Cell.trigger with
-                | Some (Cell.Net_trigger tn) -> settle tn
-                | Some (Cell.Dom_clock _) | None -> 0
-              in
-              max data gate
-            in
-            bump (r + pin_settle + 1)
-              (B_latch (b, cid, c.Cell.output, r, pin_settle))
-        | ( ( Cell.Flip_flop | Cell.Ram _ | Cell.Gate _ | Cell.Input _
-            | Cell.Clock_source _ | Cell.Output ),
-            _ ) ->
-            ())
-      (Partition.cells_of_block part (Ids.Block.of_int b))
-  done;
+  let frame = Ready.frame ready ~congestion:!max_rslot in
   (* ---- Chain construction from the binding constraint. ---- *)
   let net_name n = (Netlist.net nl n).Netlist.net_name in
   let cell_name c = (Netlist.cell nl c).Cell.name in
@@ -267,17 +98,17 @@ let critical_chain ?(route = Tiers.default_options) (p : Compile.prepared)
   let rec walk fuel block n v =
     if v > 0 && fuel > 0 then begin
       let t = length - v in
-      match Hashtbl.find_opt req (Ids.Block.to_int block, Ids.Net.to_int n) with
-      | Some (v', prov) when v' = v -> (
-          match prov with
-          | P_deadline { delay } ->
+      match Ready.provenance ready block n with
+      | Some (v', why) when v' = v -> (
+          match why with
+          | Ready.Deadline ->
               emit
                 (mk "sink-path" ~from_:t ~to_:length ~net:n ~block
                    (Format.asprintf
                       "combinational chain (depth %d) from net %s into a \
                        frame-end sink of %a"
-                      delay (net_name n) Ids.Block.pp block))
-          | P_link { li; dmax } ->
+                      v (net_name n) Ids.Block.pp block))
+          | Ready.Via_link { link = li; dmax } ->
               let l = links.(li) in
               if dmax > 0 then
                 emit
@@ -288,7 +119,7 @@ let critical_chain ?(route = Tiers.default_options) (p : Compile.prepared)
                         dmax (net_name n) (net_name l.Link.net) Ids.Block.pp
                         block));
               transport_hop fuel li (t + dmax)
-          | P_group { latch; gate; dmax; via_out } ->
+          | Ready.Via_group { latch; gate; dmax; out } ->
               if dmax > 0 then
                 emit
                   (mk "comb" ~from_:t ~to_:(t + dmax) ~net:n ~cell:latch
@@ -304,12 +135,12 @@ let critical_chain ?(route = Tiers.default_options) (p : Compile.prepared)
                    ~cell:latch ~block
                    (Format.asprintf "evaluation of latch %s in %a"
                       (cell_name latch) Ids.Block.pp block));
-              (match via_out with
+              (match out with
               | Some out -> walk (fuel - 1) block out (v - dmax - 1)
               | None -> ()))
       | _ ->
-          (* The replayed table disagrees (non-TIERS schedule); close the
-             chain so the span invariant still holds. *)
+          (* The pass disagrees with the schedule (a non-TIERS schedule);
+             close the chain so the span invariant still holds. *)
           emit
             (mk "comb" ~from_:t ~to_:length ~net:n ~block
                (Format.asprintf "path of net %s to the frame end" (net_name n)))
@@ -351,12 +182,10 @@ let critical_chain ?(route = Tiers.default_options) (p : Compile.prepared)
   in
   let fuel = 4 * (length + 4) in
   let start () =
-    match !binding with
-    | B_floor -> emit (mk "frame" ~from_:0 ~to_:length "minimum frame")
-    | B_transport i ->
+    match frame.Ready.binding with
+    | Ready.Floor -> emit (mk "frame" ~from_:0 ~to_:length "minimum frame")
+    | Ready.Transport { link = i; settle } ->
         let l = links.(i) in
-        let sb = Ids.Block.to_int l.Link.src_block in
-        let settle = local_settle sb l.Link.net in
         if settle > 0 then
           emit
             (mk "settle" ~from_:0 ~to_:settle ~net:l.Link.net
@@ -365,28 +194,27 @@ let critical_chain ?(route = Tiers.default_options) (p : Compile.prepared)
                   "frame-start combinational settle of net %s in %a (depth %d)"
                   (net_name l.Link.net) Ids.Block.pp l.Link.src_block settle));
         transport_hop fuel i settle
-    | B_congestion (Some (i, ch)) ->
-        let dep = length - rdep_max_of i in
-        if dep > 0 then
-          emit
-            (mk "congestion" ~from_:0 ~to_:dep ~channel:ch
-               (Format.asprintf
-                  "wire congestion: channel %d is reserved back to the \
-                   frame's first slots"
-                  ch));
-        transport_hop fuel i dep
-    | B_congestion None ->
-        emit (mk "frame" ~from_:0 ~to_:length "wire congestion (latest reserved slot)")
-    | B_sink (b, cid, n) ->
+    | Ready.Congestion -> (
+        match !max_hop with
+        | None -> emit (mk "frame" ~from_:0 ~to_:length frame.Ready.driver)
+        | Some (i, ch) ->
+            let dep = length - departure i in
+            if dep > 0 then
+              emit
+                (mk "congestion" ~from_:0 ~to_:dep ~channel:ch
+                   (Format.asprintf
+                      "wire congestion: channel %d is reserved back to the \
+                       frame's first slots"
+                      ch));
+            transport_hop fuel i dep)
+    | Ready.Sink { block; cell = cid; net = n } ->
         emit
-          (mk "settle" ~from_:0 ~to_:length ~net:n ~cell:cid
-             ~block:(Ids.Block.of_int b)
+          (mk "settle" ~from_:0 ~to_:length ~net:n ~cell:cid ~block
              (Format.asprintf
                 "frame-start combinational chain (depth %d) to frame-end \
                  sink %s in %a"
-                length (cell_name cid) Ids.Block.pp (Ids.Block.of_int b)))
-    | B_latch (b, cid, out, r, pin_settle) ->
-        let block = Ids.Block.of_int b in
+                length (cell_name cid) Ids.Block.pp block))
+    | Ready.Latch_eval { block; cell = cid; out; r; pin_settle } ->
         if pin_settle > 0 then
           emit
             (mk "settle" ~from_:0 ~to_:pin_settle ~cell:cid ~block
@@ -400,21 +228,7 @@ let critical_chain ?(route = Tiers.default_options) (p : Compile.prepared)
                 Ids.Block.pp block));
         (match out with Some o -> walk fuel block o r | None -> ())
   in
-  let driver =
-    match !binding with
-    | B_floor -> "minimum frame"
-    | B_transport i ->
-        Format.asprintf "transport chain: settle + departure of %a" Link.pp
-          links.(i)
-    | B_congestion _ -> "wire congestion (latest reserved slot)"
-    | B_sink (b, cid, _) ->
-        Format.asprintf "local combinational chain to frame-end sink %s in %a"
-          (cell_name cid) Ids.Block.pp (Ids.Block.of_int b)
-    | B_latch (b, cid, _, _, _) ->
-        Format.asprintf "latch evaluation of %s in %a" (cell_name cid)
-          Ids.Block.pp (Ids.Block.of_int b)
-  in
-  if !lmax <> length then
+  if frame.Ready.length <> length then
     {
       ch_hops =
         [ mk "frame" ~from_:0 ~to_:length sched.Schedule.length_driver ];
@@ -424,8 +238,8 @@ let critical_chain ?(route = Tiers.default_options) (p : Compile.prepared)
     }
   else begin
     start ();
-    { ch_hops = List.rev !buf; ch_length = length; ch_driver = driver;
-      ch_exact = true }
+    { ch_hops = List.rev !buf; ch_length = length;
+      ch_driver = frame.Ready.driver; ch_exact = true }
   end
 
 (* ---- Occupancy analytics. ---- *)

@@ -8,16 +8,17 @@
 
     - {b Critical chain} ({!critical_chain}): the dependency path of
       settles, transports, FORK equalizations and latch evaluations whose
-      end-to-end slot span equals [Schedule.length].  Extracted by
-      {e replaying} the TIERS requirement propagation over the scheduler's
-      own processing order ({!Msched_route.Sched_graph}), using the actual
-      departure/arrival slots of the compiled schedule and recording a
-      provenance backpointer at every requirement bump; the chain is the
-      backpointer walk from the binding length constraint to the frame
-      end.  For a TIERS-compiled schedule the replayed length equals
-      [Schedule.length] and the chain is exact ([ch_exact]); for schedules
-      this pass cannot reproduce (e.g. the forward scheduler's) it
-      degrades to a single whole-frame hop with [ch_exact = false].
+      end-to-end slot span equals [Schedule.length].  It is the
+      provenance of the ReadyTime pass TIERS runs ({!Msched_route.Ready}):
+      the pass walks the scheduler's own processing order
+      ({!Msched_route.Sched_graph}) with each link's departure taken from
+      the compiled schedule, keeps the raise behind every requirement, and
+      applies the frame-length rule; the chain is the provenance walk from
+      the binding length constraint to the frame end.  For a
+      TIERS-compiled schedule the pass's length equals [Schedule.length]
+      and the chain is exact ([ch_exact]); for schedules it cannot
+      reproduce (e.g. the forward scheduler's) it degrades to a single
+      whole-frame hop with [ch_exact = false].
 
     - {b Occupancy} ({!occupancy}): the per-slot × per-channel hop matrix
       (generalizing {!Msched_route.Schedule.channel_utilization}), hot
@@ -51,9 +52,9 @@ type chain = {
           0, each hop starts where the previous one ended, and the last
           ends at [ch_length]. *)
   ch_length : int;  (** The schedule's frame length. *)
-  ch_driver : string;  (** Replayed description of the binding constraint. *)
+  ch_driver : string;  (** The pass's description of the binding constraint. *)
   ch_exact : bool;
-      (** The replayed length equals the schedule's.  When [false] the
+      (** The pass's length equals the schedule's.  When [false] the
           chain is the single whole-frame fallback hop. *)
 }
 
@@ -63,7 +64,7 @@ val critical_chain :
   Msched_route.Schedule.t ->
   chain
 (** [route] must be the options the schedule was compiled with (only
-    [latch_ordering] influences the replay; defaults to
+    [latch_ordering] influences the pass; defaults to
     {!Msched_route.Tiers.default_options}). *)
 
 type occupancy = {

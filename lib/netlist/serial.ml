@@ -325,9 +325,15 @@ let iter_lines st f =
     ls := le + 1
   done
 
+(* The builder rejects some lines with [Invalid_argument] (a negative
+   domain id, a second clock source); name the line like any parse error. *)
+let process_line_exn st lineno =
+  try process_line st lineno
+  with Invalid_argument msg -> raise (Parse (lineno, msg))
+
 let of_string text =
   let st = create_state text in
-  match iter_lines st (process_line st) with
+  match iter_lines st (process_line_exn st) with
   | () -> (
       match Netlist.Builder.finalize st.b with
       | nl -> Ok nl
@@ -374,9 +380,10 @@ let of_string_diag text =
       | exception Invalid_argument m ->
           push (Diag.error Diag.E_MALFORMED_NET "line %d: %s" lineno m));
   if !truncated then
-    push
-      (Diag.error Diag.E_PARSE "more than %d parse errors; rest suppressed"
-         max_parse_diags);
+    rev_diags :=
+      Diag.error Diag.E_PARSE "more than %d parse errors; rest suppressed"
+        max_parse_diags
+      :: !rev_diags;
   let parse_diags = List.rev !rev_diags in
   if parse_diags <> [] then Error parse_diags
   else

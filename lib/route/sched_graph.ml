@@ -97,17 +97,6 @@ let order part la links =
           origin_nets)
       groups
   done;
-  (if Sys.getenv_opt "MSCHED_DEBUG_GRAPH" <> None then
-     let pp_node ppf v =
-       if v < nlinks then Format.fprintf ppf "L(%a)" Link.pp links.(v)
-       else Format.fprintf ppf "G(%d)" v
-     in
-     Array.iteri
-       (fun a bs ->
-         List.iter
-           (fun b2 -> Format.eprintf "EDGE %a -> %a@." pp_node a pp_node b2)
-           bs)
-       succ);
   let comps = Graph_util.sccs nnodes (fun v -> succ.(v)) in
   let warnings =
     List.filter_map

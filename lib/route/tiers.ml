@@ -164,44 +164,14 @@ let schedule placement dom_analysis ?analysis ?(options = default_options)
      links);
 
   (* ---- Processing order: links and latch groups, consumers first. ---- *)
-  let nblocks = Partition.num_blocks part in
   let order, graph_warnings =
     Sink.span obs "tiers.order" @@ fun () -> Sched_graph.order part la links
   in
   List.iter (fun w -> warn "%s" w) graph_warnings;
+  let ready = Ready.seed part la links in
 
-  (* ---- ReadyTime requirement table, reverse coordinates. ---- *)
-  let req : (int * int, int) Hashtbl.t = Hashtbl.create 4096 in
-  let req_get b n =
-    Option.value ~default:0
-      (Hashtbl.find_opt req (Ids.Block.to_int b, Ids.Net.to_int n))
-  in
-  let req_bump b n v =
-    let key = (Ids.Block.to_int b, Ids.Net.to_int n) in
-    let cur = Option.value ~default:0 (Hashtbl.find_opt req key) in
-    if v > cur then Hashtbl.replace req key v
-  in
-  (* Seed with frame-end deadlines: every origin that reaches a flip-flop
-     data pin, RAM write pin or primary output must be settled that many
-     slots before the frame end. *)
-  for b = 0 to nblocks - 1 do
-    let lab = la.(b) in
-    Ids.Net.Tbl.iter
-      (fun m info ->
-        match info.Latch_analysis.deadline_delay with
-        | Some d -> req_bump lab.Latch_analysis.block m d
-        | None -> ())
-      lab.Latch_analysis.origins
-  done;
-
-  (* ---- Process nodes. ---- *)
+  (* ---- Route each link at its ReadyTime requirement. ---- *)
   let routed = Array.make (Array.length links) None in
-  let lmax = ref 1 in
-  let lmax_reason = ref "minimum frame" in
-  let local_settle b n =
-    Option.value ~default:0
-      (Ids.Net.Tbl.find_opt la.(b).Latch_analysis.local_max_settle n)
-  in
   let unroutable_diag (l : Link.t) r_arr =
     Diag.error Diag.E_UNROUTABLE
       ~net:(Ids.Net.to_int l.Link.net)
@@ -291,11 +261,10 @@ let schedule placement dom_analysis ?analysis ?(options = default_options)
             Sink.incr obs "reroute.fresh";
             searched_transport reroute l dom r_arr)
   in
-  let debug = Sys.getenv_opt "MSCHED_DEBUG_TIERS" <> None in
-  let process_link xi =
+  (* The link's reverse departure for requirement [r_arr]: the latest of
+     its transports. *)
+  let route_link xi r_arr =
     let l = links.(xi) in
-    let r_arr = req_get l.Link.dst_block l.Link.net in
-    if debug then Format.eprintf "LINK %a r_arr=%d@." Link.pp l r_arr;
     let transports =
       match hard_paths.(xi) with
       | Some channels ->
@@ -327,73 +296,12 @@ let schedule placement dom_analysis ?analysis ?(options = default_options)
     in
     Sink.add obs "sched.transports" (List.length transports);
     Sink.observe obs "fork.fanout" (List.length transports);
-    let rdep_max =
-      List.fold_left (fun acc t -> max acc t.rt_rdep) 0 transports
-    in
     routed.(xi) <- Some { rl_link = l; rl_transports = transports };
-    (* Propagate into the source block: every origin feeding this link's
-       source terminal must be ready MaxDelay earlier (in forward time) than
-       the departure. *)
-    let sb = Ids.Block.to_int l.Link.src_block in
-    Ids.Net.Tbl.iter
-      (fun m info ->
-        List.iter
-          (fun (onet, (d : Traverse.delay)) ->
-            if Ids.Net.equal onet l.Link.net then
-              req_bump l.Link.src_block m (rdep_max + d.Traverse.dmax))
-          info.Latch_analysis.to_outputs)
-      la.(sb).Latch_analysis.origins;
-    (* Frame-start-settled sources bound the schedule length. *)
-    let need = rdep_max + local_settle sb l.Link.net in
-    if need > !lmax then begin
-      lmax := need;
-      lmax_reason :=
-        Format.asprintf "transport chain: settle + departure of %a" Link.pp l
-    end
-  in
-  let process_group b gi =
-    let lab = la.(b) in
-    let block = lab.Latch_analysis.block in
-    let g = lab.Latch_analysis.groups.(gi) in
-    let r_group =
-      List.fold_left
-        (fun acc latch ->
-          match (Netlist.cell nl latch).Cell.output with
-          | Some out -> max acc (req_get block out)
-          | None -> acc)
-        0 g.Latch_analysis.latches
-    in
-    if debug then
-      Format.eprintf "GROUP b%d g%d R=%d latches=%a@." b gi r_group
-        (Format.pp_print_list ~pp_sep:Format.pp_print_space Ids.Cell.pp)
-        g.Latch_analysis.latches;
-    (* The latch evaluation itself costs one level on top of the pin
-       delay, hence the +1 on both sides. *)
-    let bump_for_dep (dep : Latch_analysis.dep) ~gate_side =
-      (match dep.Latch_analysis.dep_pd.Latch_analysis.to_data with
-      | Some d ->
-          req_bump block dep.Latch_analysis.dep_origin
-            (r_group + d.Traverse.dmax + 1)
-      | None -> ());
-      if gate_side then
-        match dep.Latch_analysis.dep_pd.Latch_analysis.to_gate with
-        | Some d ->
-            req_bump block dep.Latch_analysis.dep_origin
-              (r_group + d.Traverse.dmax + 1)
-        | None -> ()
-    in
-    List.iter
-      (bump_for_dep ~gate_side:options.latch_ordering)
-      g.Latch_analysis.input_deps;
-    List.iter (bump_for_dep ~gate_side:true) g.Latch_analysis.local_deps
+    List.fold_left (fun acc t -> max acc t.rt_rdep) 0 transports
   in
   (Sink.span obs "tiers.reverse-pass" @@ fun () ->
-   List.iter
-     (fun node ->
-       match node with
-       | Sched_graph.Lnk i -> process_link i
-       | Sched_graph.Grp (b, gi) -> process_group b gi)
-     order);
+   Ready.propagate ready ~latch_ordering:options.latch_ordering
+     ~depart:route_link order);
 
   (* Deferred unroutability: with a reroute context the whole residue was
      collected above; the attempt still fails, but the ledger now holds
@@ -410,82 +318,10 @@ let schedule placement dom_analysis ?analysis ?(options = default_options)
           raise (Unroutable d)));
 
   (* ---- Schedule length. ---- *)
-  let length = ref !lmax in
-  let length_driver = ref !lmax_reason in
-  let bump_len need reason =
-    if need > !length then begin
-      length := need;
-      length_driver := reason ()
-    end
+  let congestion = Resource.max_rslot res in
+  let { Ready.length; driver = length_driver; _ } =
+    Sink.span obs "tiers.length" @@ fun () -> Ready.frame ready ~congestion
   in
-  bump_len (Resource.max_rslot res) (fun () ->
-      "wire congestion (latest reserved slot)");
-  (Sink.span obs "tiers.length" @@ fun () ->
-   for b = 0 to nblocks - 1 do
-    let lab = la.(b) in
-    let block = lab.Latch_analysis.block in
-    List.iter
-      (fun cid ->
-        let c = Netlist.cell nl cid in
-        let settle n = local_settle b n in
-        let deadline_nets =
-          match c.Cell.kind, c.Cell.trigger with
-          | Cell.Flip_flop, Some (Cell.Dom_clock _) -> [ c.Cell.data_inputs.(0) ]
-          | Cell.Ram { addr_bits }, _ ->
-              List.init (2 + addr_bits) (fun i -> c.Cell.data_inputs.(i))
-          | Cell.Output, _ -> [ c.Cell.data_inputs.(0) ]
-          | (Cell.Flip_flop | Cell.Gate _ | Cell.Latch _ | Cell.Input _
-            | Cell.Clock_source _), _ ->
-              []
-        in
-        List.iter
-          (fun n ->
-            bump_len (settle n) (fun () ->
-                Format.asprintf
-                  "local combinational chain to frame-end sink %s in %a"
-                  c.Cell.name Ids.Block.pp (Ids.Block.of_int b)))
-          deadline_nets;
-        (* Latches, net-triggered flip-flops and net-triggered RAM write
-           ports: local pin settle plus the reverse-time output requirement
-           must fit in the frame. *)
-        match c.Cell.kind, c.Cell.trigger with
-        | Cell.Latch _, _
-        | (Cell.Flip_flop | Cell.Ram _), Some (Cell.Net_trigger _) ->
-            let r =
-              match c.Cell.output with
-              | Some out -> req_get block out
-              | None -> 0
-            in
-            let pin_settle =
-              let data =
-                match c.Cell.kind with
-                | Cell.Ram { addr_bits } ->
-                    let m = ref 0 in
-                    for i = 0 to (2 + addr_bits) - 1 do
-                      m := max !m (settle c.Cell.data_inputs.(i))
-                    done;
-                    !m
-                | Cell.Latch _ | Cell.Flip_flop | Cell.Gate _ | Cell.Input _
-                | Cell.Clock_source _ | Cell.Output ->
-                    settle c.Cell.data_inputs.(0)
-              in
-              let gate =
-                match c.Cell.trigger with
-                | Some (Cell.Net_trigger tn) -> settle tn
-                | Some (Cell.Dom_clock _) | None -> 0
-              in
-              max data gate
-            in
-            bump_len (r + pin_settle + 1) (fun () ->
-                Format.asprintf "latch evaluation of %s in %a" c.Cell.name
-                  Ids.Block.pp (Ids.Block.of_int b))
-        | (Cell.Flip_flop | Cell.Ram _ | Cell.Gate _ | Cell.Input _
-          | Cell.Clock_source _ | Cell.Output), _ ->
-            ())
-      (Partition.cells_of_block part (Ids.Block.of_int b))
-   done);
-  let length_driver = !length_driver in
-  let length = !length in
   let fwd r = length - r in
 
   (* ---- Forward-time link schedules. ---- *)

@@ -62,9 +62,11 @@ val schedule :
     stage spans ([tiers.*]) plus scheduler/pathfinder/channel metrics (see
     [docs/OBSERVABILITY.md]).
 
-    The reverse pass is one sequential walk over the dependency order:
-    each link is routed against the live reservation table and its
-    ReadyTime requirements propagate before the next node is taken.
+    The reverse pass is one sequential walk over the dependency order
+    ({!Ready.propagate}): each link is routed against the live
+    reservation table at its ReadyTime requirement, and its requirements
+    propagate before the next node is taken; {!Ready.frame} then sets the
+    frame length and [length_driver].
 
     With a [reroute] context the attempt runs {e warm}: transports whose
     requirement slot is unchanged since the last attempt are replayed from

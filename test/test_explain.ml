@@ -1,14 +1,16 @@
-(* Schedule explainability (ISSUE 7 tentpole suite).
+(* Schedule explainability.
 
-   The critical-chain extractor replays the TIERS requirement propagation
-   with provenance backpointers; its contract is sharp enough to test
-   structurally:
+   The critical chain is the provenance walk of the ReadyTime pass TIERS
+   runs, fed the compiled schedule's departures; its contract is sharp
+   enough to test structurally:
 
    - the chain is {e exact} for every TIERS-compiled schedule: the replayed
      length equals [Schedule.length], the first hop starts at slot 0, the
      last ends at [length], and every hop starts where the previous ended
      (dependency contiguity) — across seeded workload families, both
-     routing modes, and random multi-domain designs (qcheck);
+     routing modes, random multi-domain designs (qcheck), and schedules
+     the hard fallback rescued, which mix dedicated-wire and virtual
+     links;
    - explain output is byte-deterministic: two independent compiles of the
      same seeded design render identical [msched-explain-1] documents;
    - the occupancy matrix column peaks agree with the schedule's own
@@ -33,7 +35,7 @@ let compile ?(weight = 48) ?(route = Tiers.default_options) nl =
 let check_chain label route prepared sched =
   let chain = Explain.critical_chain ~route prepared sched in
   Alcotest.(check bool)
-    (label ^ ": chain is exact (replayed length = schedule length)")
+    (label ^ ": chain is exact (pass length = schedule length)")
     true chain.Explain.ch_exact;
   Alcotest.(check int)
     (label ^ ": chain length") sched.Schedule.length chain.Explain.ch_length;
@@ -112,6 +114,53 @@ let prop_random_chains_exact =
            (Some 0) chain.Explain.ch_hops
          = Some sched.Schedule.length)
 
+(* Congested random designs (30 modules, weight 32, 24 pins, no slack, no
+   retries) that only the hard fallback rescues: per net
+   ([fallback-hard]) or for the whole schedule ([fallback-hard-all]).
+   Either way the schedule mixes dedicated-wire and virtual links, and the
+   chain must still be exact. *)
+let fallback_chains_exact () =
+  let options =
+    {
+      Msched.Compile.default_options with
+      Msched.Compile.max_block_weight = 32;
+      pins_per_fpga = 24;
+      route = { Tiers.default_options with Tiers.max_extra_slots = 0 };
+    }
+  in
+  List.iter
+    (fun seed ->
+      let label = Printf.sprintf "seed %d" seed in
+      let nl =
+        (Design_gen.random_multidomain ~seed ~domains:3 ~modules:30
+           ~mts_fraction:0.25 ())
+          .Design_gen.netlist
+      in
+      let r =
+        Msched.Compile.compile_resilient ~options ~max_retries:0
+          ~fallback_hard:true nl
+      in
+      match r.Msched.Compile.compiled with
+      | None -> Alcotest.failf "%s: the fallback did not compile" label
+      | Some c ->
+          let sched = c.Msched.Compile.schedule in
+          let hard ls =
+            List.exists (fun tr -> tr.Schedule.tr_hard) ls.Schedule.ls_transports
+          in
+          let links = sched.Schedule.link_scheds in
+          Alcotest.(check bool)
+            (label ^ ": hard and virtual links mix")
+            true
+            (List.exists hard links && not (List.for_all hard links));
+          let mode =
+            Option.get r.Msched.Compile.degradation.Msched.Compile.achieved_mode
+          in
+          ignore
+            (check_chain label
+               { options.Msched.Compile.route with Tiers.mode }
+               c.Msched.Compile.prepared sched))
+    [ 500; 503; 507; 508; 514; 518; 529; 541; 554; 557 ]
+
 let deterministic_json () =
   let analyze () =
     let nl = (Design_gen.design1_like ~scale:0.05 ()).Design_gen.netlist in
@@ -189,6 +238,8 @@ let suite =
     Alcotest.test_case "seeded families: chains exact in both modes" `Slow
       seeded_families;
     QCheck_alcotest.to_alcotest prop_random_chains_exact;
+    Alcotest.test_case "hard-fallback chains are exact" `Quick
+      fallback_chains_exact;
     Alcotest.test_case "explain JSON is byte-deterministic" `Quick
       deterministic_json;
     Alcotest.test_case "occupancy matrix matches peak accounting" `Quick

@@ -11,7 +11,13 @@
    Grid: the 24 cold_compile designs of seed 1 (weight 64, 96 pins, no
    retries), the six serve_mix generator families (weight 32, 24 pins,
    max-extra 0, two retries with hard fallback), the injection suite's
-   design, and fig3 at weight 4. *)
+   design, and fig3 at weight 4.
+
+   The explain pins hash the msched-explain-1 document of every grid
+   point in virtual and in hard mode, recorded from the explainer that
+   replayed the ReadyTime propagation with a requirement table of its
+   own: the critical chain, its driver and the occupancy tables must
+   come out the same when the chain is read from the scheduler's pass. *)
 
 open Msched_netlist
 module Compile = Msched.Compile
@@ -23,6 +29,8 @@ module Verify = Msched_check.Verify
 module Design_gen = Msched_gen.Design_gen
 module System = Msched_arch.System
 module Json = Msched_diag.Diag.Json
+module Explain = Msched_explain.Explain
+module Sink = Msched_obs.Sink
 
 type setting = {
   weight : int;
@@ -407,9 +415,117 @@ let test_verify_report_pin () =
 let test_schedule_pins () =
   check_pin "schedule" (fun (_, _, s) (_, _, s') -> (s, s'))
 
+(* ---- Explain pins ---- *)
+
+(* The grid point compiled as [run_point] does, with routing mode [mode];
+   the report is analyzed under the mode the driver achieved, so a
+   whole-schedule hard fallback reads as hard. *)
+let explain_hash (spec, s) mode =
+  let options = options_of s in
+  let options =
+    { options with Compile.route = { options.Compile.route with Tiers.mode } }
+  in
+  let r =
+    Compile.compile_resilient ~options ~max_retries:s.retries
+      ~fallback_hard:s.fallback ~reroute:(Reroute.create ()) (netlist_of spec)
+  in
+  match r.Compile.compiled with
+  | None -> "unroutable"
+  | Some c ->
+      let achieved =
+        Option.value ~default:mode r.Compile.degradation.Compile.achieved_mode
+      in
+      let route = { options.Compile.route with Tiers.mode = achieved } in
+      Json.hash_hex
+        (Explain.to_json
+           (Explain.analyze ~route ~obs:Sink.null ~design:spec
+              c.Compile.prepared c.Compile.schedule))
+
+(* (spec, virtual-mode hash, hard-mode hash), in grid order *)
+let explain_pins =
+  [
+    ( "design1:scale=0.05,seed=1",
+      "6d920f8b93262b5c", "09cb1468382acc40" );
+    ( "design1:scale=0.05,seed=2",
+      "04fa814f013f5e3d", "0e1c96159a789365" );
+    ( "design2:scale=0.05,seed=1",
+      "21d7b14e95ff442d", "8b70296c99052152" );
+    ( "design1:scale=0.05,seed=3",
+      "b91e738b0998361e", "0b212a867401ed60" );
+    ( "design1:scale=0.05,seed=4",
+      "43a5a641764cbcbd", "2c86f77f6ce505a3" );
+    ( "design2:scale=0.05,seed=2",
+      "ff14c81208c1ef17", "ced0a78b9edaec4f" );
+    ( "design1:scale=0.05,seed=5",
+      "34e440257fcadd74", "49886bbe3eab0a70" );
+    ( "design1:scale=0.05,seed=6",
+      "0523d3a678124c63", "35d2ecd1bc4829a2" );
+    ( "design2:scale=0.05,seed=3",
+      "ac9e5785102dd557", "0099886f7bcb88fc" );
+    ( "design1:scale=0.05,seed=7",
+      "6da581258e9b191c", "bfce72e66014e254" );
+    ( "design1:scale=0.05,seed=8",
+      "71e01e8fefd62aa4", "24dcc56faab741df" );
+    ( "design2:scale=0.05,seed=4",
+      "98bb583dfbf3bc7b", "15802f4620438bf6" );
+    ( "design1:scale=0.05,seed=9",
+      "74c72f5477d2573e", "bb394cf8519ae08c" );
+    ( "design1:scale=0.05,seed=10",
+      "73b50aaced671042", "dadc1b62dc5570d0" );
+    ( "design2:scale=0.05,seed=5",
+      "fc677cb9ffbe1c25", "3c510dc1b17bedda" );
+    ( "design1:scale=0.05,seed=11",
+      "a55f85fca5710dbd", "058d54ac045d1a9a" );
+    ( "design1:scale=0.05,seed=12",
+      "5136ebb96f1c7255", "44262631aeb8804b" );
+    ( "design2:scale=0.05,seed=6",
+      "2ae9716e29e607c5", "12f28a3c448ed93f" );
+    ( "design1:scale=0.05,seed=13",
+      "238007ede17e420d", "c3ced376d46f02d7" );
+    ( "design1:scale=0.05,seed=14",
+      "1c86a48d52761421", "ad4ae785be457484" );
+    ( "design2:scale=0.05,seed=7",
+      "67ca7d8f525f5d25", "99ad1e64769c5960" );
+    ( "design1:scale=0.05,seed=15",
+      "c7407b70529ee487", "5f6109c0f9e61a8f" );
+    ( "design1:scale=0.05,seed=16",
+      "5b910c7e2a08bc8e", "46c86eda8fd9d82e" );
+    ( "design2:scale=0.05,seed=8",
+      "f136ac742e841ecd", "2ac96a13d893a6d5" );
+    ( "random:domains=3,modules=10,mts=0.20,seed=11",
+      "3e11d50b7a4f44e0", "ee15d0ef4d4d3a26" );
+    ( "gals:islands=4,size=3,seed=12",
+      "0411ecafabb0ca16", "7c1286ef99623e38" );
+    ( "dense:domains=8,density=0.20,seed=13",
+      "cb74fca3c2d22485", "457ea7b67d9bbc61" );
+    ( "fabric:banks=4,domains=3,seed=14",
+      "48377783e83e43b7", "1817916dd54018c3" );
+    ( "design1:scale=0.02,seed=15",
+      "22909a6714ea5389", "a176984c34f2ff98" );
+    ( "design2:scale=0.02,seed=16",
+      "313268f4fa9fbdc8", "f61d40c2e8103b27" );
+    ( "random:domains=3,modules=30,mts=0.30,seed=76",
+      "2f5af9f0c30dfe77", "8007250fd1a7417b" );
+    ( "fig3",
+      "9dd7f124511fdf4e", "d1c62afe0f8a4415" );
+  ]
+
+let test_explain_pins () =
+  Alcotest.(check int) "grid size" (List.length grid)
+    (List.length explain_pins);
+  List.iter2
+    (fun ((spec, _) as point) (spec', virt, hard) ->
+      Alcotest.(check string) "grid order" spec spec';
+      Alcotest.(check string) (spec ^ ": virtual explain") virt
+        (explain_hash point Tiers.Mts_virtual);
+      Alcotest.(check string) (spec ^ ": hard explain") hard
+        (explain_hash point Tiers.Mts_hard))
+    grid explain_pins
+
 let suite =
   [
     Alcotest.test_case "latch-analysis pin" `Quick test_latch_analysis_pin;
     Alcotest.test_case "verify-report pin" `Quick test_verify_report_pin;
     Alcotest.test_case "schedule pins" `Quick test_schedule_pins;
+    Alcotest.test_case "explain pins" `Quick test_explain_pins;
   ]

@@ -7,7 +7,12 @@
    texts: dropped and duplicated tokens and lines, non-integer and
    negative ids, tabs, CRLF line ends, comments, blank lines, unknown
    directives and swapped lines, plus a few hand-written edge texts.  No
-   case holds a [design] line past the first line.
+   case holds a [design] line past the first line.  Two fixes re-recorded
+   nine lines since: a text with more than 100 bad lines now ends on the
+   "rest suppressed" notice (edge/hundred-errors, edge/cascade), and
+   [Serial.of_string] names the line of a builder failure (the seven
+   lines whose error is "d id must be non-negative" or
+   "add_clock_source_to: ...").
 
    A case renders as one line:
    - [ok <hash>]: the FNV-1a hash of the accepted netlist's canonical
@@ -269,17 +274,17 @@ edge/mid-tab err 1 ad83d011e86cb6d3 E_PARSE line 3: unknown directive net\t0 | l
 edge/cr-mid err 3 86840f66851c6aee E_PARSE line 3: unknown directive net | line 3: unknown directive net
 edge/sparse-ids ok 45c325e75a876c22
 edge/net-redefined err 1 4f48578e762e0833 E_UNDRIVEN net n0 has no driver | validation: net n0 has no driver
-edge/negative-domain err 2 67568847ce7dcf52 E_MALFORMED_NET line 4: d id must be non-negative | d id must be non-negative
+edge/negative-domain err 2 67568847ce7dcf52 E_MALFORMED_NET line 4: d id must be non-negative | line 4: d id must be non-negative
 edge/bad-domain err 2 71a15a0d051134c1 E_UNKNOWN_DOMAIN unknown domain d4 | validation: unknown domain d4
-edge/clocksource-twice err 1 4fc53c8e36737616 E_MALFORMED_NET line 6: add_clock_source_to: domain already has a clock source | add_clock_source_to: domain already has a clock source
+edge/clocksource-twice err 1 4fc53c8e36737616 E_MALFORMED_NET line 6: add_clock_source_to: domain already has a clock source | line 6: add_clock_source_to: domain already has a clock source
 edge/ram-pins err 3 113fecb21fea5e63 E_MALFORMED_NET net n0 driven by both c0 and c1 | validation: net n0 driven by both c0 and c1
 edge/arity err 1 21dc3efa1c50f7f0 E_MALFORMED_NET net n1 driven by both c1 and c2 | validation: net n1 driven by both c1 and c2
 edge/undriven err 3 63705b330e1eaa15 E_UNDRIVEN net n0 has no driver | validation: net n0 has no driver
-edge/hundred-errors err 100 cad9be22ce98fc04 E_PARSE line 1: unknown directive bogus | line 1: unknown directive bogus
-edge/cascade err 100 ed4172bba4b1f9df E_PARSE line 3: unknown net 1 | line 3: unknown net 1
+edge/hundred-errors err 101 8e832977dadcc941 E_PARSE line 1: unknown directive bogus | line 1: unknown directive bogus
+edge/cascade err 101 f455a76a637f2cd6 E_PARSE line 3: unknown net 1 | line 3: unknown net 1
 mut/000 ok 3ef5d7c7d0d3026c
 mut/001 err 1 99934d71847bce01 E_PARSE line 2: unknown net 0 | line 2: unknown net 0
-mut/002 err 2 1d5a68fe03dd8fa9 E_MALFORMED_NET line 31: d id must be non-negative | d id must be non-negative
+mut/002 err 2 1d5a68fe03dd8fa9 E_MALFORMED_NET line 31: d id must be non-negative | line 31: d id must be non-negative
 mut/003 err 1 54db5199bfcf195c E_PARSE line 99: unknown net -44 | line 99: unknown net -44
 mut/004 err 4 f22705e7227e0f02 E_PARSE line 6: expected integer, got \"99999999999999999999\" | line 6: expected integer, got \"99999999999999999999\"
 mut/005 err 3 1aae83e90ead6637 E_MALFORMED_NET net n24 driven by both c25 and c26 | validation: net n24 driven by both c25 and c26
@@ -373,7 +378,7 @@ mut/092 err 2 5d47216105cf8c87 E_PARSE line 23: unknown net 7 | line 23: unknown
 mut/093 err 1 a928ed543a7bd422 E_PARSE line 59: expected integer, got \"3a\" | line 59: expected integer, got \"3a\"
 mut/094 err 1 bfb730580f001c61 E_PARSE line 86: unknown directive gate\tnor | line 86: unknown directive gate\tnor
 mut/095 err 3 092df5bc65bac0ff E_PARSE line 14: unknown directive net | line 14: unknown directive net
-mut/096 err 1 ab8e8ece8f17816f E_MALFORMED_NET line 90: d id must be non-negative | d id must be non-negative
+mut/096 err 1 ab8e8ece8f17816f E_MALFORMED_NET line 90: d id must be non-negative | line 90: d id must be non-negative
 mut/097 err 3 b949a2811ae72a89 E_PARSE line 71: unknown net 23 | line 71: unknown net 23
 mut/098 err 1 7acdc2764fe72930 E_PARSE line 21: unknown directive gate\tand | line 21: unknown directive gate\tand
 mut/099 ok 8422783c82ca38e6
@@ -423,12 +428,12 @@ mut/142 err 1 ae25ff2c29651570 E_PARSE line 36: unknown directive ff | line 36: 
 mut/143 err 2 4590a2450dc03c6c E_PARSE line 83: unknown net 29 | line 83: unknown net 29
 mut/144 err 9 25aac9669153036d E_PARSE line 13: unknown directive net | line 13: unknown directive net
 mut/145 err 5 feb8e3df726f36fc E_PARSE line 28: unknown net 62 | line 28: unknown net 62
-mut/146 err 1 ab8e8ece8f17816f E_MALFORMED_NET line 90: d id must be non-negative | d id must be non-negative
+mut/146 err 1 ab8e8ece8f17816f E_MALFORMED_NET line 90: d id must be non-negative | line 90: d id must be non-negative
 mut/147 err 1 0a98574cc818981d E_UNDRIVEN net n7 has no driver | validation: net n7 has no driver
 mut/148 err 1 9a9cccc9bf6ca5b6 E_PARSE line 23: unknown directive gate\tand | line 23: unknown directive gate\tand
 mut/149 err 1 9c3293f7616fa01f E_PARSE line 48: unknown directive ff | line 48: unknown directive ff
 mut/150 err 1 3b72b760dbc5d053 E_PARSE line 27: expected integer, got \"x\" | line 27: expected integer, got \"x\"
-mut/151 err 2 4485d915964dc6cd E_MALFORMED_NET line 43: d id must be non-negative | d id must be non-negative
+mut/151 err 2 4485d915964dc6cd E_MALFORMED_NET line 43: d id must be non-negative | line 43: d id must be non-negative
 mut/152 err 1 c976d994fe70677f E_PARSE line 83: unknown net 16 | line 83: unknown net 16
 mut/153 err 4 243605d91a8a9d5e E_PARSE line 44: unknown directive net | line 44: unknown directive net
 mut/154 err 2 d9e90ec8f1c7ec09 E_PARSE line 22: unknown net 7 | line 22: unknown net 7
@@ -459,7 +464,7 @@ mut/178 err 5 2939e9be71cd9b99 E_PARSE line 48: unknown directive net | line 48:
 mut/179 err 1 08ccbc33f3cb6fd1 E_UNDRIVEN net n25 has no driver | validation: net n25 has no driver
 mut/180 err 3 11b3a087e53847e1 E_PARSE line 42: unknown directive 38 | line 42: unknown directive 38
 mut/181 err 1 62ab67e098779781 E_UNDRIVEN net n19 has no driver | validation: net n19 has no driver
-mut/182 err 3 80f111ebe3a2c8b5 E_MALFORMED_NET line 16: d id must be non-negative | d id must be non-negative
+mut/182 err 3 80f111ebe3a2c8b5 E_MALFORMED_NET line 16: d id must be non-negative | line 16: d id must be non-negative
 mut/183 err 1 303a869ebcd4cb4e E_PARSE line 28: unknown directive output | line 28: unknown directive output
 mut/184 err 2 d8fa833d9aa003ae E_PARSE line 43: unknown net -1 | line 43: unknown net -1
 mut/185 err 3 1fa0bba9ed2aaa98 E_PARSE line 50: unknown directive net | line 50: unknown directive net

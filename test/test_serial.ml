@@ -154,6 +154,47 @@ let test_design_line_resets_net_ids () =
         (Result.map ignore (Serial.of_string text)))
     cases
 
+(* Past 100 diagnostics the reader stops collecting, and says so last. *)
+let test_suppressed_notice () =
+  let text =
+    String.concat "\n" (List.init 150 (fun i -> Printf.sprintf "bogus %d" i))
+  in
+  match Serial.of_string_diag text with
+  | Ok _ -> Alcotest.fail "expected E_PARSE"
+  | Error ds ->
+      Alcotest.(check int) "100 line diagnostics, then the notice" 101
+        (List.length ds);
+      let last = List.nth ds 100 in
+      Alcotest.(check string) "notice code" "E_PARSE"
+        (Msched_diag.Diag.code_name last.Msched_diag.Diag.code);
+      Alcotest.(check string) "notice"
+        "more than 100 parse errors; rest suppressed"
+        last.Msched_diag.Diag.message
+
+(* A line the netlist builder rejects is named in every reader's error. *)
+let test_builder_failures_name_the_line () =
+  List.iter
+    (fun (text, expected) ->
+      Alcotest.(check (result reject string)) "of_string" (Error expected)
+        (Result.map ignore (Serial.of_string text));
+      Alcotest.(check (result reject string)) "canonical" (Error expected)
+        (Result.map ignore (Serial.canonical text));
+      (match Serial.of_string_exn text with
+      | _ -> Alcotest.fail "of_string_exn accepted a bad line"
+      | exception Failure m -> Alcotest.(check string) "of_string_exn" expected m);
+      match Serial.of_string_diag text with
+      | Ok _ -> Alcotest.fail "of_string_diag accepted a bad line"
+      | Error ds ->
+          Alcotest.(check string) "of_string_diag" expected
+            (List.hd ds).Msched_diag.Diag.message)
+    [
+      ( "design t\ndomain c\nnet 0 a\ninput a 0 domain -1\noutput o 0\n",
+        "line 4: d id must be non-negative" );
+      ( "design t\ndomain c\nnet 0 a\nnet 1 b\nclocksource 0 0\n\
+         clocksource 0 1\n",
+        "line 6: add_clock_source_to: domain already has a clock source" );
+    ]
+
 let suite =
   [
     Alcotest.test_case "roundtrip fig designs" `Quick test_roundtrip_fig_designs;
@@ -163,6 +204,10 @@ let suite =
     Alcotest.test_case "comments and blank lines" `Quick test_comments_and_blank_lines;
     Alcotest.test_case "a design line resets net ids" `Quick
       test_design_line_resets_net_ids;
+    Alcotest.test_case "more than 100 errors ends on the notice" `Quick
+      test_suppressed_notice;
+    Alcotest.test_case "builder failures name the line" `Quick
+      test_builder_failures_name_the_line;
     QCheck_alcotest.to_alcotest prop_roundtrip_random;
     Alcotest.test_case "dot structure" `Quick test_dot_contains_structure;
     Alcotest.test_case "dot clusters" `Quick test_dot_clusters;
