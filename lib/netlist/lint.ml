@@ -43,11 +43,17 @@ let check nl =
   Netlist.iter_nets nl (fun n ni ->
       if Array.length ni.Netlist.fanouts = 0 then
         push
-          (Diag.warning Diag.E_DANGLING ~net:(Ids.Net.to_int n)
+          (Diag.make ~net:(Ids.Net.to_int n)
              ~cell:(Ids.Cell.to_int ni.Netlist.driver)
-             ~culprit:ni.Netlist.net_name "net %s (driven by %s) has no consumer"
-             ni.Netlist.net_name
-             (Netlist.cell nl ni.Netlist.driver).Cell.name));
+             ~culprit:ni.Netlist.net_name Diag.Warning Diag.E_DANGLING
+             (String.concat ""
+                [
+                  "net ";
+                  ni.Netlist.net_name;
+                  " (driven by ";
+                  (Netlist.cell nl ni.Netlist.driver).Cell.name;
+                  ") has no consumer";
+                ])));
   (* Combinational cycles. *)
   (match Levelize.compute nl with
   | Ok _ -> ()
@@ -92,35 +98,74 @@ let check nl =
      sampling-domain set of each net is the backward closure over
      combinational logic of the [Dom_clock] triggers of its sequential
      readers; more than [xdomain_fanin_limit] domains draws a warning. *)
-  let module IntSet = Set.Make (Int) in
-  let sampled : (int, IntSet.t) Hashtbl.t = Hashtbl.create 97 in
-  let get n = Option.value ~default:IntSet.empty (Hashtbl.find_opt sampled n) in
-  let work = Queue.create () in
-  let add_domain net d =
-    let n = Ids.Net.to_int net in
-    let s = get n in
-    if not (IntSet.mem d s) then (
-      Hashtbl.replace sampled n (IntSet.add d s);
-      Queue.push net work)
+  (* Each net's sampling-domain set is a bitset of [words] ints at
+     [sampled.(n * words)], 63 domains to a word.  A net whose set grows
+     joins a FIFO of net ids unless it is already queued; popping it ORs
+     its set into the data inputs of its combinational driver.  Every
+     order reaches the same least fixpoint, so only the counts matter. *)
+  let nnets = Netlist.num_nets nl in
+  let words = max 1 ((Netlist.num_domains nl + 62) / 63) in
+  let sampled = Array.make (nnets * words) 0 in
+  let queued = Array.make nnets false in
+  let queue = Array.make (max 1 nnets) 0 in
+  let head = ref 0 and len = ref 0 in
+  let enqueue n =
+    if not queued.(n) then begin
+      queued.(n) <- true;
+      queue.((!head + !len) mod nnets) <- n;
+      incr len
+    end
   in
   Netlist.iter_cells nl (fun c ->
       match c.Cell.trigger with
       | Some (Cell.Dom_clock d) ->
+          let d = Ids.Dom.to_int d in
+          let w = d / 63 and bit = 1 lsl (d mod 63) in
           Array.iter
-            (fun n -> add_domain n (Ids.Dom.to_int d))
+            (fun net ->
+              let n = Ids.Net.to_int net in
+              let i = (n * words) + w in
+              if sampled.(i) land bit = 0 then begin
+                sampled.(i) <- sampled.(i) lor bit;
+                enqueue n
+              end)
             c.Cell.data_inputs
       | Some (Cell.Net_trigger _) | None -> ());
-  while not (Queue.is_empty work) do
-    let n = Queue.pop work in
-    let drv = Netlist.driver nl n in
+  while !len > 0 do
+    let n = queue.(!head) in
+    head := (!head + 1) mod nnets;
+    decr len;
+    queued.(n) <- false;
+    let drv = Netlist.driver nl (Ids.Net.of_int n) in
     if Cell.is_combinational drv then
-      let s = get (Ids.Net.to_int n) in
       Array.iter
-        (fun m -> IntSet.iter (fun d -> add_domain m d) s)
+        (fun net ->
+          let m = Ids.Net.to_int net in
+          let grew = ref false in
+          for w = 0 to words - 1 do
+            let src = sampled.((n * words) + w) and i = (m * words) + w in
+            let merged = sampled.(i) lor src in
+            if merged <> sampled.(i) then begin
+              sampled.(i) <- merged;
+              grew := true
+            end
+          done;
+          if !grew then enqueue m)
         drv.Cell.data_inputs
   done;
+  let popcount x =
+    let rec go x k = if x = 0 then k else go (x land (x - 1)) (k + 1) in
+    go x 0
+  in
+  let domains_of n =
+    let k = ref 0 in
+    for w = 0 to words - 1 do
+      k := !k + popcount sampled.((n * words) + w)
+    done;
+    !k
+  in
   Netlist.iter_nets nl (fun n ni ->
-      let k = IntSet.cardinal (get (Ids.Net.to_int n)) in
+      let k = domains_of (Ids.Net.to_int n) in
       if k > xdomain_fanin_limit then
         push
           (Diag.warning Diag.E_XDOMAIN_FANIN ~net:(Ids.Net.to_int n)

@@ -1,8 +1,9 @@
 (** Partitioning a netlist into FPGA-sized blocks.
 
     One block maps to one FPGA (the VirtuaLogic flow).  The partitioner is a
-    seeded BFS clustering pass followed by Fiduccia–Mattheyses-style boundary
-    refinement; it is deterministic for a fixed seed.
+    seeded BFS clustering pass, a greedy merge of under-filled blocks and
+    Fiduccia–Mattheyses-style boundary refinement, all run on a flat cell
+    graph built once per {!make}; it is deterministic for a fixed seed.
 
     A net {e crosses} the partition when some consumer terminal lives in a
     different block than the net's driver.  Root-clock trigger connections
@@ -49,7 +50,12 @@ val output_nets : t -> Ids.Block.t -> Ids.Net.t list
 
 val foreign_consumers : t -> Ids.Net.t -> (Ids.Block.t * Netlist.term list) list
 (** Non-global consumer terminals of a net grouped by foreign block
-    (excluding the driver's own block). *)
+    (excluding the driver's own block): blocks in ascending order, each
+    block's terminals in fanout order; [[]] for a net that does not cross.
+    The lists are computed for every net at once, on the first call to
+    this function or to {!crossing_nets}, {!input_nets} or
+    {!output_nets}, and stored with the partition; later calls return the
+    stored list without regrouping. *)
 
 val cut_size : t -> int
 (** Number of (crossing net, foreign block) pairs — the route-link count

@@ -21,33 +21,14 @@ let block_of_fpga t f =
 
 let fpga_of_cell t c = fpga_of_block t (Partition.block_of_cell t.partition c)
 
-(* Inter-block connection multiset: (a, b, weight) with a < b. *)
-let connections part =
-  let tbl = Hashtbl.create 256 in
-  let bump a b w =
-    let key = if a < b then (a, b) else (b, a) in
-    if a <> b then
-      Hashtbl.replace tbl key (w + Option.value ~default:0 (Hashtbl.find_opt tbl key))
-  in
-  let nl = Partition.netlist part in
-  List.iter
-    (fun net ->
-      let src =
-        Ids.Block.to_int (Partition.block_of_cell part (Netlist.driver nl net).Cell.id)
-      in
-      List.iter
-        (fun (b, terms) ->
-          bump src (Ids.Block.to_int b) (List.length terms))
-        (Partition.foreign_consumers part net))
-    (Partition.crossing_nets part);
-  Hashtbl.fold (fun (a, b) w acc -> (a, b, w) :: acc) tbl []
-  |> List.sort compare
-
 (* The placer's flat state: the connection graph in CSR form (block [b]'s
    neighbours are [adj_nbr.(i)], with weight [adj_w.(i)], for [i] from
    [adj_off.(b)] to [adj_off.(b + 1) - 1]) and the hop distance between
    FPGAs [f] and [g] at [dist.((f * nf) + g)], read from
-   [Topology.distance] once. *)
+   [Topology.distance] once.  A connection's weight is the number of
+   foreign consumer terminals between its two blocks, summed over the
+   crossing nets in both directions; each block lists its neighbours in
+   ascending order. *)
 type graph = {
   nf : int;
   adj_off : int array;
@@ -59,29 +40,44 @@ type graph = {
 let graph part sys =
   let nb = Partition.num_blocks part in
   let nf = System.num_fpgas sys in
-  let conns = connections part in
-  let adj_off = Array.make (nb + 1) 0 in
+  let nl = Partition.netlist part in
+  (* Connection weights, dense by block pair like [dist]; every foreign
+     block has at least one terminal, so a pair is connected iff its
+     weight is positive. *)
+  let w = Array.make (nb * nb) 0 in
   List.iter
-    (fun (a, b, _) ->
-      adj_off.(a + 1) <- adj_off.(a + 1) + 1;
-      adj_off.(b + 1) <- adj_off.(b + 1) + 1)
-    conns;
-  for b = 0 to nb - 1 do
-    adj_off.(b + 1) <- adj_off.(b + 1) + adj_off.(b)
+    (fun net ->
+      let a =
+        Ids.Block.to_int (Partition.block_of_cell part (Netlist.driver nl net).Cell.id)
+      in
+      List.iter
+        (fun (b, terms) ->
+          let b = Ids.Block.to_int b and k = List.length terms in
+          w.((a * nb) + b) <- w.((a * nb) + b) + k;
+          w.((b * nb) + a) <- w.((b * nb) + a) + k)
+        (Partition.foreign_consumers part net))
+    (Partition.crossing_nets part);
+  let adj_off = Array.make (nb + 1) 0 in
+  for a = 0 to nb - 1 do
+    let d = ref 0 in
+    for b = 0 to nb - 1 do
+      if w.((a * nb) + b) > 0 then incr d
+    done;
+    adj_off.(a + 1) <- adj_off.(a) + !d
   done;
-  let next = Array.sub adj_off 0 nb in
   let adj_nbr = Array.make adj_off.(nb) 0 in
   let adj_w = Array.make adj_off.(nb) 0 in
-  let add a b w =
-    adj_nbr.(next.(a)) <- b;
-    adj_w.(next.(a)) <- w;
-    next.(a) <- next.(a) + 1
-  in
-  List.iter
-    (fun (a, b, w) ->
-      add a b w;
-      add b a w)
-    conns;
+  for a = 0 to nb - 1 do
+    let i = ref adj_off.(a) in
+    for b = 0 to nb - 1 do
+      let x = w.((a * nb) + b) in
+      if x > 0 then begin
+        adj_nbr.(!i) <- b;
+        adj_w.(!i) <- x;
+        incr i
+      end
+    done
+  done;
   let topo = System.topology sys in
   let dist =
     Array.init (nf * nf) (fun i ->
@@ -212,25 +208,6 @@ let anneal g ~seed ~moves pinned fpga_of_block =
   let block_at = Array.make nf (-1) in
   Array.iteri (fun b f -> block_at.(f) <- b) fpga_of_block;
   let base = draw_base ~seed ~nb ~nf in
-  let movable b = b < 0 || pinned.(b) < 0 in
-  (* Change in the cost of [b]'s connections when it moves from [src] to
-     [dst], over its neighbours other than [other] (the swap partner, whose
-     distance to [b] a swap keeps): Σ w·(dist[dst][p] − dist[src][p]). *)
-  let shift b other ~src ~dst =
-    if b < 0 then 0
-    else begin
-      let d = ref 0 in
-      for i = adj_off.(b) to adj_off.(b + 1) - 1 do
-        let p = adj_nbr.(i) in
-        if p <> other then begin
-          let fp = fpga_of_block.(p) in
-          d :=
-            !d + (adj_w.(i) * (dist.((dst * nf) + fp) - dist.((src * nf) + fp)))
-        end
-      done;
-      !d
-    end
-  in
   let cost = ref (cost g fpga_of_block) in
   let temp0 = 1.0 +. (float_of_int !cost /. float_of_int (max 1 nb)) in
   let best_cost = ref !cost in
@@ -239,8 +216,34 @@ let anneal g ~seed ~moves pinned fpga_of_block =
   for m = 0 to moves - 1 do
     let f1 = draw_int base (3 * m) nf and f2 = draw_int base ((3 * m) + 1) nf in
     let b1 = block_at.(f1) and b2 = block_at.(f2) in
-    if f1 <> f2 && (b1 >= 0 || b2 >= 0) && movable b1 && movable b2 then begin
-      let delta = shift b1 b2 ~src:f1 ~dst:f2 + shift b2 b1 ~src:f2 ~dst:f1 in
+    if
+      f1 <> f2
+      && (b1 >= 0 || b2 >= 0)
+      && (b1 < 0 || pinned.(b1) < 0)
+      && (b2 < 0 || pinned.(b2) < 0)
+    then begin
+      (* The change in cost: for each moved block, Σ w·(dist[to][p] −
+         dist[from][p]) over its neighbours other than the swap partner,
+         whose distance to it a swap keeps. *)
+      let row1 = f1 * nf and row2 = f2 * nf in
+      let delta = ref 0 in
+      if b1 >= 0 then
+        for i = adj_off.(b1) to adj_off.(b1 + 1) - 1 do
+          let p = adj_nbr.(i) in
+          if p <> b2 then begin
+            let fp = fpga_of_block.(p) in
+            delta := !delta + (adj_w.(i) * (dist.(row2 + fp) - dist.(row1 + fp)))
+          end
+        done;
+      if b2 >= 0 then
+        for i = adj_off.(b2) to adj_off.(b2 + 1) - 1 do
+          let p = adj_nbr.(i) in
+          if p <> b1 then begin
+            let fp = fpga_of_block.(p) in
+            delta := !delta + (adj_w.(i) * (dist.(row1 + fp) - dist.(row2 + fp)))
+          end
+        done;
+      let delta = !delta in
       incr tried;
       if
         delta <= 0

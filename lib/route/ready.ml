@@ -30,6 +30,15 @@ type t = {
   la : Latch_analysis.t array;
   links : Link.t array;
   req : (int * why) Ids.Net.Tbl.t array;  (** Per block, reverse slots. *)
+  feeds_off : int array;
+      (** The link step's index, by output net [n]: the origins whose cone
+          reaches [n] are [feeds_origin.(i)], at MaxDelay [feeds_dmax.(i)],
+          for [i] from [feeds_off.(n)] to [feeds_off.(n + 1) - 1], in the
+          order a scan of the block's origins and their [to_outputs] meets
+          them.  Output nets are driven in their block, so these are
+          origins of the link's source block. *)
+  feeds_origin : Ids.Net.t array;
+  feeds_dmax : int array;
   mutable longest : int;  (** Longest link settle + departure so far. *)
   mutable longest_by : binding;
 }
@@ -51,12 +60,38 @@ let local_settle t b n =
    RAM write pin or primary output must be settled that many slots before
    the frame end. *)
 let seed part la links =
+  let nnets = Netlist.num_nets (Partition.netlist part) in
+  let each f =
+    Array.iter
+      (fun (lab : Latch_analysis.t) ->
+        Ids.Net.Tbl.iter
+          (fun m info ->
+            List.iter (fun (onet, d) -> f m (Ids.Net.to_int onet) d)
+              info.Latch_analysis.to_outputs)
+          lab.Latch_analysis.origins)
+      la
+  in
+  let feeds_off = Array.make (nnets + 1) 0 in
+  each (fun _ n _ -> feeds_off.(n + 1) <- feeds_off.(n + 1) + 1);
+  for n = 0 to nnets - 1 do
+    feeds_off.(n + 1) <- feeds_off.(n + 1) + feeds_off.(n)
+  done;
+  let next = Array.sub feeds_off 0 nnets in
+  let feeds_origin = Array.make feeds_off.(nnets) (Ids.Net.of_int 0) in
+  let feeds_dmax = Array.make feeds_off.(nnets) 0 in
+  each (fun m n (d : Traverse.delay) ->
+      feeds_origin.(next.(n)) <- m;
+      feeds_dmax.(next.(n)) <- d.Traverse.dmax;
+      next.(n) <- next.(n) + 1);
   let t =
     {
       part;
       la;
       links;
       req = Array.map (fun _ -> Ids.Net.Tbl.create 16) la;
+      feeds_off;
+      feeds_origin;
+      feeds_dmax;
       longest = 1;
       longest_by = Floor;
     }
@@ -80,17 +115,13 @@ let propagate t ~latch_ordering ~depart order =
   let link i =
     let l = t.links.(i) in
     let rdep = depart i (requirement t l.Link.dst_block l.Link.net) in
-    let sb = Ids.Block.to_int l.Link.src_block in
-    Ids.Net.Tbl.iter
-      (fun m info ->
-        List.iter
-          (fun (onet, (d : Traverse.delay)) ->
-            if Ids.Net.equal onet l.Link.net then
-              raise_req t l.Link.src_block m (rdep + d.Traverse.dmax)
-                (Via_link { link = i; dmax = d.Traverse.dmax }))
-          info.Latch_analysis.to_outputs)
-      t.la.(sb).Latch_analysis.origins;
-    let settle = local_settle t sb l.Link.net in
+    let n = Ids.Net.to_int l.Link.net in
+    for k = t.feeds_off.(n) to t.feeds_off.(n + 1) - 1 do
+      let dmax = t.feeds_dmax.(k) in
+      raise_req t l.Link.src_block t.feeds_origin.(k) (rdep + dmax)
+        (Via_link { link = i; dmax })
+    done;
+    let settle = local_settle t (Ids.Block.to_int l.Link.src_block) l.Link.net in
     if rdep + settle > t.longest then begin
       t.longest <- rdep + settle;
       t.longest_by <- Transport { link = i; settle }

@@ -16,7 +16,7 @@ type entry = {
 
 type t = {
   ledger : (key, entry) Hashtbl.t;
-  history : (int, int) Hashtbl.t;  (* channel -> congestion bumps *)
+  mutable history : int array;  (* congestion bumps by channel, 0 past the end *)
   mutable history_sum : int;
   mutable failed : (key * Diag.t) list;  (* reverse discovery order *)
   forced : (int * int * int, unit) Hashtbl.t;  (* net, src, dst *)
@@ -29,7 +29,7 @@ type t = {
 let create () =
   {
     ledger = Hashtbl.create 1024;
-    history = Hashtbl.create 64;
+    history = [||];
     history_sum = 0;
     failed = [];
     forced = Hashtbl.create 16;
@@ -41,7 +41,7 @@ let create () =
 
 let clear t =
   Hashtbl.reset t.ledger;
-  Hashtbl.reset t.history;
+  Array.fill t.history 0 (Array.length t.history) 0;
   t.history_sum <- 0;
   t.failed <- [];
   Hashtbl.reset t.forced
@@ -53,12 +53,17 @@ let keys t = Hashtbl.fold (fun k _ acc -> k :: acc) t.ledger []
 let ledger_size t = Hashtbl.length t.ledger
 
 let bump_history t ~channel =
-  let cur = Option.value ~default:0 (Hashtbl.find_opt t.history channel) in
-  Hashtbl.replace t.history channel (cur + 1);
+  let len = Array.length t.history in
+  if channel >= len then begin
+    let grown = Array.make (max (channel + 1) (2 * len)) 0 in
+    Array.blit t.history 0 grown 0 len;
+    t.history <- grown
+  end;
+  t.history.(channel) <- t.history.(channel) + 1;
   t.history_sum <- t.history_sum + 1
 
 let history t ~channel =
-  Option.value ~default:0 (Hashtbl.find_opt t.history channel)
+  if channel < Array.length t.history then t.history.(channel) else 0
 
 let history_total t = t.history_sum
 

@@ -66,9 +66,17 @@ val ledger_size : t -> int
 
 val bump_history : t -> channel:int -> unit
 (** Called by the pathfinder whenever a hop over [channel] is rejected
-    because the slot is full: one unit of negotiated-congestion history. *)
+    because the slot is full: one unit of negotiated-congestion history.
+    Channels are indices into {!Msched_arch.System}'s channel table, so
+    never negative. *)
 
 val history : t -> channel:int -> int
+(** The bumps [channel] has taken since the context was created or last
+    {!clear}ed; 0 for a channel never bumped.  History is an int array
+    indexed by channel that grows on the first bump past its end, so the
+    read the pathfinder makes for every channel of every expanded state
+    is one bounds check and one load. *)
+
 val history_total : t -> int
 (** Sum over channels; 0 means channel exploration order is untouched. *)
 

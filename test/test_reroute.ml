@@ -270,6 +270,35 @@ let test_forced_hard_verifies () =
     (r.Compile.degradation.Compile.fallback_nets > 0);
   check_verifier_clean "per-net fallback" r
 
+(* ---- Congestion history: a channel-indexed table. ---- *)
+
+(* History is an int array that grows on the first bump past its end:
+   a channel never bumped reads 0 whether it lies inside the array or
+   past every bumped one, and [clear] zeroes what is kept. *)
+let test_history_table () =
+  let ctx = Reroute.create () in
+  let check what want channel =
+    Alcotest.(check int) what want (Reroute.history ctx ~channel)
+  in
+  check "fresh context, channel 0" 0 0;
+  check "fresh context, channel 1000" 0 1000;
+  Reroute.bump_history ctx ~channel:3;
+  Reroute.bump_history ctx ~channel:3;
+  Reroute.bump_history ctx ~channel:40;
+  check "bumped twice" 2 3;
+  check "bumped once" 1 40;
+  check "never bumped, below a bumped channel" 0 4;
+  check "never bumped, past every bumped channel" 0 41;
+  check "never bumped, far past every bumped channel" 0 100_000;
+  Alcotest.(check int) "total" 3 (Reroute.history_total ctx);
+  Reroute.clear ctx;
+  check "cleared" 0 3;
+  check "cleared, the last bumped channel" 0 40;
+  Alcotest.(check int) "cleared total" 0 (Reroute.history_total ctx);
+  Reroute.bump_history ctx ~channel:40;
+  check "bumped after clear" 1 40;
+  check "untouched after clear" 0 3
+
 let suite =
   [
     Alcotest.test_case "differential: warm == cold over 51 designs" `Slow
@@ -283,4 +312,6 @@ let suite =
     Alcotest.test_case "per-net forced-hard schedule verifies" `Quick
       test_forced_hard_verifies;
     QCheck_alcotest.to_alcotest prop_random_ripup_stays_clean;
+    Alcotest.test_case "history: unbumped channels read 0, clear resets"
+      `Quick test_history_table;
   ]

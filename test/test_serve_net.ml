@@ -1018,38 +1018,47 @@ let test_stdio_session () =
 (* A finished job must wake its submitter at once, not on a poll tick:
    200 no-op jobs in sequence through a one-worker dispatcher, median
    submit-to-return under 0.3 ms (a 1 ms poll puts it near 1 ms).  Then
-   50 jobs that each run 1 ms, so the submitter is already waiting when
-   the job finishes: the median must stay within 0.3 ms of the 1 ms. *)
+   50 jobs that each spin for 1 ms, so the submitter is already waiting
+   when the job finishes.  Each job returns when it started and ended, and
+   what is bounded is submit-to-return minus the job's own run time: a
+   spin that overruns on a loaded host lengthens both alike, so only the
+   hand-off is measured, with the same 0.3 ms of slack. *)
 let test_dispatch_wakes_submitter () =
   let d =
     Dispatch.create
       { Dispatch.default_config with Dispatch.d_workers = 1 }
       (fun ~stopping:_ run_s ->
-        let t_end = Unix.gettimeofday () +. run_s in
+        let t_start = Unix.gettimeofday () in
+        let t_end = t_start +. run_s in
         while Unix.gettimeofday () < t_end do
           ()
-        done)
+        done;
+        (t_start, Unix.gettimeofday ()))
   in
-  let median_ms ~jobs run_s =
+  let median_overhead_ms ~jobs run_s =
     let times =
       Array.init jobs (fun _ ->
           let t0 = Unix.gettimeofday () in
-          (match Dispatch.submit d run_s with
-          | Dispatch.Done () -> ()
-          | _ -> Alcotest.fail "a job did not complete");
-          1000.0 *. (Unix.gettimeofday () -. t0))
+          match Dispatch.submit d run_s with
+          | Dispatch.Done (t_start, t_end) ->
+              1000.0 *. (Unix.gettimeofday () -. t0 -. (t_end -. t_start))
+          | _ -> Alcotest.fail "a job did not complete")
     in
     Array.sort Float.compare times;
     times.(jobs / 2)
   in
-  let no_op = median_ms ~jobs:200 0.0 in
-  let one_ms = median_ms ~jobs:50 0.001 in
+  let no_op = median_overhead_ms ~jobs:200 0.0 in
+  let one_ms = median_overhead_ms ~jobs:50 0.001 in
   Alcotest.(check bool) "clean drain" true (Dispatch.drain d);
   if no_op >= 0.3 then
-    Alcotest.failf "no-op jobs: median submit-to-return %.3f ms, want < 0.3 ms"
+    Alcotest.failf
+      "no-op jobs: median submit-to-return beyond the run %.3f ms, want < \
+       0.3 ms"
       no_op;
-  if one_ms >= 1.3 then
-    Alcotest.failf "1 ms jobs: median submit-to-return %.3f ms, want < 1.3 ms"
+  if one_ms >= 0.3 then
+    Alcotest.failf
+      "1 ms jobs: median submit-to-return beyond the run %.3f ms, want < \
+       0.3 ms"
       one_ms
 
 (* One `serve --stdin` session over pipes.  [feed] writes request bytes
