@@ -548,19 +548,23 @@ let options_fingerprint (o : options) =
     (Format.asprintf "%a" Msched_arch.Topology.pp_kind o.topology_kind)
     o.verify
 
-let manifest_of ~options prepared =
+let manifest_of ~options ?design_fp prepared =
+  let design_fp =
+    match design_fp with
+    | Some fp -> fp
+    | None -> Delta_fp.design prepared.original
+  in
   Manifest.build
     ~options_fp:(options_fingerprint options)
-    ~design_fp:(Delta_fp.design prepared.original)
-    prepared.placement ~analysis:prepared.analysis
+    ~design_fp prepared.placement ~analysis:prepared.analysis
 
 type base = { base_compiled : compiled; base_manifest : Manifest.t }
 
-let compile_base ?(options = default_options) nl =
+let compile_base ?(options = default_options) ?design_fp nl =
   let compiled = compile ~options nl in
   {
     base_compiled = compiled;
-    base_manifest = manifest_of ~options compiled.prepared;
+    base_manifest = manifest_of ~options ?design_fp compiled.prepared;
   }
 
 type delta_result = {
@@ -575,10 +579,10 @@ type delta_result = {
 
 let delta_reuse_fraction _ = 0.0
 
-let compile_delta ?(options = default_options) ~manifest nl =
+let compile_delta ?(options = default_options) ?design_fp ~manifest nl =
   let obs = options.obs in
   Sink.span obs "delta" @@ fun () ->
-  let b = compile_base ~options nl in
+  let b = compile_base ~options ?design_fp nl in
   let p = b.base_compiled.prepared in
   let diff =
     if

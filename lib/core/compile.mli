@@ -123,8 +123,13 @@ type base = {
   base_manifest : Msched_delta.Manifest.t;
 }
 
-val compile_base : ?options:options -> Netlist.t -> base
-(** {!compile}, plus the manifest of the compiled design. *)
+val compile_base : ?options:options -> ?design_fp:string -> Netlist.t -> base
+(** {!compile}, plus the manifest of the compiled design.  [design_fp] is
+    the manifest's design fingerprint when the caller already has it
+    ({!Msched_delta.Fingerprint.design_of_canonical} of the canonical text
+    it keyed on); without it, the design is rendered again to compute
+    {!Msched_delta.Fingerprint.design}.  Passing anything else makes the
+    manifest lie about its design. *)
 
 type delta_result = {
   delta_compiled : compiled;
@@ -145,8 +150,13 @@ val delta_reuse_fraction : delta_result -> float
 (** Always 0, like the [delta_reused] family. *)
 
 val compile_delta :
-  ?options:options -> manifest:Msched_delta.Manifest.t -> Netlist.t -> delta_result
-(** {!compile_base} of [nl], then {!Msched_delta.Diff.between} the base
+  ?options:options ->
+  ?design_fp:string ->
+  manifest:Msched_delta.Manifest.t ->
+  Netlist.t ->
+  delta_result
+(** {!compile_base} of [nl] (with [design_fp] as there), then
+    {!Msched_delta.Diff.between} the base
     [manifest] and the new one.  Observability: span [delta] around the
     [compile] span, counters [delta.blocks_clean], [delta.blocks_dirty],
     [delta.cone], [delta.cold_fallback].

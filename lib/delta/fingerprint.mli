@@ -15,9 +15,15 @@
 open Msched_netlist
 
 val design : Netlist.t -> string
-(** {!Msched_diag.Diag.Json.hash_hex} of {!Serial.to_string}:
+(** {!design_of_canonical} of {!Serial.to_string}:
     whitespace/comment/file-numbering insensitive, id-order sensitive (id
     order is semantic identity for the seeded partitioner and placer). *)
+
+val design_of_canonical : string -> string
+(** The design fingerprint of a netlist whose canonical serial text is
+    given: {!Msched_diag.Diag.Json.hash_hex} of it.  A caller that already
+    rendered the text (the server keys its cache on it) passes this
+    instead of rendering again. *)
 
 val boundary_signature :
   Netlist.t -> Msched_mts.Domain_analysis.t -> Ids.Net.t -> string
@@ -26,16 +32,21 @@ val boundary_signature :
     (all by domain {e name}).  A signature change reshapes the route-links
     of every block the net touches. *)
 
-val block :
-  Msched_partition.Partition.t ->
-  analysis:Msched_mts.Domain_analysis.t ->
-  Ids.Block.t ->
-  string
+type blocks = {
+  block_fps : string array;
+      (** Per block: the hash of its sorted lines — one per cell, then
+          ["in <net> <signature>"] per entering net and
+          ["out <net> <signature>"] per leaving net — joined by
+          newlines. *)
+  crossing : (Ids.Net.t * string) list;
+      (** Every crossing net with its {!boundary_signature}, in
+          {!Msched_partition.Partition.crossing_nets} order. *)
+}
 
-val block_text :
+val blocks :
   Msched_partition.Partition.t ->
   analysis:Msched_mts.Domain_analysis.t ->
-  Ids.Block.t ->
-  string
-(** The sorted-line rendering {!block} hashes (exposed for tests and
-    [msched delta diff] explanations). *)
+  blocks
+(** Every block fingerprint in one pass.  Each crossing net's signature is
+    rendered once and shared by the boundary list and every block that
+    lists the net. *)

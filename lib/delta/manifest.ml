@@ -22,21 +22,26 @@ let build ~options_fp ~design_fp placement ~analysis =
   let part = Placement.partition placement in
   let nl = Partition.netlist part in
   let nb = Partition.num_blocks part in
+  let fps = Fingerprint.blocks part ~analysis in
   (* A boundary signature is looked up by net name, so a name shared by
-     two nets is useless as a key: leave those nets out. *)
-  let name_count = Hashtbl.create 256 in
+     two nets is useless as a key: count, over every net, how many carry
+     each crossing net's name, and leave out those carried twice. *)
+  let carriers = Hashtbl.create 256 in
+  List.iter
+    (fun (n, _) ->
+      Hashtbl.replace carriers (Netlist.net nl n).Netlist.net_name (ref 0))
+    fps.Fingerprint.crossing;
   Netlist.iter_nets nl (fun _ ni ->
-      let n = ni.Netlist.net_name in
-      Hashtbl.replace name_count n
-        (1 + Option.value ~default:0 (Hashtbl.find_opt name_count n)));
-  let unique name = Hashtbl.find_opt name_count name = Some 1 in
+      match Hashtbl.find_opt carriers ni.Netlist.net_name with
+      | Some count -> incr count
+      | None -> ());
   let boundary =
-    Partition.crossing_nets part
-    |> List.filter_map (fun n ->
+    fps.Fingerprint.crossing
+    |> List.filter_map (fun (n, sg) ->
            let name = (Netlist.net nl n).Netlist.net_name in
-           if not (unique name) then None
-           else Some (name, Fingerprint.boundary_signature nl analysis n))
-    |> List.sort compare
+           if !(Hashtbl.find carriers name) = 1 then Some (name, sg) else None)
+    |> List.sort (fun (a, x) (b, y) ->
+           match String.compare a b with 0 -> String.compare x y | c -> c)
   in
   {
     options_fp;
@@ -46,50 +51,67 @@ let build ~options_fp ~design_fp placement ~analysis =
       Array.init nb (fun b ->
           Ids.Fpga.to_int
             (Placement.fpga_of_block placement (Ids.Block.of_int b)));
-    block_fps =
-      Array.init nb (fun b ->
-          Fingerprint.block part ~analysis (Ids.Block.of_int b));
+    block_fps = fps.Fingerprint.block_fps;
     boundary;
     entries = [];
   }
 
 (* ------------------------------------------------------------------ *)
 (* Canonical, checksummed JSON: sorted structural order, and a
-   re-serialize-and-compare integrity check. *)
+   re-serialize-and-compare integrity check.  Written straight into one
+   buffer: ints and field names as they are, strings escaped. *)
 
 let fnv = J.hash_hex
 
 let payload t =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"options_fp\":%s,\"design_fp\":%s,\"num_blocks\":%d,\"assignment\":["
-       (J.string t.options_fp) (J.string t.design_fp) t.num_blocks);
+  let b =
+    Buffer.create (256 + (24 * t.num_blocks) + (64 * List.length t.boundary))
+  in
+  let str = Buffer.add_string b and chr = Buffer.add_char b in
+  str "{\"options_fp\":";
+  J.escape b t.options_fp;
+  str ",\"design_fp\":";
+  J.escape b t.design_fp;
+  str ",\"num_blocks\":";
+  J.add_int b t.num_blocks;
+  str ",\"assignment\":[";
   Array.iteri
     (fun i v ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (string_of_int v))
+      if i > 0 then chr ',';
+      J.add_int b v)
     t.assignment;
-  Buffer.add_string b "],\"blocks\":[";
+  str "],\"blocks\":[";
   Array.iteri
     (fun i fp ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (J.string fp))
+      if i > 0 then chr ',';
+      J.escape b fp)
     t.block_fps;
-  Buffer.add_string b "],\"boundary\":[";
+  str "],\"boundary\":[";
   List.iteri
     (fun i (name, sg) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "[%s,%s]" (J.string name) (J.string sg)))
+      if i > 0 then chr ',';
+      chr '[';
+      J.escape b name;
+      chr ',';
+      J.escape b sg;
+      chr ']')
     t.boundary;
-  Buffer.add_string b "]}";
+  str "]}";
   Buffer.contents b
+
+let header payload =
+  String.concat ""
+    [
+      "{\"schema\":\"";
+      schema;
+      "\",\"checksum\":\"";
+      fnv payload;
+      "\",\"payload\":";
+    ]
 
 let to_json_string t =
   let payload = payload t in
-  Printf.sprintf "{\"schema\":\"%s\",\"checksum\":\"%s\",\"payload\":%s}"
-    schema (fnv payload) payload
+  String.concat "" [ header payload; payload; "}" ]
 
 (* ---- Parsing. ---- *)
 

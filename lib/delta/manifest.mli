@@ -17,7 +17,8 @@ type t = {
   design_fp : string;  (** {!Fingerprint.design} of the original netlist. *)
   num_blocks : int;
   assignment : int array;  (** Block index -> FPGA index. *)
-  block_fps : string array;  (** {!Fingerprint.block} per block. *)
+  block_fps : string array;
+      (** Per block, {!Fingerprint.blocks}' fingerprint. *)
   boundary : (string * string) list;
       (** Crossing-net name -> {!Fingerprint.boundary_signature}, sorted;
           nets with ambiguous names omitted. *)
@@ -40,7 +41,16 @@ val build :
 
 val to_json_string : t -> string
 (** Canonical, checksummed single document: the CLI's [--emit-manifest]
-    file and the server cache's [manifest-<key>.json] alike. *)
+    file and the server cache's [manifest-<key>.json] alike.  It is
+    [header p ^ p ^ "}"] for [p = payload t]. *)
+
+val payload : t -> string
+(** The [payload] member the checksum covers. *)
+
+val header : string -> string
+(** [{"schema":...,"checksum":...,"payload":] for the given payload: what
+    precedes it in {!to_json_string}, so a writer can emit the document
+    as three slices without joining them. *)
 
 val of_json_string : string -> (t, string) result
 (** Never raises; checksum and schema failures land in [Error].  A

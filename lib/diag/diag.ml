@@ -169,21 +169,55 @@ let fail ?net ?cell ?domain ?fpga ?block ?slack ?culprit code fmt =
    Msched_obs.Export so no JSON library is pulled in). ---- *)
 
 module Json = struct
+  (* Bytes JSON must escape: the quote, the backslash and the control
+     characters below 0x20.  Everything else, DEL and bytes >= 0x80
+     included, is copied as is. *)
+  let plain c = c <> '"' && c <> '\\' && Char.code c >= 0x20
+
+  let hex = "0123456789abcdef"
+
+  (* Copy the run of plain bytes from [start] in one piece, escape the
+     byte that ends it, and go on after it. *)
+  let rec escape_from b s start =
+    let n = String.length s in
+    let i = ref start in
+    while !i < n && plain (String.unsafe_get s !i) do
+      incr i
+    done;
+    let i = !i in
+    if i > start then Buffer.add_substring b s start (i - start);
+    if i < n then begin
+      (match String.unsafe_get s i with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c ->
+          Buffer.add_string b "\\u00";
+          Buffer.add_char b hex.[Char.code c lsr 4];
+          Buffer.add_char b hex.[Char.code c land 15]);
+      escape_from b s (i + 1)
+    end
+
   let escape b s =
     Buffer.add_char b '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\r' -> Buffer.add_string b "\\r"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
+    escape_from b s 0;
     Buffer.add_char b '"'
+
+  let rec add_digits b i =
+    if i >= 10 then add_digits b (i / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 + (i mod 10)))
+
+  let add_int b i =
+    if i >= 0 then add_digits b i
+    else if i = min_int then Buffer.add_string b (string_of_int i)
+    else begin
+      Buffer.add_char b '-';
+      add_digits b (-i)
+    end
+
+  let add_bool b v = Buffer.add_string b (if v then "true" else "false")
 
   let string s =
     let b = Buffer.create (String.length s + 8) in
@@ -373,7 +407,7 @@ module Json = struct
      and processes.  The system's one content hash — cache keys, block
      fingerprints and the checksums of the reroute and manifest documents
      this reader loads back. *)
-  let fnv h s pos len =
+  let[@inline] fnv h s pos len =
     let h = ref h in
     for i = pos to pos + len - 1 do
       h :=
@@ -387,6 +421,14 @@ module Json = struct
 
   let hash_hex s = Printf.sprintf "%016Lx" (fnv fnv_basis s 0 (String.length s))
 
+  let hash_hex_lines lines =
+    let h = ref fnv_basis in
+    for i = 0 to Array.length lines - 1 do
+      if i > 0 then h := fnv !h "\n" 0 1;
+      h := fnv !h lines.(i) 0 (String.length lines.(i))
+    done;
+    Printf.sprintf "%016Lx" !h
+
   let hash_hex_slices slices =
     Printf.sprintf "%016Lx"
       (List.fold_left
@@ -397,26 +439,35 @@ module Json = struct
          fnv_basis slices)
 end
 
+(* Field names, code and severity names are plain ASCII, written as
+   they are; only the message and the culprit need escaping. *)
 let to_json_buf b d =
-  let first = ref true in
-  Buffer.add_char b '{';
-  Json.field b ~first "code" (Json.string (code_name d.code));
-  Json.field b ~first "severity" (Json.string (severity_name d.severity));
-  Json.field b ~first "message" (Json.string d.message);
-  Json.field b ~first "exit_code" (string_of_int (exit_code d.code));
+  let str = Buffer.add_string b in
+  str "{\"code\":\"";
+  str (code_name d.code);
+  str "\",\"severity\":\"";
+  str (severity_name d.severity);
+  str "\",\"message\":";
+  Json.escape b d.message;
+  str ",\"exit_code\":";
+  Json.add_int b (exit_code d.code);
   let opt name = function
     | None -> ()
-    | Some v -> Json.field b ~first name (string_of_int v)
+    | Some v ->
+        str name;
+        Json.add_int b v
   in
-  opt "net" d.ctx.net;
-  opt "cell" d.ctx.cell;
-  opt "domain" d.ctx.domain;
-  opt "fpga" d.ctx.fpga;
-  opt "block" d.ctx.block;
-  opt "slack" d.ctx.slack;
+  opt ",\"net\":" d.ctx.net;
+  opt ",\"cell\":" d.ctx.cell;
+  opt ",\"domain\":" d.ctx.domain;
+  opt ",\"fpga\":" d.ctx.fpga;
+  opt ",\"block\":" d.ctx.block;
+  opt ",\"slack\":" d.ctx.slack;
   (match d.ctx.culprit with
   | None -> ()
-  | Some c -> Json.field b ~first "culprit" (Json.string c));
+  | Some c ->
+      str ",\"culprit\":";
+      Json.escape b c);
   Buffer.add_char b '}'
 
 let to_json d =

@@ -147,6 +147,14 @@ val to_json_buf : Buffer.t -> t -> unit
 module Json : sig
   val escape : Buffer.t -> string -> unit
   val string : string -> string
+
+  val add_int : Buffer.t -> int -> unit
+  (** Appends the decimal digits [string_of_int] writes, without
+      allocating. *)
+
+  val add_bool : Buffer.t -> bool -> unit
+  (** Appends [true] or [false]. *)
+
   val field : Buffer.t -> first:bool ref -> string -> string -> unit
 
   type value =
@@ -173,6 +181,10 @@ module Json : sig
   val hash_hex : string -> string
   (** FNV-1a 64-bit, as 16 lowercase hex digits: document checksums,
       cache keys and block fingerprints all use it. *)
+
+  val hash_hex_lines : string array -> string
+  (** {!hash_hex} of the strings joined by newlines, as [String.concat
+      "\n"] would join them, without building the joined string. *)
 
   val hash_hex_slices : (string * int * int) list -> string
   (** {!hash_hex} of the concatenation of the [(s, pos, len)] slices (the

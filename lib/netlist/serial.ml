@@ -21,17 +21,51 @@ let gate_of_name = function
   | "mux" -> Some Cell.Mux
   | _ -> None
 
-(* Names may not contain whitespace; sanitize on output. *)
-let clean_name s =
-  String.map (fun c -> if c = ' ' || c = '\t' || c = '\n' then '_' else c) s
+(* Names may not contain whitespace; sanitized on output, in place. *)
+let is_space c = c = ' ' || c = '\t' || c = '\n'
 
-(* Written straight into a buffer: the cache key and the design
-   fingerprint both hash this text on every served request. *)
-let to_string nl =
-  let b = Buffer.create (64 * (Netlist.num_cells nl + Netlist.num_nets nl)) in
-  let str = Buffer.add_string b and chr = Buffer.add_char b in
-  let int i = str (string_of_int i) in
-  let name s = str (clean_name s) in
+(* The canonical text is written twice over the same walk: once into a
+   counter, to learn its length, then into a string of exactly that
+   length.  The cache key and the design fingerprint both hash this text
+   on every served request; sizing it up front spares a buffer that
+   overshoots and a copy out of it. *)
+type out = { bytes : Bytes.t; mutable pos : int }
+
+let rec decimal_width i = if i < 10 then 1 else 1 + decimal_width (i / 10)
+
+let render o nl =
+  let writing = Bytes.length o.bytes > 0 in
+  let str s =
+    let n = String.length s in
+    if writing then Bytes.blit_string s 0 o.bytes o.pos n;
+    o.pos <- o.pos + n
+  in
+  let chr c =
+    if writing then Bytes.set o.bytes o.pos c;
+    o.pos <- o.pos + 1
+  in
+  let int i =
+    if i < 0 then str (string_of_int i)
+    else begin
+      let w = decimal_width i in
+      if writing then begin
+        let v = ref i in
+        for k = o.pos + w - 1 downto o.pos do
+          Bytes.set o.bytes k (Char.unsafe_chr (48 + (!v mod 10)));
+          v := !v / 10
+        done
+      end;
+      o.pos <- o.pos + w
+    end
+  in
+  let name s =
+    let start = o.pos in
+    str s;
+    if writing then
+      for k = start to o.pos - 1 do
+        if is_space (Bytes.get o.bytes k) then Bytes.set o.bytes k '_'
+      done
+  in
   let net n = int (Ids.Net.to_int n) in
   let sp_net n =
     chr ' ';
@@ -82,7 +116,8 @@ let to_string nl =
           int (Ids.Dom.to_int d);
           sp_net (Option.get c.Cell.output)
       | Cell.Gate g ->
-          head ("gate " ^ gate_name g) c;
+          str "gate ";
+          head (gate_name g) c;
           Array.iter sp_net c.Cell.data_inputs
       | Cell.Latch { active_high } ->
           head "latch" c;
@@ -103,8 +138,15 @@ let to_string nl =
           str "output ";
           name c.Cell.name;
           sp_net c.Cell.data_inputs.(0));
-      chr '\n');
-  Buffer.contents b
+      chr '\n')
+
+let to_string nl =
+  let count = { bytes = Bytes.empty; pos = 0 } in
+  render count nl;
+  let o = { bytes = Bytes.create count.pos; pos = 0 } in
+  render o nl;
+  assert (o.pos = count.pos);
+  Bytes.unsafe_to_string o.bytes
 
 let output ppf nl = Format.pp_print_string ppf (to_string nl)
 

@@ -119,79 +119,94 @@ let record_metrics obs t sys =
 (* Canonical JSON emission (schema "msched-schedule-1"): every field in a
    fixed order, every list in its structural order, no whitespace — two
    schedules are byte-identical iff they are semantically identical.  The
-   routing pins hash it, and the warm≡cold and batch jobs 1≡4 suites diff
-   it. *)
+   routing pins hash it, the warm≡cold and batch jobs 1≡4 suites diff it,
+   and every delta request hashes it into [schedule_fp].  Ints, bools and
+   field names go straight into the buffer; only the two floats go
+   through Printf. *)
 let to_json_string t =
   let module Json = Msched_diag.Diag.Json in
   let b = Buffer.create 8192 in
-  let int_pairs ps =
-    Buffer.add_char b '[';
-    List.iteri
-      (fun i (x, y) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (Printf.sprintf "[%d,%d]" x y))
-      ps;
-    Buffer.add_char b ']'
+  let str = Buffer.add_string b and chr = Buffer.add_char b in
+  let int = Json.add_int b in
+  let ints a =
+    Array.iteri
+      (fun i v ->
+        if i > 0 then chr ',';
+        int v)
+      a
   in
-  Buffer.add_string b "{\"schema\":\"msched-schedule-1\",\"length\":";
-  Buffer.add_string b (string_of_int t.length);
-  Buffer.add_string b ",\"length_driver\":";
+  str "{\"schema\":\"msched-schedule-1\",\"length\":";
+  int t.length;
+  str ",\"length_driver\":";
   Json.escape b t.length_driver;
-  Buffer.add_string b (Printf.sprintf ",\"vclock_hz\":%.17g" t.vclock_hz);
-  Buffer.add_string b (Printf.sprintf ",\"est_speed_hz\":%.17g" (est_speed_hz t));
-  Buffer.add_string b ",\"links\":[";
+  str (Printf.sprintf ",\"vclock_hz\":%.17g" t.vclock_hz);
+  str (Printf.sprintf ",\"est_speed_hz\":%.17g" (est_speed_hz t));
+  str ",\"links\":[";
   List.iteri
     (fun i ls ->
-      if i > 0 then Buffer.add_char b ',';
+      if i > 0 then chr ',';
       let l = ls.ls_link in
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"net\":%d,\"src_block\":%d,\"dst_block\":%d,\"src_fpga\":%d,\"dst_fpga\":%d,\"hard\":%b,\"transports\":["
-           (Ids.Net.to_int l.Link.net)
-           (Ids.Block.to_int l.Link.src_block)
-           (Ids.Block.to_int l.Link.dst_block)
-           (Ids.Fpga.to_int l.Link.src_fpga)
-           (Ids.Fpga.to_int l.Link.dst_fpga)
-           l.Link.hard);
+      str "{\"net\":";
+      int (Ids.Net.to_int l.Link.net);
+      str ",\"src_block\":";
+      int (Ids.Block.to_int l.Link.src_block);
+      str ",\"dst_block\":";
+      int (Ids.Block.to_int l.Link.dst_block);
+      str ",\"src_fpga\":";
+      int (Ids.Fpga.to_int l.Link.src_fpga);
+      str ",\"dst_fpga\":";
+      int (Ids.Fpga.to_int l.Link.dst_fpga);
+      str ",\"hard\":";
+      Json.add_bool b l.Link.hard;
+      str ",\"transports\":[";
       List.iteri
         (fun j tr ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b
-            (Printf.sprintf "{\"domain\":%d,\"dep\":%d,\"arr\":%d,\"hard\":%b,\"hops\":"
-               (match tr.tr_domain with Some d -> Ids.Dom.to_int d | None -> -1)
-               tr.tr_fwd_dep tr.tr_fwd_arr tr.tr_hard);
-          int_pairs tr.tr_hops;
-          Buffer.add_char b '}')
+          if j > 0 then chr ',';
+          str "{\"domain\":";
+          int (match tr.tr_domain with Some d -> Ids.Dom.to_int d | None -> -1);
+          str ",\"dep\":";
+          int tr.tr_fwd_dep;
+          str ",\"arr\":";
+          int tr.tr_fwd_arr;
+          str ",\"hard\":";
+          Json.add_bool b tr.tr_hard;
+          str ",\"hops\":[";
+          List.iteri
+            (fun k (c, slot) ->
+              if k > 0 then chr ',';
+              chr '[';
+              int c;
+              chr ',';
+              int slot;
+              chr ']')
+            tr.tr_hops;
+          str "]}")
         ls.ls_transports;
-      Buffer.add_string b "]}")
+      str "]}")
     t.link_scheds;
-  Buffer.add_string b "],\"holdoffs\":[";
+  str "],\"holdoffs\":[";
   List.iteri
     (fun i h ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"cell\":%d,\"gate\":%d,\"data\":%d}"
-           (Ids.Cell.to_int h.ho_cell) h.ho_gate h.ho_data))
+      if i > 0 then chr ',';
+      str "{\"cell\":";
+      int (Ids.Cell.to_int h.ho_cell);
+      str ",\"gate\":";
+      int h.ho_gate;
+      str ",\"data\":";
+      int h.ho_data;
+      chr '}')
     t.holdoffs;
-  Buffer.add_string b "],\"peak_channel_usage\":[";
-  Array.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (string_of_int v))
-    t.peak_channel_usage;
-  Buffer.add_string b "],\"dedicated_per_channel\":[";
-  Array.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (string_of_int v))
-    t.dedicated_per_channel;
-  Buffer.add_string b "],\"warnings\":[";
+  str "],\"peak_channel_usage\":[";
+  ints t.peak_channel_usage;
+  str "],\"dedicated_per_channel\":[";
+  ints t.dedicated_per_channel;
+  str "],\"warnings\":[";
   List.iteri
     (fun i w ->
-      if i > 0 then Buffer.add_char b ',';
+      if i > 0 then chr ',';
       Json.escape b w)
     t.warnings;
-  Buffer.add_string b "]}";
+  str "]}";
   Buffer.contents b
 
 let pp_summary ppf t =

@@ -28,17 +28,21 @@ let hash_hex = Diag.Json.hash_hex
 
 let fingerprint = Msched.Compile.options_fingerprint
 
+let whole s = (s, 0, String.length s)
+
 (* Keys hash the {e canonical} serial text when the design parses:
    whitespace, comments and file-local net numbering no longer split one
    design across several cache entries.  Unparseable text (which the
    compile path will reject anyway) keys on its raw bytes. *)
+let key_of_canonical ~options text =
+  Diag.Json.hash_hex_slices
+    [ whole (fingerprint options); whole "\n"; whole text ]
+
 let key_of_parse ~text ~options parsed =
-  let text =
-    match parsed with
+  key_of_canonical ~options
+    (match parsed with
     | Ok nl -> Msched_netlist.Serial.to_string nl
-    | Error _ -> text
-  in
-  hash_hex (fingerprint options ^ "\n" ^ text)
+    | Error _ -> text)
 
 let key ~text ~options =
   key_of_parse ~text ~options (Msched_netlist.Serial.of_string text)
@@ -72,8 +76,6 @@ let store ~dir:_ ~key:_ _ = Ok ()
 (* A hit bumps the entry's mtime so LRU eviction ([gc]) sees it as in
    active use.  Best-effort: a read-only cache still serves hits. *)
 let touch path = try Unix.utimes path 0.0 0.0 with Unix.Unix_error _ -> ()
-
-let whole s = (s, 0, String.length s)
 
 (* [payload] is a list of slices [(s, pos, len)], written in order, so
    callers need not concatenate a large entry into one more string. *)
@@ -121,16 +123,41 @@ let write_atomic ~path payload =
         (Diag.warning Diag.E_CACHE "could not persist cache entry %s: %s"
            path msg)
 
+(* The whole file as one string, [None] when it does not exist.  Entries
+   are renamed into place whole, so a visible file never changes. *)
+let read_file path =
+  match Unix.openfile path [ Unix.O_RDONLY ] 0 with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> None
+  | fd ->
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          let size = (Unix.fstat fd).Unix.st_size in
+          let buf = Bytes.create size in
+          let rec fill off =
+            if off < size then
+              match Unix.read fd buf off (size - off) with
+              | 0 -> off
+              | n -> fill (off + n)
+            else off
+          in
+          let got = fill 0 in
+          Some
+            (if got = size then Bytes.unsafe_to_string buf
+             else Bytes.sub_string buf 0 got))
+
 (* ---- Delta manifests: one checksummed file per design. ---- *)
 
 module Manifest = Msched_delta.Manifest
 
 let manifest_file ~dir ~key = Filename.concat dir ("manifest-" ^ key ^ ".json")
 
+(* [Manifest.to_json_string] and a newline, written as slices. *)
 let store_manifest ~dir ~key m =
+  let payload = Manifest.payload m in
   write_atomic
     ~path:(manifest_file ~dir ~key)
-    [ whole (Manifest.to_json_string m); whole "\n" ]
+    [ whole (Manifest.header payload); whole payload; whole "}\n" ]
 
 type manifest_load = M_miss | M_hit of Manifest.t * int | M_corrupt of Diag.t
 
@@ -141,16 +168,20 @@ let is_key key =
   String.length key = 16
   && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) key
 
+(* One open: a manifest the janitor evicts after the key is checked is a
+   miss like one that was never stored, not an unreadable entry. *)
 let load_manifest ~dir ~key =
   let path = manifest_file ~dir ~key in
-  if not (is_key key && Sys.file_exists path) then M_miss
+  if not (is_key key) then M_miss
   else
-    match In_channel.with_open_bin path In_channel.input_all with
-    | exception Sys_error msg ->
+    match read_file path with
+    | exception Unix.Unix_error (err, _, _) ->
         M_corrupt
           (Diag.warning Diag.E_CACHE
-             "delta manifest %s unreadable (%s); compiling cold" path msg)
-    | text -> (
+             "delta manifest %s unreadable (%s); compiling cold" path
+             (Unix.error_message err))
+    | None -> M_miss
+    | Some text -> (
         match Manifest.of_json_string text with
         | Error msg ->
             M_corrupt
@@ -215,29 +246,6 @@ let equal_at s pos t =
   &&
   let rec go i = i = n || (s.[pos + i] = t.[i] && go (i + 1)) in
   go 0
-
-(* The whole file as one string, [None] when it does not exist.  Entries
-   are renamed into place whole, so a visible file never changes. *)
-let read_file path =
-  match Unix.openfile path [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> None
-  | fd ->
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          let size = (Unix.fstat fd).Unix.st_size in
-          let buf = Bytes.create size in
-          let rec fill off =
-            if off < size then
-              match Unix.read fd buf off (size - off) with
-              | 0 -> off
-              | n -> fill (off + n)
-            else off
-          in
-          let got = fill 0 in
-          Some
-            (if got = size then Bytes.unsafe_to_string buf
-             else Bytes.sub_string buf 0 got))
 
 exception Bad_entry of string
 

@@ -37,6 +37,14 @@ val key_of_parse :
     bytes when the parse failed.  Byte-identical to {!key}, one parse
     cheaper. *)
 
+val key_of_canonical : options:Msched.Compile.options -> string -> string
+(** {!key} from the text {!key_of_parse} would hash: the canonical serial
+    text of a parse, or the raw bytes of a text that does not parse.  The
+    options fingerprint, a newline and the text are hashed as slices,
+    never joined.  A delta request renders the canonical text once and
+    derives both this key and its manifest's design fingerprint from
+    it. *)
+
 val ensure_dir : string -> unit
 (** Create the cache directory, and every missing ancestor, if needed.
     @raise Msched_diag.Diag.Fail (E_CACHE) when the path exists but is not
@@ -95,7 +103,9 @@ val load_result :
 
     A {!Msched_delta.Manifest.t} is stored as one checksummed
     [manifest-<key>.json] file.  A missing file is a miss; an unreadable
-    or corrupt one is [M_corrupt] with an E_CACHE warning. *)
+    or corrupt one is [M_corrupt] with an E_CACHE warning.  A manifest the
+    [--cache-max-bytes] janitor evicts is a miss whenever the eviction
+    lands: the file is opened once, and [ENOENT] there means missing. *)
 
 val manifest_file : dir:string -> key:string -> string
 
@@ -107,8 +117,11 @@ val store_manifest :
 (** Atomic and durable: the entry is written to a writer-private temp file
     (name includes pid and domain id, so concurrent processes never
     collide), fsynced, then renamed into place — a crash can leave a stale
-    temp file but never a partially-written entry.  [Error] carries an
-    E_CACHE warning; storing is best-effort and never fails a request. *)
+    temp file but never a partially-written entry.  The file holds
+    {!Msched_delta.Manifest.to_json_string} and a newline, written as
+    three slices (header, payload, closing brace and newline).  [Error]
+    carries an E_CACHE warning; storing is best-effort and never fails a
+    request. *)
 
 type manifest_load =
   | M_miss

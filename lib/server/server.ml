@@ -163,14 +163,19 @@ type delta_result = {
   dr_exit : int;
 }
 
+(* The canonical text is rendered once: it is the preimage of both the
+   manifest key and the new manifest's design fingerprint. *)
 let run_delta settings req =
   let report = Diag.Report.create () in
   let options = { settings.s_options with Compile.obs = Sink.null } in
   let parsed = Serial.of_string_diag req.dq_text in
+  let canonical =
+    match parsed with Ok nl -> Serial.to_string nl | Error _ -> req.dq_text
+  in
   let key =
     match settings.s_cache_dir with
     | None -> ""
-    | Some _ -> Cache.key_of_parse ~text:req.dq_text ~options parsed
+    | Some _ -> Cache.key_of_canonical ~options canonical
   in
   let fail base =
     {
@@ -199,15 +204,16 @@ let run_delta settings req =
       Diag.Report.add_list report diags;
       fail base
   | Ok nl -> (
+      let design_fp = Msched_delta.Fingerprint.design_of_canonical canonical in
       match
         match manifest with
         | Some m ->
-            let d = Compile.compile_delta ~options ~manifest:m nl in
+            let d = Compile.compile_delta ~options ~design_fp ~manifest:m nl in
             ( d.Compile.delta_compiled,
               d.Compile.delta_manifest,
               d.Compile.delta_diff )
         | None ->
-            let b = Compile.compile_base ~options nl in
+            let b = Compile.compile_base ~options ~design_fp nl in
             (b.Compile.base_compiled, b.Compile.base_manifest, None)
       with
       | exception e ->

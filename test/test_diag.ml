@@ -490,6 +490,45 @@ let prop_json_garbled_string =
       | exception e ->
           QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
 
+(* [Json.escape] one byte at a time, as the emitter first wrote it: the
+   differential below holds the run-copying emitter to these bytes. *)
+let reference_escape s =
+  let b = Buffer.create (String.length s + 2) in
+  Buffer.add_char b '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+let all_bytes = String.init 256 Char.chr
+
+let prop_json_escape_reference =
+  QCheck.Test.make ~name:"Json.escape = the per-byte reference" ~count:1000
+    QCheck.(
+      oneof
+        [
+          json_bytes;
+          string_gen QCheck.Gen.char;
+          map (fun s -> s ^ all_bytes ^ s) (string_gen QCheck.Gen.char);
+        ])
+    (fun s ->
+      let b = Buffer.create 16 in
+      (* Escaping appends: what the buffer already holds stays. *)
+      Buffer.add_string b "prefix";
+      Diag.Json.escape b s;
+      Buffer.contents b = "prefix" ^ reference_escape s
+      && Diag.Json.string s = reference_escape s)
+
 let test_json_bad_strings () =
   List.iter
     (fun text ->
@@ -559,6 +598,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_json_string_roundtrip;
     QCheck_alcotest.to_alcotest prop_json_truncated_string;
     QCheck_alcotest.to_alcotest prop_json_garbled_string;
+    QCheck_alcotest.to_alcotest prop_json_escape_reference;
     Alcotest.test_case "json: truncated and garbled strings are errors" `Quick
       test_json_bad_strings;
     Alcotest.test_case "json: only JSON's escapes are accepted" `Quick
