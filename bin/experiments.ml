@@ -377,15 +377,19 @@ let () =
         "Reproduction experiments for 'Static Scheduling of Multiple \
          Asynchronous Domains For Functional Verification' (DAC 2001)"
   in
-  exit
-    (protect (fun () ->
-         Cmd.eval ~catch:false
-           (Cmd.group info
-              [
-                table1_cmd;
-                figure8_cmd;
-                fidelity_cmd;
-                ablation_cmd;
-                domains_cmd;
-                workloads_cmd;
-              ])))
+  (* A command-line parse error is a usage error: exit 1, not 124. *)
+  match
+    protect (fun () ->
+        Cmd.eval ~catch:false
+          (Cmd.group info
+             [
+               table1_cmd;
+               figure8_cmd;
+               fidelity_cmd;
+               ablation_cmd;
+               domains_cmd;
+               workloads_cmd;
+             ]))
+  with
+  | code when code = Cmd.Exit.cli_error -> exit 1
+  | code -> exit code

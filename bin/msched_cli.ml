@@ -590,14 +590,14 @@ let serve_cmd use_stdin socket tcp workers queue_max overload deadline grace
     match (socket, tcp) with
     | Some _, Some _ ->
         Printf.eprintf "serve: --socket and --tcp are mutually exclusive\n";
-        exit 2
+        exit 1
     | Some path, None -> Transport.Unix_path path
     | None, Some hostport -> (
         match Transport.parse_address ("tcp:" ^ hostport) with
         | Ok a -> a
         | Error msg ->
             Printf.eprintf "serve: %s\n" msg;
-            exit 2)
+            exit 1)
     | None, None ->
         if not use_stdin then begin
           Printf.eprintf
@@ -613,7 +613,7 @@ let serve_cmd use_stdin socket tcp workers queue_max overload deadline grace
     | "block" -> Dispatch.Block
     | other ->
         Printf.eprintf "serve: unknown --overload %S (shed|block)\n" other;
-        exit 2
+        exit 1
   in
   let cfg =
     {
@@ -1113,8 +1113,12 @@ let cmds =
     cache_cmd;
   ]
 
+(* A command-line parse error is a usage error: exit 1, not cmdliner's
+   124 (docs/ROBUSTNESS.md). *)
 let () =
   let info =
     Cmd.info "msched" ~doc:"Multi-domain static-scheduling emulation compiler"
   in
-  exit (Cmd.eval (Cmd.group info cmds))
+  match Cmd.eval (Cmd.group info cmds) with
+  | code when code = Cmd.Exit.cli_error -> exit 1
+  | code -> exit code

@@ -31,8 +31,6 @@ let rising_edges_before c horizon =
   if horizon <= c.phase_ps then 0
   else ((horizon - c.phase_ps - 1) / c.period_ps) + 1
 
-let frequency_hz c = 1e12 /. float_of_int c.period_ps
-
 let pp ppf c =
   Format.fprintf ppf "%s(%a): %d ps period, %d ps phase" c.name Ids.Dom.pp
     c.domain c.period_ps c.phase_ps

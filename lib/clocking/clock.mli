@@ -34,5 +34,4 @@ val level_at : t -> int -> bool
 val rising_edges_before : t -> int -> int
 (** Number of rising edges with time strictly less than the horizon. *)
 
-val frequency_hz : t -> float
 val pp : Format.formatter -> t -> unit

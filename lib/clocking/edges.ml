@@ -2,20 +2,12 @@ open Msched_netlist
 
 type polarity = Rising | Falling
 
-let pp_polarity ppf = function
-  | Rising -> Format.pp_print_string ppf "rise"
-  | Falling -> Format.pp_print_string ppf "fall"
-
 type edge = {
   domain : Ids.Dom.t;
   polarity : polarity;
   index : int;
   time_ps : int;
 }
-
-let pp_edge ppf e =
-  Format.fprintf ppf "%a@%dps(%a#%d)" pp_polarity e.polarity e.time_ps
-    Ids.Dom.pp e.domain e.index
 
 let stream clocks ~horizon_ps =
   let edges_of_clock c =

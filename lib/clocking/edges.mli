@@ -9,16 +9,12 @@ open Msched_netlist
 
 type polarity = Rising | Falling
 
-val pp_polarity : Format.formatter -> polarity -> unit
-
 type edge = {
   domain : Ids.Dom.t;
   polarity : polarity;
   index : int;  (** 0-based index among edges of this polarity and domain. *)
   time_ps : int;
 }
-
-val pp_edge : Format.formatter -> edge -> unit
 
 val stream : Clock.t list -> horizon_ps:int -> edge list
 (** All edges of all clocks with [time_ps < horizon_ps], sorted by time;

@@ -70,6 +70,11 @@ let prepare ?(options = default_options) original =
       ]
     "prepare"
   @@ fun () ->
+  if Netlist.num_cells original = 0 then
+    compile_error
+      (Diag.error Diag.E_EMPTY_DESIGN
+         "design %s has no cells: nothing to partition or schedule"
+         (Netlist.design_name original));
   let analysis0 =
     Sink.span obs "domain-analysis" @@ fun () ->
     Domain_analysis.compute ~obs original
@@ -415,11 +420,18 @@ let compile_resilient ?(options = default_options) ?(max_retries = 3)
         };
       outcome
     in
+    (* No rung changes the design, so a malformed-input failure (exit
+       class 3) ends the ladder and skips the hard fallback. *)
+    let input_fault = ref false in
     let rec run = function
       | [] -> None
       | (label, opts) :: rest -> (
           match run_attempt label opts with
           | Ok (c, _) -> Some (c, opts)
+          | Error d when Diag.exit_code d.Diag.code = 3 ->
+              push d;
+              input_fault := true;
+              None
           | Error d ->
               push d;
               if rest <> [] then Sink.incr obs "driver.retries";
@@ -433,7 +445,7 @@ let compile_resilient ?(options = default_options) ?(max_retries = 3)
        refuses to converge does the whole schedule fall back to hard
        routing. *)
     let result =
-      if result <> None || not fallback_hard then result
+      if result <> None || (not fallback_hard) || !input_fault then result
       else begin
         let relaxed =
           {

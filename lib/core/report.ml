@@ -48,16 +48,6 @@ let of_design ?(options = Compile.default_options) (d : Msched_gen.Design_gen.de
     holdoff_slots = Schedule.total_holdoff virt;
   }
 
-let pp_row ppf r =
-  Format.fprintf ppf
-    "%s: modules=%d mts_modules=%d domains=%d mts_paths=%d mts_fpgas=%d \
-     non_mts_fpgas=%d cp_hard=%d cp_virtual=%d speed_hard=%.1fkHz \
-     speed_virtual=%.1fkHz"
-    r.label r.num_modules r.num_mts_modules r.num_domains r.num_mts_paths
-    r.num_mts_fpgas r.num_non_mts_fpgas r.critical_path_hard
-    r.critical_path_virtual (r.speed_hard_hz /. 1e3)
-    (r.speed_virtual_hz /. 1e3)
-
 let pp_table ppf rows =
   let line fmt = Format.fprintf ppf fmt in
   let col f = List.iter (fun r -> line " | %14s" (f r)) rows in

@@ -27,6 +27,5 @@ val of_design :
   t
 (** Prepares the design once and routes it twice (hard, then virtual). *)
 
-val pp_row : Format.formatter -> t -> unit
 val pp_table : Format.formatter -> t list -> unit
 (** The full Table 1 layout, designs as columns. *)

@@ -13,14 +13,6 @@ let kind_name = function
   | Flip_domain -> "flip-domain"
   | Resize_fanout -> "resize-fanout"
 
-let kind_of_name = function
-  | "add-cell" -> Some Add_cell
-  | "remove-cell" -> Some Remove_cell
-  | "retime-net" -> Some Retime_net
-  | "flip-domain" -> Some Flip_domain
-  | "resize-fanout" -> Some Resize_fanout
-  | _ -> None
-
 (* Deterministic splitmix-style draw so an (edit kind, seed) pair names
    one concrete edit forever — the differential suite depends on replaying
    the exact same mutation against cold and delta compiles. *)

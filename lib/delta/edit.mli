@@ -24,7 +24,6 @@ type kind =
 
 val all_kinds : kind list
 val kind_name : kind -> string
-val kind_of_name : string -> kind option
 
 val apply : ?seed:int -> kind -> Netlist.t -> (Netlist.t * string, string) result
 (** The edited netlist plus a human description of the edit, or [Error]

@@ -25,6 +25,7 @@ type code =
   | E_CACHE
   | E_TIMEOUT
   | E_OVERLOAD
+  | E_EMPTY_DESIGN
 
 let code_name = function
   | E_PARSE -> "E_PARSE"
@@ -44,6 +45,7 @@ let code_name = function
   | E_CACHE -> "E_CACHE"
   | E_TIMEOUT -> "E_TIMEOUT"
   | E_OVERLOAD -> "E_OVERLOAD"
+  | E_EMPTY_DESIGN -> "E_EMPTY_DESIGN"
 
 let all_codes =
   [
@@ -64,6 +66,7 @@ let all_codes =
     E_CACHE;
     E_TIMEOUT;
     E_OVERLOAD;
+    E_EMPTY_DESIGN;
   ]
 
 let code_of_name s = List.find_opt (fun c -> code_name c = s) all_codes
@@ -74,7 +77,7 @@ let code_of_name s = List.find_opt (fun c -> code_name c = s) all_codes
 let exit_code = function
   | E_VERIFY | E_HOLD_VIOLATION -> 2
   | E_PARSE | E_MALFORMED_NET | E_UNDRIVEN | E_DANGLING | E_COMB_CYCLE
-  | E_UNKNOWN_DOMAIN | E_ARITY | E_XDOMAIN_FANIN | E_CACHE ->
+  | E_UNKNOWN_DOMAIN | E_ARITY | E_XDOMAIN_FANIN | E_CACHE | E_EMPTY_DESIGN ->
       3
   | E_UNROUTABLE | E_CAPACITY -> 4
   | E_UNSUPPORTED -> 5

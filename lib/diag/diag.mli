@@ -40,6 +40,9 @@ type code =
       (** The serve request queue is full (or the server is draining) and
           the shed policy rejected the request.  Retryable by the client
           once load subsides. *)
+  | E_EMPTY_DESIGN
+      (** The design has no cells: it parses and lints clean, but there is
+          nothing to partition or schedule. *)
 
 val code_name : code -> string
 (** ["E_UNROUTABLE"] etc. — stable. *)

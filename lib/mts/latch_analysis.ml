@@ -318,20 +318,3 @@ let analyze ?(obs = Msched_obs.Sink.null) part =
           (Ids.Net.Tbl.length lab.origins))
       la;
   la
-
-let group_of_latch t latch =
-  Array.fold_left
-    (fun acc g ->
-      match acc with
-      | Some _ -> acc
-      | None -> if List.exists (Ids.Cell.equal latch) g.latches then Some g else None)
-    None t.groups
-
-let pp_group ppf g =
-  Format.fprintf ppf "group %d: latches={%a} inputs=%d locals=%d" g.gid
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ',')
-       Ids.Cell.pp)
-    g.latches
-    (List.length g.input_deps)
-    (List.length g.local_deps)

@@ -66,5 +66,3 @@ val analyze_block : Msched_partition.Partition.t -> Ids.Block.t -> t
 val analyze : ?obs:Msched_obs.Sink.t -> Msched_partition.Partition.t -> t array
 (** One entry per block, indexed by [Ids.Block.to_int]. *)
 
-val group_of_latch : t -> Ids.Cell.t -> group option
-val pp_group : Format.formatter -> group -> unit

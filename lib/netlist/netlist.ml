@@ -1,16 +1,6 @@
 type pin = Data_pin of int | Trigger_pin
 
-let pp_pin ppf = function
-  | Data_pin i -> Format.fprintf ppf "d%d" i
-  | Trigger_pin -> Format.pp_print_string ppf "trig"
-
 type term = { term_cell : Ids.Cell.t; term_pin : pin }
-
-let term_equal a b =
-  Ids.Cell.equal a.term_cell b.term_cell && a.term_pin = b.term_pin
-
-let pp_term ppf t =
-  Format.fprintf ppf "%a.%a" Ids.Cell.pp t.term_cell pp_pin t.term_pin
 
 type net_info = {
   net_name : string;

@@ -12,13 +12,8 @@ type pin =
   | Data_pin of int  (** Index into [Cell.data_inputs]. *)
   | Trigger_pin  (** The gate/clock input of a sequential cell. *)
 
-val pp_pin : Format.formatter -> pin -> unit
-
 type term = { term_cell : Ids.Cell.t; term_pin : pin }
 (** A consumer terminal: one input pin of one cell. *)
-
-val term_equal : term -> term -> bool
-val pp_term : Format.formatter -> term -> unit
 
 type net_info = {
   net_name : string;

@@ -48,8 +48,6 @@ let build placement analysis ~decompose_mts ~hard_mts =
     (Partition.crossing_nets part);
   List.rev !links
 
-let num_transports t = max 1 (List.length t.domains)
-
 let pp ppf t =
   Format.fprintf ppf "%a: %a %a->%a%s%s" Ids.Link.pp t.id Ids.Net.pp t.net
     Ids.Block.pp t.src_block Ids.Block.pp t.dst_block

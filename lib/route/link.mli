@@ -30,5 +30,4 @@ val build :
     whether multi-transition nets are split into per-domain transports;
     [hard_mts] marks multi-transition links for dedicated-wire routing. *)
 
-val num_transports : t -> int
 val pp : Format.formatter -> t -> unit

@@ -42,16 +42,6 @@ let pins_used_per_fpga t sys =
 
 let max_pins_used t sys = Array.fold_left max 0 (pins_used_per_fpga t sys)
 
-let find_transports t ~net ~dst_block =
-  List.concat_map
-    (fun ls ->
-      if
-        Ids.Net.equal ls.ls_link.Link.net net
-        && Ids.Block.equal ls.ls_link.Link.dst_block dst_block
-      then ls.ls_transports
-      else [])
-    t.link_scheds
-
 let holdoff_of t cell =
   List.find_opt (fun h -> Ids.Cell.equal h.ho_cell cell) t.holdoffs
 

@@ -61,10 +61,6 @@ val pins_used_per_fpga : t -> Msched_arch.System.t -> int array
 
 val max_pins_used : t -> Msched_arch.System.t -> int
 
-val find_transports :
-  t -> net:Ids.Net.t -> dst_block:Ids.Block.t -> transport list
-(** Transports delivering a net to a block ([] when none). *)
-
 val holdoff_of : t -> Ids.Cell.t -> holdoff option
 
 val per_channel_utilization : t -> Msched_arch.System.t -> float array

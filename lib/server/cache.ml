@@ -38,14 +38,11 @@ let key_of_canonical ~options text =
   Diag.Json.hash_hex_slices
     [ whole (fingerprint options); whole "\n"; whole text ]
 
-let key_of_parse ~text ~options parsed =
+let key ~text ~options =
   key_of_canonical ~options
-    (match parsed with
+    (match Msched_netlist.Serial.of_string text with
     | Ok nl -> Msched_netlist.Serial.to_string nl
     | Error _ -> text)
-
-let key ~text ~options =
-  key_of_parse ~text ~options (Msched_netlist.Serial.of_string text)
 
 (* Shim: the name reroute contexts were stored under.  Nothing writes it
    now; the benchmark under perfbench/ still names it. *)

@@ -2,7 +2,7 @@
 
     - [result-<key>.json]: one compile record per exact request — the
       retry policy plus the raw design text.  A byte-identical repeat is
-      answered from it instead of compiling again ({!Server.answer_job}).
+      answered from it instead of compiling again ({!Server.answer}).
     - [manifest-<key>.json]: one delta manifest
       ({!Msched_delta.Manifest}) per design content and compile-options
       fingerprint.  [{"op":"delta"}] requests store them and read them
@@ -26,20 +26,9 @@ val key : text:string -> options:Msched.Compile.options -> string
     parses — whitespace, comments and file-local net numbering do not
     split cache entries) plus the options fingerprint. *)
 
-val key_of_parse :
-  text:string ->
-  options:Msched.Compile.options ->
-  (Msched_netlist.Netlist.t, 'e) result ->
-  string
-(** {!key} from a parse the caller already made of [text]
-    ({!Msched_netlist.Serial.of_string_diag} or [of_string]): keys on
-    {!Msched_netlist.Serial.to_string} of the netlist, or on the raw
-    bytes when the parse failed.  Byte-identical to {!key}, one parse
-    cheaper. *)
-
 val key_of_canonical : options:Msched.Compile.options -> string -> string
-(** {!key} from the text {!key_of_parse} would hash: the canonical serial
-    text of a parse, or the raw bytes of a text that does not parse.  The
+(** {!key} from the text it hashes: {!Msched_netlist.Serial.to_string}
+    of a parse, or the raw bytes of a text that does not parse.  The
     options fingerprint, a newline and the text are hashed as slices,
     never joined.  A delta request renders the canonical text once and
     derives both this key and its manifest's design fingerprint from

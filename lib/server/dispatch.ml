@@ -537,8 +537,6 @@ let counters t =
         c_peak_lanes = t.peak_lanes;
       })
 
-let accepting t = locked t (fun () -> t.accepting)
-
 (* Wait until every live worker has exited, up to [timeout_s].  Returns
    the workers that did exit (joinable) and whether all of them did. *)
 let wait_workers t timeout_s =

@@ -7,7 +7,8 @@
 
     The dispatcher is generic in the job and result types so the chaos
     tests can inject poison work; `msched serve` instantiates it with
-    {!Server.job}/{!Server.job_result}.
+    the transport's payload (a {!Server.request} or a poison) and
+    {!Server.answer}.
 
     Threading model: submitters are sys-threads (one per client session),
     workers are domains, and one monitor thread reaps crashed workers,
@@ -86,8 +87,6 @@ val submit :
     gets one job per rotation.  The transport passes its connection id
     here; the queue bound and overload policy apply across all lanes
     combined. *)
-
-val accepting : ('job, 'res) t -> bool
 
 type counters = {
   c_submitted : int;

@@ -11,7 +11,7 @@
    Timing and observability are kept out of the per-design NDJSON records
    (they go to the summary line and the server sink instead), so a
    compile record is a pure function of (design text, settings).  That
-   is what lets [answer_job] answer a byte-exact repeat from the result
+   is what lets [answer] answer a byte-exact repeat from the result
    entry its first compile stored: only the record's "cache" member
    tells the two apart. *)
 
@@ -253,6 +253,16 @@ let run_delta settings req =
             dr_exit = Diag.Report.exit_code report;
           })
 
+(* The [diagnostics] member of every record, written in place. *)
+let diagnostics b ~first diags =
+  Diag.Json.field b ~first "diagnostics" "[";
+  List.iteri
+    (fun i d ->
+      if i > 0 then Buffer.add_char b ',';
+      Diag.to_json_buf b d)
+    diags;
+  Buffer.add_char b ']'
+
 let delta_record_json r =
   let module J = Diag.Json in
   let b = Buffer.create 1024 in
@@ -267,11 +277,7 @@ let delta_record_json r =
       J.field b ~first "base_missing_blocks" (string_of_int missing)
   | _ -> ());
   J.field b ~first "exit_code" (string_of_int r.dr_exit);
-  let diags = Buffer.create 256 in
-  let rep = Diag.Report.create () in
-  Diag.Report.add_list rep r.dr_diags;
-  Diag.Report.to_json_buf diags rep;
-  J.field b ~first "diagnostics" (Buffer.contents diags);
+  diagnostics b ~first r.dr_diags;
   J.field b ~first "delta"
     (match r.dr_outcome with
     | None -> "null"
@@ -341,23 +347,21 @@ let record_head ~design ~cache =
     (Diag.Json.string design)
     (Diag.Json.string (cache_status_name cache))
 
-let record_json r =
-  let module J = Diag.Json in
+let record ~design ~cache ~exit diags result =
   let b = Buffer.create 1024 in
-  Buffer.add_string b (record_head ~design:r.r_job.j_path ~cache:r.r_cache);
+  Buffer.add_string b (record_head ~design ~cache);
   let first = ref true in
-  J.field b ~first "exit_code" (string_of_int r.r_exit);
-  let diags = Buffer.create 256 in
-  let rep = Diag.Report.create () in
-  Diag.Report.add_list rep r.r_diags;
-  Diag.Report.to_json_buf diags rep;
-  J.field b ~first "diagnostics" (Buffer.contents diags);
-  J.field b ~first "result"
-    (match r.r_resilient with
-    | None -> "null"
-    | Some r -> Compile.resilient_to_json r);
+  Diag.Json.field b ~first "exit_code" (string_of_int exit);
+  diagnostics b ~first diags;
+  Diag.Json.field b ~first "result" result;
   Buffer.add_char b '}';
   Buffer.contents b
+
+let record_json r =
+  record ~design:r.r_job.j_path ~cache:r.r_cache ~exit:r.r_exit r.r_diags
+    (match r.r_resilient with
+    | None -> "null"
+    | Some r -> Compile.resilient_to_json r)
 
 (* [record_head] ^ the tail slice ^ "}", in one allocation: a hit's
    record, built from the entry it read. *)
@@ -370,7 +374,9 @@ let assemble ~design ~cache (src, pos, len) =
   Bytes.set b (hl + len) '}';
   Bytes.unsafe_to_string b
 
-(* ---- One executor: the result cache in front of [run_job]. ---- *)
+(* ---- One executor: every compile and delta request. ---- *)
+
+type request = Compile of job | Delta of delta_request
 
 type status = [ `Ok | `Degraded | `Failed ]
 
@@ -378,7 +384,7 @@ type answer = {
   a_record : string Lazy.t;
   a_exit : int;
   a_status : status;
-  a_cache : cache_status;
+  a_cache : cache_status option;
   a_queue_s : float;
   a_wall_s : float;
   a_counters : (string * int) list;
@@ -403,7 +409,7 @@ let status_of r =
    a stored record, which the worker builds to store: building a
    compile's JSON on the worker put its large temporary strings next to
    the compile's own peak and measured +7% peak RSS on cold_compile. *)
-let answer_job settings ~epoch job =
+let answer settings ~epoch request =
   let t0 = Unix.gettimeofday () in
   let answer ~record ~exit ~status ~cache ~counters =
     {
@@ -416,14 +422,21 @@ let answer_job settings ~epoch job =
       a_counters = counters;
     }
   in
-  match settings.s_cache_dir with
-  | None ->
+  match (request, settings.s_cache_dir) with
+  | Delta req, _ ->
+      let r = run_delta settings req in
+      answer
+        ~record:(lazy (delta_record_json r))
+        ~exit:r.dr_exit
+        ~status:(if r.dr_exit = 0 then `Ok else `Failed)
+        ~cache:None ~counters:[]
+  | Compile job, None ->
       let r = run_job settings ~epoch job in
       answer
         ~record:(lazy (record_json r))
-        ~exit:r.r_exit ~status:(status_of r) ~cache:Cache_off
+        ~exit:r.r_exit ~status:(status_of r) ~cache:(Some Cache_off)
         ~counters:r.r_counters
-  | Some dir -> (
+  | Compile job, Some dir -> (
       let policy = policy settings and text = job.j_text in
       let key = Cache.result_key ~policy ~text in
       (* Compile, and store the tail of an exit-0 record: a failure, even
@@ -450,8 +463,8 @@ let answer_job settings ~epoch job =
           | [] -> record
           | warnings -> record_json { r with r_diags = warnings @ r.r_diags }
         in
-        answer ~record:(Lazy.from_val record) ~exit:r.r_exit ~status ~cache
-          ~counters:r.r_counters
+        answer ~record:(Lazy.from_val record) ~exit:r.r_exit ~status
+          ~cache:(Some cache) ~counters:r.r_counters
       in
       match Cache.load_result ~dir ~key ~policy ~text with
       | Cache.R_hit { tail; status } ->
@@ -459,7 +472,7 @@ let answer_job settings ~epoch job =
             ~record:(lazy (assemble ~design:job.j_path ~cache:Cache_warm tail))
             ~exit:0
             ~status:(status :> status)
-            ~cache:Cache_warm ~counters:[]
+            ~cache:(Some Cache_warm) ~counters:[]
       | Cache.R_miss -> compile ~cache:Cache_cold []
       | Cache.R_corrupt d -> compile ~cache:Cache_corrupt [ d ])
 
@@ -489,7 +502,7 @@ let run_batch ?(jobs = 1) settings job_list =
   Msched_par.Pool.with_pool ~jobs (fun pool ->
       Msched_par.Pool.run pool ~n (fun ~worker:_ i ->
           note_peak (1 + Atomic.fetch_and_add inflight 1);
-          results.(i) <- Some (answer_job settings ~epoch tasks.(i));
+          results.(i) <- Some (answer settings ~epoch (Compile tasks.(i)));
           Atomic.decr inflight));
   let wall = Unix.gettimeofday () -. epoch in
   {
@@ -539,7 +552,7 @@ let summary_json batch =
   J.field b ~first "cache"
     (cache_counts_json (fun status ->
          Array.fold_left
-           (fun n a -> if a.a_cache = status then n + 1 else n)
+           (fun n a -> if a.a_cache = Some status then n + 1 else n)
            0 batch.b_results));
   J.field b ~first "wall_s" (Printf.sprintf "%.6f" batch.b_wall_s);
   J.field b ~first "designs_per_s"
@@ -613,19 +626,8 @@ let with_id id json =
         (String.sub json 1 (String.length json - 1))
 
 let error_record ?id ~path diags =
-  let module J = Diag.Json in
-  let b = Buffer.create 256 in
-  let first = ref true in
-  Buffer.add_char b '{';
-  J.field b ~first "schema" (J.string "msched-batch-1");
-  J.field b ~first "design" (J.string (echo path));
-  J.field b ~first "cache" (J.string "off");
   let rep = Diag.Report.create () in
   Diag.Report.add_list rep diags;
-  J.field b ~first "exit_code" (string_of_int (Diag.Report.exit_code rep));
-  let diags_buf = Buffer.create 128 in
-  Diag.Report.to_json_buf diags_buf rep;
-  J.field b ~first "diagnostics" (Buffer.contents diags_buf);
-  J.field b ~first "result" "null";
-  Buffer.add_char b '}';
-  with_id id (Buffer.contents b)
+  with_id id
+    (record ~design:(echo path) ~cache:Cache_off
+       ~exit:(Diag.Report.exit_code rep) diags "null")

@@ -1,15 +1,18 @@
-(** Compile requests, and the closed-batch executor.
+(** Compile and delta requests, their one executor, and the closed-batch
+    runner.
 
     {!run_job} and {!run_delta} each carry one design through
     {!Msched.Compile}; everything mutable a job touches (options copy with
     a private observability sink, diagnostic report, reroute context) is
     created inside that call, and a compile job's record is a pure
-    function of its design text and the settings.  {!answer_job} puts
-    the result cache in front of {!run_job}: with a cache directory, a
-    byte-exact repeat is answered from the record its first compile
-    stored.  {!run_batch} runs a closed list of jobs through
-    {!answer_job} on a {!Msched_par.Pool}; an open request stream runs
-    them on {!Dispatch} via {!Transport}.  Per-design records are
+    function of its design text and the settings.  {!answer} is the one
+    executor of [batch] and [serve]: it takes a {!request}, a compile or
+    a delta, and returns one {!answer} whose record the sender forces.
+    For a compile it puts the result cache in front of {!run_job}: with a
+    cache directory, a byte-exact repeat is answered from the record its
+    first compile stored.  {!run_batch} runs a closed list of jobs
+    through {!answer} on a {!Msched_par.Pool}; an open request stream
+    runs them on {!Dispatch} via {!Transport}.  Per-design records are
     deterministic — byte-identical across worker counts, and across
     cache hits and misses once the [cache] member is set aside — because
     no mutable state is shared between in-flight jobs (audit in
@@ -17,7 +20,8 @@
 
     Output is NDJSON: one [msched-batch-1] record per design (embedding
     the job's [msched-driver-1] document) plus one [msched-batch-summary-1]
-    line; timing appears only in the summary. *)
+    line; timing appears only in the summary.  A delta request's record
+    is [msched-delta-1]. *)
 
 type job = {
   j_index : int;  (** Position in the batch; results merge in this order. *)
@@ -32,7 +36,7 @@ type settings = {
   s_fallback_hard : bool;
   s_reuse : bool;  (** Warm rerouting across retry rungs ([--cold] unsets). *)
   s_cache_dir : string option;
-      (** [--cache-dir]: where {!answer_job} keeps result entries and
+      (** [--cache-dir]: where {!answer} keeps result entries and
           {!run_delta} its delta manifests.  [None] turns both off;
           {!run_job} alone never reads it. *)
   s_obs_jobs : bool;
@@ -43,7 +47,7 @@ type settings = {
 val default_settings : settings
 
 type cache_status = Cache_off | Cache_cold | Cache_warm | Cache_corrupt
-(** A compile record's [cache] field, set by {!answer_job}: [Cache_off]
+(** A compile record's [cache] field, set by {!answer}: [Cache_off]
     without a cache directory; [Cache_cold] compiled (and stored, when
     exit 0); [Cache_warm] answered from a result entry; [Cache_corrupt]
     compiled because the entry failed its checksum or format, with an
@@ -69,100 +73,6 @@ type job_result = {
 val run_job : settings -> epoch:float -> job -> job_result
 (** The compile itself, without the result cache.  Never raises on bad
     input: parse and pipeline failures land in [r_diags] and [r_exit]. *)
-
-type status = [ `Ok | `Degraded | `Failed ]
-(** Compiled, compiled after retries or a fallback, or not compiled. *)
-
-type answer = {
-  a_record : string Lazy.t;
-      (** The [msched-batch-1] record, without an id.  Force it once, in
-          the thread that sends it: {!answer_job} builds only a stored
-          record on the worker. *)
-  a_exit : int;  (** Its exit class. *)
-  a_status : status;
-  a_cache : cache_status;
-  a_queue_s : float;  (** Batch start (or submit) to job start. *)
-  a_wall_s : float;  (** Lookup, compile and store. *)
-  a_counters : (string * int) list;
-      (** Job-sink counters ([s_obs_jobs]); none on a hit. *)
-}
-(** One answered compile request: the record, and what the batch and
-    serve summaries count. *)
-
-val policy : settings -> string
-(** The line a result entry is keyed and checked on: the options
-    fingerprint plus [s_max_retries], [s_fallback_hard] and [s_reuse]. *)
-
-val answer_job : settings -> epoch:float -> job -> answer
-(** The one compile executor of [batch] and [serve].  Without
-    [s_cache_dir]: {!run_job} and {!record_json}, [cache] ["off"].  With
-    it, the request's result entry ({!Cache.load_result}) answers a hit
-    with its stored bytes ([cache] ["warm"]); a miss compiles, stores an
-    exit-0 record and answers ["cold"]; a corrupt entry compiles,
-    answers ["corrupt"] with the E_CACHE warning first in [diagnostics],
-    and repairs the entry.  A failed store adds its E_CACHE warning the
-    same way.  Never raises on bad input. *)
-
-type batch_result = {
-  b_results : answer array;  (** In job order, always. *)
-  b_jobs : int;  (** Worker count actually used. *)
-  b_max_inflight : int;  (** Measured peak of concurrently running jobs. *)
-  b_queue_peak : int;
-      (** Peak depth of the pending-task queue: tasks that existed before a
-          worker slot freed up for them ([max 0 (tasks - jobs)]). *)
-  b_wall_s : float;
-}
-
-val run_batch : ?jobs:int -> settings -> job list -> batch_result
-(** {!answer_job} over every job.  [jobs] is clamped to
-    [1 .. length job_list].  At [jobs = 1] every job runs inline in the
-    caller; otherwise on a {!Msched_par.Pool} of [jobs] workers, the
-    caller among them. *)
-
-val job_of_text : index:int -> path:string -> string -> job
-
-val job_of_file : index:int -> string -> (job, Msched_diag.Diag.t) result
-(** Read a design file.  An unreadable file is an E_PARSE diagnostic that
-    quotes the path once, through {!echo}, followed by the OS error. *)
-
-val echo : string -> string
-(** Request text as an answer quotes it back: the first 256 bytes, then
-    the original length when it is longer (identity up to 256 bytes). *)
-
-val record_json : job_result -> string
-(** One deterministic [msched-batch-1] object (no timing fields). *)
-
-val cache_counts_json : (cache_status -> int) -> string
-(** [{"off":n,"cold":n,"warm":n,"corrupt":n}], the [cache] member of the
-    batch and serve summaries. *)
-
-val summary_json : batch_result -> string
-(** The [msched-batch-summary-1] line (carries all the timing). *)
-
-val to_ndjson : batch_result -> string
-(** All records, one per line, then the summary line. *)
-
-val exit_code : batch_result -> int
-(** 0 when every job compiled (degraded counts as success), else the exit
-    class of the first failing job in job order. *)
-
-val merged_counters : batch_result -> (string * int) list
-(** Per-job sink counters summed in job order, sorted by name. *)
-
-val record_obs : Msched_obs.Sink.t -> batch_result -> unit
-(** Record the [server.*] metrics (queue wait, job wall, in-flight
-    high-water mark) plus the merged job counters onto a
-    main-domain sink.  Call after {!run_batch}; no-op on a null sink. *)
-
-val with_id : string option -> string -> string
-(** Splice [{"id": ...}] in front of a record's first member (identity on
-    [None]); lets transports echo the client's request id. *)
-
-val error_record : ?id:string -> path:string -> Msched_diag.Diag.t list -> string
-(** A [msched-batch-1] record for a request that never reached the driver
-    (parse failure, unreadable file, shed, timed out, worker crash):
-    [design] is [echo path], [result] is null, [exit_code] is the first
-    diagnostic's class. *)
 
 (** {2 Delta jobs}
 
@@ -225,3 +135,109 @@ val run_delta : settings -> delta_request -> delta_result
 
 val delta_record_json : delta_result -> string
 (** One deterministic [msched-delta-1] object. *)
+
+(** {2 The executor} *)
+
+type request = Compile of job | Delta of delta_request
+(** A compile request ([msched-batch-1] answer) or a delta request
+    ([msched-delta-1] answer). *)
+
+type status = [ `Ok | `Degraded | `Failed ]
+(** Compiled, compiled after retries or a fallback, or not compiled. *)
+
+type answer = {
+  a_record : string Lazy.t;
+      (** The [msched-batch-1] or [msched-delta-1] record, without an id.
+          Force it once, in the thread that sends it: {!answer} builds
+          only a stored record on the worker. *)
+  a_exit : int;  (** Its exit class. *)
+  a_status : status;
+  a_cache : cache_status option;
+      (** The record's [cache] member; [None] for a delta record, which
+          has none and which the serve summary's [cache] counts leave
+          out. *)
+  a_queue_s : float;  (** Batch start (or submit) to job start. *)
+  a_wall_s : float;  (** Lookup, compile and store. *)
+  a_counters : (string * int) list;
+      (** Job-sink counters ([s_obs_jobs]); none on a hit or a delta. *)
+}
+(** One answered request: the record, and what the batch and serve
+    summaries count. *)
+
+val policy : settings -> string
+(** The line a result entry is keyed and checked on: the options
+    fingerprint plus [s_max_retries], [s_fallback_hard] and [s_reuse]. *)
+
+val answer : settings -> epoch:float -> request -> answer
+(** The one executor of [batch] and [serve].  A delta request is
+    {!run_delta} and {!delta_record_json}.  A compile request without
+    [s_cache_dir] is {!run_job} and {!record_json}, [cache] ["off"].
+    With it, the request's result entry ({!Cache.load_result}) answers a
+    hit with its stored bytes ([cache] ["warm"]); a miss compiles, stores
+    an exit-0 record and answers ["cold"]; a corrupt entry compiles,
+    answers ["corrupt"] with the E_CACHE warning first in [diagnostics],
+    and repairs the entry.  A failed store adds its E_CACHE warning the
+    same way.  Never raises on bad input. *)
+
+(** {2 Closed batches} *)
+
+type batch_result = {
+  b_results : answer array;  (** In job order, always. *)
+  b_jobs : int;  (** Worker count actually used. *)
+  b_max_inflight : int;  (** Measured peak of concurrently running jobs. *)
+  b_queue_peak : int;
+      (** Peak depth of the pending-task queue: tasks that existed before a
+          worker slot freed up for them ([max 0 (tasks - jobs)]). *)
+  b_wall_s : float;
+}
+
+val run_batch : ?jobs:int -> settings -> job list -> batch_result
+(** {!answer} over every job.  [jobs] is clamped to
+    [1 .. length job_list].  At [jobs = 1] every job runs inline in the
+    caller; otherwise on a {!Msched_par.Pool} of [jobs] workers, the
+    caller among them. *)
+
+val job_of_text : index:int -> path:string -> string -> job
+
+val job_of_file : index:int -> string -> (job, Msched_diag.Diag.t) result
+(** Read a design file.  An unreadable file is an E_PARSE diagnostic that
+    quotes the path once, through {!echo}, followed by the OS error. *)
+
+val echo : string -> string
+(** Request text as an answer quotes it back: the first 256 bytes, then
+    the original length when it is longer (identity up to 256 bytes). *)
+
+val record_json : job_result -> string
+(** One deterministic [msched-batch-1] object (no timing fields). *)
+
+val cache_counts_json : (cache_status -> int) -> string
+(** [{"off":n,"cold":n,"warm":n,"corrupt":n}], the [cache] member of the
+    batch and serve summaries. *)
+
+val summary_json : batch_result -> string
+(** The [msched-batch-summary-1] line (carries all the timing). *)
+
+val to_ndjson : batch_result -> string
+(** All records, one per line, then the summary line. *)
+
+val exit_code : batch_result -> int
+(** 0 when every job compiled (degraded counts as success), else the exit
+    class of the first failing job in job order. *)
+
+val merged_counters : batch_result -> (string * int) list
+(** Per-job sink counters summed in job order, sorted by name. *)
+
+val record_obs : Msched_obs.Sink.t -> batch_result -> unit
+(** Record the [server.*] metrics (queue wait, job wall, in-flight
+    high-water mark) plus the merged job counters onto a
+    main-domain sink.  Call after {!run_batch}; no-op on a null sink. *)
+
+val with_id : string option -> string -> string
+(** Splice [{"id": ...}] in front of a record's first member (identity on
+    [None]); lets transports echo the client's request id. *)
+
+val error_record : ?id:string -> path:string -> Msched_diag.Diag.t list -> string
+(** A [msched-batch-1] record for a request that never reached the driver
+    (parse failure, unreadable file, shed, timed out, worker crash):
+    [design] is [echo path], [result] is null, [exit_code] is the first
+    diagnostic's class. *)

@@ -12,13 +12,16 @@
      {"op": "shutdown", "mode": "drain"|"abort"}
      poison:sleep=0.25 | poison:hang | poison:crash   (--inject-faults only)
 
-   Every response is a [msched-batch-1] record (the request [id] spliced
-   in when given) — from the result cache when the server runs with a
-   cache directory and the request repeats an earlier text byte for
-   byte — and delta requests get [msched-delta-1]; failures carry the
-   documented diagnostic codes —
-   E_PARSE for malformed or oversized frames, E_OVERLOAD when shed,
-   E_TIMEOUT on deadline, E_INTERNAL when a worker crashed on the job.
+   A compile, delta or poison line is one request ({!Q_job}).  The
+   session turns its path or inline text into one [Server.request], a
+   worker answers it with [Server.answer], the one executor [batch]
+   uses too, and the session sends that answer's record, the request
+   [id] spliced in when given: [msched-batch-1] for a compile (from the
+   result cache when the server runs with a cache directory and the
+   request repeats an earlier text byte for byte), [msched-delta-1] for
+   a delta.  Failures carry the documented diagnostic codes — E_PARSE
+   for malformed or oversized frames, E_OVERLOAD when shed, E_TIMEOUT
+   on deadline, E_INTERNAL when a worker crashed on the job.
    Client EOF gets a [msched-serve-conn-1] summary line; the server's own
    [msched-serve-summary-1] is returned from {!wait} after shutdown.
 
@@ -71,21 +74,15 @@ let poison_name = function
   | Hang -> "poison:hang"
   | Crash -> "poison:crash"
 
+type source = [ `Path of string | `Text of string ]
+
 type request =
   | Q_blank
-  | Q_compile of {
-      q_source : [ `Path of string | `Text of string ];
-      q_id : string option;
-      q_deadline_s : float option;
-    }
-  | Q_delta of {
-      q_source : [ `Path of string | `Text of string ];
-      q_base : string option;  (** Manifest key from a prior response. *)
-      q_id : string option;
-      q_deadline_s : float option;
-    }
-  | Q_poison of {
-      q_poison : poison;
+  | Q_job of {
+      q_work :
+        [ `Compile of source
+        | `Delta of source * string option
+        | `Poison of poison ];
       q_id : string option;
       q_deadline_s : float option;
     }
@@ -109,9 +106,11 @@ let parse_request ~inject_faults line =
   let module J = Diag.Json in
   let line = String.trim line in
   let bad ?id d = Q_bad { q_diag = d; q_id = id } in
+  let job ?id ?deadline work =
+    Q_job { q_work = work; q_id = id; q_deadline_s = deadline }
+  in
   let gate_poison p id deadline =
-    if inject_faults then
-      Q_poison { q_poison = p; q_id = id; q_deadline_s = deadline }
+    if inject_faults then job ?id ?deadline (`Poison p)
     else
       bad ?id
         (Diag.error Diag.E_UNSUPPORTED
@@ -124,8 +123,7 @@ let parse_request ~inject_faults line =
     | Some p -> gate_poison p None None
     | None ->
         bad (Diag.error Diag.E_PARSE "bad poison spec %S" (Server.echo line))
-  else if line.[0] <> '{' then
-    Q_compile { q_source = `Path line; q_id = None; q_deadline_s = None }
+  else if line.[0] <> '{' then job (`Compile (`Path line))
   else
     match J.parse line with
     | Error msg -> bad (Diag.error Diag.E_PARSE "bad request frame: %s" msg)
@@ -161,13 +159,8 @@ let parse_request ~inject_faults line =
         | Some "delta" -> (
             match source "delta request" with
             | Ok src ->
-                Q_delta
-                  {
-                    q_source = src;
-                    q_base = Option.bind (J.mem "base" doc) J.str;
-                    q_id = id;
-                    q_deadline_s = deadline;
-                  }
+                job ?id ?deadline
+                  (`Delta (src, Option.bind (J.mem "base" doc) J.str))
             | Error d -> bad d)
         | Some op ->
             bad (Diag.error Diag.E_PARSE "unknown op %S" (Server.echo op))
@@ -182,9 +175,7 @@ let parse_request ~inject_faults line =
                          (Server.echo spec)))
             | None -> (
                 match source "request" with
-                | Ok src ->
-                    Q_compile
-                      { q_source = src; q_id = id; q_deadline_s = deadline }
+                | Ok src -> job ?id ?deadline (`Compile src)
                 | Error d -> bad d)))
 
 (* ---- Dispatcher payload. ---- *)
@@ -197,39 +188,37 @@ let poison_design =
    ff f0 1 0 dom 0\noutput o0 1\n"
 
 type payload = {
-  p_epoch : float;  (** Submit time; [run_job] derives queue wait from it. *)
+  p_epoch : float;  (** Submit time; the answer's queue wait starts here. *)
   p_label : string;
-  p_work :
-    [ `Job of Server.job | `Delta of Server.delta_request | `Poison of poison ];
+  p_work : [ `Request of Server.request | `Poison of poison ];
 }
 
-(* Compile and delta jobs share the dispatcher, so they share its queue
-   bound, deadlines and fairness lanes; only the response record differs.
-   The result-cache lookup runs here, on the worker, so a hit waits its
-   turn like a compile. *)
-type reply = R_answer of Server.answer | R_delta of Server.delta_result
-
+(* Compile, delta and poison jobs share the dispatcher, so they share its
+   queue bound, deadlines and fairness lanes, and one executor answers
+   them all.  The result-cache lookup runs here, on the worker, so a hit
+   waits its turn like a compile. *)
 let run_payload settings ~stopping payload =
-  match payload.p_work with
-  | `Job job -> R_answer (Server.answer_job settings ~epoch:payload.p_epoch job)
-  | `Delta req -> R_delta (Server.run_delta settings req)
-  | `Poison p ->
-      (match p with
-      | Crash -> failwith "injected fault: worker crash"
-      | Sleep s ->
-          let t_end = Unix.gettimeofday () +. s in
-          while Unix.gettimeofday () < t_end && not (stopping ()) do
-            Thread.delay 0.005
-          done
-      | Hang ->
-          (* Hangs until [abort] raises the stopping flag; from the
-             dispatcher's point of view this is a real stuck compile. *)
-          while not (stopping ()) do
-            Thread.delay 0.005
-          done);
-      R_answer
-        (Server.answer_job settings ~epoch:payload.p_epoch
-           (Server.job_of_text ~index:0 ~path:payload.p_label poison_design))
+  let request =
+    match payload.p_work with
+    | `Request r -> r
+    | `Poison p ->
+        (match p with
+        | Crash -> failwith "injected fault: worker crash"
+        | Sleep s ->
+            let t_end = Unix.gettimeofday () +. s in
+            while Unix.gettimeofday () < t_end && not (stopping ()) do
+              Thread.delay 0.005
+            done
+        | Hang ->
+            (* Hangs until [abort] raises the stopping flag; from the
+               dispatcher's point of view this is a real stuck compile. *)
+            while not (stopping ()) do
+              Thread.delay 0.005
+            done);
+        Server.Compile
+          (Server.job_of_text ~index:0 ~path:payload.p_label poison_design)
+  in
+  Server.answer settings ~epoch:payload.p_epoch request
 
 (* ---- Server. ---- *)
 
@@ -262,7 +251,7 @@ type t = {
   cfg : config;
   listen_fd : Unix.file_descr option;  (** [None] for {!Stdio}. *)
   bound : address;  (** Actual address (TCP port 0 resolved). *)
-  disp : (payload, reply) Dispatch.t;
+  disp : (payload, Server.answer) Dispatch.t;
   lock : Mutex.t;
   mutable sessions : Thread.t list;
   (* Counters are refs (not mutable fields) so the gauge probes handed to
@@ -274,7 +263,8 @@ type t = {
   n_cache : int array;
       (** [msched-batch-1] responses sent, by [cache] member
           ({!cache_slot}). *)
-  mutable shutdown : [ `Drain | `Abort ] option;
+  shutdown : [ `Drain | `Abort ] option Atomic.t;
+      (** Escalates only: none, drain, abort. *)
   mutable stop_accept : bool;
   mutable stop_sessions : bool;
   mutable accept_thread : Thread.t option;
@@ -328,13 +318,17 @@ let ctl_ack_json action =
   Printf.sprintf "{\"schema\":\"msched-serve-ctl-1\",\"ok\":true,\"action\":%s}"
     (J.string action)
 
-(* Escalate only: a drain can harden into an abort, never the reverse. *)
-let request_shutdown srv mode =
-  locked srv (fun () ->
-      match (srv.shutdown, mode) with
-      | None, m -> srv.shutdown <- Some m
-      | Some `Drain, `Abort -> srv.shutdown <- Some `Abort
-      | Some _, _ -> ())
+(* Escalate only: a drain can harden into an abort, never the reverse.
+   A signal handler calls this, at a safepoint of whichever thread it
+   interrupts, perhaps one holding [srv.lock]: so no lock, one
+   compare-and-set. *)
+let rec request_shutdown srv mode =
+  let cur = Atomic.get srv.shutdown in
+  let escalates =
+    match (cur, mode) with None, _ | Some `Drain, `Abort -> true | _ -> false
+  in
+  if escalates && not (Atomic.compare_and_set srv.shutdown cur (Some mode))
+  then request_shutdown srv mode
 
 let cache_slot = function
   | Server.Cache_off -> 0
@@ -353,33 +347,41 @@ let emit_error srv ss emit ?id ~path diags =
   emit (Server.error_record ?id ~path diags)
 
 (* Submit one payload into this session's fairness lane and emit its
-   response record; all three job kinds (compile, delta, poison) share
-   this path, so they share backpressure, deadlines and fairness. *)
+   response record; every job kind (compile, delta, poison) shares this
+   path, so they share backpressure, deadlines and fairness. *)
 let submit_and_emit srv ~client ss emit ~id ~deadline_s payload =
   match Dispatch.submit ~client ?deadline_s srv.disp payload with
-  | Dispatch.Done (R_answer a) ->
+  | Dispatch.Done a ->
       if a.Server.a_exit = 0 then ss.ss_ok <- ss.ss_ok + 1
       else ss.ss_errors <- ss.ss_errors + 1;
-      count_cache srv a.Server.a_cache;
+      Option.iter (count_cache srv) a.Server.a_cache;
       emit (Server.with_id id (Lazy.force a.Server.a_record))
-  | Dispatch.Done (R_delta r) ->
-      if r.Server.dr_exit = 0 then ss.ss_ok <- ss.ss_ok + 1
-      else ss.ss_errors <- ss.ss_errors + 1;
-      emit (Server.with_id id (Server.delta_record_json r))
   | Dispatch.Rejected d | Dispatch.Timed_out d | Dispatch.Crashed d ->
       emit_error srv ss emit ?id ~path:payload.p_label [ d ]
 
-(* Delta jobs parse their source in the session thread (cheap file read);
-   the compile itself runs on a worker. *)
-let delta_request_of ~source ~base =
-  match source with
-  | `Text text ->
-      Ok { Server.dq_path = "<inline>"; dq_text = text; dq_base = base }
-  | `Path path -> (
-      match Server.job_of_file ~index:0 path with
-      | Ok job ->
-          Ok { Server.dq_path = path; dq_text = job.Server.j_text; dq_base = base }
-      | Error d -> Error d)
+(* A compile or delta source becomes a [Server.request] in the session
+   thread (a path is one file read), named as its answer names it: the
+   path, or "<inline>".  The compile runs on a worker. *)
+let server_request work =
+  let source = match work with `Compile s | `Delta (s, _) -> s in
+  let path = match source with `Path p -> p | `Text _ -> "<inline>" in
+  let text =
+    match source with
+    | `Text text -> Ok text
+    | `Path _ ->
+        Result.map
+          (fun job -> job.Server.j_text)
+          (Server.job_of_file ~index:0 path)
+  in
+  match (text, work) with
+  | Error d, _ -> Error (path, d)
+  | Ok text, `Compile _ ->
+      Ok (path, Server.Compile (Server.job_of_text ~index:0 ~path text))
+  | Ok text, `Delta (_, base) ->
+      Ok
+        ( path,
+          Server.Delta { Server.dq_path = path; dq_text = text; dq_base = base }
+        )
 
 let handle_request srv ~client ss emit line =
   match parse_request ~inject_faults:srv.cfg.t_inject_faults line with
@@ -390,46 +392,18 @@ let handle_request srv ~client ss emit line =
   | Q_shutdown mode ->
       request_shutdown srv mode;
       emit (ctl_ack_json (match mode with `Drain -> "drain" | `Abort -> "abort"))
-  | Q_poison { q_poison = p; q_id; q_deadline_s } ->
+  | Q_job { q_work; q_id; q_deadline_s } -> (
       ss.ss_requests <- ss.ss_requests + 1;
-      let label = poison_name p in
-      submit_and_emit srv ~client ss emit ~id:q_id ~deadline_s:q_deadline_s
-        { p_epoch = Unix.gettimeofday (); p_label = label; p_work = `Poison p }
-  | Q_delta { q_source; q_base; q_id; q_deadline_s } -> (
-      ss.ss_requests <- ss.ss_requests + 1;
-      match delta_request_of ~source:q_source ~base:q_base with
-      | Error d ->
-          let path =
-            match q_source with `Path p -> p | `Text _ -> "<inline>"
-          in
-          emit_error srv ss emit ?id:q_id ~path [ d ]
-      | Ok req ->
-          submit_and_emit srv ~client ss emit ~id:q_id ~deadline_s:q_deadline_s
-            {
-              p_epoch = Unix.gettimeofday ();
-              p_label = req.Server.dq_path;
-              p_work = `Delta req;
-            })
-  | Q_compile { q_source; q_id; q_deadline_s } -> (
-      ss.ss_requests <- ss.ss_requests + 1;
-      let job =
-        match q_source with
-        | `Path path -> Server.job_of_file ~index:0 path
-        | `Text text -> Ok (Server.job_of_text ~index:0 ~path:"<inline>" text)
+      let submit label work =
+        submit_and_emit srv ~client ss emit ~id:q_id ~deadline_s:q_deadline_s
+          { p_epoch = Unix.gettimeofday (); p_label = label; p_work = work }
       in
-      match job with
-      | Error d ->
-          let path =
-            match q_source with `Path p -> p | `Text _ -> "<inline>"
-          in
-          emit_error srv ss emit ?id:q_id ~path [ d ]
-      | Ok job ->
-          submit_and_emit srv ~client ss emit ~id:q_id ~deadline_s:q_deadline_s
-            {
-              p_epoch = Unix.gettimeofday ();
-              p_label = job.Server.j_path;
-              p_work = `Job job;
-            })
+      match q_work with
+      | `Poison p -> submit (poison_name p) (`Poison p)
+      | (`Compile _ | `Delta _) as work -> (
+          match server_request work with
+          | Ok (path, request) -> submit path (`Request request)
+          | Error (path, d) -> emit_error srv ss emit ?id:q_id ~path [ d ]))
 
 let session_main srv ~client ~input ~output =
   let t0 = Unix.gettimeofday () in
@@ -636,7 +610,7 @@ let start ?sink cfg =
       n_frame_errors;
       n_evicted;
       n_cache = Array.make 4 0;
-      shutdown = None;
+      shutdown = Atomic.make None;
       stop_accept = false;
       stop_sessions = false;
       accept_thread = None;
@@ -706,13 +680,11 @@ let summary_json s =
   Buffer.add_char b '}';
   Buffer.contents b
 
-let shutdown_requested srv = locked srv (fun () -> srv.shutdown)
-
 let wait srv =
   (* Sit until someone asks for shutdown: a signal handler via
      {!request_shutdown}, or a client's {"op":"shutdown"}. *)
   let rec poll () =
-    match shutdown_requested srv with
+    match Atomic.get srv.shutdown with
     | Some mode -> mode
     | None ->
         Thread.delay 0.05;
@@ -733,7 +705,7 @@ let wait srv =
           if
             mode = `Drain
             && (not !escalated)
-            && shutdown_requested srv = Some `Abort
+            && Atomic.get srv.shutdown = Some `Abort
           then begin
             escalated := true;
             ignore (Dispatch.abort ~timeout_s:srv.cfg.t_abort_timeout_s srv.disp)

@@ -4,6 +4,11 @@
     response line per request, per-connection summary at client EOF,
     [msched-serve-summary-1] from {!wait} after shutdown.
 
+    One request path: every compile, delta or poison line parses to one
+    {!Q_job}; the session turns its source into one {!Server.request},
+    the dispatcher runs {!Server.answer} on it, and the session sends
+    the one {!Server.answer} that comes back.
+
     Protocol grammar, timeout/backpressure semantics and the drain state
     machine are documented in [docs/SERVER.md]; the failure taxonomy
     (E_PARSE / E_OVERLOAD / E_TIMEOUT / E_INTERNAL / E_UNSUPPORTED) in
@@ -35,26 +40,23 @@ type poison =
 
 val poison_name : poison -> string
 
+type source = [ `Path of string | `Text of string ]
+
 type request =
   | Q_blank
-  | Q_compile of {
-      q_source : [ `Path of string | `Text of string ];
+  | Q_job of {
+      q_work :
+        [ `Compile of source
+        | `Delta of source * string option
+              (** [{"op": "delta"}] (docs/DELTA.md), with the manifest key
+                  of a prior response as its base; no key means a cold
+                  base compile that seeds the cache. *)
+        | `Poison of poison ];
       q_id : string option;
       q_deadline_s : float option;
     }
-  | Q_delta of {
-      q_source : [ `Path of string | `Text of string ];
-      q_base : string option;
-          (** Manifest key from a prior response; absent = cold base
-              compile that seeds the cache. *)
-      q_id : string option;
-      q_deadline_s : float option;
-    }  (** [{"op": "delta"}]: incremental compile (docs/DELTA.md). *)
-  | Q_poison of {
-      q_poison : poison;
-      q_id : string option;
-      q_deadline_s : float option;
-    }
+      (** Every request a worker answers: a compile, a delta or a
+          poison. *)
   | Q_shutdown of [ `Drain | `Abort ]
   | Q_bad of { q_diag : Msched_diag.Diag.t; q_id : string option }
       (** [q_id]: the frame's ["id"], when it parsed far enough to have
@@ -97,9 +99,10 @@ val bound_address : t -> address
     port (how tests listen on a free port). *)
 
 val request_shutdown : t -> [ `Drain | `Abort ] -> unit
-(** Async-signal-safe shutdown request (sets a flag {!wait} polls).
-    Escalates drain to abort; never de-escalates.  Also triggered by a
-    client sending [{"op": "shutdown"}]. *)
+(** Request a shutdown: one compare-and-set on the atomic {!wait} polls,
+    and no lock, so a signal handler may call it whichever thread it
+    interrupts.  Escalates drain to abort; never de-escalates.  Also
+    triggered by a client sending [{"op": "shutdown"}]. *)
 
 type summary = {
   sm_counters : Dispatch.counters;

@@ -73,9 +73,6 @@ let get_site t b n = Bytes.unsafe_get t.sites (site_idx t b n) <> '\000'
 let set_site t b n v =
   Bytes.unsafe_set t.sites (site_idx t b n) (if v then '\001' else '\000')
 
-let site_value t b n =
-  get_site t (Ids.Block.to_int b) (Ids.Net.to_int n)
-
 let violations t =
   {
     hold_hazards = t.hold_hazards;

@@ -52,9 +52,6 @@ val run_frame : t -> Msched_clocking.Edges.edge list -> unit
 
 val run : t -> Msched_clocking.Edges.edge list -> unit
 
-val site_value : t -> Ids.Block.t -> Ids.Net.t -> bool
-(** The block-local copy of a net. *)
-
 val state_snapshot : t -> (Ids.Cell.t * bool) list
 (** Owner-block output values of every state cell, in {!Ref_sim.state_cells}
     order — directly comparable with {!Ref_sim.state_snapshot}. *)

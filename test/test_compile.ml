@@ -120,6 +120,46 @@ let test_min_fpgas_under_limit () =
   Alcotest.(check (option int)) "hard at 40" None
     (Msched.Pin_sweep.min_fpgas_under_pin_limit points ~pin_limit:40 ~hard:true)
 
+(* A design with no cells parses and lints clean.  Every entry point
+   passes [prepare], which answers it as malformed input (E_EMPTY_DESIGN,
+   exit 3), and the retry ladder stops there: one attempt, one
+   diagnostic, no hard fallback. *)
+let test_empty_design () =
+  let module Diag = Msched_diag.Diag in
+  let module Compile = Msched.Compile in
+  let module Server = Msched_server.Server in
+  let text =
+    In_channel.with_open_bin
+      (Filename.concat (Test_reader_pins.broken_dir ()) "empty.mnl")
+      In_channel.input_all
+  in
+  let nl =
+    match Serial.of_string text with
+    | Ok nl -> nl
+    | Error m -> Alcotest.failf "empty.mnl does not parse: %s" m
+  in
+  Alcotest.(check int) "lints clean" 0 (List.length (Lint.check nl));
+  let code d = Diag.code_name d.Diag.code in
+  (match Compile.compile nl with
+  | _ -> Alcotest.fail "an empty design compiled"
+  | exception e ->
+      Alcotest.(check string) "compile" "E_EMPTY_DESIGN"
+        (code (Compile.diag_of_exn e)));
+  let r = Compile.compile_resilient ~max_retries:2 ~fallback_hard:true nl in
+  Alcotest.(check int) "resilient: exit class" 3 (Compile.resilient_exit_code r);
+  Alcotest.(check int) "resilient: one attempt" 1
+    (List.length r.Compile.attempts);
+  Alcotest.(check (list string)) "resilient: one diagnostic"
+    [ "E_EMPTY_DESIGN" ]
+    (List.map code r.Compile.diagnostics);
+  let d =
+    Server.run_delta Server.default_settings
+      { Server.dq_path = "empty.mnl"; dq_text = text; dq_base = None }
+  in
+  Alcotest.(check int) "delta: exit class" 3 d.Server.dr_exit;
+  Alcotest.(check (list string)) "delta: one diagnostic" [ "E_EMPTY_DESIGN" ]
+    (List.map code d.Server.dr_diags)
+
 let suite =
   [
     Alcotest.test_case "prepare pipeline" `Quick test_prepare_pipeline;
@@ -129,4 +169,6 @@ let suite =
     Alcotest.test_case "report shape" `Slow test_report_shape;
     Alcotest.test_case "pin sweep monotone" `Slow test_pin_sweep_monotone;
     Alcotest.test_case "min fpgas under limit" `Quick test_min_fpgas_under_limit;
+    Alcotest.test_case "an empty design is malformed input" `Quick
+      test_empty_design;
   ]

@@ -1073,12 +1073,14 @@ type stdio = {
   st_resp : client;
 }
 
-let stdio_start ?max_frame () =
+let stdio_start ?max_frame ?cache_dir ?inject () =
   let req_r, req_w = Unix.pipe ~cloexec:true () in
   let resp_r, resp_w = Unix.pipe ~cloexec:true () in
   let srv =
     Transport.start
-      (config ?max_frame ~address:(Transport.Stdio (req_r, resp_w)) ())
+      (config ?max_frame ?cache_dir ?inject
+         ~address:(Transport.Stdio (req_r, resp_w))
+         ())
   in
   {
     st_srv = srv;
@@ -1184,6 +1186,225 @@ let test_design_reset_no_crash () =
   Alcotest.(check int) "no worker crashed" 0
     s.Transport.sm_counters.Dispatch.c_crashed
 
+(* A signal handler runs at a safepoint of whichever thread it
+   interrupts, perhaps one holding the server's lock, so a shutdown
+   requested from one must take no lock.  A stdio session answers 40
+   compile requests while SIGUSR1 arrives every 0.2 ms from a thread that
+   blocks it (so other threads take it, as they take an external
+   SIGTERM), each handled by a drain request.  Every request is answered
+   once, compiled (exit 0) or shed once the drain began (exit 8); the
+   conn summary follows and the drain is clean.  A handler that takes
+   the lock fails here only when a signal lands inside a locked region,
+   so a pass does not prove the absence of the lock, only the drain. *)
+let test_signal_shutdown () =
+  let dir = fresh_dir () in
+  let mnl = Filename.concat dir "good.mnl" in
+  write_file mnl (good_text ());
+  let n = 40 in
+  let req_r, req_w = Unix.pipe ~cloexec:true () in
+  let resp_r, resp_w = Unix.pipe ~cloexec:true () in
+  (* Every request is in the pipe, and the input closed, before the
+     session starts. *)
+  let input = { c_fd = req_w; c_carry = "" } in
+  send_raw input (String.concat "" (List.init n (fun _ -> mnl ^ "\n")));
+  close input;
+  let srv =
+    Transport.start (config ~address:(Transport.Stdio (req_r, resp_w)) ())
+  in
+  let handled = Atomic.make 0 in
+  let previous =
+    Sys.signal Sys.sigusr1
+      (Sys.Signal_handle
+         (fun _ ->
+           Atomic.incr handled;
+           Transport.request_shutdown srv `Drain))
+  in
+  let stop = Atomic.make false in
+  let storm =
+    Thread.create
+      (fun () ->
+        ignore (Thread.sigmask Unix.SIG_BLOCK [ Sys.sigusr1 ]);
+        while not (Atomic.get stop) do
+          Unix.kill (Unix.getpid ()) Sys.sigusr1;
+          Thread.delay 0.0002
+        done)
+      ()
+  in
+  let resp = { c_fd = resp_r; c_carry = "" } in
+  let rec next () =
+    try recv_exn ~timeout_s:10.0 resp
+    with Unix.Unix_error (Unix.EINTR, _, _) -> next ()
+  in
+  let lines = Array.init (n + 1) (fun _ -> next ()) in
+  let s = Transport.wait srv in
+  Atomic.set stop true;
+  Thread.join storm;
+  Thread.delay 0.01;
+  Sys.set_signal Sys.sigusr1 previous;
+  Unix.close resp_w;
+  close resp;
+  Unix.close req_r;
+  Alcotest.(check bool) "the handler ran" true (Atomic.get handled > 0);
+  let answers = Array.sub lines 0 n in
+  Array.iter
+    (fun line ->
+      match exit_code line with
+      | 0 -> ()
+      | 8 -> check_failure ~what:"shed" ~code:"E_OVERLOAD" ~exit:8 line
+      | e -> Alcotest.failf "exit %d answering a compile: %s" e line)
+    answers;
+  let conn = lines.(n) in
+  Alcotest.(check string) "conn summary" "msched-serve-conn-1" (schema conn);
+  Alcotest.(check (option int)) "every request counted" (Some n)
+    (int_mem "requests" conn);
+  let shed =
+    Array.fold_left (fun k l -> if exit_code l = 8 then k + 1 else k) 0 answers
+  in
+  Alcotest.(check int) "compiled + shed" n
+    (s.Transport.sm_counters.Dispatch.c_completed + shed);
+  Alcotest.(check bool) "clean drain" true s.Transport.sm_clean
+
+(* The served request path, byte for byte: one `serve --stdin` session
+   under a cache directory, with fault injection on, sends every kind of
+   request line one at a time.  Each response line is pinned by its
+   FNV-1a hash, with the design directory's name replaced by "<dir>" and
+   the conn summary's [wall_s] removed; then the server summary's cache
+   counts and completed jobs.  The hashes were printed by the server in
+   which compile, delta and poison requests still took separate routes
+   to their answers, and must not move. *)
+let served_path_pins =
+  [
+    ("bare path (cold)", "6bccd65069a9156f");
+    ("path + id (warm)", "5efaaa6b79ef55f0");
+    ("inline text (cold)", "6b81011beb8f9ccc");
+    ("inline text again (warm)", "912623fe163d4795");
+    ("delta, no base", "8b1913c87810f83e");
+    ("delta on its base", "e3b6b32e3b23c110");
+    ("missing file", "6aa02d853406dd4c");
+    ("delta of a missing file", "6aa02d853406dd4c");
+    ("path and text", "e6242c98f50d3230");
+    ("unknown op", "6d2ff51d0ac63af8");
+    ("malformed frame", "e6cb234452f99426");
+    ("poison:sleep", "1164f0061a41fb34");
+    ("malformed poison spec", "a06f5b172c8f4bf8");
+    ("conn summary", "7dd21091e11b7ea5");
+  ]
+
+let replace_all ~sub ~by s =
+  let n = String.length sub and b = Buffer.create (String.length s) in
+  let rec go i =
+    if i > String.length s - n then
+      Buffer.add_substring b s i (String.length s - i)
+    else if String.sub s i n = sub then begin
+      Buffer.add_string b by;
+      go (i + n)
+    end
+    else begin
+      Buffer.add_char b s.[i];
+      go (i + 1)
+    end
+  in
+  go 0;
+  Buffer.contents b
+
+(* Drop the [,"wall_s":<number>] member, the one timing in a response. *)
+let strip_wall_s line =
+  let key = {|,"wall_s":|} in
+  let n = String.length key in
+  let rec find i =
+    if i + n > String.length line then line
+    else if String.sub line i n = key then
+      let rec skip j =
+        if j < String.length line && String.contains "0123456789.-+e" line.[j]
+        then skip (j + 1)
+        else j
+      in
+      let j = skip (i + n) in
+      String.sub line 0 i ^ String.sub line j (String.length line - j)
+    else find (i + 1)
+  in
+  find 0
+
+let test_served_path_pins () =
+  let src = fresh_dir () in
+  let mnl = Filename.concat src "good.mnl" in
+  write_file mnl (good_text ());
+  let missing = Filename.concat src "missing.mnl" in
+  let inline = good_text ~seed:902 () in
+  let edited =
+    let nl =
+      match Serial.of_string inline with
+      | Ok nl -> nl
+      | Error m -> Alcotest.failf "inline text does not parse: %s" m
+    in
+    let rec scan seed =
+      if seed > 8 then Alcotest.fail "no applicable domain-flip edit"
+      else
+        match Msched_delta.Edit.apply ~seed Msched_delta.Edit.Flip_domain nl with
+        | Ok (nl', _) -> Serial.to_string nl'
+        | Error _ -> scan (seed + 1)
+    in
+    scan 0
+  in
+  let st = stdio_start ~cache_dir:(fresh_dir ()) ~inject:true () in
+  let ask line =
+    let writer = feed st (line ^ "\n") in
+    let r = recv_exn st.st_resp in
+    Thread.join writer;
+    r
+  in
+  let str = Diag.Json.string in
+  let bare = ask mnl in
+  let with_id = ask (Printf.sprintf {|{"path":%s,"id":"p1"}|} (str mnl)) in
+  let text_cold = ask (Printf.sprintf {|{"text":%s}|} (str inline)) in
+  let text_warm = ask (Printf.sprintf {|{"text":%s}|} (str inline)) in
+  let delta0 =
+    ask (Printf.sprintf {|{"op":"delta","text":%s,"id":"d0"}|} (str inline))
+  in
+  let key =
+    match str_mem "key" delta0 with
+    | Some k -> k
+    | None -> Alcotest.fail "the delta answer announced no key"
+  in
+  let delta1 =
+    ask
+      (Printf.sprintf {|{"op":"delta","text":%s,"base":%s,"id":"d1"}|}
+         (str edited) (str key))
+  in
+  let answers =
+    [
+      bare;
+      with_id;
+      text_cold;
+      text_warm;
+      delta0;
+      delta1;
+      ask missing;
+      ask (Printf.sprintf {|{"op":"delta","path":%s}|} (str missing));
+      ask
+        (Printf.sprintf {|{"path":%s,"text":%s,"id":"both"}|} (str mnl)
+           (str inline));
+      ask {|{"op":"bogus","id":"op"}|};
+      ask "{not json";
+      ask "poison:sleep=0.01";
+      ask "poison:frobnicate";
+    ]
+  in
+  let conn, s = stdio_finish st in
+  List.iter2
+    (fun (what, want) line ->
+      Alcotest.(check string) what want
+        (Cache.hash_hex (strip_wall_s (replace_all ~sub:src ~by:"<dir>" line))))
+    served_path_pins (answers @ [ conn ]);
+  Alcotest.(check (list (pair string int))) "summary cache counts"
+    [ ("off", 6); ("cold", 3); ("warm", 2); ("corrupt", 0) ]
+    (List.map
+       (fun (st, n) -> (Server.cache_status_name st, n))
+       s.Transport.sm_cache);
+  Alcotest.(check int) "jobs completed" 7
+    s.Transport.sm_counters.Dispatch.c_completed;
+  Alcotest.(check bool) "input EOF drains clean" true s.Transport.sm_clean
+
 let suite =
   [
     Alcotest.test_case "serve: round-trip over a unix socket" `Quick
@@ -1230,4 +1451,8 @@ let suite =
       test_frame_at_cap_linear;
     Alcotest.test_case "serve: a second design line is exit 3, not a crash"
       `Quick test_design_reset_no_crash;
+    Alcotest.test_case "serve: served request path pins" `Quick
+      test_served_path_pins;
+    Alcotest.test_case "serve: a signal handler requests the drain" `Quick
+      test_signal_shutdown;
   ]

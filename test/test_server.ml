@@ -319,10 +319,13 @@ let test_result_policies_never_cross () =
     ]
   in
   let answer s =
-    Server.answer_job { s with Server.s_cache_dir = Some dir } ~epoch:0.0 job
+    Server.answer { s with Server.s_cache_dir = Some dir } ~epoch:0.0
+      (Server.Compile job)
   in
   let uncached s =
-    snd (split_cache (record_of (Server.answer_job s ~epoch:0.0 job)))
+    snd
+      (split_cache
+         (record_of (Server.answer s ~epoch:0.0 (Server.Compile job))))
   in
   let firsts =
     List.map
@@ -419,7 +422,7 @@ let test_cache_truncation_sweep () =
     { Server.default_settings with Server.s_cache_dir = Some dir }
   in
   let job = Server.job_of_text ~index:0 ~path:"tiny.mnl" tiny_text in
-  let answer () = Server.answer_job settings ~epoch:0.0 job in
+  let answer () = Server.answer settings ~epoch:0.0 (Server.Compile job) in
   let cold = answer () in
   let c, cold_rest = split_cache (record_of cold) in
   Alcotest.(check string) "first answer compiles" "cold" c;
@@ -782,7 +785,8 @@ let prop_text_frame_roundtrip =
         Transport.parse_request ~inject_faults:false
           (Printf.sprintf {|{"text":%s}|} (Diag.Json.string s))
       with
-      | Transport.Q_compile { q_source = `Text t; q_id = None; _ } -> t = s
+      | Transport.Q_job { q_work = `Compile (`Text t); q_id = None; _ } ->
+          t = s
       | _ -> false)
 
 let suite =
