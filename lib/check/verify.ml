@@ -208,6 +208,168 @@ let pp_report ppf r =
       r.violations
   end
 
+module Itbl = Hashtbl.Make (Int)
+
+(* [key.(i)]'s entries of [0, n) grouped by key, each group in increasing
+   [i]: group [k] is [order.(start.(k)) .. order.(start.(k + 1) - 1)].
+   Entries whose key is outside [0, nkeys) belong to no group. *)
+let group_by nkeys n key =
+  let start = Array.make (nkeys + 1) 0 in
+  for i = 0 to n - 1 do
+    let k = key i in
+    if k >= 0 && k < nkeys then start.(k) <- start.(k) + 1
+  done;
+  for k = 1 to nkeys do
+    start.(k) <- start.(k) + start.(k - 1)
+  done;
+  (* [start.(k)] is now group [k]'s end; filling from the back counts it
+     down to the group's start. *)
+  let order = Array.make start.(nkeys) 0 in
+  for i = n - 1 downto 0 do
+    let k = key i in
+    if k >= 0 && k < nkeys then begin
+      start.(k) <- start.(k) - 1;
+      order.(start.(k)) <- i
+    end
+  done;
+  (start, order)
+
+(* The [channel-overbooked] violations follow the iteration order of a
+   [Hashtbl.create occupancy_size] table. *)
+let occupancy_size = 1024
+
+(* Wire-pool occupancy by (channel, slot): slots [0, span) of every
+   channel in one dense array, any other slot in its channel's table, and
+   the keys in the order of their first hop (at most one per hop). *)
+type occupancy = {
+  span : int;
+  dense : int array;  (* channel * span + slot *)
+  sparse : int Itbl.t option array;  (* by channel *)
+  key_chan : int array;
+  key_slot : int array;
+  mutable nkeys : int;
+}
+
+let occupancy nch ~length ~hops =
+  let span =
+    if length >= 0 && (length + 1) * nch <= (4 * hops) + 1024 then length + 1
+    else 0
+  in
+  {
+    span;
+    dense = Array.make (span * nch) 0;
+    sparse = Array.make nch None;
+    key_chan = Array.make hops 0;
+    key_slot = Array.make hops 0;
+    nkeys = 0;
+  }
+
+let occupied o c slot =
+  if slot >= 0 && slot < o.span then o.dense.((c * o.span) + slot)
+  else
+    match o.sparse.(c) with
+    | None -> 0
+    | Some t -> ( try Itbl.find t slot with Not_found -> 0)
+
+let occupy o c slot =
+  let used = occupied o c slot in
+  if used = 0 then begin
+    o.key_chan.(o.nkeys) <- c;
+    o.key_slot.(o.nkeys) <- slot;
+    o.nkeys <- o.nkeys + 1
+  end;
+  if slot >= 0 && slot < o.span then o.dense.((c * o.span) + slot) <- used + 1
+  else
+    let t =
+      match o.sparse.(c) with
+      | Some t -> t
+      | None ->
+          let t = Itbl.create 16 in
+          o.sparse.(c) <- Some t;
+          t
+    in
+    Itbl.replace t slot (used + 1)
+
+(* The hops of a transport's channel path from [at], checked against the
+   channels they name. *)
+let rec walk push channels (link : Link.t) domain at = function
+  | [] ->
+      if not (Ids.Fpga.equal at link.Link.dst_fpga) then
+        push
+          (Path_broken
+             {
+               link;
+               domain;
+               detail =
+                 Format.asprintf "path ends at %a, destination is %a"
+                   Ids.Fpga.pp at Ids.Fpga.pp link.Link.dst_fpga;
+             })
+  | (c, _) :: rest ->
+      if c < 0 || c >= Array.length channels then
+        push
+          (Path_broken
+             { link; domain; detail = Format.asprintf "unknown channel %d" c })
+      else begin
+        let ch = channels.(c) in
+        if not (Ids.Fpga.equal ch.System.src at) then
+          push
+            (Path_broken
+               {
+                 link;
+                 domain;
+                 detail =
+                   Format.asprintf "hop ch%d departs %a but value is at %a" c
+                     Ids.Fpga.pp ch.System.src Ids.Fpga.pp at;
+               });
+        walk push channels link domain ch.System.dst rest
+      end
+
+let rec virtual_hops acc = function
+  | [] -> acc
+  | (tr : Schedule.transport) :: rest ->
+      let n =
+        if tr.Schedule.tr_hard then 0 else List.length tr.Schedule.tr_hops
+      in
+      virtual_hops (acc + n) rest
+
+let rec latest_arrival at = function
+  | [] -> at
+  | (tr : Schedule.transport) :: rest ->
+      latest_arrival (max at tr.Schedule.tr_fwd_arr) rest
+
+(* FORK equalization: all virtual constituent transports of one MTS
+   crossing must share one departure and one arrival. *)
+let fork_skewed (transports : Schedule.transport list) =
+  let rec first = function
+    | [] -> false
+    | (tr : Schedule.transport) :: rest ->
+        if tr.Schedule.tr_hard then first rest else skewed tr rest
+  and skewed (f : Schedule.transport) = function
+    | [] -> false
+    | (tr : Schedule.transport) :: rest ->
+        ((not tr.Schedule.tr_hard)
+        && (tr.Schedule.tr_fwd_dep <> f.Schedule.tr_fwd_dep
+           || tr.Schedule.tr_fwd_arr <> f.Schedule.tr_fwd_arr))
+        || skewed f rest
+  in
+  first transports
+
+(* Departure readiness: a virtual transport may not sample its source
+   terminal before the net can have settled there. *)
+let rec check_departures push link required = function
+  | [] -> ()
+  | (tr : Schedule.transport) :: rest ->
+      if (not tr.Schedule.tr_hard) && tr.Schedule.tr_fwd_dep < required then
+        push
+          (Departure_too_early
+             {
+               link;
+               domain = tr.Schedule.tr_domain;
+               dep = tr.Schedule.tr_fwd_dep;
+               required;
+             });
+      check_departures push link required rest
+
 let verify ?(obs = Msched_obs.Sink.null) placement analysis
     (sched : Schedule.t) =
   Msched_obs.Sink.span obs "verify" @@ fun () ->
@@ -229,138 +391,109 @@ let verify ?(obs = Msched_obs.Sink.null) placement analysis
       sched.Schedule.peak_channel_usage.(c)
     else 0
   in
+  let links = Array.of_list sched.Schedule.link_scheds in
+  let nlinks = Array.length links in
+  let link i = links.(i).Schedule.ls_link in
 
-  (* ---- Per-transport structural checks + occupancy/arrival tallies. ---- *)
-  let occupancy : (int * int, int) Hashtbl.t = Hashtbl.create 1024 in
+  (* ---- Per-transport structural checks + occupancy tallies. ---- *)
+  let hops =
+    Array.fold_left
+      (fun acc (ls : Schedule.link_sched) ->
+        virtual_hops acc ls.Schedule.ls_transports)
+      0 links
+  in
+  let occ = occupancy nch ~length ~hops in
   let hard_cnt = Array.make (max 1 nch) 0 in
-  let arrival_tbl : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
   let transports_checked = ref 0 in
-  List.iter
+  (* Slot monotonicity inside the transport window, and wire-pool
+     occupancy accounting. *)
+  let rec tally link (tr : Schedule.transport) prev = function
+    | [] -> ()
+    | (c, slot) :: rest ->
+        let dep = tr.Schedule.tr_fwd_dep and arr = tr.Schedule.tr_fwd_arr in
+        if slot <= prev || slot < dep || slot > arr then
+          push
+            (Hop_misordered
+               {
+                 link;
+                 domain = tr.Schedule.tr_domain;
+                 channel = c;
+                 slot;
+                 dep;
+                 arr;
+               });
+        if c >= 0 && c < nch then occupy occ c slot;
+        tally link tr slot rest
+  in
+  let rec check_transports link = function
+    | [] -> ()
+    | (tr : Schedule.transport) :: rest ->
+        incr transports_checked;
+        let dep = tr.Schedule.tr_fwd_dep and arr = tr.Schedule.tr_fwd_arr in
+        if dep < 0 || arr < dep || arr > length then
+          push
+            (Transport_overrun
+               { link; domain = tr.Schedule.tr_domain; dep; arr; length });
+        (* Channel path connectivity (hard and virtual alike). *)
+        walk push channels link tr.Schedule.tr_domain link.Link.src_fpga
+          tr.Schedule.tr_hops;
+        if tr.Schedule.tr_hard then
+          (* Dedicated wires carry the value whenever the source changes:
+             slots are meaningless, but every traversed channel must hold
+             a dedicated wire for this transport. *)
+          List.iter
+            (fun (c, _) ->
+              if c >= 0 && c < nch then hard_cnt.(c) <- hard_cnt.(c) + 1)
+            tr.Schedule.tr_hops
+        else tally link tr (dep - 1) tr.Schedule.tr_hops;
+        check_transports link rest
+  in
+  Array.iter
     (fun (ls : Schedule.link_sched) ->
       let link = ls.Schedule.ls_link in
-      let key =
-        ( Ids.Block.to_int link.Link.dst_block,
-          Ids.Net.to_int link.Link.net )
-      in
-      List.iter
-        (fun (tr : Schedule.transport) ->
-          incr transports_checked;
-          let dep = tr.Schedule.tr_fwd_dep and arr = tr.Schedule.tr_fwd_arr in
-          let cur = Option.value ~default:0 (Hashtbl.find_opt arrival_tbl key) in
-          if arr > cur then Hashtbl.replace arrival_tbl key arr;
-          if dep < 0 || arr < dep || arr > length then
-            push
-              (Transport_overrun
-                 { link; domain = tr.Schedule.tr_domain; dep; arr; length });
-          (* Channel path connectivity (hard and virtual alike). *)
-          let rec walk at = function
-            | [] ->
-                if not (Ids.Fpga.equal at link.Link.dst_fpga) then
-                  push
-                    (Path_broken
-                       {
-                         link;
-                         domain = tr.Schedule.tr_domain;
-                         detail =
-                           Format.asprintf
-                             "path ends at %a, destination is %a" Ids.Fpga.pp
-                             at Ids.Fpga.pp link.Link.dst_fpga;
-                       })
-            | (c, _) :: rest ->
-                if c < 0 || c >= nch then
-                  push
-                    (Path_broken
-                       {
-                         link;
-                         domain = tr.Schedule.tr_domain;
-                         detail = Format.asprintf "unknown channel %d" c;
-                       })
-                else begin
-                  let ch = channels.(c) in
-                  if not (Ids.Fpga.equal ch.System.src at) then
-                    push
-                      (Path_broken
-                         {
-                           link;
-                           domain = tr.Schedule.tr_domain;
-                           detail =
-                             Format.asprintf
-                               "hop ch%d departs %a but value is at %a" c
-                               Ids.Fpga.pp ch.System.src Ids.Fpga.pp at;
-                         });
-                  walk ch.System.dst rest
-                end
-          in
-          walk link.Link.src_fpga tr.Schedule.tr_hops;
-          if tr.Schedule.tr_hard then
-            (* Dedicated wires carry the value whenever the source changes:
-               slots are meaningless, but every traversed channel must hold
-               a dedicated wire for this transport. *)
-            List.iter
-              (fun (c, _) ->
-                if c >= 0 && c < nch then hard_cnt.(c) <- hard_cnt.(c) + 1)
-              tr.Schedule.tr_hops
-          else begin
-            (* Slot monotonicity inside the transport window, and wire-pool
-               occupancy accounting. *)
-            let prev = ref (dep - 1) in
-            List.iter
-              (fun (c, slot) ->
-                if slot <= !prev || slot < dep || slot > arr then
-                  push
-                    (Hop_misordered
-                       {
-                         link;
-                         domain = tr.Schedule.tr_domain;
-                         channel = c;
-                         slot;
-                         dep;
-                         arr;
-                       });
-                prev := slot;
-                if c >= 0 && c < nch then begin
-                  let k = (c, slot) in
-                  let n = Option.value ~default:0 (Hashtbl.find_opt occupancy k) in
-                  Hashtbl.replace occupancy k (n + 1)
-                end)
-              tr.Schedule.tr_hops
-          end)
-        ls.Schedule.ls_transports;
-      (* FORK equalization: all virtual constituent transports of one MTS
-         crossing must share one departure and one arrival. *)
-      let virts =
-        List.filter
-          (fun tr -> not tr.Schedule.tr_hard)
-          ls.Schedule.ls_transports
-      in
-      match virts with
-      | [] | [ _ ] -> ()
-      | first :: rest ->
-          let skewed =
-            List.exists
-              (fun tr ->
-                tr.Schedule.tr_fwd_dep <> first.Schedule.tr_fwd_dep
-                || tr.Schedule.tr_fwd_arr <> first.Schedule.tr_fwd_arr)
-              rest
-          in
-          if skewed then
-            push
-              (Fork_skew
-                 {
-                   link;
-                   deps = List.map (fun tr -> tr.Schedule.tr_fwd_dep) virts;
-                   arrs = List.map (fun tr -> tr.Schedule.tr_fwd_arr) virts;
-                 }))
-    sched.Schedule.link_scheds;
+      check_transports link ls.Schedule.ls_transports;
+      if fork_skewed ls.Schedule.ls_transports then begin
+        let virts =
+          List.filter
+            (fun tr -> not tr.Schedule.tr_hard)
+            ls.Schedule.ls_transports
+        in
+        push
+          (Fork_skew
+             {
+               link;
+               deps = List.map (fun tr -> tr.Schedule.tr_fwd_dep) virts;
+               arrs = List.map (fun tr -> tr.Schedule.tr_fwd_arr) virts;
+             })
+      end)
+    links;
 
   (* ---- Wire pools, peaks, dedication and pin budgets. ---- *)
   let actual_peak = Array.make (max 1 nch) 0 in
-  Hashtbl.iter
-    (fun (c, slot) used ->
-      if used > actual_peak.(c) then actual_peak.(c) <- used;
-      let capacity = channels.(c).System.width - dedicated c in
-      if used > capacity then push (Channel_overbooked { channel = c; slot; used; capacity }))
-    occupancy;
+  let capacity c = channels.(c).System.width - dedicated c in
+  let overbooked = ref false in
+  for k = 0 to occ.nkeys - 1 do
+    let c = occ.key_chan.(k) in
+    let used = occupied occ c occ.key_slot.(k) in
+    if used > actual_peak.(c) then actual_peak.(c) <- used;
+    if used > capacity c then overbooked := true
+  done;
+  (* Overbooked slots in the iteration order of a generic table that
+     received every key in first-hop order, as the tally once did (a clean
+     schedule builds none). *)
+  if !overbooked then begin
+    let tbl = Hashtbl.create occupancy_size in
+    for k = 0 to occ.nkeys - 1 do
+      let c = occ.key_chan.(k) and slot = occ.key_slot.(k) in
+      Hashtbl.replace tbl (c, slot) (occupied occ c slot)
+    done;
+    Hashtbl.iter
+      (fun (c, slot) used ->
+        if used > capacity c then
+          push
+            (Channel_overbooked { channel = c; slot; used; capacity = capacity c }))
+      tbl
+  end;
   (* Deterministic order for the slot-level violations found above. *)
   for c = 0 to nch - 1 do
     if recorded_peak c < actual_peak.(c) then
@@ -401,45 +534,46 @@ let verify ?(obs = Msched_obs.Sink.null) placement analysis
   (* ---- Completeness: every crossing net reaches every foreign block,
      with a transport per constituent domain for multi-transition nets.
      What one (net, destination block) receives is the union of the
-     transports of every entry naming that pair, indexed in one pass. ---- *)
-  let delivered : (int * int, Schedule.transport list) Hashtbl.t =
-    Hashtbl.create 256
+     transports of every entry naming that pair: the entries are grouped
+     by net once, and each pair scans its net's group. ---- *)
+  let nnets = Netlist.num_nets nl in
+  let net_start, by_net =
+    group_by nnets nlinks (fun i -> Ids.Net.to_int (link i).Link.net)
   in
-  List.iter
-    (fun (ls : Schedule.link_sched) ->
-      let link = ls.Schedule.ls_link in
-      let key =
-        (Ids.Net.to_int link.Link.net, Ids.Block.to_int link.Link.dst_block)
-      in
-      let prev = Option.value ~default:[] (Hashtbl.find_opt delivered key) in
-      Hashtbl.replace delivered key
-        (List.rev_append ls.Schedule.ls_transports prev))
-    sched.Schedule.link_scheds;
+  (* Whether some transport of an entry for (net [n], block [b]) satisfies
+     [p]. *)
+  let delivers n b p =
+    let found = ref false and k = ref net_start.(n) in
+    while (not !found) && !k < net_start.(n + 1) do
+      let ls = links.(by_net.(!k)) in
+      if Ids.Block.to_int ls.Schedule.ls_link.Link.dst_block = b then
+        found := List.exists p ls.Schedule.ls_transports;
+      incr k
+    done;
+    !found
+  in
+  let any_transport _ = true in
+  let is_hard (tr : Schedule.transport) = tr.Schedule.tr_hard in
   List.iter
     (fun net ->
+      let n = Ids.Net.to_int net in
       List.iter
         (fun (dst_block, _terms) ->
-          let transports =
-            Option.value ~default:[]
-              (Hashtbl.find_opt delivered
-                 (Ids.Net.to_int net, Ids.Block.to_int dst_block))
-          in
-          if transports = [] then push (Missing_link { net; dst_block })
+          let b = Ids.Block.to_int dst_block in
+          if not (delivers n b any_transport) then
+            push (Missing_link { net; dst_block })
           else if
-            (not (List.exists (fun tr -> tr.Schedule.tr_hard) transports))
+            (not (delivers n b is_hard))
             && Domain_analysis.is_multi_transition analysis net
           then
             Ids.Dom.Set.iter
               (fun d ->
-                let present =
-                  List.exists
-                    (fun tr ->
-                      match tr.Schedule.tr_domain with
-                      | Some d' -> Ids.Dom.equal d d'
-                      | None -> false)
-                    transports
+                let carries (tr : Schedule.transport) =
+                  match tr.Schedule.tr_domain with
+                  | Some d' -> Ids.Dom.equal d d'
+                  | None -> false
                 in
-                if not present then
+                if not (delivers n b carries) then
                   push (Missing_fork_transport { net; dst_block; domain = d }))
               (Domain_analysis.transitions analysis net))
         (Partition.foreign_consumers part net))
@@ -450,26 +584,35 @@ let verify ?(obs = Msched_obs.Sink.null) placement analysis
   let holdoff_tbl = Ids.Cell.Tbl.create 64 in
   List.iter
     (fun (h : Schedule.holdoff) ->
-      Ids.Cell.Tbl.replace holdoff_tbl h.Schedule.ho_cell
-        (h.Schedule.ho_gate, h.Schedule.ho_data))
+      Ids.Cell.Tbl.replace holdoff_tbl h.Schedule.ho_cell h)
     sched.Schedule.holdoffs;
   let nblocks = Partition.num_blocks part in
-  let links_from = Array.make (max 1 nblocks) [] in
-  List.iter
-    (fun (ls : Schedule.link_sched) ->
-      let sb = Ids.Block.to_int ls.Schedule.ls_link.Link.src_block in
-      if sb >= 0 && sb < nblocks then links_from.(sb) <- ls :: links_from.(sb))
-    sched.Schedule.link_scheds;
+  (* Each block's links, last listed first. *)
+  let from_start, by_src =
+    group_by nblocks nlinks (fun i -> Ids.Block.to_int (link i).Link.src_block)
+  in
+  let iter_links_from b f =
+    for k = from_start.(b + 1) - 1 downto from_start.(b) do
+      f links.(by_src.(k))
+    done
+  in
+  (* The latest arrival of net [n] at block [b], at least 0. *)
   let arrival b n =
-    Option.value ~default:0
-      (Hashtbl.find_opt arrival_tbl (b, Ids.Net.to_int n))
+    let n = Ids.Net.to_int n in
+    let at = ref 0 in
+    if n < nnets then
+      for k = net_start.(n) to net_start.(n + 1) - 1 do
+        let ls = links.(by_net.(k)) in
+        if Ids.Block.to_int ls.Schedule.ls_link.Link.dst_block = b then
+          at := latest_arrival !at ls.Schedule.ls_transports
+      done;
+    !at
   in
   let shares_domain m data_net =
     not
-      (Ids.Dom.Set.is_empty
-         (Ids.Dom.Set.inter
-            (Domain_analysis.transitions analysis m)
-            (Domain_analysis.transitions analysis data_net)))
+      (Ids.Dom.Set.disjoint
+         (Domain_analysis.transitions analysis m)
+         (Domain_analysis.transitions analysis data_net))
   in
   let needs_holdoff (c : Cell.t) =
     match c.Cell.kind, c.Cell.trigger with
@@ -492,41 +635,48 @@ let verify ?(obs = Msched_obs.Sink.null) placement analysis
        settled, for the nets [link_block] marks as this block's. *)
   let scratch = Traverse.scratch nl in
   let gate_lb = Array.make (Netlist.num_cells nl) 0 in
-  let required = Array.make (Netlist.num_nets nl) 0 in
-  let link_block = Array.make (Netlist.num_nets nl) (-1) in
+  let required = Array.make nnets 0 in
+  let link_block = Array.make nnets (-1) in
+  (* The cone being walked: its block, region, source and arrival. *)
+  let cur_b = ref 0 and cur_m = ref (Ids.Net.of_int 0) and cur_at = ref 0 in
+  let cur_region = ref None in
+  let cone_visit n _ dmax =
+    let b = !cur_b and at = !cur_at in
+    let region = Option.get !cur_region in
+    let i = Ids.Net.to_int n in
+    if link_block.(i) = b then required.(i) <- max required.(i) (at + dmax);
+    let fanouts = Netlist.fanouts nl n in
+    for t = 0 to Array.length fanouts - 1 do
+      let tm = fanouts.(t) in
+      let c = Netlist.cell nl tm.Netlist.term_cell in
+      match tm.Netlist.term_pin, c.Cell.trigger with
+      | Netlist.Trigger_pin, Some (Cell.Net_trigger _)
+        when Traverse.contains region c.Cell.id
+             && (is_ram c || shares_domain !cur_m c.Cell.data_inputs.(0)) ->
+          let ci = Ids.Cell.to_int c.Cell.id in
+          gate_lb.(ci) <- max gate_lb.(ci) (at + dmax)
+      | (Netlist.Trigger_pin | Netlist.Data_pin _), _ -> ()
+    done
+  in
   for b = 0 to nblocks - 1 do
     let block = Ids.Block.of_int b in
     let cells = Partition.cells_of_block part block in
     let region = Traverse.region scratch cells in
+    cur_b := b;
+    cur_region := Some region;
     List.iter (fun cid -> gate_lb.(Ids.Cell.to_int cid) <- 0) cells;
-    List.iter
-      (fun (ls : Schedule.link_sched) ->
+    iter_links_from b (fun (ls : Schedule.link_sched) ->
         let i = Ids.Net.to_int ls.Schedule.ls_link.Link.net in
         link_block.(i) <- b;
-        required.(i) <- 0)
-      links_from.(b);
+        required.(i) <- 0);
     Traverse.settle region (fun n settle ->
         let i = Ids.Net.to_int n in
         if link_block.(i) = b then required.(i) <- settle);
     List.iter
       (fun m ->
-        let at = arrival b m in
-        Traverse.cone region m (fun n _ dmax ->
-            let i = Ids.Net.to_int n in
-            if link_block.(i) = b then
-              required.(i) <- max required.(i) (at + dmax);
-            let fanouts = Netlist.fanouts nl n in
-            for t = 0 to Array.length fanouts - 1 do
-              let tm = fanouts.(t) in
-              let c = Netlist.cell nl tm.Netlist.term_cell in
-              match tm.Netlist.term_pin, c.Cell.trigger with
-              | Netlist.Trigger_pin, Some (Cell.Net_trigger _)
-                when Traverse.contains region c.Cell.id
-                     && (is_ram c || shares_domain m c.Cell.data_inputs.(0)) ->
-                  let ci = Ids.Cell.to_int c.Cell.id in
-                  gate_lb.(ci) <- max gate_lb.(ci) (at + dmax)
-              | (Netlist.Trigger_pin | Netlist.Data_pin _), _ -> ()
-            done))
+        cur_m := m;
+        cur_at := arrival b m;
+        Traverse.cone region m cone_visit)
       (Partition.input_nets part block);
     (* Hold safety: latches and net-triggered flip-flops/RAMs must hold
        data back until after the latest link-fed same-domain gate
@@ -534,9 +684,10 @@ let verify ?(obs = Msched_obs.Sink.null) placement analysis
     List.iter
       (fun cid ->
         if needs_holdoff (Netlist.cell nl cid) then
-          match Ids.Cell.Tbl.find_opt holdoff_tbl cid with
-          | None -> push (Missing_holdoff { cell = cid })
-          | Some (gate, data) ->
+          match Ids.Cell.Tbl.find holdoff_tbl cid with
+          | exception Not_found -> push (Missing_holdoff { cell = cid })
+          | h ->
+              let gate = h.Schedule.ho_gate and data = h.Schedule.ho_data in
               if gate < 0 || data < 0 || gate > length || data > length then
                 push (Holdoff_out_of_frame { cell = cid; gate; data; length })
               else begin
@@ -551,26 +702,11 @@ let verify ?(obs = Msched_obs.Sink.null) placement analysis
                        { cell = cid; data_holdoff = data; required })
               end)
       cells;
-    (* Departure readiness: a virtual transport may not sample its source
-       terminal before the net can have settled there. *)
-    List.iter
-      (fun (ls : Schedule.link_sched) ->
+    iter_links_from b (fun (ls : Schedule.link_sched) ->
         let link = ls.Schedule.ls_link in
-        let required = required.(Ids.Net.to_int link.Link.net) in
-        List.iter
-          (fun (tr : Schedule.transport) ->
-            if (not tr.Schedule.tr_hard) && tr.Schedule.tr_fwd_dep < required
-            then
-              push
-                (Departure_too_early
-                   {
-                     link;
-                     domain = tr.Schedule.tr_domain;
-                     dep = tr.Schedule.tr_fwd_dep;
-                     required;
-                   }))
+        check_departures push link
+          required.(Ids.Net.to_int link.Link.net)
           ls.Schedule.ls_transports)
-      links_from.(b)
   done;
   let report =
     {

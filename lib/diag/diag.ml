@@ -424,6 +424,20 @@ module Json = struct
 
   let hash_hex s = Printf.sprintf "%016Lx" (fnv fnv_basis s 0 (String.length s))
 
+  type digest = { mutable h : int64; mutable chunk : Bytes.t }
+
+  let digest () = { h = fnv_basis; chunk = Bytes.empty }
+
+  let digest_buffer d b =
+    let n = Buffer.length b in
+    if Bytes.length d.chunk < n then
+      d.chunk <- Bytes.create (max n (2 * Bytes.length d.chunk));
+    Buffer.blit b 0 d.chunk 0 n;
+    d.h <- fnv d.h (Bytes.unsafe_to_string d.chunk) 0 n;
+    Buffer.clear b
+
+  let digest_hex d = Printf.sprintf "%016Lx" d.h
+
   let hash_hex_lines lines =
     let h = ref fnv_basis in
     for i = 0 to Array.length lines - 1 do

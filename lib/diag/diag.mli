@@ -185,6 +185,18 @@ module Json : sig
   (** FNV-1a 64-bit, as 16 lowercase hex digits: document checksums,
       cache keys and block fingerprints all use it. *)
 
+  type digest
+  (** {!hash_hex} of a document written into a buffer in pieces, without
+      holding the whole document. *)
+
+  val digest : unit -> digest
+
+  val digest_buffer : digest -> Buffer.t -> unit
+  (** Feeds what the buffer holds, then clears it. *)
+
+  val digest_hex : digest -> string
+  (** {!hash_hex} of everything fed so far. *)
+
   val hash_hex_lines : string array -> string
   (** {!hash_hex} of the strings joined by newlines, as [String.concat
       "\n"] would join them, without building the joined string. *)

@@ -83,13 +83,17 @@ let pp_summary ppf t =
 
 module Builder = struct
   (* Proto-nets live in two growable arrays indexed by net id: the name
-     and the driving cell id ([-1] while undriven).  Only the first
-     [nnets] slots are meaningful. *)
+     and the driving cell id ([-1] while undriven); cells in a third, in
+     the order they were added.  Only the first [nnets] and [nadded]
+     slots are meaningful.  A cell whose output turns out to be driven
+     already still consumes its id, so [ncells] can run ahead of
+     [nadded]. *)
   type t = {
     bname : string;
     mutable bdomains : string list;  (* reversed *)
     mutable ndomains : int;
-    mutable bcells : Cell.t list;  (* reversed *)
+    mutable bcells : Cell.t array;
+    mutable nadded : int;
     mutable ncells : int;
     mutable pnames : string array;
     mutable pdrivers : int array;
@@ -102,13 +106,23 @@ module Builder = struct
       bname = design_name;
       bdomains = [];
       ndomains = 0;
-      bcells = [];
+      bcells = [||];
+      nadded = 0;
       ncells = 0;
-      pnames = Array.make 64 "";
-      pdrivers = Array.make 64 (-1);
+      pnames = [||];
+      pdrivers = [||];
       nnets = 0;
       bclock_sources = Hashtbl.create 8;
     }
+
+  (* [a] with room for at least [n + 1] slots, the new ones [fill]. *)
+  let grown a n fill =
+    if n < Array.length a then a
+    else begin
+      let a' = Array.make (max 64 (2 * n)) fill in
+      Array.blit a 0 a' 0 n;
+      a'
+    end
 
   let add_domain b name =
     let d = Ids.Dom.of_int b.ndomains in
@@ -119,23 +133,11 @@ module Builder = struct
   let fresh_net b ?name () =
     let id = b.nnets in
     let name = match name with Some s -> s | None -> Printf.sprintf "n%d" id in
-    if id = Array.length b.pnames then begin
-      let grow a fill =
-        let a' = Array.make (2 * id) fill in
-        Array.blit a 0 a' 0 id;
-        a'
-      in
-      b.pnames <- grow b.pnames "";
-      b.pdrivers <- grow b.pdrivers (-1)
-    end;
+    b.pnames <- grown b.pnames id "";
+    b.pdrivers <- grown b.pdrivers id (-1);
     b.pnames.(id) <- name;
     b.nnets <- id + 1;
     Ids.Net.of_int id
-
-  let fresh_cell_id b =
-    let id = Ids.Cell.of_int b.ncells in
-    b.ncells <- b.ncells + 1;
-    id
 
   let drive b net cell_id =
     let i = Ids.Net.to_int net in
@@ -145,31 +147,42 @@ module Builder = struct
       raise (Invalid (Multiple_drivers (net, Ids.Cell.of_int prev, cell_id)));
     b.pdrivers.(i) <- Ids.Cell.to_int cell_id
 
-  let push b (c : Cell.t) = b.bcells <- c :: b.bcells
+  let no_cell : Cell.t =
+    {
+      id = Ids.Cell.of_int 0;
+      kind = Cell.Output;
+      data_inputs = [||];
+      trigger = None;
+      output = None;
+      name = "";
+    }
 
-  let add_cell b ?name kind ~data_inputs ~trigger ~output =
-    let id = fresh_cell_id b in
+  (* The one cell constructor; the typed ones below wrap it.  A cell
+     whose output is driven already still consumes its id. *)
+  let add_cell b ?name kind data_inputs ~trigger ~output =
+    let id = Ids.Cell.of_int b.ncells in
+    b.ncells <- b.ncells + 1;
     let name =
       match name with Some s -> s | None -> Format.asprintf "%a" Ids.Cell.pp id
     in
     (match output with Some n -> drive b n id | None -> ());
-    let c : Cell.t =
-      { id; kind; data_inputs = Array.of_list data_inputs; trigger; output; name }
-    in
-    push b c;
+    let k = b.nadded in
+    b.bcells <- grown b.bcells k no_cell;
+    b.bcells.(k) <- { Cell.id; kind; data_inputs; trigger; output; name };
+    b.nadded <- k + 1;
     id
 
   let add_input b ?name ?domain () =
     let out = fresh_net b ?name () in
     let (_ : Ids.Cell.t) =
-      add_cell b ?name (Cell.Input { domain }) ~data_inputs:[] ~trigger:None
+      add_cell b ?name (Cell.Input { domain }) [||] ~trigger:None
         ~output:(Some out)
     in
     out
 
   let add_input_to b ?name ?domain ~output () =
     let (_ : Ids.Cell.t) =
-      add_cell b ?name (Cell.Input { domain }) ~data_inputs:[] ~trigger:None
+      add_cell b ?name (Cell.Input { domain }) [||] ~trigger:None
         ~output:(Some output)
     in
     ()
@@ -180,7 +193,7 @@ module Builder = struct
     let (_ : Ids.Cell.t) =
       add_cell b
         ~name:(Format.asprintf "clksrc_%a" Ids.Dom.pp d)
-        (Cell.Clock_source d) ~data_inputs:[] ~trigger:None
+        (Cell.Clock_source d) [||] ~trigger:None
         ~output:(Some output)
     in
     Hashtbl.add b.bclock_sources (Ids.Dom.to_int d) output
@@ -193,18 +206,18 @@ module Builder = struct
         let (_ : Ids.Cell.t) =
           add_cell b
             ~name:(Format.asprintf "clksrc_%a" Ids.Dom.pp d)
-            (Cell.Clock_source d) ~data_inputs:[] ~trigger:None
+            (Cell.Clock_source d) [||] ~trigger:None
             ~output:(Some out)
         in
         Hashtbl.add b.bclock_sources (Ids.Dom.to_int d) out;
         out
 
   let add_output b ?name net =
-    add_cell b ?name Cell.Output ~data_inputs:[ net ] ~trigger:None ~output:None
+    add_cell b ?name Cell.Output [| net |] ~trigger:None ~output:None
 
   let add_gate_to b ?name g inputs ~output =
     let (_ : Ids.Cell.t) =
-      add_cell b ?name (Cell.Gate g) ~data_inputs:inputs ~trigger:None
+      add_cell b ?name (Cell.Gate g) (Array.of_list inputs) ~trigger:None
         ~output:(Some output)
     in
     ()
@@ -218,7 +231,7 @@ module Builder = struct
     let (_ : Ids.Cell.t) =
       add_cell b ?name
         (Cell.Latch { active_high })
-        ~data_inputs:[ data ] ~trigger:(Some gate) ~output:(Some output)
+        [| data |] ~trigger:(Some gate) ~output:(Some output)
     in
     ()
 
@@ -229,7 +242,7 @@ module Builder = struct
 
   let add_flip_flop_to b ?name ~data ~clock ~output () =
     let (_ : Ids.Cell.t) =
-      add_cell b ?name Cell.Flip_flop ~data_inputs:[ data ]
+      add_cell b ?name Cell.Flip_flop [| data |]
         ~trigger:(Some clock) ~output:(Some output)
     in
     ()
@@ -243,9 +256,11 @@ module Builder = struct
       ~read_addr ~clock ~output () =
     if List.length write_addr <> addr_bits || List.length read_addr <> addr_bits
     then invalid_arg "add_ram: address width mismatch";
-    let data_inputs = (write_enable :: write_data :: write_addr) @ read_addr in
+    let data_inputs =
+      Array.of_list ((write_enable :: write_data :: write_addr) @ read_addr)
+    in
     let (_ : Ids.Cell.t) =
-      add_cell b ?name (Cell.Ram { addr_bits }) ~data_inputs ~trigger:(Some clock)
+      add_cell b ?name (Cell.Ram { addr_bits }) data_inputs ~trigger:(Some clock)
         ~output:(Some output)
     in
     ()
@@ -257,50 +272,61 @@ module Builder = struct
       ~read_addr ~clock ~output:out ();
     out
 
-  let check_cell ndomains (c : Cell.t) =
-    let arity_fail msg = raise (Invalid (Bad_arity (c.id, msg))) in
-    let expect n =
-      if Array.length c.data_inputs <> n then
-        arity_fail (Printf.sprintf "expected %d data inputs" n)
-    in
-    let check_domain d =
-      if Ids.Dom.to_int d >= ndomains then raise (Invalid (Unknown_domain d))
-    in
-    (match c.trigger with
-    | Some (Cell.Dom_clock d) -> check_domain d
-    | Some (Cell.Net_trigger _) | None -> ());
-    match c.kind with
-    | Cell.Gate g -> (
-        match Cell.gate_arity g with
-        | Some a -> expect a
-        | None ->
-            if Array.length c.data_inputs < 1 then
-              arity_fail "variadic gate needs at least one input")
-    | Cell.Latch _ | Cell.Flip_flop ->
-        expect 1;
-        if c.trigger = None then raise (Invalid (Missing_trigger c.id))
-    | Cell.Ram { addr_bits } ->
-        expect (2 + (2 * addr_bits));
-        if c.trigger = None then raise (Invalid (Missing_trigger c.id))
-    | Cell.Input { domain } ->
-        expect 0;
-        Option.iter check_domain domain
-    | Cell.Clock_source d ->
-        expect 0;
-        check_domain d
-    | Cell.Output -> expect 1
+  (* The first structural error of one cell, if any: an unknown trigger
+     domain, then the arity and trigger its kind requires. *)
+  let unknown_domain ndomains d = Ids.Dom.to_int d >= ndomains
+
+  let arity_error (c : Cell.t) n =
+    if Array.length c.data_inputs = n then None
+    else
+      Some (Bad_arity (c.id, Printf.sprintf "expected %d data inputs" n))
+
+  let sequential_error (c : Cell.t) n =
+    match arity_error c n with
+    | Some _ as e -> e
+    | None -> if c.trigger = None then Some (Missing_trigger c.id) else None
+
+  let cell_error ndomains (c : Cell.t) =
+    match c.trigger with
+    | Some (Cell.Dom_clock d) when unknown_domain ndomains d ->
+        Some (Unknown_domain d)
+    | Some (Cell.Dom_clock _ | Cell.Net_trigger _) | None -> (
+        match c.kind with
+        | Cell.Gate g -> (
+            match Cell.gate_arity g with
+            | Some a -> arity_error c a
+            | None ->
+                if Array.length c.data_inputs >= 1 then None
+                else
+                  Some
+                    (Bad_arity (c.id, "variadic gate needs at least one input"))
+            )
+        | Cell.Latch _ | Cell.Flip_flop -> sequential_error c 1
+        | Cell.Ram { addr_bits } -> sequential_error c (2 + (2 * addr_bits))
+        | Cell.Input { domain } -> (
+            match (arity_error c 0, domain) with
+            | (Some _ as e), _ -> e
+            | None, Some d when unknown_domain ndomains d ->
+                Some (Unknown_domain d)
+            | None, (Some _ | None) -> None)
+        | Cell.Clock_source d -> (
+            match arity_error c 0 with
+            | Some _ as e -> e
+            | None ->
+                if unknown_domain ndomains d then Some (Unknown_domain d)
+                else None)
+        | Cell.Output -> arity_error c 1)
 
   (* Every structural error in the builder graph (one per cell at most,
      plus every undriven net), in deterministic id order, without
      raising.  [Lint] maps these onto diagnostic codes. *)
   let errors b cells =
     let errs = ref [] in
-    Array.iter
-      (fun c ->
-        match check_cell b.ndomains c with
-        | () -> ()
-        | exception Invalid e -> errs := e :: !errs)
-      cells;
+    for k = 0 to Array.length cells - 1 do
+      match cell_error b.ndomains cells.(k) with
+      | None -> ()
+      | Some e -> errs := e :: !errs
+    done;
     for i = 0 to b.nnets - 1 do
       if b.pdrivers.(i) < 0 then errs := Undriven_net (Ids.Net.of_int i) :: !errs
     done;
@@ -308,61 +334,66 @@ module Builder = struct
 
   let no_term = { term_cell = Ids.Cell.of_int 0; term_pin = Trigger_pin }
 
+  (* The net a cell's trigger pin reads, or [-1].  A domain clock
+     materialized as a net records the trigger as its fanout, so analyses
+     see the dependency. *)
+  let trigger_net clock_sources (c : Cell.t) =
+    match c.trigger with
+    | Some (Cell.Net_trigger n) -> Ids.Net.to_int n
+    | Some (Cell.Dom_clock d) -> (
+        match clock_sources.(Ids.Dom.to_int d) with
+        | Some n -> Ids.Net.to_int n
+        | None -> -1)
+    | None -> -1
+
   (* Freeze a graph that [errors] accepted.  Fanout arrays are sized by a
-     counting pass and filled in cell order, data pins before the
-     trigger. *)
+     counting pass, then filled in cell order, data pins before the
+     trigger: the fill walks that order backwards, counting each net's
+     slots down. *)
   let freeze b cells =
     let domain_names = Array.of_list (List.rev b.bdomains) in
     let clock_sources = Array.make (Array.length domain_names) None in
     Hashtbl.iter (fun d n -> clock_sources.(d) <- Some n) b.bclock_sources;
-    let trigger_net (c : Cell.t) =
-      match c.trigger with
-      | Some (Cell.Net_trigger n) -> Some n
-      (* A domain clock materialized as a net records the trigger as its
-         fanout, so analyses see the dependency. *)
-      | Some (Cell.Dom_clock d) -> clock_sources.(Ids.Dom.to_int d)
-      | None -> None
-    in
-    let counts = Array.make b.nnets 0 in
-    let count n =
-      let i = Ids.Net.to_int n in
-      counts.(i) <- counts.(i) + 1
-    in
-    Array.iter
-      (fun (c : Cell.t) ->
-        Array.iter count c.data_inputs;
-        Option.iter count (trigger_net c))
-      cells;
-    let fanouts =
-      Array.map (fun k -> if k = 0 then [||] else Array.make k no_term) counts
-    in
-    let fill = Array.make b.nnets 0 in
-    let add n tm =
-      let i = Ids.Net.to_int n in
-      fanouts.(i).(fill.(i)) <- tm;
-      fill.(i) <- fill.(i) + 1
-    in
-    Array.iter
-      (fun (c : Cell.t) ->
-        Array.iteri
-          (fun i n -> add n { term_cell = c.id; term_pin = Data_pin i })
-          c.data_inputs;
-        Option.iter
-          (fun n -> add n { term_cell = c.id; term_pin = Trigger_pin })
-          (trigger_net c))
-      cells;
+    let slots = Array.make b.nnets 0 in
+    for k = 0 to Array.length cells - 1 do
+      let c = cells.(k) in
+      let ins = c.Cell.data_inputs in
+      for p = 0 to Array.length ins - 1 do
+        let i = Ids.Net.to_int ins.(p) in
+        slots.(i) <- slots.(i) + 1
+      done;
+      let t = trigger_net clock_sources c in
+      if t >= 0 then slots.(t) <- slots.(t) + 1
+    done;
     let nets =
       Array.init b.nnets (fun i ->
           {
             net_name = b.pnames.(i);
             driver = Ids.Cell.of_int b.pdrivers.(i);
-            fanouts = fanouts.(i);
+            fanouts =
+              (if slots.(i) = 0 then [||] else Array.make slots.(i) no_term);
           })
     in
+    for k = Array.length cells - 1 downto 0 do
+      let c = cells.(k) in
+      let t = trigger_net clock_sources c in
+      if t >= 0 then begin
+        slots.(t) <- slots.(t) - 1;
+        nets.(t).fanouts.(slots.(t)) <-
+          { term_cell = c.Cell.id; term_pin = Trigger_pin }
+      end;
+      let ins = c.Cell.data_inputs in
+      for p = Array.length ins - 1 downto 0 do
+        let i = Ids.Net.to_int ins.(p) in
+        slots.(i) <- slots.(i) - 1;
+        nets.(i).fanouts.(slots.(i)) <-
+          { term_cell = c.Cell.id; term_pin = Data_pin p }
+      done
+    done;
     { design_name = b.bname; domain_names; cells; nets; clock_sources }
 
   let finalize_result b =
-    let cells = Array.of_list (List.rev b.bcells) in
+    let cells = Array.sub b.bcells 0 b.nadded in
     match errors b cells with [] -> Ok (freeze b cells) | errs -> Error errs
 
   let finalize b =

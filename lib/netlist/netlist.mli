@@ -83,6 +83,21 @@ module Builder : sig
   (** Allocate an undriven net, to be driven later with one of the [_to]
       constructors (needed for feedback loops). *)
 
+  val add_cell :
+    t ->
+    ?name:string ->
+    Cell.kind ->
+    Ids.Net.t array ->
+    trigger:Cell.trigger option ->
+    output:Ids.Net.t option ->
+    Ids.Cell.t
+  (** The one cell constructor, which the typed constructors below wrap: a
+      cell of [kind] reading [data_inputs] (kept as the cell's array, not
+      copied) and driving [output], named after its id unless [name] is
+      given.  It checks nothing about the kind: {!finalize_result} reports
+      a wrong arity, a missing trigger or an unknown domain.
+      @raise Invalid if [output] already has a driver. *)
+
   val add_input : t -> ?name:string -> ?domain:Ids.Dom.t -> unit -> Ids.Net.t
   (** Primary input; returns the net it drives. *)
 

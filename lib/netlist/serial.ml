@@ -163,13 +163,20 @@ end)
 
 (* Mutable parse state shared by the fail-fast and the diagnostic-collecting
    entry points.  The current line's tokens are offsets into [text]: token
-   [k] spans [starts.(k)] up to [stops.(k)].  A `design' directive starts a
-   new builder and forgets the file's net ids with the old one (one design
-   per file). *)
+   [k] spans [starts.(k)] up to [stops.(k)].  A file net id [i] in
+   [0, String.length text) names net [dense.(i)] ([-1]: undeclared), grown
+   on demand and so never longer than the text; any other id goes through
+   [sparse].  A `design' directive starts a new builder and forgets the
+   file's net ids with the old one (one design per file): the first
+   [nbound] slots of [bound] list the dense ids bound since, so forgetting
+   costs what the design declared, not the table's length. *)
 type pstate = {
   text : string;
   mutable b : Netlist.Builder.t;
-  nets : Ids.Net.t Itbl.t;  (* file net id -> net of [b] *)
+  mutable dense : int array;
+  mutable bound : int array;
+  mutable nbound : int;
+  sparse : Ids.Net.t Itbl.t;
   mutable starts : int array;
   mutable stops : int array;
   mutable ntok : int;
@@ -179,11 +186,46 @@ let create_state text =
   {
     text;
     b = Netlist.Builder.create ();
-    nets = Itbl.create 256;
+    dense = [||];
+    bound = [||];
+    nbound = 0;
+    sparse = Itbl.create 1;
     starts = Array.make 16 0;
     stops = Array.make 16 0;
     ntok = 0;
   }
+
+let is_dense st id = id >= 0 && id < String.length st.text
+
+let bind_net st id net =
+  if is_dense st id then begin
+    let size = Array.length st.dense in
+    if id >= size then begin
+      let want = ref (max 64 (2 * size)) in
+      while !want <= id do want := 2 * !want done;
+      let d = Array.make (min !want (String.length st.text)) (-1) in
+      Array.blit st.dense 0 d 0 size;
+      st.dense <- d
+    end;
+    if st.dense.(id) < 0 then begin
+      if st.nbound = Array.length st.bound then begin
+        let b = Array.make (max 64 (2 * st.nbound)) 0 in
+        Array.blit st.bound 0 b 0 st.nbound;
+        st.bound <- b
+      end;
+      st.bound.(st.nbound) <- id;
+      st.nbound <- st.nbound + 1
+    end;
+    st.dense.(id) <- Ids.Net.to_int net
+  end
+  else Itbl.replace st.sparse id net
+
+let forget_nets st =
+  for k = 0 to st.nbound - 1 do
+    st.dense.(st.bound.(k)) <- -1
+  done;
+  st.nbound <- 0;
+  Itbl.reset st.sparse
 
 let push_token st start stop =
   let k = st.ntok in
@@ -211,6 +253,16 @@ let token_is st k lit =
   st.stops.(k) - st.starts.(k) = String.length lit
   && same_from st.text st.starts.(k) lit 0
 
+let gates =
+  Cell.[| And; Or; Nand; Nor; Xor; Xnor; Not; Buf; Mux |]
+
+(* The index in [gates] from [i] of the gate token [k] names, or [-1]:
+   [gate_of_name] without copying the token out. *)
+let rec token_gate st k i =
+  if i = Array.length gates then -1
+  else if token_is st k (gate_name gates.(i)) then i
+  else token_gate st k (i + 1)
+
 (* The value of the decimal digits text.[i .. stop - 1] after [acc], or
    [-1] at the first other byte. *)
 let rec digits text stop i acc =
@@ -232,12 +284,27 @@ let token_int st lineno k =
     | Some i -> i
     | None -> raise (Parse (lineno, Printf.sprintf "expected integer, got %S" s))
 
+let unknown_net lineno id =
+  raise (Parse (lineno, Printf.sprintf "unknown net %d" id))
+
 let token_net st lineno k =
   let id = token_int st lineno k in
-  match Itbl.find st.nets id with
-  | n -> n
-  | exception Not_found ->
-      raise (Parse (lineno, Printf.sprintf "unknown net %d" id))
+  if is_dense st id then
+    if id < Array.length st.dense && st.dense.(id) >= 0 then
+      Ids.Net.of_int st.dense.(id)
+    else unknown_net lineno id
+  else
+    match Itbl.find st.sparse id with
+    | n -> n
+    | exception Not_found -> unknown_net lineno id
+
+(* The nets of the [count] tokens from [k], resolved left to right. *)
+let token_nets st lineno k count =
+  let a = Array.make count (Ids.Net.of_int 0) in
+  for i = 0 to count - 1 do
+    a.(i) <- token_net st lineno (k + i)
+  done;
+  a
 
 let token_dom st lineno k = Ids.Dom.of_int (token_int st lineno k)
 
@@ -250,6 +317,12 @@ let token_trigger st lineno k =
 
 let fail lineno msg = raise (Parse (lineno, msg))
 
+let add_cell b ~name kind data_inputs ~trigger ~output =
+  let (_ : Ids.Cell.t) =
+    Netlist.Builder.add_cell b ~name kind data_inputs ~trigger ~output
+  in
+  ()
+
 (* Which token of a line fails first is part of the diagnostic, so each
    directive resolves its tokens in a fixed order: the output net, then the
    trigger, then the data nets (gate inputs and RAM pins left to right; RAM
@@ -258,14 +331,14 @@ let process_line st lineno =
   let n = st.ntok and b = st.b in
   if n = 2 && token_is st 0 "design" then begin
     st.b <- Netlist.Builder.create ~design_name:(token st 1) ();
-    Itbl.reset st.nets
+    forget_nets st
   end
   else if n = 2 && token_is st 0 "domain" then
     let (_ : Ids.Dom.t) = Netlist.Builder.add_domain b (token st 1) in
     ()
   else if n = 3 && token_is st 0 "net" then begin
     let fresh = Netlist.Builder.fresh_net b ~name:(token st 2) () in
-    Itbl.replace st.nets (token_int st lineno 1) fresh
+    bind_net st (token_int st lineno 1) fresh
   end
   else if n >= 3 && token_is st 0 "input" then begin
     let domain =
@@ -274,24 +347,20 @@ let process_line st lineno =
       else fail lineno "bad input line"
     in
     let output = token_net st lineno 2 in
-    Netlist.Builder.add_input_to b ~name:(token st 1) ?domain ~output ()
+    add_cell b ~name:(token st 1) (Cell.Input { domain }) [||] ~trigger:None
+      ~output:(Some output)
   end
   else if n = 3 && token_is st 0 "clocksource" then begin
     let output = token_net st lineno 2 in
     Netlist.Builder.add_clock_source_to b (token_dom st lineno 1) ~output
   end
   else if n >= 4 && token_is st 0 "gate" then begin
-    let kind = token st 1 in
-    match gate_of_name kind with
-    | None -> fail lineno ("unknown gate kind " ^ kind)
-    | Some g ->
-        let output = token_net st lineno 3 in
-        let ins = ref [] in
-        for k = 4 to n - 1 do
-          ins := token_net st lineno k :: !ins
-        done;
-        Netlist.Builder.add_gate_to b ~name:(token st 2) g (List.rev !ins)
-          ~output
+    let g = token_gate st 1 0 in
+    if g < 0 then fail lineno ("unknown gate kind " ^ token st 1);
+    let output = token_net st lineno 3 in
+    let ins = token_nets st lineno 4 (n - 4) in
+    add_cell b ~name:(token st 2) (Cell.Gate gates.(g)) ins ~trigger:None
+      ~output:(Some output)
   end
   else if n = 7 && token_is st 0 "latch" then begin
     let active_high =
@@ -302,15 +371,16 @@ let process_line st lineno =
     let output = token_net st lineno 2 in
     let gate = token_trigger st lineno 4 in
     let data = token_net st lineno 3 in
-    Netlist.Builder.add_latch_to b ~name:(token st 1) ~active_high ~data ~gate
-      ~output ()
+    add_cell b ~name:(token st 1)
+      (Cell.Latch { active_high })
+      [| data |] ~trigger:(Some gate) ~output:(Some output)
   end
   else if n = 6 && token_is st 0 "ff" then begin
     let output = token_net st lineno 2 in
     let clock = token_trigger st lineno 4 in
     let data = token_net st lineno 3 in
-    Netlist.Builder.add_flip_flop_to b ~name:(token st 1) ~data ~clock ~output
-      ()
+    add_cell b ~name:(token st 1) Cell.Flip_flop [| data |]
+      ~trigger:(Some clock) ~output:(Some output)
   end
   else if n >= 4 && token_is st 0 "ram" then begin
     (* Pins: we, wdata, [a] write-address and [a] read-address nets, then
@@ -319,20 +389,19 @@ let process_line st lineno =
     if n - 4 <> 2 + (2 * a) + 2 then fail lineno "bad ram pin count";
     let npins = 2 + (2 * a) in
     if npins < 0 then fail lineno "bad ram line";
-    let pins = Array.init npins (fun i -> token_net st lineno (4 + i)) in
+    let pins = token_nets st lineno 4 npins in
     if npins < 2 then fail lineno "bad ram pins";
     if a < 0 then fail lineno "bad ram address pins";
     let output = token_net st lineno 2 in
     let clock = token_trigger st lineno (4 + npins) in
-    let list pos = Array.to_list (Array.sub pins pos a) in
-    Netlist.Builder.add_ram_to b ~name:(token st 1) ~addr_bits:a
-      ~write_enable:pins.(0) ~write_data:pins.(1) ~write_addr:(list 2)
-      ~read_addr:(list (2 + a)) ~clock ~output ()
+    add_cell b ~name:(token st 1)
+      (Cell.Ram { addr_bits = a })
+      pins ~trigger:(Some clock) ~output:(Some output)
   end
   else if n = 3 && token_is st 0 "output" then
     let input = token_net st lineno 2 in
-    let (_ : Ids.Cell.t) = Netlist.Builder.add_output b ~name:(token st 1) input in
-    ()
+    add_cell b ~name:(token st 1) Cell.Output [| input |] ~trigger:None
+      ~output:None
   else fail lineno ("unknown directive " ^ token st 0)
 
 let is_blank = function ' ' | '\012' | '\r' | '\t' -> true | _ -> false
@@ -346,10 +415,9 @@ let iter_lines st f =
   let len = String.length text in
   let lineno = ref 1 and ls = ref 0 in
   while !ls <= len do
-    let le =
-      match String.index_from_opt text !ls '\n' with Some i -> i | None -> len
-    in
-    let s = ref !ls and e = ref le in
+    let le = ref !ls in
+    while !le < len && String.unsafe_get text !le <> '\n' do incr le done;
+    let s = ref !ls and e = ref !le in
     while !s < !e && is_blank (String.unsafe_get text !s) do incr s done;
     while !e > !s && is_blank (String.unsafe_get text (!e - 1)) do decr e done;
     st.ntok <- 0;
@@ -364,7 +432,7 @@ let iter_lines st f =
     done;
     if st.ntok > 0 && text.[st.starts.(0)] <> '#' then f !lineno;
     incr lineno;
-    ls := le + 1
+    ls := !le + 1
   done
 
 (* The builder rejects some lines with [Invalid_argument] (a negative

@@ -53,7 +53,7 @@ let region s cells =
   let id = s.regions in
   s.regions <- id + 1;
   let n = List.length cells in
-  let members = Array.make n 0 and comb = Array.make n 0 in
+  let members = Array.make n 0 in
   let nmem = ref 0 and ncomb = ref 0 in
   List.iter
     (fun c ->
@@ -62,19 +62,24 @@ let region s cells =
         s.owner.(i) <- id;
         members.(!nmem) <- i;
         incr nmem;
-        if Levelize.is_comb_through (Netlist.cell nl c) then begin
-          comb.(!ncomb) <- i;
-          incr ncomb
-        end
+        if Levelize.is_comb_through (Netlist.cell nl c) then incr ncomb
       end)
     cells;
-  let members = Array.sub members 0 !nmem in
+  let members = if !nmem = n then members else Array.sub members 0 !nmem in
   let ncomb = !ncomb in
-  let comb = Array.sub comb 0 ncomb in
-  Array.sort Int.compare comb;
   let in_play i =
     s.owner.(i) = id && Levelize.is_comb_through (cell_at nl i)
   in
+  let comb = Array.make ncomb 0 in
+  let k = ref 0 in
+  Array.iter
+    (fun i ->
+      if Levelize.is_comb_through (cell_at nl i) then begin
+        comb.(!k) <- i;
+        incr k
+      end)
+    members;
+  Array.sort Int.compare comb;
   (* [pos] holds each combinational member's index in [comb] until the
      sort assigns its topological position. *)
   Array.iteri (fun k i -> s.pos.(i) <- k) comb;
@@ -129,7 +134,8 @@ let region s cells =
     done;
     raise (Levelize.Combinational_cycle !stuck)
   end;
-  let topo = Array.map (fun k -> comb.(k)) queue in
+  let topo = queue in
+  Array.iteri (fun p k -> topo.(p) <- comb.(k)) queue;
   let out = Array.make ncomb (-1) in
   let fanin_start = Array.make (ncomb + 1) 0 in
   let fanin = Array.make !nfanin 0 in

@@ -111,93 +111,127 @@ let record_metrics obs t sys =
    schedules are byte-identical iff they are semantically identical.  The
    routing pins hash it, the warm≡cold and batch jobs 1≡4 suites diff it,
    and every delta request hashes it into [schedule_fp].  Ints, bools and
-   field names go straight into the buffer; only the two floats go
-   through Printf. *)
-let to_json_string t =
-  let module Json = Msched_diag.Diag.Json in
-  let b = Buffer.create 8192 in
-  let str = Buffer.add_string b and chr = Buffer.add_char b in
-  let int = Json.add_int b in
-  let ints a =
-    Array.iteri
-      (fun i v ->
-        if i > 0 then chr ',';
-        int v)
-      a
-  in
+   field names go straight into [b], list by list without a closure per
+   element; only the two floats go through Printf.  [spill b] runs after
+   each link, where a caller that only hashes the document takes what [b]
+   holds. *)
+module Json = Msched_diag.Diag.Json
+
+(* The comma after a list element that has a successor. *)
+let sep b = function [] -> () | _ :: _ -> Buffer.add_char b ','
+
+let rec write_hops b = function
+  | [] -> ()
+  | (c, slot) :: rest ->
+      Buffer.add_char b '[';
+      Json.add_int b c;
+      Buffer.add_char b ',';
+      Json.add_int b slot;
+      Buffer.add_char b ']';
+      sep b rest;
+      write_hops b rest
+
+let rec write_transports b = function
+  | [] -> ()
+  | tr :: rest ->
+      Buffer.add_string b "{\"domain\":";
+      Json.add_int b
+        (match tr.tr_domain with Some d -> Ids.Dom.to_int d | None -> -1);
+      Buffer.add_string b ",\"dep\":";
+      Json.add_int b tr.tr_fwd_dep;
+      Buffer.add_string b ",\"arr\":";
+      Json.add_int b tr.tr_fwd_arr;
+      Buffer.add_string b ",\"hard\":";
+      Json.add_bool b tr.tr_hard;
+      Buffer.add_string b ",\"hops\":[";
+      write_hops b tr.tr_hops;
+      Buffer.add_string b "]}";
+      sep b rest;
+      write_transports b rest
+
+let rec write_links ~spill b = function
+  | [] -> ()
+  | ls :: rest ->
+      let l = ls.ls_link in
+      Buffer.add_string b "{\"net\":";
+      Json.add_int b (Ids.Net.to_int l.Link.net);
+      Buffer.add_string b ",\"src_block\":";
+      Json.add_int b (Ids.Block.to_int l.Link.src_block);
+      Buffer.add_string b ",\"dst_block\":";
+      Json.add_int b (Ids.Block.to_int l.Link.dst_block);
+      Buffer.add_string b ",\"src_fpga\":";
+      Json.add_int b (Ids.Fpga.to_int l.Link.src_fpga);
+      Buffer.add_string b ",\"dst_fpga\":";
+      Json.add_int b (Ids.Fpga.to_int l.Link.dst_fpga);
+      Buffer.add_string b ",\"hard\":";
+      Json.add_bool b l.Link.hard;
+      Buffer.add_string b ",\"transports\":[";
+      write_transports b ls.ls_transports;
+      Buffer.add_string b "]}";
+      sep b rest;
+      spill b;
+      write_links ~spill b rest
+
+let rec write_holdoffs b = function
+  | [] -> ()
+  | h :: rest ->
+      Buffer.add_string b "{\"cell\":";
+      Json.add_int b (Ids.Cell.to_int h.ho_cell);
+      Buffer.add_string b ",\"gate\":";
+      Json.add_int b h.ho_gate;
+      Buffer.add_string b ",\"data\":";
+      Json.add_int b h.ho_data;
+      Buffer.add_char b '}';
+      sep b rest;
+      write_holdoffs b rest
+
+let write_ints b a =
+  for i = 0 to Array.length a - 1 do
+    if i > 0 then Buffer.add_char b ',';
+    Json.add_int b a.(i)
+  done
+
+let rec write_strings b = function
+  | [] -> ()
+  | w :: rest ->
+      Json.escape b w;
+      sep b rest;
+      write_strings b rest
+
+let write ~spill b t =
+  let str = Buffer.add_string b in
   str "{\"schema\":\"msched-schedule-1\",\"length\":";
-  int t.length;
+  Json.add_int b t.length;
   str ",\"length_driver\":";
   Json.escape b t.length_driver;
   str (Printf.sprintf ",\"vclock_hz\":%.17g" t.vclock_hz);
   str (Printf.sprintf ",\"est_speed_hz\":%.17g" (est_speed_hz t));
   str ",\"links\":[";
-  List.iteri
-    (fun i ls ->
-      if i > 0 then chr ',';
-      let l = ls.ls_link in
-      str "{\"net\":";
-      int (Ids.Net.to_int l.Link.net);
-      str ",\"src_block\":";
-      int (Ids.Block.to_int l.Link.src_block);
-      str ",\"dst_block\":";
-      int (Ids.Block.to_int l.Link.dst_block);
-      str ",\"src_fpga\":";
-      int (Ids.Fpga.to_int l.Link.src_fpga);
-      str ",\"dst_fpga\":";
-      int (Ids.Fpga.to_int l.Link.dst_fpga);
-      str ",\"hard\":";
-      Json.add_bool b l.Link.hard;
-      str ",\"transports\":[";
-      List.iteri
-        (fun j tr ->
-          if j > 0 then chr ',';
-          str "{\"domain\":";
-          int (match tr.tr_domain with Some d -> Ids.Dom.to_int d | None -> -1);
-          str ",\"dep\":";
-          int tr.tr_fwd_dep;
-          str ",\"arr\":";
-          int tr.tr_fwd_arr;
-          str ",\"hard\":";
-          Json.add_bool b tr.tr_hard;
-          str ",\"hops\":[";
-          List.iteri
-            (fun k (c, slot) ->
-              if k > 0 then chr ',';
-              chr '[';
-              int c;
-              chr ',';
-              int slot;
-              chr ']')
-            tr.tr_hops;
-          str "]}")
-        ls.ls_transports;
-      str "]}")
-    t.link_scheds;
+  write_links ~spill b t.link_scheds;
   str "],\"holdoffs\":[";
-  List.iteri
-    (fun i h ->
-      if i > 0 then chr ',';
-      str "{\"cell\":";
-      int (Ids.Cell.to_int h.ho_cell);
-      str ",\"gate\":";
-      int h.ho_gate;
-      str ",\"data\":";
-      int h.ho_data;
-      chr '}')
-    t.holdoffs;
+  write_holdoffs b t.holdoffs;
   str "],\"peak_channel_usage\":[";
-  ints t.peak_channel_usage;
+  write_ints b t.peak_channel_usage;
   str "],\"dedicated_per_channel\":[";
-  ints t.dedicated_per_channel;
+  write_ints b t.dedicated_per_channel;
   str "],\"warnings\":[";
-  List.iteri
-    (fun i w ->
-      if i > 0 then chr ',';
-      Json.escape b w)
-    t.warnings;
-  str "]}";
+  write_strings b t.warnings;
+  str "]}"
+
+let to_json_string t =
+  let b = Buffer.create 8192 in
+  write ~spill:ignore b t;
   Buffer.contents b
+
+(* Links are a few hundred bytes each, so spilling past [chunk] keeps the
+   buffer at its first size. *)
+let json_hash_hex t =
+  let chunk = 1024 in
+  let d = Json.digest () and b = Buffer.create (2 * chunk) in
+  write b t ~spill:(fun b ->
+      if Buffer.length b >= chunk then Json.digest_buffer d b);
+  Json.digest_buffer d b;
+  Json.digest_hex d
 
 let pp_summary ppf t =
   Format.fprintf ppf

@@ -88,6 +88,10 @@ val to_json_string : t -> string
     equality witness of the differential suites (delta and reroute
     warm≡cold, batch jobs 1≡4) and what the routing pins hash. *)
 
+val json_hash_hex : t -> string
+(** [Msched_diag.Diag.Json.hash_hex (to_json_string t)], hashed while the
+    same writer runs, without building the string. *)
+
 val record_metrics : Msched_obs.Sink.t -> t -> Msched_arch.System.t -> unit
 (** Record schedule-level observability metrics (frame length and estimated
     speed gauges, hold-off counters, per-channel occupancy and per-FPGA pin

@@ -239,7 +239,7 @@ let run_delta settings req =
               do_expansions = 0;
               do_reuse_fraction = 0.0;
               do_cold_fallback = Option.is_some manifest && diff = None;
-              do_schedule_fp = Cache.hash_hex (Schedule.to_json_string sched);
+              do_schedule_fp = Schedule.json_hash_hex sched;
               do_length = sched.Schedule.length;
               do_est_speed_hz = Schedule.est_speed_hz sched;
             }

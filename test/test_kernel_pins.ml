@@ -31,6 +31,7 @@ module System = Msched_arch.System
 module Json = Msched_diag.Diag.Json
 module Explain = Msched_explain.Explain
 module Sink = Msched_obs.Sink
+module Cache = Msched_server.Cache
 
 type setting = {
   weight : int;
@@ -285,10 +286,23 @@ let corruptions system =
 let report prepared sched =
   Format.asprintf "%a" Verify.pp_report (Compile.verify_schedule prepared sched)
 
+(* The schedules of a grid point whose streamed fingerprint differs from
+   the hash of their JSON text. *)
+let fingerprint_mismatches = ref []
+let fingerprints_checked = ref 0
+
+let check_fingerprint spec name sched =
+  incr fingerprints_checked;
+  if
+    Schedule.json_hash_hex sched
+    <> Cache.hash_hex (Schedule.to_json_string sched)
+  then fingerprint_mismatches := (spec ^ " " ^ name) :: !fingerprint_mismatches
+
 (* What one grid point produces: the latch-analysis hash, the verify
    report text and the schedule hash.  The verify text covers the clean
    schedule, a naive-mode schedule of the same front end and every
-   corruption of the clean schedule. *)
+   corruption of the clean schedule; each of those schedules also has its
+   streamed fingerprint checked. *)
 let run_point (spec, s) =
   let r =
     Compile.compile_resilient ~options:(options_of s) ~max_retries:s.retries
@@ -300,13 +314,18 @@ let run_point (spec, s) =
       let prepared = c.Compile.prepared and sched = c.Compile.schedule in
       let b = Buffer.create 1024 in
       Printf.bprintf b "clean: %s\n" (report prepared sched);
+      check_fingerprint spec "clean" sched;
       (match Compile.route prepared Tiers.naive_options with
-      | naive -> Printf.bprintf b "naive: %s\n" (report prepared naive)
+      | naive ->
+          Printf.bprintf b "naive: %s\n" (report prepared naive);
+          check_fingerprint spec "naive" naive
       | exception Tiers.Unroutable _ ->
           Buffer.add_string b "naive: unroutable\n");
       List.iter
         (fun (name, corrupt) ->
-          Printf.bprintf b "%s: %s\n" name (report prepared (corrupt sched)))
+          let corrupted = corrupt sched in
+          Printf.bprintf b "%s: %s\n" name (report prepared corrupted);
+          check_fingerprint spec name corrupted)
         (corruptions prepared.Compile.system);
       let la = prepared.Compile.latch_analysis in
       ( Json.hash_hex (canonical_latch_analysis la),
@@ -414,6 +433,18 @@ let test_verify_report_pin () =
 
 let test_schedule_pins () =
   check_pin "schedule" (fun (_, _, s) (_, _, s') -> (s, s'))
+
+(* A delta request's [schedule_fp] is hashed while the schedule writer
+   runs; it must equal the hash of the written text on every grid
+   schedule, clean, naive and corrupted. *)
+let test_streamed_fingerprint () =
+  ignore (Lazy.force results);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d schedules checked" !fingerprints_checked)
+    true
+    (!fingerprints_checked >= 10 * List.length grid);
+  Alcotest.(check (list string)) "streamed fingerprint = text hash" []
+    (List.rev !fingerprint_mismatches)
 
 (* ---- Explain pins ---- *)
 
@@ -528,4 +559,6 @@ let suite =
     Alcotest.test_case "verify-report pin" `Quick test_verify_report_pin;
     Alcotest.test_case "schedule pins" `Quick test_schedule_pins;
     Alcotest.test_case "explain pins" `Quick test_explain_pins;
+    Alcotest.test_case "streamed schedule fingerprint" `Quick
+      test_streamed_fingerprint;
   ]

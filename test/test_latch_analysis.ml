@@ -197,6 +197,58 @@ let test_local_settle () =
   Alcotest.(check bool) "some local settle entries" true
     (Ids.Net.Tbl.length la.LA.local_max_settle > 0)
 
+(* One gate latch ordered before eight data latches: block 1 holds an MTS
+   latch [a] gated by the OR of eight inputs from block 0, and latches
+   [l1] .. [l8], each reading one of those inputs as data.  The eight
+   G-type edges leave one root, so the order of the groups after [a]'s is
+   the order the edges are visited in: that of the [(int * int, unit)
+   Hashtbl.t] they are kept in, neither insertion order nor its reverse.
+   No kernel-pins grid design tells those orders apart. *)
+let test_fan_out_group_order () =
+  let b = B.create () in
+  let d0 = B.add_domain b "c0" in
+  let clk = Cell.Dom_clock d0 in
+  let src k =
+    let i = B.add_input b ~domain:d0 () in
+    B.add_flip_flop b ~name:(Printf.sprintf "f%d" k) ~data:i ~clock:clk ()
+  in
+  let fa = src 0 in
+  let fs = List.init 8 (fun k -> src (k + 1)) in
+  let gate = B.add_gate b ~name:"gate" Cell.Or fs in
+  let qa = B.add_latch b ~name:"a" ~data:fa ~gate:(Cell.Net_trigger gate) () in
+  let qs =
+    List.mapi
+      (fun k f ->
+        B.add_latch b ~name:(Printf.sprintf "l%d" (k + 1)) ~data:f ~gate:clk ())
+      fs
+  in
+  List.iteri
+    (fun k q ->
+      let (_ : Ids.Cell.t) = B.add_output b ~name:(Printf.sprintf "o%d" k) q in
+      ())
+    (qa :: qs);
+  let nl = B.finalize b in
+  (* Block 1: "a", "gate", the "l" latches and the "o" outputs. *)
+  let block_of (c : Cell.t) =
+    match c.Cell.name.[0] with 'a' | 'g' | 'l' | 'o' -> 1 | _ -> 0
+  in
+  let assignment =
+    Array.init (Netlist.num_cells nl) (fun i ->
+        Ids.Block.of_int (block_of (Netlist.cell nl (Ids.Cell.of_int i))))
+  in
+  let part = Partition.of_assignment nl assignment in
+  let la = LA.analyze_block part (Ids.Block.of_int 1) in
+  let names =
+    Array.to_list la.LA.groups
+    |> List.map (fun (g : LA.group) ->
+           String.concat "+"
+             (List.map (fun l -> (Netlist.cell nl l).Cell.name) g.LA.latches))
+  in
+  Alcotest.(check (list string))
+    "group order"
+    [ "a"; "l1"; "l4"; "l5"; "l3"; "l7"; "l2"; "l8"; "l6" ]
+    names
+
 let suite =
   [
     Alcotest.test_case "terminal sets + delays" `Quick test_terminal_sets;
@@ -205,4 +257,5 @@ let suite =
     Alcotest.test_case "g-type order" `Quick test_g_type_order;
     Alcotest.test_case "g-cycle merged" `Quick test_g_cycle_merged;
     Alcotest.test_case "local settle" `Quick test_local_settle;
+    Alcotest.test_case "fan-out group order" `Quick test_fan_out_group_order;
   ]

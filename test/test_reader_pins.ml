@@ -529,5 +529,170 @@ let test_reader_pins () =
     (String.split_on_char '\n' pins)
     (rendering ())
 
+(* ---- Hardening ---- *)
+
+(* Net ids the reader takes through [int_of_string_opt] rather than its
+   decimal fast path: hexadecimal, underscores and a plus sign, declared
+   in one spelling and used in another.  Rendered as above; the literals
+   were recorded from the reader that kept every file id in one
+   hashtable. *)
+let int_form_cases =
+  [
+    ( "int/hex",
+      "design t\ndomain c\nnet 0x10 a\ninput a 16 domain 0\noutput o 0x10\n" );
+    ( "int/underscore",
+      "design t\ndomain c\nnet 1_000 b\nnet 1_001 c\ninput b 1000 domain 0\ngate not g 0x3e9_ 1_0_0_0\noutput o 1001\n" );
+    ( "int/underscore-unknown",
+      "design t\ndomain c\nnet 1_000 b\ninput b 1000 domain 0\ngate not g 0x3e9_ 1_0_0_0\n" );
+    ( "int/plus",
+      "design t\ndomain c\nnet +5 c\nnet 6 d\ninput c 5 domain 0\ngate buf g +6 +5\noutput o 6\n" );
+    ( "int/mixed",
+      "design t\ndomain c\nnet 0x10 a\nnet 1_000 b\nnet +5 c\ninput a 0x10 domain +0\ngate and g 1000 16 0x10\ngate or h +5 1_000 0x10\noutput o 5\n" );
+  ]
+
+let int_form_pins =
+  [
+    "int/hex ok 4390ccedf8d8097f";
+    "int/underscore ok 149382ee6be727d9";
+    "int/underscore-unknown err 1 024b6d085a25ddae E_PARSE line 5: unknown \
+     net 1001 | line 5: unknown net 1001";
+    "int/plus ok af99a5f7c4ccee5c";
+    "int/mixed ok d187bd71b4d164ec";
+  ]
+
+let test_int_forms () =
+  Alcotest.(check (list string))
+    "int_of_string forms resolve as recorded" int_form_pins
+    (List.map (fun (name, text) -> name ^ " " ^ render text) int_form_cases)
+
+let words () =
+  Gc.minor ();
+  let s = Gc.quick_stat () in
+  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+
+(* Ids at or past the text length, and negative ones, go through the
+   reader's hashtable: what a parse allocates follows the text's size,
+   not the id's value.  Each text must read as the same design as its
+   small-id twin. *)
+let test_far_ids () =
+  let design a b =
+    Printf.sprintf
+      "design t\ndomain c\nnet %s a\nnet %s b\ninput a %s domain 0\ngate not g %s %s\noutput o %s\n"
+      a b a b a b
+  in
+  let canonical text =
+    match Serial.of_string_diag text with
+    | Ok nl -> Serial.to_string nl
+    | Error ds -> Alcotest.failf "%S: %s" text (Diag.to_json (List.hd ds))
+  in
+  let twin = canonical (design "0" "1") in
+  let len = String.length (design "0" "1") in
+  List.iter
+    (fun (a, b) ->
+      let text = design a b in
+      Alcotest.(check string) ("same design as 0/1: " ^ a ^ " " ^ b) twin
+        (canonical text);
+      let w0 = words () in
+      ignore (Serial.of_string_diag text);
+      let spent = words () -. w0 in
+      let bound = float_of_int ((16 * String.length text) + 4096) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s/%s: %.0f words <= %.0f" a b spent bound)
+        true (spent <= bound))
+    [
+      ("4611686018427387903", "-7");
+      ("-7", "4611686018427387903");
+      (string_of_int max_int, string_of_int min_int);
+      (string_of_int (len - 1), string_of_int len);
+      (string_of_int (len + 2), "0");
+    ]
+
+(* A `design' line forgets the file's net ids at the cost of what the
+   design before it declared, not of the id table's length: one id just
+   under the text's length (the table grows to about the text's size)
+   followed by 100 000 `design' lines reads in linear time, and the last
+   design does not know the id.  Forgetting by clearing the whole table
+   makes this text cost 10^11 writes. *)
+let test_many_designs () =
+  let far = 899_990 in
+  let text =
+    String.concat ""
+      [
+        Printf.sprintf "design t\nnet %d a\n" far;
+        String.concat "" (List.init 100_000 (fun _ -> "design x\n"));
+        Printf.sprintf "domain c\nnet 0 i\ninput i 0 domain 0\noutput o %d\n"
+          far;
+      ]
+  in
+  Alcotest.(check bool) "the id is below the text length" true
+    (far < String.length text);
+  let t0 = Sys.time () in
+  let got = render text in
+  let spent = Sys.time () -. t0 in
+  let msg = Printf.sprintf "line 100006: unknown net %d" far in
+  Alcotest.(check bool)
+    (Printf.sprintf "%S ends with the unknown far id" got)
+    true
+    (String.ends_with ~suffix:(" E_PARSE " ^ msg ^ " | " ^ msg) got
+    && String.starts_with ~prefix:"err 1 " got);
+  Alcotest.(check bool)
+    (Printf.sprintf "two reads in %.2f s of CPU (< 5 s)" spent)
+    true (spent < 5.0)
+
+(* Whatever the bytes, the reader answers [Ok] or a non-empty diagnostic
+   list and never raises. *)
+let reads_cleanly text =
+  match Serial.of_string_diag text with
+  | Ok _ -> true
+  | Error [] -> QCheck.Test.fail_report "Error with no diagnostic"
+  | Error (_ :: _) -> true
+  | exception e ->
+      QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+
+let prop_arbitrary_bytes =
+  QCheck.Test.make ~name:"arbitrary bytes read cleanly" ~count:500
+    QCheck.(string_of_size (Gen.int_range 0 600))
+    reads_cleanly
+
+(* Arbitrary lines over the reader's own vocabulary reach past the
+   directive dispatch into id resolution and the builder. *)
+let vocabulary =
+  [|
+    "design"; "domain"; "net"; "input"; "clocksource"; "gate"; "latch"; "ff";
+    "ram"; "output"; "and"; "not"; "mux"; "dom"; "high"; "low"; "0"; "1"; "2";
+    "3"; "-1"; "0x2"; "+1"; "1_0"; "4611686018427387903"; "#"; "\t"; "";
+  |]
+
+let vocabulary_text =
+  QCheck.Gen.(
+    map
+      (fun lines -> String.concat "\n" (List.map (String.concat " ") lines))
+      (list_size (int_range 0 40)
+         (list_size (int_range 0 8) (oneofa vocabulary))))
+
+let prop_vocabulary =
+  QCheck.Test.make ~name:"vocabulary lines read cleanly" ~count:500
+    (QCheck.make ~print:String.escaped vocabulary_text)
+    reads_cleanly
+
+(* One byte of a generator text replaced. *)
+let prop_byte_mutations =
+  let bases = Array.of_list (base_texts ()) in
+  QCheck.Test.make ~name:"single-byte mutations read cleanly" ~count:500
+    QCheck.(triple (int_bound (Array.length bases - 1)) (int_bound 100_000) char)
+    (fun (k, pos, c) ->
+      let base = bases.(k) in
+      let b = Bytes.of_string base in
+      Bytes.set b (pos mod Bytes.length b) c;
+      reads_cleanly (Bytes.to_string b))
+
 let suite =
-  [ Alcotest.test_case "of_string_diag corpus" `Quick test_reader_pins ]
+  [
+    Alcotest.test_case "of_string_diag corpus" `Quick test_reader_pins;
+    Alcotest.test_case "int_of_string id forms" `Quick test_int_forms;
+    Alcotest.test_case "far and negative ids" `Quick test_far_ids;
+    Alcotest.test_case "many designs after a far id" `Quick test_many_designs;
+    QCheck_alcotest.to_alcotest prop_arbitrary_bytes;
+    QCheck_alcotest.to_alcotest prop_vocabulary;
+    QCheck_alcotest.to_alcotest prop_byte_mutations;
+  ]
