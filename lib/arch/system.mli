@@ -33,8 +33,7 @@ val channels : t -> channel array
 val channel : t -> int -> channel
 val channel_between : t -> src:Ids.Fpga.t -> dst:Ids.Fpga.t -> channel option
 val out_channels : t -> Ids.Fpga.t -> channel list
-val in_channels : t -> Ids.Fpga.t -> channel list
-(** In channel-index order, like {!out_csr} / {!in_csr}. *)
+(** In channel-index order, like {!out_csr}. *)
 
 type csr = private {
   offsets : int array;  (** Length [num_fpgas + 1]. *)

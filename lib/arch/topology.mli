@@ -25,7 +25,6 @@ val make_for_count : kind -> int -> t
 val kind : t -> kind
 val num_fpgas : t -> int
 val fpgas : t -> Ids.Fpga.t list
-val coords : t -> Ids.Fpga.t -> int * int
 val fpga_at : t -> x:int -> y:int -> Ids.Fpga.t
 val neighbors : t -> Ids.Fpga.t -> Ids.Fpga.t list
 (** Deterministic order; does not include the FPGA itself. *)

@@ -150,8 +150,6 @@ val kind_name : violation -> string
 (** Stable snake-case tag of the violation's constructor, for tests and
     machine consumption (e.g. ["fork-skew"], ["gate-after-data"]). *)
 
-val pp_violation : Format.formatter -> violation -> unit
-
 type report = {
   violations : violation list;  (** In deterministic discovery order. *)
   length : int;  (** Frame length of the schedule checked. *)

@@ -183,11 +183,11 @@ let compile_prepared ?(options = default_options) ?reroute prepared =
   if options.verify then verify_or_fail ~obs prepared schedule;
   { prepared; schedule }
 
-let compile ?(options = default_options) ?reroute nl =
+let compile ?(options = default_options) nl =
   let obs = options.obs in
   Sink.span obs "compile" @@ fun () ->
   let prepared = prepare ~options nl in
-  compile_prepared ~options ?reroute prepared
+  compile_prepared ~options prepared
 
 (* ------------------------------------------------------------------ *)
 (* Resilient driver: lint first, then a bounded retry/escalation ladder

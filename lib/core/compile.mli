@@ -73,9 +73,11 @@ val route :
   Msched_route.Tiers.options ->
   Msched_route.Schedule.t
 (** Reverse (TIERS) scheduling.  With a [reroute] context the attempt runs
-    warm (ledger replay, congestion-history steering, deferred residue
-    collection) — see {!Msched_route.Tiers.schedule}.  [jobs] is ignored,
-    like {!options.compile_jobs}, and kept for [perfbench/]'s callers. *)
+    warm (ledger replay, forced-hard links, deferred residue collection) —
+    see {!Msched_route.Tiers.schedule}; the context never changes a
+    search, so a successful route under a fresh context returns the
+    schedule a route without one returns.  [jobs] is ignored, like
+    {!options.compile_jobs}, and kept for [perfbench/]'s callers. *)
 
 val route_forward :
   ?obs:Msched_obs.Sink.t ->
@@ -91,11 +93,7 @@ val verify_schedule :
   Msched_check.Verify.report
 (** Run the static verifier against a schedule routed from [prepared]. *)
 
-val compile :
-  ?options:options ->
-  ?reroute:Msched_route.Reroute.t ->
-  Netlist.t ->
-  compiled
+val compile : ?options:options -> Netlist.t -> compiled
 (** [prepare], then {!route} with [options.route]; when [options.verify]
     is set the schedule is then checked by {!Msched_check.Verify} and a
     violation raises {!Compile_error} with the pretty-printed report.  The
@@ -190,9 +188,12 @@ val diag_of_exn : exn -> Msched_diag.Diag.t
 
     Attempts share one {!Msched_route.Reroute.t} context: a rung that
     keeps the partition/placement seeds replays the previous attempt's
-    routes from the ledger and re-searches only what changed, steered by
-    the accumulated congestion history.  [reuse:false] clears the context
-    before every attempt (cold — the differential-test baseline).
+    routes from the ledger and re-searches only what changed.  The
+    context never steers a search, so the baseline rung schedules the
+    design byte for byte as {!compile} does; the server, [check],
+    [explain] and [simulate] all see the same schedule.  [reuse:false]
+    clears the context before every attempt (cold — the differential-test
+    baseline).
 
     Every attempt and diagnostic is recorded; the degradation report says
     what was requested vs what was achieved.  Observability: span
@@ -281,8 +282,6 @@ val resilient_exit_code : resilient -> int
 (** 0 on success (even degraded); otherwise the
     {!Msched_diag.Diag.exit_code} class of the first error diagnostic. *)
 
-val pp_attempt : Format.formatter -> attempt -> unit
-val pp_degradation : Format.formatter -> degradation -> unit
 val pp_resilient : Format.formatter -> resilient -> unit
 
 val resilient_to_json : resilient -> string

@@ -20,8 +20,6 @@ type gate =
 val gate_arity : gate -> int option
 (** Fixed arity of a gate, or [None] for variadic gates (And/Or/Nand/Nor). *)
 
-val pp_gate : Format.formatter -> gate -> unit
-
 val eval_gate : gate -> bool array -> bool
 (** [eval_gate g inputs] evaluates [g] on concrete input values.
     Raises [Invalid_argument] on an arity mismatch. *)

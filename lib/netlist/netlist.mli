@@ -41,12 +41,6 @@ val iter_nets : t -> (Ids.Net.t -> net_info -> unit) -> unit
 val cells : t -> Cell.t array
 (** The underlying cell array, indexed by [Ids.Cell.to_int]. Do not mutate. *)
 
-val trigger_net_of : t -> Cell.t -> Ids.Net.t option
-(** The net feeding a sequential cell's trigger pin: the clock-source net for
-    [Dom_clock] triggers, the trigger net itself for [Net_trigger]. Returns
-    [None] for combinational cells and for [Dom_clock] triggers whose domain
-    has no materialized clock-source cell. *)
-
 val clock_source_net : t -> Ids.Dom.t -> Ids.Net.t option
 (** The net driven by the domain's [Clock_source] cell, if one was created. *)
 

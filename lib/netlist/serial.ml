@@ -9,18 +9,6 @@ let gate_name = function
   | Cell.Buf -> "buf"
   | Cell.Mux -> "mux"
 
-let gate_of_name = function
-  | "and" -> Some Cell.And
-  | "or" -> Some Cell.Or
-  | "nand" -> Some Cell.Nand
-  | "nor" -> Some Cell.Nor
-  | "xor" -> Some Cell.Xor
-  | "xnor" -> Some Cell.Xnor
-  | "not" -> Some Cell.Not
-  | "buf" -> Some Cell.Buf
-  | "mux" -> Some Cell.Mux
-  | _ -> None
-
 (* Names may not contain whitespace; sanitized on output, in place. *)
 let is_space c = c = ' ' || c = '\t' || c = '\n'
 
@@ -257,7 +245,7 @@ let gates =
   Cell.[| And; Or; Nand; Nor; Xor; Xnor; Not; Buf; Mux |]
 
 (* The index in [gates] from [i] of the gate token [k] names, or [-1]:
-   [gate_of_name] without copying the token out. *)
+   the inverse of [gate_name], read without copying the token out. *)
 let rec token_gate st k i =
   if i = Array.length gates then -1
   else if token_is st k (gate_name gates.(i)) then i

@@ -29,7 +29,6 @@ val to_string : Netlist.t -> string
 val output : Format.formatter -> Netlist.t -> unit
 
 val gate_name : Cell.gate -> string
-val gate_of_name : string -> Cell.gate option
 
 val canonical : string -> (string, string) result
 (** Parse and re-emit: normalizes whitespace, comments, blank lines and

@@ -57,10 +57,6 @@ val foreign_consumers : t -> Ids.Net.t -> (Ids.Block.t * Netlist.term list) list
     {!output_nets}, and stored with the partition; later calls return the
     stored list without regrouping. *)
 
-val cut_size : t -> int
-(** Number of (crossing net, foreign block) pairs — the route-link count
-    before MTS decomposition. *)
-
 val naive_pin_count : t -> Ids.Block.t -> int
 (** Pins this block would need if every crossing net used a dedicated pin:
     distinct nets leaving the block plus distinct nets entering it. This is

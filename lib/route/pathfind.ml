@@ -28,42 +28,17 @@ let push (sc : Resource.scratch) ~tail st ~from ~via =
     incr tail
   end
 
-(* Negotiated-congestion steering: with a reroute context carrying
-   history, probe channels with the least accumulated congestion first.
-   BFS still finds a minimal-latency path — the order only breaks ties
-   between equal-length paths, away from historically contested wires.
-   Fills [sc.order] with the CSR positions [lo, hi) in probe order: a
-   stable insertion sort on the history current at this expansion, so
-   blocks found earlier in the same search steer it. *)
-let order_channels (sc : Resource.scratch) ctx (csr : System.csr) lo hi =
-  let n = hi - lo in
-  if Array.length sc.order < n then begin
-    sc.order <- Array.make n 0;
-    sc.keys <- Array.make n 0
-  end;
-  let order = sc.order and keys = sc.keys in
-  for i = 0 to n - 1 do
-    let key = Reroute.history ctx ~channel:csr.System.ids.(lo + i) in
-    let j = ref i in
-    while !j > 0 && keys.(!j - 1) > key do
-      order.(!j) <- order.(!j - 1);
-      keys.(!j) <- keys.(!j - 1);
-      decr j
-    done;
-    order.(!j) <- lo + i;
-    keys.(!j) <- key
-  done
-
 (* Layered BFS over the time-expanded graph, shared by both directions.
    State [(t - t0) * nf + f] stands for "the value is at FPGA [f] at slot
    [t]"; [t] counts reverse slots backward and forward slots forward.
    Both transitions — wait in [f], or hop over one of [f]'s channels in
    [csr] to its far end — go from [t] to [t + 1], so a FIFO explores slot
    by slot and the first pop of [goal] has minimal latency.  A hop probes
-   its channel at [t + 1].  Returns the goal state, or [-1] when no state
-   up to [t_limit] reaches it. *)
-let bfs ~ctx sys res (csr : System.csr) ~from ~goal ~t0 ~t_limit
-    ~expanded ~blocked =
+   its channel at [t + 1], channels in CSR order, so the path depends only
+   on the reservation table.  Returns the goal state, or [-1] when no
+   state up to [t_limit] reaches it. *)
+let bfs sys res (csr : System.csr) ~from ~goal ~t0 ~t_limit ~expanded
+    ~blocked =
   let nf = System.num_fpgas sys in
   let sc = Resource.scratch res in
   sc.epoch <- sc.epoch + 1;
@@ -82,25 +57,11 @@ let bfs ~ctx sys res (csr : System.csr) ~from ~goal ~t0 ~t_limit
       let next_layer = (layer + 1) * nf in
       let rslot = t0 + layer + 1 in
       push sc ~tail (next_layer + f) ~from:st ~via:(-1);
-      let lo = csr.System.offsets.(f) and hi = csr.System.offsets.(f + 1) in
-      let steer =
-        match ctx with
-        | Some c when Reroute.history_total c > 0 ->
-            order_channels sc c csr lo hi;
-            true
-        | Some _ | None -> false
-      in
-      for i = 0 to hi - lo - 1 do
-        let k = if steer then sc.order.(i) else lo + i in
+      for k = csr.System.offsets.(f) to csr.System.offsets.(f + 1) - 1 do
         let channel = csr.System.ids.(k) in
         if Resource.free_at res ~channel ~rslot then
           push sc ~tail (next_layer + csr.System.ends.(k)) ~from:st ~via:channel
-        else begin
-          incr blocked;
-          match ctx with
-          | Some c -> Reroute.bump_history c ~channel
-          | None -> ()
-        end
+        else incr blocked
       done
     end
   done;
@@ -132,7 +93,7 @@ let run ~obs ~ctx sys res ~backward ~src ~dst ~t0 ~max_extra =
     in
     let expanded = ref 0 and blocked = ref 0 in
     let final =
-      bfs ~ctx sys res csr ~from:(Ids.Fpga.to_int from)
+      bfs sys res csr ~from:(Ids.Fpga.to_int from)
         ~goal:(Ids.Fpga.to_int goal) ~t0 ~t_limit:(t0 + dist + max_extra)
         ~expanded ~blocked
     in

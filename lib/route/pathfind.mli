@@ -14,9 +14,9 @@
     channels are int arrays in the table's {!Resource.scratch}, stamped
     with a per-search epoch so the next search reuses them uncleared; the
     FIFO is an int array too, and channels come from the system's CSR
-    adjacency ({!Msched_arch.System.in_csr}).  A search allocates per
-    search and per returned hop, not per state.  {!search_forward} runs
-    the same kernel forward in time. *)
+    adjacency ({!Msched_arch.System.in_csr}), probed in CSR order.  A
+    search allocates per search and per returned hop, not per state.
+    {!search_forward} runs the same kernel forward in time. *)
 
 open Msched_netlist
 
@@ -40,10 +40,11 @@ val search :
     exists within [r_arr + distance + max_extra] reverse slots (pathological
     congestion or a disconnected wire pool).  Does not reserve slots.
 
-    With a reroute context [ctx], congestion-blocked hops accumulate
-    per-channel history and equal-length path ties are broken toward the
-    least-contested channels (negotiated congestion); expansion counts are
-    charged to the context and to the [reroute.expansions] counter. *)
+    The path depends only on the reservation table: channels are probed
+    in CSR order, and a probe of a full slot only counts toward
+    [pathfind.congestion_blocked].  A reroute context [ctx] never changes
+    the path; the search charges its expansion count to it and to the
+    [reroute.expansions] counter. *)
 
 val reserve_path : Resource.t -> path -> unit
 

@@ -16,8 +16,6 @@ type entry = {
 
 type t = {
   ledger : (key, entry) Hashtbl.t;
-  mutable history : int array;  (* congestion bumps by channel, 0 past the end *)
-  mutable history_sum : int;
   mutable failed : (key * Diag.t) list;  (* reverse discovery order *)
   forced : (int * int * int, unit) Hashtbl.t;  (* net, src, dst *)
   mutable expansions : int;
@@ -29,8 +27,6 @@ type t = {
 let create () =
   {
     ledger = Hashtbl.create 1024;
-    history = [||];
-    history_sum = 0;
     failed = [];
     forced = Hashtbl.create 16;
     expansions = 0;
@@ -41,8 +37,6 @@ let create () =
 
 let clear t =
   Hashtbl.reset t.ledger;
-  Array.fill t.history 0 (Array.length t.history) 0;
-  t.history_sum <- 0;
   t.failed <- [];
   Hashtbl.reset t.forced
 
@@ -51,21 +45,6 @@ let record t key entry = Hashtbl.replace t.ledger key entry
 let rip t key = Hashtbl.remove t.ledger key
 let keys t = Hashtbl.fold (fun k _ acc -> k :: acc) t.ledger []
 let ledger_size t = Hashtbl.length t.ledger
-
-let bump_history t ~channel =
-  let len = Array.length t.history in
-  if channel >= len then begin
-    let grown = Array.make (max (channel + 1) (2 * len)) 0 in
-    Array.blit t.history 0 grown 0 len;
-    t.history <- grown
-  end;
-  t.history.(channel) <- t.history.(channel) + 1;
-  t.history_sum <- t.history_sum + 1
-
-let history t ~channel =
-  if channel < Array.length t.history then t.history.(channel) else 0
-
-let history_total t = t.history_sum
 
 let note_failure t key d = t.failed <- (key, d) :: t.failed
 let failures t = List.rev t.failed
@@ -91,7 +70,6 @@ let note_fresh t = t.fresh <- t.fresh + 1
 let record_metrics obs t =
   if Sink.enabled obs then begin
     Sink.gauge obs "reroute.ledger_size" (float_of_int (ledger_size t));
-    Sink.gauge obs "reroute.history_total" (float_of_int t.history_sum);
     Sink.gauge obs "reroute.forced_hard_links"
       (float_of_int (forced_hard_count t))
   end

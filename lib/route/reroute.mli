@@ -1,6 +1,5 @@
-(** Incremental rerouting context: negotiated-congestion history and a
-    per-transport reservation ledger that survive across scheduling
-    attempts (PathFinder-style, after McMurchie & Ebeling).
+(** Incremental rerouting context: a per-transport reservation ledger
+    that survives across the scheduling attempts of one retry ladder.
 
     The TIERS scheduler is stateless: every attempt of
     [Compile.compile_resilient]'s retry ladder searches every transport
@@ -8,8 +7,10 @@
     requirement (arrival anchor slot) is unchanged and whose reserved
     slots are still free are {e replayed} from the ledger without a
     search; only the stale or previously-unroutable {e residue} is ripped
-    up and re-searched — biased away from historically congested channels
-    by the per-channel history table.
+    up and re-searched.  A context never changes what a search finds:
+    {!Pathfind} reads nothing from it and only charges its expansion
+    count to it, so an attempt that succeeds under a fresh context
+    schedules its design byte for byte as an attempt without one.
 
     A context also carries the failure residue of the last attempt (which
     transports found no path) and a forced-hard set: links the driver has
@@ -18,10 +19,10 @@
     residue instead of flipping the whole schedule to hard mode).
 
     One context belongs to one prepared design: partition or placement
-    reseeding invalidates both ledger and history ({!clear}).  A context
-    lives in memory for one compile's retry ladder; nothing persists it,
-    so a compile's answer depends only on its design and settings.  All
-    state is single-threaded mutable, like {!Msched_obs.Sink}. *)
+    reseeding invalidates the ledger ({!clear}).  A context lives in
+    memory for one compile's retry ladder; nothing persists it, so a
+    compile's answer depends only on its design and settings.  All state
+    is single-threaded mutable, like {!Msched_obs.Sink}. *)
 
 type key = {
   k_net : int;
@@ -41,10 +42,10 @@ type entry = {
 type t
 
 val create : unit -> t
-(** An empty PathFinder-style negotiated-congestion context. *)
+(** An empty context. *)
 
 val clear : t -> unit
-(** Drop ledger, history, failures and the forced-hard set (statistics
+(** Drop ledger, failures and the forced-hard set (statistics
     are kept; they are monotone over the context's lifetime).  Required
     when the placement the entries were routed against changes. *)
 
@@ -61,24 +62,6 @@ val keys : t -> key list
 (** All ledger keys, in unspecified order. *)
 
 val ledger_size : t -> int
-
-(** {2 Congestion history} *)
-
-val bump_history : t -> channel:int -> unit
-(** Called by the pathfinder whenever a hop over [channel] is rejected
-    because the slot is full: one unit of negotiated-congestion history.
-    Channels are indices into {!Msched_arch.System}'s channel table, so
-    never negative. *)
-
-val history : t -> channel:int -> int
-(** The bumps [channel] has taken since the context was created or last
-    {!clear}ed; 0 for a channel never bumped.  History is an int array
-    indexed by channel that grows on the first bump past its end, so the
-    read the pathfinder makes for every channel of every expanded state
-    is one bounds check and one load. *)
-
-val history_total : t -> int
-(** Sum over channels; 0 means channel exploration order is untouched. *)
 
 (** {2 Failure residue} *)
 

@@ -6,14 +6,11 @@ type scratch = {
   mutable parent : int array;
   mutable via : int array;
   mutable queue : int array;
-  mutable order : int array;
-  mutable keys : int array;
 }
 
 (* Occupancy of slots [0, rows) lives in [dense] at [rslot * nch + channel];
    rows double on demand up to [max_rows].  Any other slot — negative, or
-   past the cap, which only ledger entries read back from manifests and
-   reroute documents can name — lives in [sparse], so no slot number
+   past the cap — lives in [sparse], so no slot number a caller passes
    sizes an allocation. *)
 type t = {
   widths : int array;  (* physical wires per channel *)
@@ -53,8 +50,6 @@ let create sys =
         parent = [||];
         via = [||];
         queue = [||];
-        order = [||];
-        keys = [||];
       };
   }
 

@@ -8,10 +8,9 @@
     Counts live in a dense int array indexed [rslot * channels + channel],
     grown by doubling as reservations reach later slots, up to 2{^20}
     words.  A slot outside that range — negative, or beyond the cap — goes
-    to a sparse table instead: frames never reach such slots, but ledger
-    entries read back from manifests and reroute documents can name them,
-    and they must count like any other slot without sizing an allocation
-    by the slot number. *)
+    to a sparse table instead: frames never reach such slots, but slot
+    numbers come from the caller, and they must count like any other slot
+    without sizing an allocation by the slot number. *)
 
 type t
 
@@ -61,8 +60,6 @@ type scratch = {
   mutable via : int array;
       (** State → channel hopped into it, or [-1] (a wait). *)
   mutable queue : int array;  (** FIFO of states; each enters at most once. *)
-  mutable order : int array;  (** One expansion's channels, in probe order. *)
-  mutable keys : int array;  (** Their congestion-history sort keys. *)
 }
 
 val scratch : t -> scratch

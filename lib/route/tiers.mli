@@ -6,12 +6,13 @@
     consumers before producers, gate-side constraints before data-side ones
     (G-type latch ordering).  Each link is routed backwards in time over the
     time-expanded wire graph so that it arrives exactly when its destination
-    needs it; ReadyTime requirements then propagate to the source block's
-    terminals.  Multi-transition nets travel as per-domain transports whose
-    latencies are equalized so the merge at the destination is causally
-    correct; hold-time safety at latches is enforced by scheduling gate
-    information no later than data and by data hold-offs (delay
-    compensation). *)
+    needs it, by a minimal-latency search that depends only on the live
+    reservation table; ReadyTime requirements then propagate to the source
+    block's terminals.  Multi-transition nets travel as per-domain
+    transports whose latencies are equalized so the merge at the
+    destination is causally correct; hold-time safety at latches is
+    enforced by scheduling gate information no later than data and by data
+    hold-offs (delay compensation). *)
 
 type mts_mode =
   | Mts_virtual  (** The paper's contribution: scheduled MTS transport. *)
@@ -70,12 +71,14 @@ val schedule :
 
     With a [reroute] context the attempt runs {e warm}: transports whose
     requirement slot is unchanged since the last attempt are replayed from
-    the context's ledger without a search, searches are steered by the
-    negotiated-congestion history, links the driver forced hard
+    the context's ledger without a search, links the driver forced hard
     ({!Reroute.force_hard}) are routed on dedicated wires, and an
     unroutable transport no longer aborts the pass — the whole residue is
     collected into the context first, then {!Unroutable} is raised with
-    the first culprit.  The context must belong to this placement; clear
-    it when the partition or placement changes.
+    the first culprit.  A search itself never reads the context (see
+    {!Pathfind.search}), so a successful attempt under a fresh context
+    returns the schedule an attempt without one returns.  The context must
+    belong to this placement; clear it when the partition or placement
+    changes.
     @raise Unroutable when a transport cannot be placed within the slack
     budget (e.g. hard wires exhausted a channel). *)

@@ -152,11 +152,6 @@ val stats : dir:string -> stats
 (** Snapshot of the directory; never raises (an unreadable directory reads
     as empty). *)
 
-val with_lock : dir:string -> (unit -> 'a) -> 'a
-(** Run [f] holding an exclusive [Unix.lockf] lock on
-    [dir/.msched-cache.lock] (created if missing).  Blocks until the lock
-    is available; always released, even if [f] raises. *)
-
 type gc_result = {
   gc_scanned : int;
   gc_evicted : int;
@@ -170,9 +165,10 @@ type gc_result = {
 val gc : dir:string -> max_bytes:int -> gc_result
 (** Delete every leftover [reroute-*] and [block-*] file, then evict
     [result-*] and [manifest-*] entries oldest-mtime-first (deterministic
-    path tie-break) until total entry bytes fit [max_bytes], all under
-    {!with_lock}.  Entries that vanish mid-scan are skipped; the lock file
-    itself is never evicted.  Every entry is one self-contained file, so
+    path tie-break) until total entry bytes fit [max_bytes], all under an
+    exclusive [Unix.lockf] lock on [dir/.msched-cache.lock] (created if
+    missing; always released).  Entries that vanish mid-scan are skipped;
+    the lock file itself is never evicted.  Every entry is one self-contained file, so
     whatever survives still loads. *)
 
 (** {2 Shims for the benchmark under [perfbench/]}

@@ -91,8 +91,6 @@ type base_status =
   | Base_corrupt  (** Header failed its checksum; E_CACHE diag carried. *)
   | Base_off  (** Base requested but the server runs without --cache-dir. *)
 
-val base_status_name : base_status -> string
-
 type delta_request = {
   dq_path : string;  (** Display name. *)
   dq_text : string;  (** Netlist text of the {e edited} design. *)
@@ -223,9 +221,6 @@ val to_ndjson : batch_result -> string
 val exit_code : batch_result -> int
 (** 0 when every job compiled (degraded counts as success), else the exit
     class of the first failing job in job order. *)
-
-val merged_counters : batch_result -> (string * int) list
-(** Per-job sink counters summed in job order, sorted by name. *)
 
 val record_obs : Msched_obs.Sink.t -> batch_result -> unit
 (** Record the [server.*] metrics (queue wait, job wall, in-flight

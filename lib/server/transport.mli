@@ -38,8 +38,6 @@ type poison =
   | Hang  (** Hold a worker until the server aborts. *)
   | Crash  (** Raise inside the worker: kills its domain. *)
 
-val poison_name : poison -> string
-
 type source = [ `Path of string | `Text of string ]
 
 type request =

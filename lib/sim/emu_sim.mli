@@ -37,10 +37,6 @@ val create :
 (** Sites are initialized from the settled reference-simulator state
     (modeling configuration download), so frame 0 starts aligned. *)
 
-val run_edge : t -> Msched_clocking.Edges.edge -> unit
-(** One frame per edge — the controller mode where the emulator steps the
-    design one clock event at a time. *)
-
 val run_frame : t -> Msched_clocking.Edges.edge list -> unit
 (** One frame carrying all the edges that fall within its wall-clock window
     (see {!Msched_clocking.Edges.frames}).  All edges take effect at slot 0,
@@ -51,6 +47,8 @@ val run_frame : t -> Msched_clocking.Edges.edge list -> unit
     emulators, measured by {!Fidelity.compare_frames}). *)
 
 val run : t -> Msched_clocking.Edges.edge list -> unit
+(** One frame per edge — the controller mode where the emulator steps the
+    design one clock event at a time. *)
 
 val state_snapshot : t -> (Ids.Cell.t * bool) list
 (** Owner-block output values of every state cell, in {!Ref_sim.state_cells}

@@ -269,13 +269,13 @@ latch.origins=107
 mts.cells_out=328
 mts.ff_rewrites=0
 partition.blocks=10
-pathfind.congestion_blocked=67
+pathfind.congestion_blocked=71
 pathfind.failures=8
 pathfind.searches=118
-pathfind.states_expanded=1199
+pathfind.states_expanded=1187
 place.moves_accepted=3426
 place.moves_tried=7216
-reroute.expansions=1199
+reroute.expansions=1187
 reroute.fresh=116
 reroute.residue=8
 reroute.reused=98

@@ -1,7 +1,7 @@
-(* Incremental rerouting: the warm retry path (congestion-history reuse
-   and ledger replay across rungs) must be equivalent to from-scratch
-   retries — same outcome, same routing mode, same emulation frequency,
-   and verifier-clean schedules on both sides. *)
+(* Incremental rerouting: the warm retry path (ledger replay across
+   rungs) must be equivalent to from-scratch retries — same outcome, same
+   routing mode, same emulation frequency, and verifier-clean schedules
+   on both sides. *)
 
 module Ids = Msched_netlist.Ids
 module Tiers = Msched_route.Tiers
@@ -270,34 +270,140 @@ let test_forced_hard_verifies () =
     (r.Compile.degradation.Compile.fallback_nets > 0);
   check_verifier_clean "per-net fallback" r
 
-(* ---- Congestion history: a channel-indexed table. ---- *)
+(* ---- Served ladders: outcomes pinned, schedules co-simulated. ----
 
-(* History is an int array that grows on the first bump past its end:
-   a channel never bumped reads 0 whether it lies inside the array or
-   past every bumped one, and [clear] zeroes what is kept. *)
-let test_history_table () =
-  let ctx = Reroute.create () in
-  let check what want channel =
-    Alcotest.(check int) what want (Reroute.history ctx ~channel)
+   Thirty serve_mix-style first sightings, five per generator family
+   (the first five per family of the end-to-end benchmark's serve_mix
+   stream at seed 2901), compiled as the server compiles them: the
+   netlist read back from its text, under [tight_options] (weight 32, 24
+   pins, max-extra 0: serve_mix's settings), two retries and the hard
+   fallback.  The attempt labels, achieved mode and fallback-net count
+   are pinned; every final schedule must be verifier-clean and
+   co-simulate against the reference simulator with no mismatching frame
+   (250 ns, stimulus seeds 204-206); a ladder that ends on its baseline
+   rung must schedule the design byte for byte as [Compile.compile]
+   does. *)
+
+(* (spec, attempt labels, achieved mode, fallback nets) *)
+let served_ladder_pins =
+  [
+    ( "random:domains=4,modules=12,mts=0.16,seed=326434",
+      [ "baseline"; "relax-slack" ], "virtual", 0 );
+    ( "gals:islands=3,size=2,seed=975070",
+      [ "baseline" ], "virtual", 0 );
+    ( "dense:domains=7,density=0.18,seed=904055",
+      [ "baseline" ], "virtual", 0 );
+    ( "fabric:banks=5,domains=3,seed=933626",
+      [ "baseline" ], "virtual", 0 );
+    ( "design1:scale=0.02,seed=274219",
+      [ "baseline"; "relax-slack" ], "virtual", 0 );
+    ( "design2:scale=0.02,seed=233835",
+      [ "baseline"; "relax-slack" ], "virtual", 0 );
+    ( "random:domains=4,modules=14,mts=0.11,seed=370372",
+      [ "baseline"; "relax-slack" ], "virtual", 0 );
+    ( "gals:islands=5,size=4,seed=408602",
+      [ "baseline"; "relax-slack" ], "virtual", 0 );
+    ( "dense:domains=7,density=0.19,seed=543645",
+      [ "baseline"; "relax-slack" ], "virtual", 0 );
+    ( "fabric:banks=4,domains=2,seed=859071",
+      [ "baseline" ], "virtual", 0 );
+    ( "design1:scale=0.02,seed=151403",
+      [ "baseline"; "relax-slack" ], "virtual", 0 );
+    ( "design2:scale=0.02,seed=3350",
+      [ "baseline"; "relax-slack" ], "virtual", 0 );
+    ( "random:domains=4,modules=14,mts=0.18,seed=862758",
+      [ "baseline"; "relax-slack" ], "virtual", 0 );
+    ( "gals:islands=4,size=4,seed=424086",
+      [ "baseline"; "relax-slack" ], "virtual", 0 );
+    ( "dense:domains=7,density=0.16,seed=747395",
+      [ "baseline" ], "virtual", 0 );
+    ( "fabric:banks=6,domains=3,seed=782699",
+      [ "baseline"; "relax-slack" ], "virtual", 0 );
+    ( "design1:scale=0.02,seed=862285",
+      [ "baseline"; "relax-slack" ], "virtual", 0 );
+    ( "design2:scale=0.02,seed=968831",
+      [ "baseline"; "relax-slack" ], "virtual", 0 );
+    ( "random:domains=4,modules=6,mts=0.25,seed=675819",
+      [ "baseline" ], "virtual", 0 );
+    ( "gals:islands=3,size=2,seed=730008",
+      [ "baseline" ], "virtual", 0 );
+    ( "dense:domains=7,density=0.15,seed=137559",
+      [ "baseline" ], "virtual", 0 );
+    ( "fabric:banks=2,domains=2,seed=749000",
+      [ "baseline" ], "virtual", 0 );
+    ( "design1:scale=0.02,seed=335393",
+      [ "baseline"; "relax-slack" ], "virtual", 0 );
+    ( "design2:scale=0.02,seed=555208",
+      [ "baseline"; "relax-slack" ], "virtual", 0 );
+    ( "random:domains=3,modules=9,mts=0.26,seed=408638",
+      [ "baseline" ], "virtual", 0 );
+    ( "gals:islands=3,size=2,seed=892726",
+      [ "baseline" ], "virtual", 0 );
+    ( "dense:domains=9,density=0.20,seed=237296",
+      [ "baseline" ], "virtual", 0 );
+    ( "fabric:banks=6,domains=3,seed=977388",
+      [ "baseline" ], "virtual", 0 );
+    ( "design1:scale=0.02,seed=910753",
+      [ "baseline"; "relax-slack" ], "virtual", 0 );
+    ( "design2:scale=0.02,seed=128233",
+      [ "baseline"; "relax-slack" ], "virtual", 0 );
+  ]
+
+let served_netlist spec =
+  match Design_gen.of_spec spec with
+  | Error _ -> invalid_arg spec
+  | Ok d -> (
+      match
+        Msched_netlist.Serial.of_string_diag
+          (Msched_netlist.Serial.to_string d.Design_gen.netlist)
+      with
+      | Ok nl -> nl
+      | Error _ -> Alcotest.failf "%s: the served text does not parse" spec)
+
+let mismatching_frames (c : Compile.compiled) seed =
+  let p = c.Compile.prepared in
+  let clocks =
+    Msched_clocking.Async_gen.clocks ~seed
+      (Msched_netlist.Netlist.domains p.Compile.netlist)
   in
-  check "fresh context, channel 0" 0 0;
-  check "fresh context, channel 1000" 0 1000;
-  Reroute.bump_history ctx ~channel:3;
-  Reroute.bump_history ctx ~channel:3;
-  Reroute.bump_history ctx ~channel:40;
-  check "bumped twice" 2 3;
-  check "bumped once" 1 40;
-  check "never bumped, below a bumped channel" 0 4;
-  check "never bumped, past every bumped channel" 0 41;
-  check "never bumped, far past every bumped channel" 0 100_000;
-  Alcotest.(check int) "total" 3 (Reroute.history_total ctx);
-  Reroute.clear ctx;
-  check "cleared" 0 3;
-  check "cleared, the last bumped channel" 0 40;
-  Alcotest.(check int) "cleared total" 0 (Reroute.history_total ctx);
-  Reroute.bump_history ctx ~channel:40;
-  check "bumped after clear" 1 40;
-  check "untouched after clear" 0 3
+  (Msched_sim.Fidelity.compare_run p.Compile.placement c.Compile.schedule
+     ~clocks ~horizon_ps:250_000 ~seed ())
+    .Msched_sim.Fidelity.mismatch_frames
+
+let schedule_bytes (c : Compile.compiled) =
+  Schedule.to_json_string c.Compile.schedule
+
+let test_served_ladders () =
+  List.iter
+    (fun (spec, want_labels, want_mode, want_fallback) ->
+      let nl = served_netlist spec in
+      let r = run ~reuse:true nl in
+      Alcotest.(check (list string)) (spec ^ ": attempt labels") want_labels
+        (labels r);
+      let d = r.Compile.degradation in
+      Alcotest.(check string) (spec ^ ": achieved mode") want_mode
+        (match d.Compile.achieved_mode with
+        | Some m -> Tiers.mode_name m
+        | None -> "none");
+      Alcotest.(check int) (spec ^ ": fallback nets") want_fallback
+        d.Compile.fallback_nets;
+      check_verifier_clean spec r;
+      match r.Compile.compiled with
+      | None -> ()
+      | Some c ->
+          List.iter
+            (fun seed ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s: mismatching frames, stimulus %d" spec seed)
+                0 (mismatching_frames c seed))
+            [ 204; 205; 206 ];
+          if labels r = [ "baseline" ] then
+            Alcotest.(check bool)
+              (spec ^ ": baseline schedule = Compile.compile's")
+              true
+              (String.equal (schedule_bytes c)
+                 (schedule_bytes (Compile.compile ~options:tight_options nl))))
+    served_ladder_pins
 
 let suite =
   [
@@ -312,6 +418,6 @@ let suite =
     Alcotest.test_case "per-net forced-hard schedule verifies" `Quick
       test_forced_hard_verifies;
     QCheck_alcotest.to_alcotest prop_random_ripup_stays_clean;
-    Alcotest.test_case "history: unbumped channels read 0, clear resets"
-      `Quick test_history_table;
+    Alcotest.test_case "served ladders: pins and co-simulation" `Quick
+      test_served_ladders;
   ]

@@ -165,9 +165,9 @@ let test_allocation_per_state () =
     true (per_state < 48.0)
 
 (* Slots outside the dense table's range (negative, or far beyond any
-   frame) reach the reservation table from ledger entries read back from
-   manifests and reroute documents.  They must count like any other slot
-   without sizing anything by the slot number. *)
+   frame) are never reached by a compile, but the table takes its slot
+   numbers from its caller.  They must count like any other slot without
+   sizing anything by the slot number. *)
 let test_out_of_range_slots () =
   let sys = sys4 () in
   let res = Resource.create sys in
