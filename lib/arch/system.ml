@@ -15,6 +15,7 @@ type t = {
   out_csr : csr;
   in_csr : csr;
   index : (int * int, int) Hashtbl.t;  (* (src, dst) -> channel_index *)
+  hops : int array;  (* (f * n) + g -> hop count from f to g *)
 }
 
 and csr = { offsets : int array; ids : int array; ends : int array }
@@ -88,6 +89,10 @@ let make ?(vclock_hz = default_vclock_hz) topology ~pins_per_fpga =
     out_csr = csr ~near:(fun c -> c.src) ~far:(fun c -> c.dst);
     in_csr = csr ~near:(fun c -> c.dst) ~far:(fun c -> c.src);
     index;
+    hops =
+      Array.init (n * n) (fun i ->
+          Topology.distance topology (Ids.Fpga.of_int (i / n))
+            (Ids.Fpga.of_int (i mod n)));
   }
 
 let topology t = t.topology
@@ -112,6 +117,10 @@ let out_channels t f = adjacent t t.out_csr f
 let in_channels t f = adjacent t t.in_csr f
 let out_csr t = t.out_csr
 let in_csr t = t.in_csr
+let hops t = t.hops
+
+let distance t a b =
+  t.hops.((Ids.Fpga.to_int a * num_fpgas t) + Ids.Fpga.to_int b)
 
 let pins_used_per_fpga t f =
   let sum = List.fold_left (fun acc c -> acc + c.width) 0 in

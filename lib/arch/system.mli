@@ -1,4 +1,6 @@
-(** Emulation-system descriptor: topology + pin budget + virtual clock.
+(** Emulation-system descriptor: topology + pin budget + virtual clock,
+    with the channel adjacency and hop-distance table every consumer
+    shares.
 
     Each directed neighbor pair of FPGAs is joined by a {e channel} holding a
     fixed number of physical wires; a wire carries one bit per virtual clock.
@@ -6,7 +8,13 @@
     FPGA's pins are split evenly over its incident directed channels (in and
     out), and a channel's width is the minimum of what its two endpoints can
     afford.  This matches the paper's Xilinx XC4062XL setting (240 user-IO
-    pins, 34 MHz virtual clock). *)
+    pins, 34 MHz virtual clock).
+
+    {!make} also builds, once, the two CSR adjacencies the pathfinder
+    walks and the [num_fpgas × num_fpgas] hop table ({!hops}) that the
+    placer's cost, the pathfinder's distance bound and TIERS' residue
+    estimate read; no other part of the compiler calls
+    {!Topology.distance}. *)
 
 open Msched_netlist
 
@@ -49,6 +57,16 @@ val out_csr : t -> csr
 
 val in_csr : t -> csr
 (** In-channels; [ends] holds each channel's source. *)
+
+val hops : t -> int array
+(** Minimal hop counts, row-major: entry [(f * num_fpgas t) + g] is the
+    number of channels on a shortest [f] → [g] path over the out-channels
+    ({!Topology.distance}; [0] iff [f = g]).  Its length is exactly
+    [num_fpgas t * num_fpgas t].  Built once by {!make} and shared: read
+    it, never write it. *)
+
+val distance : t -> Ids.Fpga.t -> Ids.Fpga.t -> int
+(** [distance t f g] is the {!hops} entry for [f] → [g]. *)
 
 val pins_used_per_fpga : t -> Ids.Fpga.t -> int
 (** Pins consumed by the derived channel widths at an FPGA (each wire costs

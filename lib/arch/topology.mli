@@ -31,6 +31,7 @@ val neighbors : t -> Ids.Fpga.t -> Ids.Fpga.t list
 
 val degree : t -> Ids.Fpga.t -> int
 val distance : t -> Ids.Fpga.t -> Ids.Fpga.t -> int
-(** Minimal hop count between two FPGAs. *)
+(** Minimal hop count between two FPGAs.  {!System.make} tabulates it
+    once per system ({!System.hops}); the compiler reads that table. *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,7 +1,15 @@
+(* Block-to-FPGA placement: a greedy constructive pass, then seeded
+   simulated annealing of FPGA-pair swaps.  The cost is the total
+   weighted hop distance over inter-block connections, read from the
+   system's hop table ({!Msched_arch.System.hops}), the table TIERS'
+   distance bound reads too.  The annealer's move loop, which is most of
+   a placement's time, runs on flat int arrays without bounds checks;
+   [graph] and [anneal] state the invariants that keep each index in
+   range. *)
+
 open Msched_netlist
 module Partition = Msched_partition.Partition
 module System = Msched_arch.System
-module Topology = Msched_arch.Topology
 
 type t = {
   partition : Partition.t;
@@ -24,11 +32,17 @@ let fpga_of_cell t c = fpga_of_block t (Partition.block_of_cell t.partition c)
 (* The placer's flat state: the connection graph in CSR form (block [b]'s
    neighbours are [adj_nbr.(i)], with weight [adj_w.(i)], for [i] from
    [adj_off.(b)] to [adj_off.(b + 1) - 1]) and the hop distance between
-   FPGAs [f] and [g] at [dist.((f * nf) + g)], read from
-   [Topology.distance] once.  A connection's weight is the number of
+   FPGAs [f] and [g] at [dist.((f * nf) + g)], the system's shared hop
+   table ({!System.hops}).  A connection's weight is the number of
    foreign consumer terminals between its two blocks, summed over the
    crossing nets in both directions; each block lists its neighbours in
-   ascending order. *)
+   ascending order.
+
+   Invariants [graph] establishes, which the annealer's unchecked reads
+   rely on: [adj_off] has length [nb + 1], starts at 0 and never
+   decreases, and [adj_off.(nb)] is the length of [adj_nbr] and [adj_w];
+   every [adj_nbr] entry is a block in [0, nb); [dist] has length
+   [nf * nf] ({!System.hops}' length, fixed by [System.make]). *)
 type graph = {
   nf : int;
   adj_off : int array;
@@ -78,13 +92,7 @@ let graph part sys =
       end
     done
   done;
-  let topo = System.topology sys in
-  let dist =
-    Array.init (nf * nf) (fun i ->
-        Topology.distance topo (Ids.Fpga.of_int (i / nf))
-          (Ids.Fpga.of_int (i mod nf)))
-  in
-  { nf; adj_off; adj_nbr; adj_w; dist }
+  { nf; adj_off; adj_nbr; adj_w; dist = System.hops sys }
 
 (* Total weighted hop distance, each connection counted at its lower
    block. *)
@@ -201,7 +209,21 @@ let[@inline] draw_unit base i =
    acceptance on a linearly falling temperature.  Annealing may end on an
    uphill excursion, so the result is the cheapest state the trajectory
    visited — never worse than the start.  Returns the number of moves
-   tried and accepted.  Nothing in the move loop allocates. *)
+   tried and accepted.  Nothing in the move loop allocates.
+
+   The move loop reads its arrays without bounds checks.  Each read names
+   the invariant that keeps its index in range; [place], the only caller,
+   establishes them:
+   - [fpga_of_block] comes from [constructive], which gives every one of
+     the [nb] blocks a distinct FPGA in [0, nf) (its [taken] array is
+     indexed by FPGA with checked reads; [place] rejects [nb > nf]), and
+     [pinned] is [place]'s [pinned_arr], of length [nb];
+   - [block_at] is built below from [fpga_of_block], so each entry is
+     [-1] or a block in [0, nb), and a swap only exchanges two entries
+     and moves each block to the FPGA the other vacated, which keeps both
+     arrays mutually inverse;
+   - [graph] fixes the lengths of [adj_off], [adj_nbr], [adj_w] and
+     [dist] (see its comment). *)
 let anneal g ~seed ~moves pinned fpga_of_block =
   let nb = Array.length fpga_of_block and nf = g.nf in
   let { adj_off; adj_nbr; adj_w; dist; _ } = g in
@@ -214,33 +236,59 @@ let anneal g ~seed ~moves pinned fpga_of_block =
   let best = Array.copy fpga_of_block in
   let tried = ref 0 and accepted = ref 0 in
   for m = 0 to moves - 1 do
+    (* [draw_int] reduces a non-negative draw (shifted right by 33) mod
+       [nf], so [f1] and [f2] are FPGAs in [0, nf): [block_at]'s length. *)
     let f1 = draw_int base (3 * m) nf and f2 = draw_int base ((3 * m) + 1) nf in
-    let b1 = block_at.(f1) and b2 = block_at.(f2) in
+    let b1 = Array.unsafe_get block_at f1
+    and b2 = Array.unsafe_get block_at f2 in
+    (* [b1], [b2] are [-1] or blocks in [0, nb): [pinned]'s length, read
+       only when non-negative. *)
     if
       f1 <> f2
       && (b1 >= 0 || b2 >= 0)
-      && (b1 < 0 || pinned.(b1) < 0)
-      && (b2 < 0 || pinned.(b2) < 0)
+      && (b1 < 0 || Array.unsafe_get pinned b1 < 0)
+      && (b2 < 0 || Array.unsafe_get pinned b2 < 0)
     then begin
       (* The change in cost: for each moved block, Σ w·(dist[to][p] −
          dist[from][p]) over its neighbours other than the swap partner,
-         whose distance to it a swap keeps. *)
+         whose distance to it a swap keeps.  [row1 + fp] and [row2 + fp]
+         are below [nf * nf], [dist]'s length: [f1], [f2] and every
+         [fpga_of_block] entry [fp] lie in [0, nf). *)
       let row1 = f1 * nf and row2 = f2 * nf in
       let delta = ref 0 in
+      (* For a block [b] in [0, nb), [b] and [b + 1] index [adj_off]
+         (length [nb + 1]), and [i] runs inside [0, adj_off.(nb))
+         ([adj_off] never decreases): in range for [adj_nbr] and [adj_w].
+         [p], an [adj_nbr] entry, is a block in [0, nb), in range for
+         [fpga_of_block]. *)
       if b1 >= 0 then
-        for i = adj_off.(b1) to adj_off.(b1 + 1) - 1 do
-          let p = adj_nbr.(i) in
+        for
+          i = Array.unsafe_get adj_off b1
+          to Array.unsafe_get adj_off (b1 + 1) - 1
+        do
+          let p = Array.unsafe_get adj_nbr i in
           if p <> b2 then begin
-            let fp = fpga_of_block.(p) in
-            delta := !delta + (adj_w.(i) * (dist.(row2 + fp) - dist.(row1 + fp)))
+            let fp = Array.unsafe_get fpga_of_block p in
+            delta :=
+              !delta
+              + Array.unsafe_get adj_w i
+                * (Array.unsafe_get dist (row2 + fp)
+                  - Array.unsafe_get dist (row1 + fp))
           end
         done;
       if b2 >= 0 then
-        for i = adj_off.(b2) to adj_off.(b2 + 1) - 1 do
-          let p = adj_nbr.(i) in
+        for
+          i = Array.unsafe_get adj_off b2
+          to Array.unsafe_get adj_off (b2 + 1) - 1
+        do
+          let p = Array.unsafe_get adj_nbr i in
           if p <> b1 then begin
-            let fp = fpga_of_block.(p) in
-            delta := !delta + (adj_w.(i) * (dist.(row1 + fp) - dist.(row2 + fp)))
+            let fp = Array.unsafe_get fpga_of_block p in
+            delta :=
+              !delta
+              + Array.unsafe_get adj_w i
+                * (Array.unsafe_get dist (row1 + fp)
+                  - Array.unsafe_get dist (row2 + fp))
           end
         done;
       let delta = !delta in
@@ -254,10 +302,12 @@ let anneal g ~seed ~moves pinned fpga_of_block =
                   +. 1e-3))
       then begin
         incr accepted;
-        block_at.(f1) <- b2;
-        block_at.(f2) <- b1;
-        if b1 >= 0 then fpga_of_block.(b1) <- f2;
-        if b2 >= 0 then fpga_of_block.(b2) <- f1;
+        (* The same indices as the reads above: [f1], [f2] in [0, nf),
+           non-negative [b1], [b2] in [0, nb). *)
+        Array.unsafe_set block_at f1 b2;
+        Array.unsafe_set block_at f2 b1;
+        if b1 >= 0 then Array.unsafe_set fpga_of_block b1 f2;
+        if b2 >= 0 then Array.unsafe_set fpga_of_block b2 f1;
         cost := !cost + delta;
         if !cost < !best_cost then begin
           best_cost := !cost;

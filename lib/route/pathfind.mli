@@ -16,7 +16,21 @@
     FIFO is an int array too, and channels come from the system's CSR
     adjacency ({!Msched_arch.System.in_csr}), probed in CSR order.  A
     search allocates per search and per returned hop, not per state.
-    {!search_forward} runs the same kernel forward in time. *)
+    {!search_forward} runs the same kernel forward in time.
+
+    Each pass is bounded by distance: with [h f] the hop count from [f]
+    to the goal ({!Msched_arch.System.hops}), a state at layer [l] is
+    kept only when [l + h f <= B].  The first pass takes [B = d], the
+    congestion-free src → dst distance; a failed pass widens [B] to
+    [d + 1], [d + 3], [d + 7], … capped at [d + max_extra], the last
+    pass ([pathfind.widenings] counts the passes after the first).  [h]
+    is consistent, so the bound keeps every predecessor of a kept state
+    and each layer's queue in order: a search returns exactly the path
+    of the unbounded layered BFS within [d + max_extra] slots, and at
+    [max_extra = 0] it expands no more states than that search does.
+    Widening stops early when a pass that let the start wait past the
+    table's last reservation fails and no channels with a wire left join
+    source and destination: no wider pass could succeed. *)
 
 open Msched_netlist
 
@@ -42,7 +56,8 @@ val search :
 
     The path depends only on the reservation table: channels are probed
     in CSR order, and a probe of a full slot only counts toward
-    [pathfind.congestion_blocked].  A reroute context [ctx] never changes
+    [pathfind.congestion_blocked] (a probe toward a state outside the
+    pass's bound is not made).  A reroute context [ctx] never changes
     the path; the search charges its expansion count to it and to the
     [reroute.expansions] counter. *)
 

@@ -2,7 +2,6 @@ open Msched_netlist
 module Partition = Msched_partition.Partition
 module Placement = Msched_place.Placement
 module System = Msched_arch.System
-module Topology = Msched_arch.Topology
 module Domain_analysis = Msched_mts.Domain_analysis
 module Latch_analysis = Msched_mts.Latch_analysis
 module Sink = Msched_obs.Sink
@@ -218,10 +217,7 @@ let schedule placement dom_analysis ?analysis ?(options = default_options)
         | Some c ->
             Reroute.note_failure c (transport_key l dom) d;
             Sink.incr obs "reroute.residue";
-            let dist =
-              Topology.distance (System.topology sys) l.Link.src_fpga
-                l.Link.dst_fpga
-            in
+            let dist = System.distance sys l.Link.src_fpga l.Link.dst_fpga in
             {
               rt_domain = dom;
               rt_rdep = r_arr + dist;

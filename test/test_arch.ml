@@ -66,6 +66,68 @@ let test_zero_width_rejected () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected zero-width rejection"
 
+(* The pathfinder's distance bound is exact only if the hop table is:
+   an entry too small widens nothing it should not, but one too large
+   prunes a state on the shortest path.  Every entry must equal the
+   breadth-first hop count over the channels themselves, out-channels
+   from the row's FPGA and in-channels into the column's, on every shape
+   up to 7x5, including 1- and 2-wide tori whose wrap-around neighbours
+   coincide. *)
+let bfs_hops (csr : System.csr) nf s =
+  let d = Array.make nf (-1) in
+  let queue = Queue.create () in
+  d.(s) <- 0;
+  Queue.add s queue;
+  while not (Queue.is_empty queue) do
+    let f = Queue.pop queue in
+    for k = csr.System.offsets.(f) to csr.System.offsets.(f + 1) - 1 do
+      let g = csr.System.ends.(k) in
+      if d.(g) < 0 then begin
+        d.(g) <- d.(f) + 1;
+        Queue.add g queue
+      end
+    done
+  done;
+  d
+
+let test_hops_are_bfs_distances () =
+  List.iter
+    (fun kind ->
+      for nx = 1 to 7 do
+        for ny = 1 to 5 do
+          let sys =
+            System.make (Topology.make kind ~nx ~ny) ~pins_per_fpga:240
+          in
+          let nf = System.num_fpgas sys and hops = System.hops sys in
+          let what =
+            Format.asprintf "%a %dx%d" Topology.pp_kind kind nx ny
+          in
+          Alcotest.(check int) (what ^ ": table size") (nf * nf)
+            (Array.length hops);
+          for s = 0 to nf - 1 do
+            let out = bfs_hops (System.out_csr sys) nf s
+            and into = bfs_hops (System.in_csr sys) nf s in
+            for g = 0 to nf - 1 do
+              let entry a b = hops.((a * nf) + b) in
+              let distance =
+                System.distance sys (Ids.Fpga.of_int s) (Ids.Fpga.of_int g)
+              in
+              if
+                entry s g <> out.(g)
+                || entry g s <> into.(g)
+                || distance <> entry s g
+              then
+                Alcotest.failf
+                  "%s: %d -> %d: table %d, distance %d, out-channel BFS %d; \
+                   %d -> %d: table %d, in-channel BFS %d"
+                  what s g (entry s g) distance out.(g) g s (entry g s)
+                  into.(g)
+            done
+          done
+        done
+      done)
+    [ Topology.Mesh; Topology.Torus; Topology.Crossbar ]
+
 let suite =
   [
     Alcotest.test_case "mesh neighbors" `Quick test_mesh_neighbors;
@@ -76,4 +138,6 @@ let suite =
     Alcotest.test_case "system channels" `Quick test_system_channels;
     Alcotest.test_case "channel between" `Quick test_channel_between;
     Alcotest.test_case "zero width rejected" `Quick test_zero_width_rejected;
+    Alcotest.test_case "hops are BFS distances" `Quick
+      test_hops_are_bfs_distances;
   ]

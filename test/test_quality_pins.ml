@@ -191,10 +191,11 @@ latch.origins=728
 mts.cells_out=1902
 mts.ff_rewrites=0
 partition.blocks=30
-pathfind.congestion_blocked=709
+pathfind.congestion_blocked=222
 pathfind.hard_searches=6
 pathfind.searches=1452
-pathfind.states_expanded=31634
+pathfind.states_expanded=6538
+pathfind.widenings=60
 place.moves_accepted=10721
 place.moves_tried=23228
 sched.hard_links=6
@@ -226,10 +227,11 @@ latch.origins=554
 mts.cells_out=1054
 mts.ff_rewrites=0
 partition.blocks=21
-pathfind.congestion_blocked=179
+pathfind.congestion_blocked=53
 pathfind.hard_searches=62
 pathfind.searches=1102
-pathfind.states_expanded=20893
+pathfind.states_expanded=4560
+pathfind.widenings=11
 place.moves_accepted=7120
 place.moves_tried=15843
 sched.hard_links=62
@@ -269,13 +271,14 @@ latch.origins=107
 mts.cells_out=328
 mts.ff_rewrites=0
 partition.blocks=10
-pathfind.congestion_blocked=71
+pathfind.congestion_blocked=60
 pathfind.failures=8
 pathfind.searches=118
-pathfind.states_expanded=1187
+pathfind.states_expanded=439
+pathfind.widenings=13
 place.moves_accepted=3426
 place.moves_tried=7216
-reroute.expansions=1187
+reroute.expansions=439
 reroute.fresh=116
 reroute.residue=8
 reroute.reused=98

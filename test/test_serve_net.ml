@@ -1271,13 +1271,16 @@ let test_signal_shutdown () =
    the conn summary's [wall_s] removed; then the server summary's cache
    counts and completed jobs.  The hashes were printed by the server in
    which compile, delta and poison requests still took separate routes
-   to their answers, and must not move. *)
+   to their answers, and must not move.  The four compile records were
+   re-recorded once, when the pathfinder gained its distance bound: each
+   differs from its earlier line only in the attempt's "expansions"
+   count (3 to 2 for the file, 6 to 4 for the inline text). *)
 let served_path_pins =
   [
-    ("bare path (cold)", "6bccd65069a9156f");
-    ("path + id (warm)", "5efaaa6b79ef55f0");
-    ("inline text (cold)", "6b81011beb8f9ccc");
-    ("inline text again (warm)", "912623fe163d4795");
+    ("bare path (cold)", "a52689c0da6ca402");
+    ("path + id (warm)", "9ac96c34ad8e53a5");
+    ("inline text (cold)", "76d1c4165611f24e");
+    ("inline text again (warm)", "1de8eb561c5940e7");
     ("delta, no base", "8b1913c87810f83e");
     ("delta on its base", "e3b6b32e3b23c110");
     ("missing file", "6aa02d853406dd4c");

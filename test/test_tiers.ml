@@ -258,7 +258,9 @@ let test_cross_block_latch_loop_warns () =
    implementation that still carried a speculative parallel reverse pass
    and a forward-direction reroute ledger.  Any change to link order,
    channel exploration, ledger replay or the rungs a tight ladder takes
-   shows up here, not just in a self-comparison. *)
+   shows up here, not just in a self-comparison.  The states-expanded
+   literals were re-recorded when the search gained its distance bound;
+   every hash, label and reuse count stayed as recorded. *)
 
 module Reroute = Msched_route.Reroute
 module Sink = Msched_obs.Sink
@@ -289,20 +291,20 @@ let schedule_hash s = Diag.Json.hash_hex (Schedule.to_json_string s)
 (* (design, max_weight, pins, mode, schedule hash, states expanded) *)
 let route_pins =
   [
-    ("design1", 24, 240, Tiers.Mts_virtual, "07bc6a6ed10c83ce", 64040);
-    ("design1", 24, 240, Tiers.Mts_hard, "10f4c18c1b6e719c", 63108);
-    ("design2", 24, 240, Tiers.Mts_virtual, "16a691dcc6da1dac", 32576);
-    ("design2", 24, 240, Tiers.Mts_hard, "173afadb9bb5705a", 23340);
-    ("gals", 16, 16, Tiers.Mts_virtual, "94d12792d196f668", 456);
-    ("gals", 16, 16, Tiers.Mts_hard, "94d12792d196f668", 456);
-    ("fabric", 16, 240, Tiers.Mts_virtual, "3b8904bc0cb9fa7b", 144);
-    ("fabric", 16, 240, Tiers.Mts_hard, "98b91d33547a0225", 82);
-    ("fabric", 16, 12, Tiers.Mts_virtual, "fe8eb14681ab28af", 178);
-    ("fabric", 16, 12, Tiers.Mts_hard, "cf1df6b4b87c3e17", 96);
-    ("dense", 16, 32, Tiers.Mts_virtual, "cbf7cd4d337d8100", 725);
-    ("dense", 16, 32, Tiers.Mts_hard, "c5f4010755892f16", 297);
-    ("dense12", 16, 240, Tiers.Mts_virtual, "8d531f3c866b1863", 8543);
-    ("dense12", 16, 240, Tiers.Mts_hard, "19f6fd19b73e451b", 2507);
+    ("design1", 24, 240, Tiers.Mts_virtual, "07bc6a6ed10c83ce", 7237);
+    ("design1", 24, 240, Tiers.Mts_hard, "10f4c18c1b6e719c", 7103);
+    ("design2", 24, 240, Tiers.Mts_virtual, "16a691dcc6da1dac", 4390);
+    ("design2", 24, 240, Tiers.Mts_hard, "173afadb9bb5705a", 3450);
+    ("gals", 16, 16, Tiers.Mts_virtual, "94d12792d196f668", 179);
+    ("gals", 16, 16, Tiers.Mts_hard, "94d12792d196f668", 179);
+    ("fabric", 16, 240, Tiers.Mts_virtual, "3b8904bc0cb9fa7b", 82);
+    ("fabric", 16, 240, Tiers.Mts_hard, "98b91d33547a0225", 46);
+    ("fabric", 16, 12, Tiers.Mts_virtual, "fe8eb14681ab28af", 146);
+    ("fabric", 16, 12, Tiers.Mts_hard, "cf1df6b4b87c3e17", 71);
+    ("dense", 16, 32, Tiers.Mts_virtual, "cbf7cd4d337d8100", 303);
+    ("dense", 16, 32, Tiers.Mts_hard, "c5f4010755892f16", 105);
+    ("dense12", 16, 240, Tiers.Mts_virtual, "8d531f3c866b1863", 1605);
+    ("dense12", 16, 240, Tiers.Mts_hard, "19f6fd19b73e451b", 505);
   ]
 
 (* Each case routes once, with no context, on its prepared front end. *)
@@ -327,8 +329,8 @@ let test_route_pins () =
 (* (design, max_weight, pins, schedule hash, states expanded) *)
 let forward_pins =
   [
-    ("design1", 24, 240, "a4425e9ed2218a8f", 61633);
-    ("dense", 16, 16, "0c849f0207d055ab", 783);
+    ("design1", 24, 240, "a4425e9ed2218a8f", 7237);
+    ("dense", 16, 16, "0c849f0207d055ab", 373);
   ]
 
 let test_forward_pins () =
@@ -375,7 +377,7 @@ let test_ladder_pin () =
     (fun (counter, v) ->
       Alcotest.(check int) counter v (Sink.counter obs counter))
     [
-      ("pathfind.states_expanded", 32230);
+      ("pathfind.states_expanded", 6708);
       ("reroute.reused", 471);
       ("reroute.ripped", 98);
       ("reroute.fresh", 951);
@@ -389,19 +391,20 @@ let test_ladder_pin () =
    served baseline rung must schedule each design byte for byte as
    [Compile.compile] does, with the same search work.  These cases route
    like the end-to-end benchmark's cold compiles (weight 64, 96 pins, no
-   retries), and the literals are what [Compile.compile] gave before the
+   retries), and the hashes are what [Compile.compile] gave before the
    context stopped steering; the served schedules then differed on all
-   five (design1 seed 1 read 258515b1f46decc7). *)
+   five (design1 seed 1 read 258515b1f46decc7).  The two work counters
+   were re-recorded when the search gained its distance bound. *)
 
 (* (design, seed, schedule hash, states expanded, congestion-blocked
    probes) *)
 let unsteered_pins =
   [
-    ("design1", 1, "ac995464f9ca9865", 15965, 183);
-    ("design1", 2, "ae737b806d31dccd", 17854, 315);
-    ("design1", 3, "1385e75185fc7d99", 18114, 483);
-    ("design2", 1, "e7d96dfdd298d6d8", 12174, 91);
-    ("design2", 2, "c104132e0697240d", 9461, 118);
+    ("design1", 1, "ac995464f9ca9865", 3235, 69);
+    ("design1", 2, "ae737b806d31dccd", 3496, 186);
+    ("design1", 3, "1385e75185fc7d99", 3663, 240);
+    ("design2", 1, "e7d96dfdd298d6d8", 2670, 100);
+    ("design2", 2, "c104132e0697240d", 2112, 70);
   ]
 
 let test_context_never_steers () =
