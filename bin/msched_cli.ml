@@ -726,7 +726,26 @@ let design_arg =
           (Printf.sprintf "Netlist file, or generator spec: %s"
              Design_gen.spec_help))
 
-let pins_arg = Arg.(value & opt int 240 & info [ "pins" ] ~doc:"Pins per FPGA")
+(* An integer flag with a lower bound: a value below it is a usage error
+   (exit 1), refused before any compile could fail on it under another
+   exit class. *)
+let int_at_least lo =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n >= lo -> Ok n
+    | Ok _ | Error _ ->
+        Error
+          (`Msg
+            (Printf.sprintf "invalid value '%s', expected an integer >= %d" s
+               lo))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
+let pins_arg =
+  Arg.(
+    value
+    & opt (int_at_least 1) 240
+    & info [ "pins" ] ~docv:"N" ~doc:"Pins per FPGA")
 let weight_arg = Arg.(value & opt int 64 & info [ "weight" ] ~doc:"Block capacity")
 let mode_arg = Arg.(value & opt string "virtual" & info [ "mode" ] ~doc:"virtual|hard|naive")
 let forward_arg = Arg.(value & flag & info [ "forward" ] ~doc:"Forward scheduler")
@@ -737,7 +756,7 @@ let scale_arg = Arg.(value & opt float 0.1 & info [ "scale" ] ~doc:"Generator sc
 
 let retries_arg =
   Arg.(
-    value & opt int 0
+    value & opt (int_at_least 0) 0
     & info [ "retries" ] ~docv:"N"
         ~doc:
           "Retry budget for the resilient driver: on failure, relax the \
@@ -764,7 +783,7 @@ let cold_arg =
 let max_extra_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (int_at_least 0)) None
     & info [ "max-extra" ] ~docv:"N"
         ~doc:"Congestion slack budget per transport (overrides the mode default)")
 
@@ -1046,8 +1065,9 @@ let cmds =
     Cmd.v
       (Cmd.info "lint"
          ~doc:
-           "Parse and lint a netlist, reporting every problem (dangling \
-            nets, undriven inputs, combinational cycles, unknown domains)")
+           "Parse and lint a netlist: one diagnostic per parse error, \
+            undriven input, combinational cycle and unknown domain, and one \
+            warning for all dangling nets (their count and the first eight)")
       Term.(const lint_cmd $ path_arg $ diag_json_arg);
     Cmd.v
       (Cmd.info "check"

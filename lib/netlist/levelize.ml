@@ -42,68 +42,72 @@ let is_comb_pin (c : Cell.t) (pin : Netlist.pin) =
 
 (* Kahn's algorithm over the combinational subgraph.  In-degree of a cell is
    the number of its combinational input nets whose drivers are themselves
-   combinational through-cells. *)
+   combinational through-cells.  Each combinational cell is queued once, so
+   the FIFO is [topo] itself: cells are appended at [tail] and popped at
+   [head], and a cycle leaves it short.  Only members are ever decremented,
+   so after the loop the cells with positive in-degree are exactly the
+   members left out of [topo]. *)
 let compute nl =
   let ncells = Netlist.num_cells nl in
-  let nnets = Netlist.num_nets nl in
-  let levels = Array.make nnets 0 in
+  let levels = Array.make (Netlist.num_nets nl) 0 in
   let indeg = Array.make ncells 0 in
-  let members = Array.make ncells false in
+  let total = ref 0 in
   Netlist.iter_cells nl (fun c ->
       if is_comb_through c then begin
-        members.(Ids.Cell.to_int c.id) <- true;
-        let deg =
-          List.fold_left
-            (fun acc n ->
-              if is_comb_through (Netlist.driver nl n) then acc + 1 else acc)
-            0 (comb_inputs nl c)
-        in
-        indeg.(Ids.Cell.to_int c.id) <- deg
+        incr total;
+        let deg = ref 0 in
+        for p = comb_lo c to comb_hi c - 1 do
+          if is_comb_through (Netlist.driver nl c.data_inputs.(p)) then incr deg
+        done;
+        indeg.(Ids.Cell.to_int c.id) <- !deg
       end);
-  let queue = Queue.create () in
+  let topo = Array.make !total (Ids.Cell.of_int 0) in
+  let tail = ref 0 in
+  let enqueue id =
+    topo.(!tail) <- id;
+    incr tail
+  in
   Netlist.iter_cells nl (fun c ->
-      if members.(Ids.Cell.to_int c.id) && indeg.(Ids.Cell.to_int c.id) = 0
-      then Queue.add c.id queue);
-  let topo = ref [] in
-  let processed = ref 0 in
-  let total = Array.fold_left (fun n m -> if m then n + 1 else n) 0 members in
-  while not (Queue.is_empty queue) do
-    let cid = Queue.pop queue in
-    incr processed;
-    topo := cid :: !topo;
-    let c = Netlist.cell nl cid in
-    let lvl =
-      List.fold_left
-        (fun acc n -> max acc (levels.(Ids.Net.to_int n) + 1))
-        1 (comb_inputs nl c)
-    in
-    (match c.output with
-    | Some out -> levels.(Ids.Net.to_int out) <- lvl
-    | None -> ());
+      if is_comb_through c && indeg.(Ids.Cell.to_int c.id) = 0 then
+        enqueue c.id);
+  let head = ref 0 and max_level = ref 0 in
+  while !head < !tail do
+    let c = Netlist.cell nl topo.(!head) in
+    incr head;
     match c.output with
     | None -> ()
     | Some out ->
-        Array.iter
-          (fun (tm : Netlist.term) ->
-            let consumer = Netlist.cell nl tm.Netlist.term_cell in
-            if is_comb_through consumer && is_comb_pin consumer tm.Netlist.term_pin
-            then begin
-              let i = Ids.Cell.to_int consumer.id in
-              indeg.(i) <- indeg.(i) - 1;
-              if indeg.(i) = 0 then Queue.add consumer.id queue
-            end)
-          (Netlist.fanouts nl out)
+        let lvl = ref 1 in
+        for p = comb_lo c to comb_hi c - 1 do
+          let l = levels.(Ids.Net.to_int c.data_inputs.(p)) + 1 in
+          if l > !lvl then lvl := l
+        done;
+        levels.(Ids.Net.to_int out) <- !lvl;
+        if !lvl > !max_level then max_level := !lvl;
+        let fanouts = Netlist.fanouts nl out in
+        for k = 0 to Array.length fanouts - 1 do
+          let tm = fanouts.(k) in
+          let consumer = Netlist.cell nl tm.Netlist.term_cell in
+          if
+            is_comb_through consumer
+            && is_comb_pin consumer tm.Netlist.term_pin
+          then begin
+            let i = Ids.Cell.to_int consumer.id in
+            indeg.(i) <- indeg.(i) - 1;
+            if indeg.(i) = 0 then enqueue consumer.id
+          end
+        done
   done;
-  if !processed < total then begin
+  if !tail < !total then begin
     (* Cells still having positive in-degree are on or downstream of a cycle;
-       extract one actual cycle by walking predecessors. *)
-    let stuck =
-      List.filter
-        (fun i -> members.(i) && indeg.(i) > 0)
-        (List.init ncells Fun.id)
+       extract one actual cycle by walking, from the lowest such cell, to
+       the first such driver among each cell's combinational inputs. *)
+    let rec stuck_pred (c : Cell.t) p hi =
+      if p >= hi then None
+      else
+        let j = Ids.Cell.to_int (Netlist.driver nl c.data_inputs.(p)).Cell.id in
+        if indeg.(j) > 0 then Some j else stuck_pred c (p + 1) hi
     in
-    let stuck_set = Hashtbl.create 16 in
-    List.iter (fun i -> Hashtbl.replace stuck_set i ()) stuck;
     let rec walk seen i =
       if List.exists (Int.equal i) seen then
         (* cut the path at the first repetition *)
@@ -114,28 +118,18 @@ let compute nl =
         take seen
       else
         let c = Netlist.cell nl (Ids.Cell.of_int i) in
-        let pred =
-          List.find_map
-            (fun n ->
-              let d = Netlist.driver nl n in
-              let j = Ids.Cell.to_int d.Cell.id in
-              if Hashtbl.mem stuck_set j then Some j else None)
-            (comb_inputs nl c)
-        in
-        match pred with
+        match stuck_pred c (comb_lo c) (comb_hi c) with
         | Some j -> walk (i :: seen) j
         | None -> i :: seen
     in
-    let cycle =
-      match stuck with
-      | [] -> []
-      | i :: _ -> List.map Ids.Cell.of_int (walk [] i)
+    let rec first_stuck i =
+      if i >= ncells then []
+      else if indeg.(i) > 0 then List.map Ids.Cell.of_int (walk [] i)
+      else first_stuck (i + 1)
     in
-    Error cycle
+    Error (first_stuck 0)
   end
-  else
-    let max_level = Array.fold_left max 0 levels in
-    Ok { levels; topo = Array.of_list (List.rev !topo); max_level }
+  else Ok { levels; topo; max_level = !max_level }
 
 let compute_exn nl =
   match compute nl with

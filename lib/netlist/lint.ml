@@ -27,7 +27,8 @@ let diag_of_validation_error (e : Netlist.validation_error) =
    - combinational cycles (otherwise first surfaced as a raise from deep
      inside levelization, mid-pipeline);
    - dangling nets: a driven net no consumer reads (almost always a
-     front-end bug; the scheduler would silently ship it between FPGAs);
+     front-end bug; the scheduler would silently ship it between FPGAs),
+     reported as one warning per design;
    - domains declared but never used by any cell (a domain needs no
      materialized [Clock_source] cell — edges normally arrive from the
      external clock generators — but declaring one nothing references is
@@ -35,25 +36,55 @@ let diag_of_validation_error (e : Netlist.validation_error) =
    - cross-domain fanin: a net whose backward cone is sampled by more than
      [xdomain_fanin_limit] distinct clock domains. *)
 let xdomain_fanin_limit = 4
+let dangling_listed = 8
+
+(* One [E_DANGLING] warning for all of a design's dangling nets, in
+   net-id order: its context names the lowest one, its message counts
+   them and lists the first [dangling_listed].  A design with one
+   dangling net reads "net n7 (driven by c6) has no consumer". *)
+let dangling nl =
+  let count = ref 0 and listed = ref [] in
+  Netlist.iter_nets nl (fun n ni ->
+      if Array.length ni.Netlist.fanouts = 0 then begin
+        if !count < dangling_listed then listed := n :: !listed;
+        incr count
+      end);
+  match List.rev !listed with
+  | [] -> None
+  | first :: _ as listed ->
+      let driven n =
+        let ni = Netlist.net nl n in
+        String.concat ""
+          [
+            ni.Netlist.net_name;
+            " (driven by ";
+            (Netlist.cell nl ni.Netlist.driver).Cell.name;
+            ")";
+          ]
+      in
+      let message =
+        if !count = 1 then "net " ^ driven first ^ " has no consumer"
+        else
+          String.concat ""
+            [
+              string_of_int !count;
+              " nets have no consumer: ";
+              String.concat ", " (List.map driven listed);
+              (if !count > dangling_listed then
+                 " and " ^ string_of_int (!count - dangling_listed) ^ " more"
+               else "");
+            ]
+      in
+      let ni = Netlist.net nl first in
+      Some
+        (Diag.make ~net:(Ids.Net.to_int first)
+           ~cell:(Ids.Cell.to_int ni.Netlist.driver)
+           ~culprit:ni.Netlist.net_name Diag.Warning Diag.E_DANGLING message)
 
 let check nl =
   let diags = ref [] in
   let push d = diags := d :: !diags in
-  (* Dangling nets. *)
-  Netlist.iter_nets nl (fun n ni ->
-      if Array.length ni.Netlist.fanouts = 0 then
-        push
-          (Diag.make ~net:(Ids.Net.to_int n)
-             ~cell:(Ids.Cell.to_int ni.Netlist.driver)
-             ~culprit:ni.Netlist.net_name Diag.Warning Diag.E_DANGLING
-             (String.concat ""
-                [
-                  "net ";
-                  ni.Netlist.net_name;
-                  " (driven by ";
-                  (Netlist.cell nl ni.Netlist.driver).Cell.name;
-                  ") has no consumer";
-                ])));
+  Option.iter push (dangling nl);
   (* Combinational cycles. *)
   (match Levelize.compute nl with
   | Ok _ -> ()

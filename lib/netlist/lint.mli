@@ -1,4 +1,4 @@
-(** Netlist lint: collect {e all} problems of a design as structured
+(** Netlist lint: collect the problems of a design as structured
     diagnostics instead of crashing on the first.
 
     Three layers of defence, shallowest first:
@@ -28,8 +28,15 @@ val check : Netlist.t -> Msched_diag.Diag.t list
 (** Lint a frozen (already structurally valid) netlist.  Combinational
     cycles are errors; dangling nets, clockless [Dom_clock] cells,
     unused domains and cross-domain fanin beyond
-    {!xdomain_fanin_limit} are warnings.  Returns diagnostics in
-    deterministic discovery order — never raises. *)
+    {!xdomain_fanin_limit} are warnings.  All of a design's dangling nets
+    make one [E_DANGLING] warning, first in the list: its [net], [cell]
+    and [culprit] name the lowest-numbered dangling net, and its message
+    gives their count and the first eight in net-id order
+    (["3 nets have no consumer: n4 (driven by c3), n9 (driven by c8), n12
+    (driven by c11)"], with [" and K more"] past the list); a single
+    dangling net reads ["net n4 (driven by c3) has no consumer"].
+    Returns diagnostics in deterministic discovery order — never
+    raises. *)
 
 val errors : Msched_diag.Diag.t list -> Msched_diag.Diag.t list
 val has_errors : Msched_diag.Diag.t list -> bool

@@ -1,11 +1,12 @@
 (* ---- Allocation budget ----
 
    Every compile and every [{"op":"delta"}] request runs the netlist
-   reader and the verifier.  These work tests count every word each of
-   them allocates (minor + major - promoted after [Gc.minor ()], as the
-   guards in test_traverse.ml do) on the delta_edit benchmark's base
-   design, design1 at scale 0.025 (964 cells, a 35.5 KB text), compiled
-   at weight 64 with 96 pins.  Recorded on OCaml 5.1.1:
+   reader and the verifier, and every compile lints its design first.
+   These work tests count every word each of them allocates (minor +
+   major - promoted after [Gc.minor ()], as the guards in
+   test_traverse.ml do).  The reader and verify run on the delta_edit
+   benchmark's base design, design1 at scale 0.025 (964 cells, a 35.5 KB
+   text), compiled at weight 64 with 96 pins.  Recorded on OCaml 5.1.1:
 
    - the reader: 99.9 k words (2.81 per input byte) with a per-line
      [Some] from the line scan, a hashtable entry per net id, a list and
@@ -16,7 +17,13 @@
    - [Verify.verify]: 56.0 k words with (int * int)-keyed occupancy,
      arrival and delivery tables and a closure per transport; 25.5 k
      with dense tallies, 15.6 k of them the delay kernel's.  Bound: 60%
-     of the first. *)
+     of the first.
+   - [Lint.check] on a cold_compile design, design1 at scale 0.05
+     (seed 1, 696 dangling nets): 114.1 k words with one diagnostic per
+     dangling net and a levelization that built two lists per cell and
+     a [Queue] cell per member; 18.9 k with one grouped warning and
+     levelization over pin ranges into its own topological array.
+     Bound: 25% of the first. *)
 
 open Msched_netlist
 module Compile = Msched.Compile
@@ -50,6 +57,12 @@ let compiled =
          }
        (Lazy.force design))
 
+let lint_design =
+  lazy
+    (match Design_gen.of_spec "design1:scale=0.05,seed=1" with
+    | Ok d -> d.Design_gen.netlist
+    | Error _ -> Alcotest.fail "design1 spec")
+
 let check_bound what words bound =
   Alcotest.(check bool)
     (Printf.sprintf "%s: %.0f words <= %.0f" what words bound)
@@ -73,8 +86,13 @@ let test_verify_words () =
            c.Compile.schedule))
     (0.6 *. 55_981.)
 
+let test_lint_words () =
+  let nl = Lazy.force lint_design in
+  check_bound "Lint.check" (spent (fun () -> Lint.check nl)) (0.25 *. 114_081.)
+
 let suite =
   [
     Alcotest.test_case "work: reader words per byte" `Quick test_reader_words;
     Alcotest.test_case "work: verify words" `Quick test_verify_words;
+    Alcotest.test_case "work: lint words" `Quick test_lint_words;
   ]

@@ -19,7 +19,11 @@
    and design1/design2 at scale 0.2, then every text of the reader-pins
    corpus that the reader accepts.  A design renders as
    [name <count> <hash>]: the number of diagnostics and the hash of their
-   JSON renderings in order. *)
+   JSON renderings in order.  Lint now reports all of a design's dangling
+   nets as one E_DANGLING warning; the lines of designs with more than
+   one were re-recorded from the earlier lines' diagnostics with their
+   per-net E_DANGLING entries folded into that warning (same position,
+   count, lowest net's context, first eight nets listed). *)
 
 open Msched_netlist
 module Partition = Msched_partition.Partition
@@ -252,62 +256,62 @@ let lint_pins =
   {|fig1 0 cbf29ce484222325
 fig3 0 cbf29ce484222325
 handshake 0 cbf29ce484222325
-design1:scale=0.05,seed=1 696 3cd649dd9976e173
-design1:scale=0.05,seed=2 686 3ec7448e6d66a33d
-design2:scale=0.05,seed=1 316 ef690821da5e5a8f
-design1:scale=0.05,seed=3 684 c71f11bd58173cc6
-design1:scale=0.05,seed=4 675 ed4c8f1867d07d8a
-design2:scale=0.05,seed=2 330 52e7de9a8cb942bf
-design1:scale=0.05,seed=5 699 d66896a394a65098
-design1:scale=0.05,seed=6 678 7b60d67a61def2c7
-design2:scale=0.05,seed=3 311 686404b649a0987c
-design1:scale=0.05,seed=7 666 979f5c47bc2cad9c
-design1:scale=0.05,seed=8 690 e511792775961a2c
-design2:scale=0.05,seed=4 336 bb5644109d75b986
-design1:scale=0.05,seed=9 677 47b2108d909ff35a
-design1:scale=0.05,seed=10 708 413a82ca17c238db
-design2:scale=0.05,seed=5 338 3592103b37c690e7
-design1:scale=0.05,seed=11 689 3774e911feb853c9
-design1:scale=0.05,seed=12 713 29c60ef118d4af39
-design2:scale=0.05,seed=6 321 f554708bfbd7a153
-design1:scale=0.05,seed=13 707 2bb6f970e1fd5786
-design1:scale=0.05,seed=14 692 1f49802785331f56
-design2:scale=0.05,seed=7 334 5e41d4d02bce5d2e
-design1:scale=0.05,seed=15 676 599a8ece5dd403c2
-design1:scale=0.05,seed=16 711 67974e669863f1c0
-design2:scale=0.05,seed=8 313 559d8e87d536c0c0
-random:domains=3,modules=10,mts=0.20,seed=21 36 b36fbb9348afd029
-gals:islands=4,size=3,seed=21 33 397e510193f4b630
-dense:domains=8,density=0.20,seed=21 36 36eb16b0d7462db9
-fabric:banks=4,domains=3,seed=21 4 336cafd3f0ce933d
-design1:scale=0.02,seed=21 259 6258f1f5d8f79120
-design2:scale=0.02,seed=21 147 9c5976f41c003d20
-random:domains=3,modules=10,mts=0.20,seed=22 49 d15e21d2eed460b7
-gals:islands=4,size=3,seed=22 31 09e585da3c4e30ff
-dense:domains=8,density=0.20,seed=22 33 00054fa935570e30
-fabric:banks=4,domains=3,seed=22 11 42561bf50cf06782
-design1:scale=0.02,seed=22 291 20c8fc8d38a8760b
-design2:scale=0.02,seed=22 134 50d33855b2d4c212
-random:domains=3,modules=10,mts=0.20,seed=23 40 35a5009209f3747a
-gals:islands=4,size=3,seed=23 36 f1610be0606ad08e
-dense:domains=8,density=0.20,seed=23 36 1162333f95637f5d
-fabric:banks=4,domains=3,seed=23 6 7d6242075aaddb01
-design1:scale=0.02,seed=23 297 8be56b400c59aebf
-design2:scale=0.02,seed=23 138 88081f9d72000717
-random:domains=3,modules=10,mts=0.20,seed=24 39 01923ee9c28ce556
-gals:islands=4,size=3,seed=24 36 19980221fdf876fc
-dense:domains=8,density=0.20,seed=24 32 6762499ef4357565
-fabric:banks=4,domains=3,seed=24 6 bcc9f7e58bfc3cc4
-design1:scale=0.02,seed=24 272 57f694b582b05683
-design2:scale=0.02,seed=24 131 cea13d41207d9cca
-random:domains=3,modules=10,mts=0.20,seed=25 43 3819e91f911461d6
-gals:islands=4,size=3,seed=25 40 0934f5c1a0c9afce
-dense:domains=8,density=0.20,seed=25 33 e8227d440b1f467c
-fabric:banks=4,domains=3,seed=25 8 125be2c7f410fa76
-design1:scale=0.02,seed=25 289 a7b6fa9da3a5e1b8
-design2:scale=0.02,seed=25 133 be943bdb87c3a792
-design1:scale=0.2,seed=1 2679 966390c8783ceec7
-design2:scale=0.2,seed=2 1240 d42c31b35c929f3e
+design1:scale=0.05,seed=1 1 b7fdb82bb1e2051c
+design1:scale=0.05,seed=2 1 75f0ee8ad0def2a7
+design2:scale=0.05,seed=1 1 7438493a375a6350
+design1:scale=0.05,seed=3 1 2096d610bad4e795
+design1:scale=0.05,seed=4 1 f6340b3070b636da
+design2:scale=0.05,seed=2 1 ae703ce0847e035c
+design1:scale=0.05,seed=5 1 2c6ee5db68d928ea
+design1:scale=0.05,seed=6 1 d556f809c68c55e0
+design2:scale=0.05,seed=3 1 c19f33e1880a3c18
+design1:scale=0.05,seed=7 1 6df5c86c923e3e13
+design1:scale=0.05,seed=8 1 f811fed00e58f91d
+design2:scale=0.05,seed=4 1 887ec6e0d00a138d
+design1:scale=0.05,seed=9 1 7c18fbd351dab8d5
+design1:scale=0.05,seed=10 1 2e04dfb449932202
+design2:scale=0.05,seed=5 1 c03f9bfa5acf0149
+design1:scale=0.05,seed=11 1 98b8ac615a8ce30e
+design1:scale=0.05,seed=12 1 2be65081353f6df7
+design2:scale=0.05,seed=6 1 71da5434cb50a5c0
+design1:scale=0.05,seed=13 1 0880cb04edab5cde
+design1:scale=0.05,seed=14 1 0c195da57c793639
+design2:scale=0.05,seed=7 1 df10443c2ab00d1d
+design1:scale=0.05,seed=15 1 b2677720c2646757
+design1:scale=0.05,seed=16 1 0e6f0e61d707650f
+design2:scale=0.05,seed=8 1 8a64cd8e6ae78e0d
+random:domains=3,modules=10,mts=0.20,seed=21 1 4b723242013b1e18
+gals:islands=4,size=3,seed=21 1 f33200efb69c7e32
+dense:domains=8,density=0.20,seed=21 1 d5ebc97a4433c329
+fabric:banks=4,domains=3,seed=21 1 9e71498d73c1dda0
+design1:scale=0.02,seed=21 1 2aad3e51f8c83d4d
+design2:scale=0.02,seed=21 1 d743fdfa4f5644c2
+random:domains=3,modules=10,mts=0.20,seed=22 1 9ce52299bb9967b4
+gals:islands=4,size=3,seed=22 1 a01f3d218da8f173
+dense:domains=8,density=0.20,seed=22 1 eff4ca2508321cf3
+fabric:banks=4,domains=3,seed=22 1 575b58101b5a78c8
+design1:scale=0.02,seed=22 1 ce1c5c4e86bf4b88
+design2:scale=0.02,seed=22 1 cac1d0543fe07c29
+random:domains=3,modules=10,mts=0.20,seed=23 1 48bb9ddfd04df2ae
+gals:islands=4,size=3,seed=23 1 0d3d464ba1f6d91f
+dense:domains=8,density=0.20,seed=23 1 de49d35e33cdaf3f
+fabric:banks=4,domains=3,seed=23 1 143f23f25ea24cb7
+design1:scale=0.02,seed=23 1 0c801daeb546f6b8
+design2:scale=0.02,seed=23 1 004e4511452dbbc4
+random:domains=3,modules=10,mts=0.20,seed=24 1 6b71f47aace8866f
+gals:islands=4,size=3,seed=24 1 ae0ec54987a65175
+dense:domains=8,density=0.20,seed=24 1 787a6dfdef35772d
+fabric:banks=4,domains=3,seed=24 1 55fd973ac7d1efb0
+design1:scale=0.02,seed=24 1 bff2eeb03994c835
+design2:scale=0.02,seed=24 1 0f1f002863e445c9
+random:domains=3,modules=10,mts=0.20,seed=25 1 c210f84012582536
+gals:islands=4,size=3,seed=25 1 a7b1e038064e5786
+dense:domains=8,density=0.20,seed=25 1 6792e50500492fa8
+fabric:banks=4,domains=3,seed=25 1 d9fe936bef7286d2
+design1:scale=0.02,seed=25 1 aa54499fa746a7f9
+design2:scale=0.02,seed=25 1 975084566d998e55
+design1:scale=0.2,seed=1 1 168b7c7ced38cff3
+design2:scale=0.2,seed=2 1 50f6aabf2bb24385
 broken/comb_cycle 1 a26d6c783afe260b
 broken/dangling 1 0774eccac47211ad
 broken/fanin_storm 3 f901d6dd9ba76243
@@ -319,41 +323,41 @@ edge/hash-alone 0 cbf29ce484222325
 edge/no-final-newline 0 cbf29ce484222325
 edge/sparse-ids 0 cbf29ce484222325
 mut/000 0 cbf29ce484222325
-mut/011 6 9a974c733707dfbd
-mut/017 12 40bd32c7de410a92
+mut/011 1 a5a57c2d632b6615
+mut/017 1 326645e1595fe541
 mut/023 0 cbf29ce484222325
-mut/026 5 f793f5aecd3cfabb
-mut/032 6 9a974c733707dfbd
-mut/039 6 e4478d2453fd4c50
-mut/041 12 47618b6e7b7d35b6
+mut/026 1 f9503a95def17085
+mut/032 1 a5a57c2d632b6615
+mut/039 1 a5a57c2d632b6615
+mut/041 1 a44a75f1a5abe6d2
 mut/044 0 cbf29ce484222325
-mut/048 12 47618b6e7b7d35b6
+mut/048 1 a44a75f1a5abe6d2
 mut/050 0 cbf29ce484222325
 mut/057 0 cbf29ce484222325
-mut/060 6 9a974c733707dfbd
-mut/073 12 40bd32c7de410a92
-mut/083 12 47618b6e7b7d35b6
-mut/088 6 9a974c733707dfbd
+mut/060 1 a5a57c2d632b6615
+mut/073 1 326645e1595fe541
+mut/083 1 a44a75f1a5abe6d2
+mut/088 1 a5a57c2d632b6615
 mut/099 0 cbf29ce484222325
 mut/107 0 cbf29ce484222325
-mut/111 12 47618b6e7b7d35b6
+mut/111 1 a44a75f1a5abe6d2
 mut/126 1 07174a3900583864
-mut/131 5 f793f5aecd3cfabb
-mut/136 13 5574b729836e06ee
-mut/139 12 47618b6e7b7d35b6
-mut/158 6 9a974c733707dfbd
+mut/131 1 f9503a95def17085
+mut/136 2 b7be326b4ccb709d
+mut/139 1 a44a75f1a5abe6d2
+mut/158 1 a5a57c2d632b6615
 mut/163 1 3f80cfa57895a963
-mut/167 12 47618b6e7b7d35b6
+mut/167 1 a44a75f1a5abe6d2
 mut/168 0 cbf29ce484222325
 mut/169 0 cbf29ce484222325
 mut/176 0 cbf29ce484222325
-mut/192 12 40bd32c7de410a92
-mut/195 12 47618b6e7b7d35b6
-mut/200 6 9a974c733707dfbd
+mut/192 1 326645e1595fe541
+mut/195 1 a44a75f1a5abe6d2
+mut/200 1 a5a57c2d632b6615
 mut/203 0 cbf29ce484222325
-mut/209 12 47618b6e7b7d35b6
+mut/209 1 a44a75f1a5abe6d2
 mut/225 0 cbf29ce484222325
-mut/229 5 f793f5aecd3cfabb|}
+mut/229 1 f9503a95def17085|}
 
 let test_lint_pins () =
   Alcotest.(check (list string))

@@ -6,6 +6,7 @@ module Netlist = Msched_netlist.Netlist
 module Serial = Msched_netlist.Serial
 module Lint = Msched_netlist.Lint
 module Ids = Msched_netlist.Ids
+module Cell = Msched_netlist.Cell
 module Tiers = Msched_route.Tiers
 module Design_gen = Msched_gen.Design_gen
 module Sink = Msched_obs.Sink
@@ -113,6 +114,65 @@ let test_lint_dangling () =
   Alcotest.(check bool) "dangling flagged" true
     (List.exists (fun d -> d.Diag.code = Diag.E_DANGLING) diags);
   Alcotest.(check bool) "dangling is a warning" false (Lint.has_errors diags)
+
+(* A buffered input sampled by one flip-flop, plus [k] more buffers of
+   the sampled net that nothing reads: nets n2 .. n(k+1), driven by
+   c2 .. c(k+1), are the design's only dangling nets. *)
+let dangling_design k =
+  let module B = Netlist.Builder in
+  let b = B.create () in
+  let d = B.add_domain b "clk" in
+  let a = B.add_input b ~domain:d () in
+  let g = B.add_gate b Cell.Buf [ a ] in
+  let dangling = List.init k (fun _ -> B.add_gate b Cell.Buf [ g ]) in
+  let q = B.add_flip_flop b ~data:g ~clock:(Cell.Dom_clock d) () in
+  ignore (B.add_output b q : Ids.Cell.t);
+  (B.finalize b, dangling)
+
+(* All of a design's dangling nets make one warning: it names the
+   lowest one, counts them and lists at most eight.  One dangling net
+   keeps the single-net wording. *)
+let test_lint_dangling_grouped () =
+  List.iter
+    (fun k ->
+      let nl, dangling = dangling_design k in
+      let what = Printf.sprintf "%d dangling nets" k in
+      let ds =
+        List.filter (fun d -> d.Diag.code = Diag.E_DANGLING) (Lint.check nl)
+      in
+      Alcotest.(check int) (what ^ ": warnings") (min k 1) (List.length ds);
+      match (ds, dangling) with
+      | [], _ -> ()
+      | [ d ], first :: _ ->
+          let ni = Netlist.net nl first in
+          Alcotest.(check (option int)) (what ^ ": net")
+            (Some (Ids.Net.to_int first))
+            d.Diag.ctx.Diag.net;
+          Alcotest.(check (option int)) (what ^ ": cell")
+            (Some (Ids.Cell.to_int ni.Netlist.driver))
+            d.Diag.ctx.Diag.cell;
+          Alcotest.(check (option string)) (what ^ ": culprit")
+            (Some ni.Netlist.net_name) d.Diag.ctx.Diag.culprit;
+          let driven n =
+            Printf.sprintf "%s (driven by %s)"
+              (Netlist.net nl n).Netlist.net_name
+              (Netlist.driver nl n).Cell.name
+          in
+          let expected =
+            if k = 1 then "net n2 (driven by c2) has no consumer"
+            else
+              Printf.sprintf "%d nets have no consumer: %s%s" k
+                (String.concat ", "
+                   (List.map driven (List.filteri (fun i _ -> i < 8) dangling)))
+                (if k > 8 then Printf.sprintf " and %d more" (k - 8) else "")
+          in
+          Alcotest.(check string) (what ^ ": message") expected d.Diag.message;
+          let listed =
+            List.length (String.split_on_char '(' d.Diag.message) - 1
+          in
+          Alcotest.(check int) (what ^ ": nets listed") (min k 8) listed
+      | _ -> Alcotest.fail (what ^ ": more than one warning"))
+    [ 0; 1; 2; 8; 9; 600 ]
 
 let test_lint_comb_cycle () =
   let nl =
@@ -574,6 +634,8 @@ let suite =
     Alcotest.test_case "diagnostic JSON shape" `Quick test_json_shape;
     Alcotest.test_case "lint: clean design" `Quick test_lint_clean_design;
     Alcotest.test_case "lint: dangling net" `Quick test_lint_dangling;
+    Alcotest.test_case "lint: one warning for all dangling nets" `Quick
+      test_lint_dangling_grouped;
     Alcotest.test_case "lint: combinational cycle" `Quick test_lint_comb_cycle;
     Alcotest.test_case "lint: cross-domain fanin" `Quick
       test_lint_xdomain_fanin;

@@ -776,6 +776,48 @@ let test_batch_gals_corpus () =
   Alcotest.(check int) "batch exit is the parse-failure class" 3
     (Server.exit_code b2)
 
+(* design1 at scale 0.05, seed 1, answered with cold_compile's settings
+   (weight 64, 96 pins, no retries), has 696 dangling nets.  Lint reports
+   them as one warning, so its record stays under 2 KiB (885 bytes); one
+   warning per net made it 106 126 bytes. *)
+let test_record_one_dangling_warning () =
+  let text =
+    match Design_gen.of_spec "design1:scale=0.05,seed=1" with
+    | Ok d -> Serial.to_string d.Design_gen.netlist
+    | Error _ -> Alcotest.fail "design1 spec"
+  in
+  let settings =
+    {
+      Server.default_settings with
+      Server.s_options =
+        {
+          Compile.default_options with
+          Compile.max_block_weight = 64;
+          pins_per_fpga = 96;
+        };
+      s_max_retries = 0;
+    }
+  in
+  let a =
+    Server.answer settings ~epoch:0.0
+      (Server.Compile (Server.job_of_text ~index:0 ~path:"design1.mnl" text))
+  in
+  let record = record_of a in
+  Alcotest.(check int) "compiles" 0 a.Server.a_exit;
+  Alcotest.(check bool)
+    (Printf.sprintf "record of %d bytes < 2 KiB" (String.length record))
+    true
+    (String.length record < 2048);
+  let code = {|"code":"E_DANGLING"|} in
+  let rec count rest =
+    match index_of code rest with
+    | None -> 0
+    | Some i ->
+        let from = i + String.length code in
+        1 + count (String.sub rest from (String.length rest - from))
+  in
+  Alcotest.(check int) "one E_DANGLING" 1 (count record)
+
 (* A [{"text": s}] frame carries [s] to the compile request byte for
    byte, whatever bytes it holds. *)
 let prop_text_frame_roundtrip =
@@ -819,5 +861,7 @@ let suite =
       `Slow test_result_policies_never_cross;
     Alcotest.test_case "cache: gc sweeps reroute and block leftovers" `Quick
       test_gc_sweeps_leftovers;
+    Alcotest.test_case "record: one dangling-net warning per design" `Quick
+      test_record_one_dangling_warning;
     QCheck_alcotest.to_alcotest prop_text_frame_roundtrip;
   ]
