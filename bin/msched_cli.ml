@@ -2,7 +2,7 @@
    Msched_netlist.Serial (extension-agnostic; see lib/netlist/serial.mli).
 
      msched compile  design.mnl|SPEC [--pins N] [--weight N] [--mode virtual|hard|naive]
-                     [--forward] [--retries N] [--fallback-hard] [--cold]
+                     [--forward] [--retries N] [--fallback-hard]
                      [--max-extra N] [--diag-json FILE]
                      [--delta-base MANIFEST] [--emit-manifest FILE]
      msched delta diff BASE EDITED [--pins N] [--weight N] [--json FILE]
@@ -214,8 +214,8 @@ let compile_delta_cmd ~options ~ppf ~pins ~delta_base ~emit_manifest nl =
   | Some p ->
       Obs_export.write_file p (Delta_manifest.to_json_string manifest ^ "\n")
 
-let compile_cmd path pins weight mode forward retries fallback_hard cold
-    max_extra trace diag_json delta_base emit_manifest =
+let compile_cmd path pins weight mode forward retries fallback_hard max_extra
+    trace diag_json delta_base emit_manifest =
   protect @@ fun () ->
   let nl = netlist_of_design_arg path in
   let obs = sink_of_trace trace in
@@ -261,7 +261,7 @@ let compile_cmd path pins weight mode forward retries fallback_hard cold
     in
     let r =
       Msched.Compile.compile_resilient ~options ~max_retries:retries
-        ~fallback_hard ~reuse:(not cold) nl
+        ~fallback_hard nl
     in
     print_diags path r.Msched.Compile.diagnostics;
     (match r.Msched.Compile.compiled with
@@ -517,8 +517,8 @@ let vcd_cmd path horizon seed =
 
 (* ---- Batch server front end (see docs/SERVER.md). ---- *)
 
-let server_settings pins weight mode retries fallback_hard cold max_extra
-    cache_dir obs_jobs =
+let server_settings pins weight mode retries fallback_hard max_extra cache_dir
+    obs_jobs =
   let ropts = route_options_of mode in
   let ropts =
     match max_extra with
@@ -533,18 +533,17 @@ let server_settings pins weight mode retries fallback_hard cold max_extra
       };
     s_max_retries = retries;
     s_fallback_hard = fallback_hard;
-    s_reuse = not cold;
+    s_reuse = true;
     s_cache_dir = cache_dir;
     s_obs_jobs = obs_jobs;
   }
 
 let batch_cmd source jobs cache_dir out pins weight mode retries
-    fallback_hard cold max_extra trace json =
+    fallback_hard max_extra trace json =
   protect @@ fun () ->
   Option.iter Cache.ensure_dir cache_dir;
   let settings =
-    server_settings pins weight mode retries fallback_hard cold max_extra
-      cache_dir
+    server_settings pins weight mode retries fallback_hard max_extra cache_dir
       (trace <> None || json <> None)
   in
   match Manifest.load source with
@@ -580,11 +579,11 @@ let batch_cmd source jobs cache_dir out pins weight mode retries
 
 let serve_cmd use_stdin socket tcp workers queue_max overload deadline grace
     cache_max_bytes inject cache_dir pins weight mode retries fallback_hard
-    cold max_extra =
+    max_extra =
   protect @@ fun () ->
   let settings =
-    server_settings pins weight mode retries fallback_hard cold max_extra
-      cache_dir false
+    server_settings pins weight mode retries fallback_hard max_extra cache_dir
+      false
   in
   let address =
     match (socket, tcp) with
@@ -644,7 +643,7 @@ let serve_cmd use_stdin socket tcp workers queue_max overload deadline grace
   Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
   Printf.eprintf "msched serve: listening on %s (%d workers, queue %d, %s)\n%!"
     (Transport.address_name (Transport.bound_address srv))
-    (max 1 workers) queue_max
+    workers queue_max
     (Dispatch.overload_name overload);
   let s = Transport.wait srv in
   print_endline (Transport.summary_json s);
@@ -769,16 +768,6 @@ let fallback_hard_arg =
         ~doc:
           "If all (re)tries fail, fall back from virtual MTS routing to \
            dedicated hard wires (correct but slower)")
-
-let cold_arg =
-  Arg.(
-    value & flag
-    & info [ "cold" ]
-        ~doc:
-          "Disable warm rerouting between retry rungs: every attempt \
-           re-searches all transports from scratch instead of replaying \
-           the previous attempt's routes (same outcome, attempt ladder, \
-           routing mode and frequency; the schedule bytes may differ)")
 
 let max_extra_arg =
   Arg.(
@@ -906,13 +895,13 @@ let tcp_arg =
 let workers_arg =
   Arg.(
     value
-    & opt int (Domain.recommended_domain_count ())
+    & opt (int_at_least 1) (Domain.recommended_domain_count ())
     & info [ "workers" ] ~docv:"N"
         ~doc:"Worker domains compiling requests concurrently")
 
 let queue_max_arg =
   Arg.(
-    value & opt int 64
+    value & opt (int_at_least 1) 64
     & info [ "queue-max" ] ~docv:"N"
         ~doc:
           "Bound on queued (admitted but not yet running) requests; beyond \
@@ -927,10 +916,23 @@ let overload_arg =
            $(b,block) makes the request wait for space (still subject to \
            its deadline)")
 
+(* Seconds that must be positive: a zero or negative deadline would answer
+   every request E_TIMEOUT, so it is a usage error (exit 1). *)
+let positive_seconds =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok x when x > 0.0 -> Ok x
+    | Ok _ | Error _ ->
+        Error
+          (`Msg
+            (Printf.sprintf "invalid value '%s', expected seconds > 0" s))
+  in
+  Arg.conv ~docv:"SECONDS" (parse, Format.pp_print_float)
+
 let deadline_arg =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some positive_seconds) None
     & info [ "deadline" ] ~docv:"SECONDS"
         ~doc:
           "Default per-request deadline: expired requests are answered \
@@ -1059,9 +1061,8 @@ let cmds =
     Cmd.v (Cmd.info "compile" ~doc:"Compile a netlist and print the schedule")
       Term.(
         const compile_cmd $ design_arg $ pins_arg $ weight_arg $ mode_arg
-        $ forward_arg $ retries_arg $ fallback_hard_arg $ cold_arg
-        $ max_extra_arg $ trace_arg $ diag_json_arg $ delta_base_arg
-        $ emit_manifest_arg);
+        $ forward_arg $ retries_arg $ fallback_hard_arg $ max_extra_arg
+        $ trace_arg $ diag_json_arg $ delta_base_arg $ emit_manifest_arg);
     Cmd.v
       (Cmd.info "lint"
          ~doc:
@@ -1114,7 +1115,7 @@ let cmds =
       Term.(
         const batch_cmd $ source_arg $ jobs_arg $ batch_cache_dir_arg $ out_arg
         $ pins_arg $ weight_arg $ mode_arg $ retries_arg $ fallback_hard_arg
-        $ cold_arg $ max_extra_arg $ trace_arg $ json_arg);
+        $ max_extra_arg $ trace_arg $ json_arg);
     Cmd.v
       (Cmd.info "serve"
          ~doc:
@@ -1127,7 +1128,7 @@ let cmds =
         const serve_cmd $ stdin_flag_arg $ socket_arg $ tcp_arg $ workers_arg
         $ queue_max_arg $ overload_arg $ deadline_arg $ grace_arg
         $ cache_max_bytes_arg $ inject_faults_arg $ serve_cache_dir_arg $ pins_arg
-        $ weight_arg $ mode_arg $ retries_arg $ fallback_hard_arg $ cold_arg
+        $ weight_arg $ mode_arg $ retries_arg $ fallback_hard_arg
         $ max_extra_arg);
     delta_cmd;
     cache_cmd;

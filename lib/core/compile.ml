@@ -119,8 +119,18 @@ let prepare ?(options = default_options) original =
     Topology.make_for_count options.topology_kind (Partition.num_blocks partition)
   in
   let system =
-    System.make ~vclock_hz:options.vclock_hz topology
-      ~pins_per_fpga:options.pins_per_fpga
+    (* A pin budget too small to give every channel a wire is, like a
+       partition capacity failure, an infeasibility of the options. *)
+    match
+      System.make ~vclock_hz:options.vclock_hz topology
+        ~pins_per_fpga:options.pins_per_fpga
+    with
+    | s -> s
+    | exception Invalid_argument msg ->
+        compile_error
+          (Diag.error Diag.E_CAPACITY
+             "building the system with pins_per_fpga=%d failed: %s"
+             options.pins_per_fpga msg)
   in
   let placement =
     Sink.span obs "placement" @@ fun () ->
@@ -204,8 +214,6 @@ type attempt = {
   attempt_partition_seed : int;
   attempt_place_seed : int;
   attempt_expansions : int;
-  attempt_reused : int;
-  attempt_ripped : int;
   attempt_outcome : attempt_outcome;
 }
 
@@ -221,11 +229,6 @@ type degradation = {
       (** Transports hard-routed on dedicated wires in the final schedule
           beyond what the requested mode implies (per-net fallback residue,
           or every MTS transport after the whole-schedule hard rung). *)
-  reused_transports : int;
-      (** Transports replayed from the reroute ledger across all attempts. *)
-  ripped_transports : int;
-      (** Ledger entries invalidated (anchor moved or slots taken) across
-          all attempts. *)
   lint_errors : int;
   lint_warnings : int;
 }
@@ -305,7 +308,7 @@ let count_hard_transports (s : Msched_route.Schedule.t) =
 let max_fallback_iters = 4
 
 let compile_resilient ?(options = default_options) ?(max_retries = 3)
-    ?(fallback_hard = false) ?(reuse = true) ?reroute nl =
+    ?(fallback_hard = false) ?reuse:_ ?reroute nl =
   let obs = options.obs in
   Sink.span obs "driver" @@ fun () ->
   let diags = ref [] in
@@ -329,8 +332,6 @@ let compile_resilient ?(options = default_options) ?(max_retries = 3)
       achieved_hz = None;
       retries = 0;
       fallback_nets = 0;
-      reused_transports = 0;
-      ripped_transports = 0;
       lint_errors;
       lint_warnings;
     }
@@ -343,19 +344,13 @@ let compile_resilient ?(options = default_options) ?(max_retries = 3)
       degradation = degradation0;
     }
   else begin
-    (* One reroute context for the whole ladder.  [reuse] keeps it warm
-       across attempts that share a partition/placement (baseline →
-       relax-slack, and the per-net fallback iterations); a seed change
-       invalidates the ledger, so reseed rungs start cold.  With
-       [reuse = false] every attempt starts cold — the differential-test
-       baseline.  A caller-supplied [reroute] context is used in place of
-       a fresh one; callers pass a fresh context to read its statistics
+    (* One reroute context for the whole ladder.  Every attempt searches
+       every transport from scratch; the context carries only the last
+       attempt's residue and the forced-hard set the per-net fallback
+       builds from it.  A caller-supplied [reroute] context is used in
+       place of a fresh one; callers pass one to read its statistics
        afterwards. *)
     let ctx = match reroute with Some c -> c | None -> Reroute.create () in
-    (* Forced-hard keys survive context clears via this driver-side list,
-       so cold mode reaches the same per-net fallback state as warm. *)
-    let forced : Reroute.key list ref = ref [] in
-    let last_seeds = ref None in
     (* [prepare] is deterministic in (netlist, options minus route), so
        rungs that only touch the route options share the front-end. *)
     let prepared_cache : (int * int, prepared) Hashtbl.t = Hashtbl.create 4 in
@@ -364,16 +359,10 @@ let compile_resilient ?(options = default_options) ?(max_retries = 3)
     let run_attempt label opts =
       Sink.incr obs "driver.attempts";
       let seeds = (opts.partition_seed, opts.place_seed) in
-      let stale =
-        (not reuse)
-        || match !last_seeds with Some s -> s <> seeds | None -> false
-      in
-      if stale then Reroute.clear ctx;
-      last_seeds := Some seeds;
-      List.iter (Reroute.force_hard ctx) !forced;
+      (* An attempt that fails before it routes (a reseed rung's
+         [prepare]) must leave no residue for the per-net fallback. *)
+      Reroute.clear_failures ctx;
       let e0 = Reroute.expansions ctx in
-      let ru0 = Reroute.reused ctx in
-      let rp0 = Reroute.ripped ctx in
       let outcome =
         Sink.span obs
           ~args:
@@ -413,8 +402,6 @@ let compile_resilient ?(options = default_options) ?(max_retries = 3)
           attempt_partition_seed = opts.partition_seed;
           attempt_place_seed = opts.place_seed;
           attempt_expansions = Reroute.expansions ctx - e0;
-          attempt_reused = Reroute.reused ctx - ru0;
-          attempt_ripped = Reroute.ripped ctx - rp0;
           attempt_outcome =
             (match outcome with Ok (_, ok) -> ok | Error d -> Attempt_failed d);
         };
@@ -440,10 +427,9 @@ let compile_resilient ?(options = default_options) ?(max_retries = 3)
     let result = run (ladder options ~max_retries) in
     (* Hard fallback, per net first: the residue the last attempt could
        not route moves to dedicated wires; everything else stays on the
-       scheduled virtual network and replays warm.  Only when the residue
-       cannot be named (the failure was not an unroutable transport) or
-       refuses to converge does the whole schedule fall back to hard
-       routing. *)
+       scheduled virtual network.  Only when the residue cannot be named
+       (the failure was not an unroutable transport) or refuses to
+       converge does the whole schedule fall back to hard routing. *)
     let result =
       if result <> None || (not fallback_hard) || !input_fault then result
       else begin
@@ -463,11 +449,7 @@ let compile_resilient ?(options = default_options) ?(max_retries = 3)
             match Reroute.failures ctx with
             | [] -> None
             | fails ->
-                List.iter
-                  (fun (k, _) ->
-                    Reroute.force_hard ctx k;
-                    forced := k :: !forced)
-                  fails;
+                List.iter (fun (k, _) -> Reroute.force_hard ctx k) fails;
                 Sink.add obs "driver.fallback_forced" (List.length fails);
                 let label =
                   if i = 1 then "fallback-hard"
@@ -483,10 +465,9 @@ let compile_resilient ?(options = default_options) ?(max_retries = 3)
         match per_net 1 with
         | Some _ as r -> r
         | None -> (
-            (* Whole-schedule hard baseline: a different routing problem,
-               so the warm context is meaningless — start cold. *)
+            (* Whole-schedule hard baseline: the plain hard-mode compile,
+               so no link stays forced. *)
             Reroute.clear ctx;
-            forced := [];
             let hard_all =
               {
                 relaxed with
@@ -505,16 +486,9 @@ let compile_resilient ?(options = default_options) ?(max_retries = 3)
     let attempts = List.rev !attempts in
     (* Attempts beyond the baseline; a lone failed baseline is 0 retries. *)
     let retries = max 0 (List.length attempts - 1) in
-    let reused_transports = Reroute.reused ctx in
-    let ripped_transports = Reroute.ripped ctx in
-    Sink.add obs "driver.reused_transports" reused_transports;
-    Sink.add obs "driver.ripped_transports" ripped_transports;
     let compiled, degradation =
       match result with
-      | None ->
-          ( None,
-            { degradation0 with retries; reused_transports; ripped_transports }
-          )
+      | None -> (None, { degradation0 with retries })
       | Some (c, opts) ->
           let fallback_nets =
             if
@@ -531,8 +505,6 @@ let compile_resilient ?(options = default_options) ?(max_retries = 3)
               achieved_hz = Some (Msched_route.Schedule.est_speed_hz c.schedule);
               retries;
               fallback_nets;
-              reused_transports;
-              ripped_transports;
             } )
     in
     { compiled; attempts; diagnostics = List.rev !diags; degradation }
@@ -630,19 +602,18 @@ let pp_attempt ppf a =
           (est_speed_hz /. 1e3)
     | Attempt_failed d -> Diag.pp ppf d
   in
-  Format.fprintf ppf
-    "%-17s mode=%-7s slack=%-7d seeds=%d/%d reused=%d ripped=%d  %a"
+  Format.fprintf ppf "%-17s mode=%-7s slack=%-7d seeds=%d/%d  %a"
     a.attempt_label
     (Tiers.mode_name a.attempt_mode)
     a.attempt_max_extra a.attempt_partition_seed a.attempt_place_seed
-    a.attempt_reused a.attempt_ripped pp_outcome a.attempt_outcome
+    pp_outcome a.attempt_outcome
 
 let pp_degradation ppf d =
   Format.fprintf ppf
     "requested: %s MTS routing at %.1f MHz vclock@\n\
      achieved:  %s, %s emulation speed@\n\
-     retries: %d, hard-fallback transports: %d, reused/ripped: %d/%d, \
-     lint: %d errors / %d warnings"
+     retries: %d, hard-fallback transports: %d, lint: %d errors / %d \
+     warnings"
     (Tiers.mode_name d.requested_mode)
     (d.requested_hz /. 1e6)
     (match d.achieved_mode with
@@ -651,8 +622,7 @@ let pp_degradation ppf d =
     (match d.achieved_hz with
     | None -> "no"
     | Some hz -> Format.asprintf "%.1f kHz" (hz /. 1e3))
-    d.retries d.fallback_nets d.reused_transports d.ripped_transports
-    d.lint_errors d.lint_warnings
+    d.retries d.fallback_nets d.lint_errors d.lint_warnings
 
 let pp_resilient ppf r =
   (match r.attempts with
@@ -667,7 +637,7 @@ let resilient_to_json r =
   let b = Buffer.create 4096 in
   let first = ref true in
   Buffer.add_char b '{';
-  J.field b ~first "schema" (J.string "msched-driver-1");
+  J.field b ~first "schema" (J.string "msched-driver-2");
   J.field b ~first "status"
     (J.string
        (if not (succeeded r) then "failed"
@@ -689,8 +659,6 @@ let resilient_to_json r =
           (string_of_int a.attempt_partition_seed);
         J.field ab ~first:af "place_seed" (string_of_int a.attempt_place_seed);
         J.field ab ~first:af "expansions" (string_of_int a.attempt_expansions);
-        J.field ab ~first:af "reused" (string_of_int a.attempt_reused);
-        J.field ab ~first:af "ripped" (string_of_int a.attempt_ripped);
         (match a.attempt_outcome with
         | Attempt_ok { length; est_speed_hz } ->
             J.field ab ~first:af "ok" "true";
@@ -730,10 +698,6 @@ let resilient_to_json r =
     | Some hz -> J.field db ~first:df "achieved_hz" (Printf.sprintf "%.6g" hz));
     J.field db ~first:df "retries" (string_of_int d.retries);
     J.field db ~first:df "fallback_nets" (string_of_int d.fallback_nets);
-    J.field db ~first:df "reused_transports"
-      (string_of_int d.reused_transports);
-    J.field db ~first:df "ripped_transports"
-      (string_of_int d.ripped_transports);
     J.field db ~first:df "lint_errors" (string_of_int d.lint_errors);
     J.field db ~first:df "lint_warnings" (string_of_int d.lint_warnings);
     Buffer.add_char db '}';

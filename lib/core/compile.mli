@@ -63,7 +63,9 @@ exception Compile_error of Msched_diag.Diag.t
 
 val prepare : ?options:options -> Netlist.t -> prepared
 (** @raise Compile_error on unsupported constructs (multi-domain RAM write
-    clocks) or infeasible capacity settings. *)
+    clocks) or infeasible capacity settings: [E_CAPACITY] when a cell is
+    heavier than [max_block_weight], or when [pins_per_fpga] is too small
+    to give every channel of the system a wire. *)
 
 val route :
   ?obs:Msched_obs.Sink.t ->
@@ -72,11 +74,12 @@ val route :
   prepared ->
   Msched_route.Tiers.options ->
   Msched_route.Schedule.t
-(** Reverse (TIERS) scheduling.  With a [reroute] context the attempt runs
-    warm (ledger replay, forced-hard links, deferred residue collection) —
-    see {!Msched_route.Tiers.schedule}; the context never changes a
-    search, so a successful route under a fresh context returns the
-    schedule a route without one returns.  [jobs] is ignored, like
+(** Reverse (TIERS) scheduling.  With a [reroute] context the attempt
+    routes the context's forced-hard links on dedicated wires and
+    collects the whole unroutable residue before it fails — see
+    {!Msched_route.Tiers.schedule}; the context never changes a search,
+    so a successful route under a fresh context returns the schedule a
+    route without one returns.  [jobs] is ignored, like
     {!options.compile_jobs}, and kept for [perfbench/]'s callers. *)
 
 val route_forward :
@@ -180,27 +183,26 @@ val diag_of_exn : exn -> Msched_diag.Diag.t
       seeds (one rung per remaining retry);
     + optionally ([fallback_hard]) fall back to dedicated (hard) wires —
       {e per net} first: only the unroutable residue the last attempt
-      recorded is hard-wired, the rest of the schedule stays virtual and
-      replays warm (rungs [fallback-hard], [fallback-hard-2], …); the
-      whole-schedule hard baseline ([fallback-hard-all], paper Table 1
-      rows 8 vs 9) runs only when the residue cannot be named or refuses
-      to converge.
+      recorded is hard-wired, the rest of the schedule stays virtual
+      (rungs [fallback-hard], [fallback-hard-2], …); the whole-schedule
+      hard baseline ([fallback-hard-all], paper Table 1 rows 8 vs 9) runs
+      only when the residue cannot be named or refuses to converge.
 
-    Attempts share one {!Msched_route.Reroute.t} context: a rung that
-    keeps the partition/placement seeds replays the previous attempt's
-    routes from the ledger and re-searches only what changed.  The
-    context never steers a search, so the baseline rung schedules the
-    design byte for byte as {!compile} does; the server, [check],
-    [explain] and [simulate] all see the same schedule.  [reuse:false]
-    clears the context before every attempt (cold — the differential-test
-    baseline).
+    Every attempt searches every transport from scratch.  Attempts share
+    one {!Msched_route.Reroute.t} context, which carries only the last
+    attempt's residue and the forced-hard set the per-net fallback builds
+    from it; the context never steers a search.  So a ladder that ends on
+    [baseline], [relax-slack], [reseed-N] or [fallback-hard-all] returns
+    the schedule {!compile} gives under that rung's options (mode,
+    [max_extra_slots], partition and place seeds), byte for byte; the
+    server, [check], [explain] and [simulate] all see the same
+    schedule.
 
     Every attempt and diagnostic is recorded; the degradation report says
     what was requested vs what was achieved.  Observability: span
     [driver] / [driver.lint] / [driver.attempt], counters
     [driver.attempts], [driver.retries], [driver.fallback_nets],
-    [driver.fallback_forced], [driver.reused_transports],
-    [driver.ripped_transports], [driver.lint_errors],
+    [driver.fallback_forced], [driver.lint_errors],
     [driver.lint_warnings], plus the [reroute.*] family (see
     [docs/OBSERVABILITY.md]). *)
 
@@ -217,10 +219,7 @@ type attempt = {
   attempt_partition_seed : int;
   attempt_place_seed : int;
   attempt_expansions : int;
-      (** Pathfinder states expanded during this attempt (warm reuse makes
-          this drop on retry rungs). *)
-  attempt_reused : int;  (** Transports replayed from the ledger. *)
-  attempt_ripped : int;  (** Stale ledger entries ripped up. *)
+      (** Pathfinder states expanded during this attempt. *)
   attempt_outcome : attempt_outcome;
 }
 
@@ -234,10 +233,6 @@ type degradation = {
   fallback_nets : int;  (** Hard-wired transports in the final schedule when
                             a hard fallback (per-net or whole-schedule) was
                             taken; 0 otherwise. *)
-  reused_transports : int;
-      (** Transports replayed from the reroute ledger across all attempts
-          (0 under [reuse:false]). *)
-  ripped_transports : int;  (** Stale ledger entries ripped across attempts. *)
   lint_errors : int;
   lint_warnings : int;
 }
@@ -264,15 +259,11 @@ val compile_resilient :
     diagnostic).  [max_retries] (default 3) bounds the escalation rungs
     after the baseline attempt; [fallback_hard] (default [false]) appends
     the per-net hard-fallback rungs (and the whole-schedule hard rung as a
-    last resort); [reuse] (default [true]) keeps the reroute context warm
-    across seed-compatible attempts — [false] re-searches every attempt
-    from scratch.  Warm and cold agree on success, attempt labels,
-    routing mode and emulation frequency, and both schedules are
-    verifier-clean ([test/test_reroute.ml]); the schedule bytes may
-    differ.  [reroute] supplies the context the ladder starts from
-    instead of a fresh one; it is mutated in place, so a caller that
-    passes a fresh context can read the ladder's statistics from it
-    afterwards. *)
+    last resort).  [reuse] is ignored: every rung searches from scratch.
+    It stays only because the frozen benchmark under [perfbench/] passes
+    it.  [reroute] supplies the context the ladder uses instead of a
+    fresh one; it is mutated in place, so a caller that passes a fresh
+    context can read the ladder's statistics from it afterwards. *)
 
 val succeeded : resilient -> bool
 val degraded : resilient -> bool
@@ -285,5 +276,5 @@ val resilient_exit_code : resilient -> int
 val pp_resilient : Format.formatter -> resilient -> unit
 
 val resilient_to_json : resilient -> string
-(** Stable JSON document (schema ["msched-driver-1"]) with status,
+(** Stable JSON document (schema ["msched-driver-2"]) with status,
     attempts, diagnostics and the degradation report. *)

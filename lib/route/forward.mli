@@ -25,8 +25,7 @@ val schedule :
   ?obs:Msched_obs.Sink.t ->
   unit ->
   Schedule.t
-(** Every transport is searched cold: the forward scheduler takes no
-    reroute context (ledger keys are reverse slots), and an unroutable
+(** The forward scheduler takes no reroute context: an unroutable
     transport aborts immediately.
     @raise Unsupported when [options.mode] is [Mts_hard] (dedicated-wire
     pre-routing is a property of the baseline flow, not of this scheduler).

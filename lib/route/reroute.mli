@@ -1,28 +1,29 @@
-(** Incremental rerouting context: a per-transport reservation ledger
-    that survives across the scheduling attempts of one retry ladder.
+(** Retry context: what one attempt of a retry ladder leaves for the
+    next.
 
-    The TIERS scheduler is stateless: every attempt of
-    [Compile.compile_resilient]'s retry ladder searches every transport
-    anew.  A reroute context makes retries {e warm}: transports whose
-    requirement (arrival anchor slot) is unchanged and whose reserved
-    slots are still free are {e replayed} from the ledger without a
-    search; only the stale or previously-unroutable {e residue} is ripped
-    up and re-searched.  A context never changes what a search finds:
-    {!Pathfind} reads nothing from it and only charges its expansion
-    count to it, so an attempt that succeeds under a fresh context
-    schedules its design byte for byte as an attempt without one.
+    Every attempt of [Compile.compile_resilient]'s retry ladder searches
+    every transport from scratch; nothing routed by one attempt is
+    replayed by another.  A context carries only what the per-net hard
+    fallback reads:
 
-    A context also carries the failure residue of the last attempt (which
-    transports found no path) and a forced-hard set: links the driver has
-    decided to route on dedicated wires instead of the time-multiplexed
-    pool (the per-net hard fallback — ripping up only the unroutable
-    residue instead of flipping the whole schedule to hard mode).
+    - the failure residue of the last attempt: which transports found no
+      path.  With a context, an unroutable transport no longer aborts the
+      pass, so one failed attempt names every culprit;
+    - a forced-hard set: links the driver has decided to route on
+      dedicated wires instead of the time-multiplexed pool (the per-net
+      hard fallback, which moves only the unroutable residue off the
+      scheduled network instead of flipping the whole schedule to hard
+      mode);
+    - the pathfinder's expansion count, for the attempt records.
 
-    One context belongs to one prepared design: partition or placement
-    reseeding invalidates the ledger ({!clear}).  A context lives in
-    memory for one compile's retry ladder; nothing persists it, so a
-    compile's answer depends only on its design and settings.  All state
-    is single-threaded mutable, like {!Msched_obs.Sink}. *)
+    A context never changes what a search finds: {!Pathfind} reads
+    nothing from it and only charges its expansion count to it.  With an
+    empty forced-hard set, an attempt that succeeds under a context
+    schedules its design byte for byte as an attempt without one, so
+    every rung short of the per-net fallback returns the schedule
+    [Compile.compile] gives under that rung's options.  A context lives
+    in memory for one compile's retry ladder; nothing persists it.  All
+    state is single-threaded mutable, like {!Msched_obs.Sink}. *)
 
 type key = {
   k_net : int;
@@ -30,14 +31,7 @@ type key = {
   k_dst_block : int;
   k_domain : int;  (** Constituent domain of the transport, [-1] for none. *)
 }
-
-type entry = {
-  e_anchor : int;
-      (** The arrival slot [r_arr] the path was searched for.  A ledger hit
-          is only replayable when the new requirement matches exactly. *)
-  e_len : int;  (** Path latency in virtual clocks. *)
-  e_hops : (int * int) list;  (** (channel, reverse slot) per hop. *)
-}
+(** One transport of a link. *)
 
 type t
 
@@ -45,23 +39,8 @@ val create : unit -> t
 (** An empty context. *)
 
 val clear : t -> unit
-(** Drop ledger, failures and the forced-hard set (statistics
-    are kept; they are monotone over the context's lifetime).  Required
-    when the placement the entries were routed against changes. *)
-
-(** {2 Reservation ledger} *)
-
-val lookup : t -> key -> entry option
-val record : t -> key -> entry -> unit
-(** Insert or overwrite the entry for [key]. *)
-
-val rip : t -> key -> unit
-(** Remove a ledger entry (rip-up); a no-op for unknown keys. *)
-
-val keys : t -> key list
-(** All ledger keys, in unspecified order. *)
-
-val ledger_size : t -> int
+(** Drop the failure residue and the forced-hard set (the expansion
+    count is kept; it is monotone over the context's lifetime). *)
 
 (** {2 Failure residue} *)
 
@@ -71,8 +50,8 @@ val failures : t -> (key * Msched_diag.Diag.t) list
     order. *)
 
 val clear_failures : t -> unit
-(** Called by the schedulers on entry so {!failures} always describes the
-    most recent attempt. *)
+(** Called by the schedulers on entry, and by the driver before every
+    attempt, so {!failures} always describes the most recent attempt. *)
 
 (** {2 Forced-hard set (per-net fallback)} *)
 
@@ -83,27 +62,14 @@ val force_hard : t -> key -> unit
 val is_forced_hard : t -> net:int -> src_block:int -> dst_block:int -> bool
 val forced_hard_count : t -> int
 
-(** {2 Statistics (monotone over the context's lifetime)} *)
+(** {2 Statistics} *)
 
 val note_expansions : t -> int -> unit
 (** Called by the pathfinder with the number of BFS states popped. *)
 
 val expansions : t -> int
-val reused : t -> int
-(** Transports replayed from the ledger without a search. *)
-
-val ripped : t -> int
-(** Stale ledger entries (anchor mismatch or reserved slot taken) that
-    were discarded and re-searched. *)
-
-val fresh : t -> int
-(** Transports routed with no usable ledger entry. *)
-
-val note_reused : t -> unit
-val note_ripped : t -> unit
-val note_fresh : t -> unit
+(** States expanded over the context's lifetime. *)
 
 val record_metrics : Msched_obs.Sink.t -> t -> unit
-(** Record the context statistics as [reroute.*] gauges into [obs]
-    (cumulative totals; the per-attempt counters are recorded at the use
-    sites).  No-op on a disabled sink. *)
+(** Record the [reroute.forced_hard_links] gauge into [obs].  No-op on
+    a disabled sink. *)

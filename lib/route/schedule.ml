@@ -109,12 +109,12 @@ let record_metrics obs t sys =
 (* Canonical JSON emission (schema "msched-schedule-1"): every field in a
    fixed order, every list in its structural order, no whitespace — two
    schedules are byte-identical iff they are semantically identical.  The
-   routing pins hash it, the warm≡cold and batch jobs 1≡4 suites diff it,
-   and every delta request hashes it into [schedule_fp].  Ints, bools and
-   field names go straight into [b], list by list without a closure per
-   element; only the two floats go through Printf.  [spill b] runs after
-   each link, where a caller that only hashes the document takes what [b]
-   holds. *)
+   routing pins hash it, the delta, served-ladder and batch jobs 1≡4
+   suites diff it, and every delta request hashes it into [schedule_fp].
+   Ints, bools and field names go straight into [b], list by list without
+   a closure per element; only the two floats go through Printf.
+   [spill b] runs after each link, where a caller that only hashes the
+   document takes what [b] holds. *)
 module Json = Msched_diag.Diag.Json
 
 (* The comma after a list element that has a successor. *)

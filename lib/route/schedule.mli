@@ -85,8 +85,9 @@ val to_json_string : t -> string
 (** Canonical JSON emission (schema ["msched-schedule-1"]): fixed field
     order, structural list order, no whitespace — two schedules serialize
     byte-identically iff they are semantically identical.  This is the
-    equality witness of the differential suites (delta and reroute
-    warm≡cold, batch jobs 1≡4) and what the routing pins hash. *)
+    equality witness of the differential suites (delta ≡ cold, a served
+    ladder ≡ the plain compile of its winning rung, batch jobs 1≡4) and
+    what the routing pins hash. *)
 
 val json_hash_hex : t -> string
 (** [Msched_diag.Diag.Json.hash_hex (to_json_string t)], hashed while the

@@ -58,7 +58,7 @@ let mode_name = function
   | Mts_hard -> "hard"
   | Naive -> "naive"
 
-(* Ledger key of one transport of [l] (domain [-1] when the link is not
+(* Residue key of one transport of [l] (domain [-1] when the link is not
    decomposed per domain). *)
 let transport_key (l : Link.t) dom =
   {
@@ -67,14 +67,6 @@ let transport_key (l : Link.t) dom =
     k_dst_block = Ids.Block.to_int l.Link.dst_block;
     k_domain = (match dom with Some d -> Ids.Dom.to_int d | None -> -1);
   }
-
-(* A ledger entry replays without a search when its requirement slot is
-   unchanged and every slot it remembers is still free. *)
-let replayable res e ~r_arr =
-  e.Reroute.e_anchor = r_arr
-  && List.for_all
-       (fun (channel, rslot) -> Resource.free_at res ~channel ~rslot)
-       e.Reroute.e_hops
 
 let schedule placement dom_analysis ?analysis ?(options = default_options)
     ?(obs = Sink.null) ?reroute () =
@@ -182,27 +174,16 @@ let schedule placement dom_analysis ?analysis ?(options = default_options)
       options.max_extra_slots
   in
   (* Without a reroute context an unroutable transport aborts the attempt
-     immediately (fail-fast, the seed behavior).  With one, the failure is
-     recorded as residue and the pass continues with an optimistic
-     shortest-distance estimate, so one attempt discovers the whole
-     unroutable set and everything routable lands in the ledger for the
-     next (warm) attempt. *)
-  let searched_transport ctx (l : Link.t) dom r_arr =
+     immediately (fail-fast).  With one, the failure is recorded as
+     residue and the pass continues with an optimistic shortest-distance
+     estimate, so one attempt discovers the whole unroutable set. *)
+  let route_transport (l : Link.t) dom r_arr =
     match
-      Pathfind.search ~obs ?ctx sys res ~src:l.Link.src_fpga
+      Pathfind.search ~obs ?ctx:reroute sys res ~src:l.Link.src_fpga
         ~dst:l.Link.dst_fpga ~r_arr ~max_extra:options.max_extra_slots
     with
     | Some p ->
         Pathfind.reserve_path res p;
-        Option.iter
-          (fun c ->
-            Reroute.record c (transport_key l dom)
-              {
-                Reroute.e_anchor = r_arr;
-                e_len = p.Pathfind.p_len;
-                e_hops = p.Pathfind.p_hops;
-              })
-          ctx;
         {
           rt_domain = dom;
           rt_rdep = r_arr + p.Pathfind.p_len;
@@ -212,7 +193,7 @@ let schedule placement dom_analysis ?analysis ?(options = default_options)
         }
     | None -> (
         let d = unroutable_diag l r_arr in
-        match ctx with
+        match reroute with
         | None -> raise (Unroutable d)
         | Some c ->
             Reroute.note_failure c (transport_key l dom) d;
@@ -225,37 +206,6 @@ let schedule placement dom_analysis ?analysis ?(options = default_options)
               rt_hops = [];
               rt_hard = false;
             })
-  in
-  let route_transport (l : Link.t) dom r_arr =
-    match reroute with
-    | None -> searched_transport None l dom r_arr
-    | Some ctx -> (
-        let key = transport_key l dom in
-        match Reroute.lookup ctx key with
-        | Some e when replayable res e ~r_arr ->
-            (* Warm replay: same requirement, slots still free — reserve
-               the remembered path without searching. *)
-            List.iter
-              (fun (channel, rslot) -> Resource.reserve res ~channel ~rslot)
-              e.Reroute.e_hops;
-            Reroute.note_reused ctx;
-            Sink.incr obs "reroute.reused";
-            {
-              rt_domain = dom;
-              rt_rdep = r_arr + e.Reroute.e_len;
-              rt_rarr = r_arr;
-              rt_hops = e.Reroute.e_hops;
-              rt_hard = false;
-            }
-        | Some _ ->
-            Reroute.rip ctx key;
-            Reroute.note_ripped ctx;
-            Sink.incr obs "reroute.ripped";
-            searched_transport reroute l dom r_arr
-        | None ->
-            Reroute.note_fresh ctx;
-            Sink.incr obs "reroute.fresh";
-            searched_transport reroute l dom r_arr)
   in
   (* The link's reverse departure for requirement [r_arr]: the latest of
      its transports. *)
@@ -300,8 +250,8 @@ let schedule placement dom_analysis ?analysis ?(options = default_options)
      ~depart:route_link order);
 
   (* Deferred unroutability: with a reroute context the whole residue was
-     collected above; the attempt still fails, but the ledger now holds
-     every routable transport and the context names every culprit. *)
+     collected above; the attempt still fails, and the context names every
+     culprit. *)
   (match reroute with
   | None -> ()
   | Some ctx -> (

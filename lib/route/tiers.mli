@@ -69,16 +69,13 @@ val schedule :
     propagate before the next node is taken; {!Ready.frame} then sets the
     frame length and [length_driver].
 
-    With a [reroute] context the attempt runs {e warm}: transports whose
-    requirement slot is unchanged since the last attempt are replayed from
-    the context's ledger without a search, links the driver forced hard
+    With a [reroute] context, links the driver forced hard
     ({!Reroute.force_hard}) are routed on dedicated wires, and an
-    unroutable transport no longer aborts the pass — the whole residue is
+    unroutable transport no longer aborts the pass: the whole residue is
     collected into the context first, then {!Unroutable} is raised with
-    the first culprit.  A search itself never reads the context (see
-    {!Pathfind.search}), so a successful attempt under a fresh context
-    returns the schedule an attempt without one returns.  The context must
-    belong to this placement; clear it when the partition or placement
-    changes.
+    the first culprit.  Every transport is searched; a search never reads
+    the context (see {!Pathfind.search}), so a successful attempt under a
+    context with no forced-hard links returns the schedule an attempt
+    without one returns.
     @raise Unroutable when a transport cannot be placed within the slack
     budget (e.g. hard wires exhausted a channel). *)

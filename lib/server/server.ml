@@ -31,7 +31,7 @@ type settings = {
       (** Template; each job runs with a private copy (its own sink). *)
   s_max_retries : int;
   s_fallback_hard : bool;
-  s_reuse : bool;  (** Warm rerouting across retry rungs (--cold unsets). *)
+  s_reuse : bool;  (* Ignored; see server.mli. *)
   s_cache_dir : string option;
       (** Result entries and delta manifests ([--cache-dir]). *)
   s_obs_jobs : bool;
@@ -86,8 +86,7 @@ let run_job settings ~epoch job =
         let r =
           Compile.compile_resilient ~options
             ~max_retries:settings.s_max_retries
-            ~fallback_hard:settings.s_fallback_hard ~reuse:settings.s_reuse
-            nl
+            ~fallback_hard:settings.s_fallback_hard nl
         in
         (Some r, Compile.resilient_exit_code r)
   in
@@ -395,9 +394,9 @@ type answer = {
    switches are left out because only [--mode] sets them, and the mode
    is in the fingerprint. *)
 let policy settings =
-  Printf.sprintf "%s;retries=%d;fallback_hard=%b;reuse=%b"
+  Printf.sprintf "%s;retries=%d;fallback_hard=%b"
     (Cache.fingerprint settings.s_options)
-    settings.s_max_retries settings.s_fallback_hard settings.s_reuse
+    settings.s_max_retries settings.s_fallback_hard
 
 let status_of r =
   match r.r_resilient with

@@ -19,7 +19,7 @@
     [docs/SERVER.md]) and results merge in job order.
 
     Output is NDJSON: one [msched-batch-1] record per design (embedding
-    the job's [msched-driver-1] document) plus one [msched-batch-summary-1]
+    the job's [msched-driver-2] document) plus one [msched-batch-summary-1]
     line; timing appears only in the summary.  A delta request's record
     is [msched-delta-1]. *)
 
@@ -34,7 +34,10 @@ type settings = {
       (** Template; each job runs with a private copy (its own sink). *)
   s_max_retries : int;
   s_fallback_hard : bool;
-  s_reuse : bool;  (** Warm rerouting across retry rungs ([--cold] unsets). *)
+  s_reuse : bool;
+      (** Ignored: every retry rung searches from scratch.  It stays only
+          because the frozen benchmark under [perfbench/] sets it; it is
+          not part of {!policy}. *)
   s_cache_dir : string option;
       (** [--cache-dir]: where {!answer} keeps result entries and
           {!run_delta} its delta manifests.  [None] turns both off;
@@ -164,7 +167,9 @@ type answer = {
 
 val policy : settings -> string
 (** The line a result entry is keyed and checked on: the options
-    fingerprint plus [s_max_retries], [s_fallback_hard] and [s_reuse]. *)
+    fingerprint plus [s_max_retries] and [s_fallback_hard].  An entry
+    stored under another line (an older version's, which also named a
+    [reuse] switch) is never served. *)
 
 val answer : settings -> epoch:float -> request -> answer
 (** The one executor of [batch] and [serve].  A delta request is

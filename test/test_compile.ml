@@ -160,6 +160,35 @@ let test_empty_design () =
   Alcotest.(check (list string)) "delta: one diagnostic" [ "E_EMPTY_DESIGN" ]
     (List.map code d.Server.dr_diags)
 
+(* A pin budget too small to give every channel of the system a wire is
+   an infeasibility of the options, like a block budget a cell outweighs:
+   E_CAPACITY (exit class 4) from [prepare], never an internal error. *)
+let test_pin_budget_capacity () =
+  let module Diag = Msched_diag.Diag in
+  let module Compile = Msched.Compile in
+  let nl = (Design_gen.fig3_latch ()).Design_gen.netlist in
+  List.iter
+    (fun pins ->
+      let options =
+        {
+          Compile.default_options with
+          Compile.max_block_weight = 4;
+          pins_per_fpga = pins;
+        }
+      in
+      let what = Printf.sprintf "pins %d" pins in
+      (match Compile.compile ~options nl with
+      | _ -> Alcotest.failf "%s: compiled" what
+      | exception Compile.Compile_error d ->
+          Alcotest.(check string) (what ^ ": compile") "E_CAPACITY"
+            (Diag.code_name d.Diag.code)
+      | exception e ->
+          Alcotest.failf "%s: raised %s" what (Printexc.to_string e));
+      let r = Compile.compile_resilient ~options ~max_retries:1 nl in
+      Alcotest.(check int) (what ^ ": resilient exit class") 4
+        (Compile.resilient_exit_code r))
+    [ 1; 2 ]
+
 let suite =
   [
     Alcotest.test_case "prepare pipeline" `Quick test_prepare_pipeline;
@@ -171,4 +200,6 @@ let suite =
     Alcotest.test_case "min fpgas under limit" `Quick test_min_fpgas_under_limit;
     Alcotest.test_case "an empty design is malformed input" `Quick
       test_empty_design;
+    Alcotest.test_case "a pin budget that wires no channel is E_CAPACITY"
+      `Quick test_pin_budget_capacity;
   ]

@@ -492,7 +492,13 @@ let test_resilient_json () =
       Alcotest.(check bool)
         (Printf.sprintf "driver json has %s" frag)
         true (contains j frag))
-    [ {|"schema":"msched-driver-1"|}; {|"attempts":[|}; {|"degradation":{|} ]
+    [ {|"schema":"msched-driver-2"|}; {|"attempts":[|}; {|"degradation":{|} ];
+  List.iter
+    (fun frag ->
+      Alcotest.(check bool)
+        (Printf.sprintf "driver json has no %s" frag)
+        false (contains j frag))
+    [ {|"reused"|}; {|"ripped"|}; {|"reused_transports"|}; {|"ripped_transports"|} ]
 
 (* ---- JSON string reader. ---- *)
 

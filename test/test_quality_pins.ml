@@ -20,7 +20,10 @@
      at weight 32, 24 pins, max-extra 0, two retries and the hard
      fallback: whether it degraded (succeeded past the baseline attempt)
      and every counter.  [driver.lint_warnings] counts the design's 108
-     dangling nets as one warning.
+     dangling nets as one warning.  The search counters were re-recorded
+     when retry rungs stopped replaying the previous rung's routes: the
+     relax-slack rung searches all 216 transports, as the ladder did with
+     its context cleared before every rung.
    - workloads: three gals, three dense and three fabric generator specs
      at default options.  The pinned module counts fix each MTS fraction,
      so they also pin that the dense fraction rises with density and ends
@@ -262,8 +265,6 @@ driver.fallback_nets=0
 driver.lint_errors=0
 driver.lint_warnings=1
 driver.retries=1
-driver.reused_transports=98
-driver.ripped_transports=2
 holdoff.cells=9
 holdoff.relax_rounds=15
 holdoff.slots=63
@@ -272,18 +273,15 @@ latch.origins=107
 mts.cells_out=328
 mts.ff_rewrites=0
 partition.blocks=10
-pathfind.congestion_blocked=60
+pathfind.congestion_blocked=74
 pathfind.failures=8
-pathfind.searches=118
-pathfind.states_expanded=439
+pathfind.searches=216
+pathfind.states_expanded=772
 pathfind.widenings=13
 place.moves_accepted=3426
 place.moves_tried=7216
-reroute.expansions=439
-reroute.fresh=116
+reroute.expansions=772
 reroute.residue=8
-reroute.reused=98
-reroute.ripped=2
 sched.hard_links=0
 sched.links=196
 sched.transports=216

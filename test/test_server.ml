@@ -147,7 +147,7 @@ let test_batch_determinism () =
   let b1 = Server.run_batch ~jobs:1 Server.default_settings (jobs_of corpus) in
   let b4 = Server.run_batch ~jobs:4 Server.default_settings (jobs_of corpus) in
   (* Byte-identical per-design records: same schedules, lengths, Hz,
-     attempt ladders and diagnostics — the whole msched-driver-1 document
+     attempt ladders and diagnostics — the whole msched-driver-2 document
      (options.verify is on, so success also means verifier-clean). *)
   List.iteri
     (fun i (r1, r4) ->
@@ -179,6 +179,24 @@ let index_of needle s =
     else go (i + 1)
   in
   go 0
+
+(* [s] with every occurrence of [sub] replaced by [by]. *)
+let replace_all ~sub ~by s =
+  let n = String.length s and m = String.length sub in
+  let b = Buffer.create n in
+  let rec go i =
+    if i > n - m then Buffer.add_substring b s i (n - i)
+    else if String.sub s i m = sub then begin
+      Buffer.add_string b by;
+      go (i + m)
+    end
+    else begin
+      Buffer.add_char b s.[i];
+      go (i + 1)
+    end
+  in
+  go 0;
+  Buffer.contents b
 
 (* A record's "cache" member, and the record without it. *)
 let split_cache record =
@@ -296,7 +314,7 @@ let test_batch_ignores_cache_dir () =
     (Cache.stats ~dir).Cache.st_entries
 
 (* The key covers the retry policy as well as the options: the same text
-   under five policies in one directory never hits another's entry, and
+   under four policies in one directory never hits another's entry, and
    each policy's record equals its uncached one. *)
 let test_result_policies_never_cross () =
   let dir = fresh_dir () in
@@ -310,7 +328,6 @@ let test_result_policies_never_cross () =
       ("--retries 0", { base with Server.s_max_retries = 0 });
       ("--retries 2", { base with Server.s_fallback_hard = false });
       ("--retries 2 --fallback-hard --pins 24", base);
-      ("--cold", { base with Server.s_reuse = false });
       ( "--pins 96",
         {
           base with
@@ -349,6 +366,61 @@ let test_result_policies_never_cross () =
   Alcotest.(check int) "one entry per stored policy"
     (List.length (List.filter (fun a -> a.Server.a_exit = 0) firsts))
     (List.length (result_entries dir))
+
+(* An entry an older version stored: its policy line still named the
+   retry ladder's deleted [reuse] switch and its tail held an
+   msched-driver-1 document.  Neither that entry's own file nor one found
+   under today's key with that policy line is served: the request
+   compiles cold, answers an msched-driver-2 record equal to the uncached
+   one, and the next request is answered from what that compile stored. *)
+let test_old_policy_entry_never_served () =
+  let dir = fresh_dir () in
+  let text = design_text ~seed:517 ~modules:30 ~domains:3 in
+  let job = Server.job_of_text ~index:0 ~path:"congested.mnl" text in
+  let s = mix_settings (Some dir) in
+  let policy = Server.policy s in
+  let old_policy = policy ^ ";reuse=true" in
+  let uncached =
+    record_of (Server.answer (mix_settings None) ~epoch:0.0 (Server.Compile job))
+  in
+  let old_tail =
+    let member = {|"cache":"off",|} in
+    let hl =
+      match index_of member uncached with
+      | Some i -> i + String.length member
+      | None -> Alcotest.failf "no cache member: %s" uncached
+    in
+    String.sub uncached hl (String.length uncached - hl - 1)
+    |> replace_all ~sub:"msched-driver-2" ~by:"msched-driver-1"
+    |> replace_all ~sub:{|"lint_errors":|}
+         ~by:{|"reused_transports":98,"ripped_transports":2,"lint_errors":|}
+  in
+  List.iter
+    (fun key ->
+      match
+        Cache.store_result ~dir ~key ~policy:old_policy ~text
+          ~status:`Degraded
+          ~tail:(old_tail, 0, String.length old_tail)
+      with
+      | Ok () -> ()
+      | Error d -> Alcotest.failf "store failed: %s" d.Diag.message)
+    [
+      Cache.result_key ~policy:old_policy ~text;
+      Cache.result_key ~policy ~text;
+    ];
+  let answer () = record_of (Server.answer s ~epoch:0.0 (Server.Compile job)) in
+  let first = answer () in
+  let c, rest = split_cache first in
+  Alcotest.(check string) "an old entry is never served" "cold" c;
+  Alcotest.(check bool) "a msched-driver-2 record" true
+    (index_of {|"schema":"msched-driver-2"|} first <> None
+    && index_of "msched-driver-1" first = None
+    && index_of "reused_transports" first = None);
+  Alcotest.(check string) "the uncached record" (snd (split_cache uncached))
+    rest;
+  let c2, rest2 = split_cache (answer ()) in
+  Alcotest.(check string) "then its own entry" "warm" c2;
+  Alcotest.(check string) "the same record" rest rest2
 
 (* ---- Manifest cache: torn files, LRU eviction, leftover sweep. ---- *)
 
@@ -859,6 +931,8 @@ let suite =
       `Slow test_batch_ignores_cache_dir;
     Alcotest.test_case "batch: result entries never hit across policies"
       `Slow test_result_policies_never_cross;
+    Alcotest.test_case "batch: an older policy's result entry is never served"
+      `Quick test_old_policy_entry_never_served;
     Alcotest.test_case "cache: gc sweeps reroute and block leftovers" `Quick
       test_gc_sweeps_leftovers;
     Alcotest.test_case "record: one dangling-net warning per design" `Quick

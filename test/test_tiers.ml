@@ -257,10 +257,10 @@ let test_cross_block_latch_loop_warns () =
    forward scheduler and the resilient ladder, recorded from the
    implementation that still carried a speculative parallel reverse pass
    and a forward-direction reroute ledger.  Any change to link order,
-   channel exploration, ledger replay or the rungs a tight ladder takes
-   shows up here, not just in a self-comparison.  The states-expanded
-   literals were re-recorded when the search gained its distance bound;
-   every hash, label and reuse count stayed as recorded. *)
+   channel exploration or the rungs a tight ladder takes shows up here,
+   not just in a self-comparison.  The states-expanded literals were
+   re-recorded when the search gained its distance bound; every hash and
+   label stayed as recorded. *)
 
 module Reroute = Msched_route.Reroute
 module Sink = Msched_obs.Sink
@@ -348,10 +348,13 @@ let test_forward_pins () =
     forward_pins
 
 (* Tight serve-style options: the baseline fails on zero slack and the
-   relaxed rung replays what the baseline routed.  The hash and counters
-   were re-recorded when searches stopped reading the reroute context:
-   the baseline's paths moved, and with them what the relaxed rung could
-   replay. *)
+   relaxed rung succeeds.  The hash and counters were re-recorded when
+   searches stopped reading the reroute context, and again when retry
+   rungs stopped replaying the previous rung's routes: the relaxed rung
+   now searches every transport, so the hash is the plain compile's at
+   its slack budget and equals what the ladder gave with its context
+   cleared before every rung.  The search work is the baseline's failing
+   pass plus the relaxed rung's full one. *)
 let test_ladder_pin () =
   let obs = Sink.create () in
   let options =
@@ -369,7 +372,7 @@ let test_ladder_pin () =
   in
   Alcotest.(check (list string)) "attempt labels" [ "baseline"; "relax-slack" ]
     (List.map (fun a -> a.Compile.attempt_label) r.Compile.attempts);
-  Alcotest.(check string) "schedule hash" "bce1f281c227fcf9"
+  Alcotest.(check string) "schedule hash" "a498531217c62435"
     (match r.Compile.compiled with
     | Some c -> schedule_hash c.Compile.schedule
     | None -> "none");
@@ -377,10 +380,11 @@ let test_ladder_pin () =
     (fun (counter, v) ->
       Alcotest.(check int) counter v (Sink.counter obs counter))
     [
-      ("pathfind.states_expanded", 6708);
-      ("reroute.reused", 471);
-      ("reroute.ripped", 98);
-      ("reroute.fresh", 951);
+      ("pathfind.states_expanded", 8853);
+      ("pathfind.searches", 1520);
+      ("pathfind.failures", 191);
+      ("reroute.expansions", 8853);
+      ("reroute.residue", 191);
     ]
 
 (* ---- A context never steers a search ----
